@@ -25,17 +25,14 @@ from .hyper import (
     AMatrixSpec,
     CISpec,
     HyperSeries,
-    RecursionCoeffs,
-    bar_transform,
+    bar_assemble,
     build_A,
     build_K,
     build_Y_closed,
     c_coeff,
     frak_coeff,
     normalization_I,
-    recursion_coeff,
     scr_coeff,
-    specialize_to_K,
     y_series_evaluated,
 )
 from .operators import (
@@ -44,18 +41,14 @@ from .operators import (
     assemble_double_J,
     audit_frakD_normalizations,
     build_barD,
-    build_calD,
     build_pipeline,
     equivariant_orthogonality_check,
-    extract_opexp,
-    gamma_operator,
     orthogonality_check,
-    solve_structure_coeffs,
     y_gamma_evaluated,
 )
 from .residues import residue_at, residue_at_infinity, residue_sum_check
-from .rings import BigRational, RatFunc, SparsePoly, ratfunc_arithmetic
-from .series import LaurentExpansion, QSeries, expand_series_in_x, laurent_expand_hbar
+from .rings import RatFunc, SparsePoly
+from .series import LaurentExpansion, QSeries, laurent_expand_hbar
 from .verifier import (
     audit_uniqueness_hypotheses,
     build_phi,

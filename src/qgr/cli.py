@@ -34,8 +34,8 @@ from .hyper import (
     AMatrixSpec,
     CISpec,
     a_series_evaluated,
+    bar_assemble,
     bar_evaluated,
-    bar_transform,
     build_A,
     build_K,
     build_Y_closed,
@@ -52,7 +52,7 @@ from .operators import (
     orthogonality_check,
 )
 from .rings import RatFunc, SparsePoly
-from .series import QSeries, expand_series_in_x, laurent_expand_hbar, x_coefficients
+from .series import QSeries, laurent_expand_hbar, x_coefficients
 from .verifier import build_phi, check_mpc, check_recursive, check_recursive_2q, residue_internal_check
 
 
@@ -167,11 +167,11 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
         payload = _series_entries(Y.payload)
     elif kind in ("dot-bar", "ddot-bar"):
         al = cfg.resolve_alpha()
-        Y = bar_transform(build_K(kind.split("-")[0], n, a, al, D))
+        Y = bar_assemble(build_K(kind.split("-")[0], n, a, al, D))
         payload = _series_entries(Y.payload)
     elif kind in ("dot-dual", "ddot-dual"):
         base = kind.split("-")[0]
-        Ybar = bar_transform(build_K(base, n, a, None, D))
+        Ybar = bar_assemble(build_K(base, n, a, None, D))
         Yclosed = build_Y_closed(base, n, a, D)
         equal = all(Ybar.coeff((d,)) == Yclosed.coeff((d,)) for d in range(D + 1))
         payload = {
@@ -281,12 +281,12 @@ def _suite_mpc(cfg: RunConfig, al) -> list[dict]:
     Fdd = _y_evals("ddot", n, a, al, D)
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
     results = []
-    ok, off = check_mpc(build_phi(Fd, Fd, eta, al, n, Nz, D, "product-weight"))
+    ok, off = check_mpc(build_phi(Fd, Fd, eta, al, n, Nz, D))
     results.append({
         "check": "spc-dot", "pass": ok,
         "failures": [{"zq": list(k), "coeff": v.to_string()} for k, v in off],
     })
-    ok2, off2 = check_mpc(build_phi(Fd, Fdd, lambda i, j: Fraction(1), al, n, Nz, D, "1"))
+    ok2, off2 = check_mpc(build_phi(Fd, Fdd, lambda i, j: Fraction(1), al, n, Nz, D))
     results.append({
         "check": "mpc-dot-ddot", "pass": ok2,
         "failures": [{"zq": list(k), "coeff": v.to_string()} for k, v in off2],
@@ -334,7 +334,7 @@ def _suite_fano(cfg: RunConfig, al) -> list[dict]:
     if a.total > n - 2:
         raise UsageError("fano-vanishing needs |a| <= n - 2")
     K = build_K("dot", n, a, al, D, xtrunc=2 * (n - 2) + 1)
-    Y = bar_transform(K)
+    Y = bar_assemble(K)
     depth = 3
     failures = []
     for d in range(1, D + 1):
@@ -364,8 +364,8 @@ def _suite_residue_internal(cfg: RunConfig, al) -> list[dict]:
     n, a = cfg.n, cfg.ci()
     D = min(cfg.qdeg, 2)
     Nz = min(cfg.zdeg, 2)
-    Y1 = bar_transform(build_K("dot", n, a, al, D))
-    Y2 = bar_transform(build_K("ddot", n, a, al, D))
+    Y1 = bar_assemble(build_K("dot", n, a, al, D))
+    Y2 = bar_assemble(build_K("ddot", n, a, al, D))
     eta_poly = SparsePoly.const(("x1", "x2"), 1)
     rep = residue_internal_check(Y1, Y2, eta_poly, al, n, D, Nz, cfg.laurent_depth())
     bad = [c for c in rep["checks"] if not (c["sum_zero"] and c["regular_at_0"] and c["residue_at_0"] == 0)]
@@ -500,12 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pc)
     pc.add_argument("--equivariant", action="store_true")
 
-    py = sub.add_parser("y-gamma", help="basis-weighted series (alias of series --kind y-gamma)")
-    common(py)
-    py.add_argument("--k", type=int)
-    py.add_argument("--j", type=int)
-    py.add_argument("--kind", type=str, default="dot")
-
     pj = sub.add_parser("double-j", help="double-series tensor table")
     common(pj)
     return ap
@@ -579,6 +573,14 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         raise UsageError("need n >= 3")
     if cfg.qdeg < 0:
         raise UsageError("qdeg must be nonnegative")
+    if cfg.zdeg < 0:
+        raise UsageError("zdeg must be nonnegative")
+    if cfg.mutate is not None:
+        if cfg.command != "verify" or (cfg.suite or "all") not in ("recursivity", "mpc", "all"):
+            raise UsageError("mutate is read only by the recursivity, mpc and all suites")
+        d, d1 = cfg.mutate
+        if not 0 <= d1 <= d <= cfg.qdeg:
+            raise UsageError(f"mutate {d}:{d1} must satisfy 0 <= d1 <= d <= qdeg = {cfg.qdeg}")
     if sum(cfg.a) > cfg.n:
         raise UsageError("|a| must not exceed n")
     return cfg
@@ -595,9 +597,6 @@ def run(argv=None) -> int:
             doc, code = cmd_verify(cfg)
         elif ns.command == "cohomology":
             doc, code = cmd_cohomology(cfg)
-        elif ns.command == "y-gamma":
-            cfg.kind = "y-gamma" if (cfg.kind in (None, "dot")) else "ydd-gamma"
-            doc, code = cmd_series(cfg)
         elif ns.command == "double-j":
             doc, code = cmd_double_j(cfg)
         else:  # pragma: no cover - argparse enforces the choices

@@ -414,16 +414,3 @@ def equivariant_diagonal(ctx: GrContext) -> dict[tuple[Partition, Partition], ob
             if not _vzero(v):
                 out[(lam, mu)] = v
     return out
-
-
-def restrict_diagonal_tensor(tensor, ctx: GrContext, p1: tuple[int, int], p2: tuple[int, int]):
-    """Restriction of a (lam, mu)-tensor to the fixed-point pair (p1, p2)."""
-    total = None
-    for (lam, mu), g in tensor.items():
-        v = g * lift_restriction(lam, p1, ctx) * lift_restriction(mu, p2, ctx)
-        total = v if total is None else total + v
-    return total
-
-
-def lift_restriction(lam: Partition, p: tuple[int, int], ctx: GrContext):
-    return restrict_fixed_point(schur_poly(lam), p[0], p[1], ctx)

@@ -89,18 +89,14 @@ class DenChain:
         factors = [den_factor(n, alphas, l, xname, xtrunc) for l in range(1, D + 1)]
         products = [_c3(1)]
         for f in factors:
-            products.append(_mul(products[-1], f, xtrunc))
+            products.append(products[-1].mul_trunc(f, xtrunc))
         return cls(xname, factors, products, xtrunc)
 
     def cofactor(self, d_from: int, d_to: int) -> SparsePoly:
         out = _c3(1)
         for l in range(d_from + 1, d_to + 1):
-            out = _mul(out, self.factors[l - 1], self.xtrunc)
+            out = out.mul_trunc(self.factors[l - 1], self.xtrunc)
         return out
-
-
-def _mul(a: SparsePoly, b: SparsePoly, xtrunc: int | None) -> SparsePoly:
-    return a.mul_trunc(b, xtrunc) if xtrunc is not None else a * b
 
 
 def den_factor(n: int, alphas, l: int, xname: str, xtrunc: int | None = None) -> SparsePoly:
@@ -111,8 +107,8 @@ def den_factor(n: int, alphas, l: int, xname: str, xtrunc: int | None = None) ->
     p2 = _c3(1)
     for j in range(n):
         aj = Fraction(0) if alphas is None else Fraction(alphas[j])
-        p1 = _mul(p1, x - _c3(aj) + h * l, xtrunc)
-        p2 = _mul(p2, x - _c3(aj), xtrunc)
+        p1 = p1.mul_trunc(x - _c3(aj) + h * l, xtrunc)
+        p2 = p2.mul_trunc(x - _c3(aj), xtrunc)
     return p1 - p2
 
 
@@ -144,7 +140,7 @@ def amatrix_numerator(kind: str, rows, d1: int, d2: int, xtrunc: int | None = No
         m = a1 * d1 + a2 * d2
         base = _xvar("x1") * a1 + _xvar("x2") * a2
         for l in _num_l_range(kind, m):
-            out = _mul(out, base + h * l, xtrunc)
+            out = out.mul_trunc(base + h * l, xtrunc)
     return out
 
 
@@ -167,9 +163,9 @@ class HyperSeries:
     n: int
     spec: object  # CISpec or AMatrixSpec
     payload: QSeries
+    den_chains: tuple[DenChain, DenChain]
+    num_parts: dict  # q-key -> numerator over the den_chains products
     xtrunc: int | None = None
-    den_chains: tuple[DenChain, DenChain] | None = None
-    num_parts: dict | None = None
 
     @property
     def D(self) -> int:
@@ -199,7 +195,7 @@ def build_A(kind: str, spec: AMatrixSpec, D: int, xtrunc: int | None = None) -> 
             d2 = d - d1
             num = amatrix_numerator(kind, spec.rows, d1, d2, xtrunc)
             nums[(d1, d2)] = num
-            coeffs[(d1, d2)] = RatFunc(num, _mul(c1.products[d1], c2.products[d2], xtrunc))
+            coeffs[(d1, d2)] = RatFunc(num, c1.products[d1].mul_trunc(c2.products[d2], xtrunc))
     return HyperSeries(
         kind=f"A_{kind}", n=spec.n, spec=spec,
         payload=QSeries(2, D, coeffs), xtrunc=xtrunc,
@@ -222,12 +218,6 @@ def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = N
     return hs
 
 
-def specialize_to_K(A: HyperSeries, a: CISpec, n: int, alphas, xtrunc: int | None = None) -> HyperSeries:
-    """Rebuild a ladder series with specialized rows and weights."""
-    kind = A.kind.split("_", 1)[1]
-    return build_K(kind, n, a, alphas, A.D, xtrunc if xtrunc is not None else A.xtrunc)
-
-
 def bar_assemble(F: HyperSeries, weight=None, out_kind: str | None = None) -> HyperSeries:
     """q1 = q2 = -q substitution plus the antisymmetrized derivative term.
 
@@ -241,8 +231,6 @@ def bar_assemble(F: HyperSeries, weight=None, out_kind: str | None = None) -> Hy
     D = F.D
     x1mx2 = _xvar("x1") - _xvar("x2")
     h = _xvar("h")
-    if F.den_chains is None or F.num_parts is None:
-        return _bar_generic(F, weight, out_kind)
     c1, c2 = F.den_chains
     coeffs = {}
     nums = {}
@@ -255,9 +243,9 @@ def bar_assemble(F: HyperSeries, weight=None, out_kind: str | None = None) -> Hy
             if num is None:
                 continue
             if weight is not None:
-                num = _mul(num, weight(d1, d2), F.xtrunc)
-            cof = _mul(c1.cofactor(d1, d), c2.cofactor(d2, d), F.xtrunc)
-            t = _mul(num, cof, F.xtrunc)
+                num = num.mul_trunc(weight(d1, d2), F.xtrunc)
+            cof = c1.cofactor(d1, d).mul_trunc(c2.cofactor(d2, d), F.xtrunc)
+            t = num.mul_trunc(cof, F.xtrunc)
             N0 = N0 + t
             if d1 != d2:
                 N1 = N1 + t * (d1 - d2)
@@ -268,45 +256,16 @@ def bar_assemble(F: HyperSeries, weight=None, out_kind: str | None = None) -> Hy
             if Q is None:
                 raise ValueError("derivative numerator not divisible by x1 - x2 (asymmetric input)")
         sign = -1 if d % 2 else 1
-        num_d = (N0 + _mul(h, Q, F.xtrunc)) * sign
+        num_d = (N0 + h.mul_trunc(Q, F.xtrunc)) * sign
         nums[(d,)] = num_d
-        coeffs[(d,)] = RatFunc(num_d, _mul(c1.products[d], c2.products[d], F.xtrunc))
+        coeffs[(d,)] = RatFunc(num_d, c1.products[d].mul_trunc(c2.products[d], F.xtrunc))
     kind = out_kind or ("Y_" + F.kind.split("_", 1)[1])
+    # dividing by x1 - x2 costs one order of x-precision
     return HyperSeries(
         kind=kind, n=F.n, spec=F.spec,
-        payload=QSeries(1, D, coeffs), xtrunc=(F.xtrunc - 1 if F.xtrunc is not None else None),
+        payload=QSeries(1, D, coeffs), xtrunc=None if F.xtrunc is None else F.xtrunc - 1,
         den_chains=F.den_chains, num_parts=nums,
     )
-
-
-def _bar_generic(F: HyperSeries, weight, out_kind):
-    """Fallback assembly from bare RatFunc coefficients."""
-    D = F.D
-    x1mx2 = _xvar("x1") - _xvar("x2")
-    h = _xvar("h")
-    coeffs = {}
-    for d in range(D + 1):
-        S0 = RatFunc.from_scalar(0, V3)
-        S1 = RatFunc.from_scalar(0, V3)
-        for d1 in range(d + 1):
-            d2 = d - d1
-            v = F.coeff((d1, d2))
-            if weight is not None:
-                v = v * weight(d1, d2)
-            S0 = S0 + v
-            if d1 != d2:
-                S1 = S1 + v * (d1 - d2)
-        Q_num = S1.num.divide_exact(x1mx2)
-        if Q_num is None:
-            raise ValueError("derivative numerator not divisible by x1 - x2 (asymmetric input)")
-        sign = -1 if d % 2 else 1
-        coeffs[(d,)] = (S0 + RatFunc(h) * RatFunc(Q_num, S1.den)) * sign
-    kind = out_kind or ("Y_" + F.kind.split("_", 1)[1])
-    return HyperSeries(kind=kind, n=F.n, spec=F.spec, payload=QSeries(1, D, coeffs), xtrunc=F.xtrunc)
-
-
-def bar_transform(F: HyperSeries) -> HyperSeries:
-    return bar_assemble(F)
 
 
 def build_Y_closed(kind: str, n: int, a: CISpec, D: int, xtrunc: int | None = None) -> HyperSeries:
@@ -327,22 +286,21 @@ def build_Y_closed(kind: str, n: int, a: CISpec, D: int, xtrunc: int | None = No
         total = SparsePoly.zero(V3)
         for d1 in range(d, (d - 1) // 2, -1):
             d2 = d - d1
-            cof12 = _mul(chain1.cofactor(d1, d), chain2.cofactor(d2, d), xtrunc)
+            cof12 = chain1.cofactor(d1, d).mul_trunc(chain2.cofactor(d2, d), xtrunc)
             if d1 == d2:
                 total = total + cof12
                 continue
-            cof21 = _mul(chain1.cofactor(d2, d), chain2.cofactor(d1, d), xtrunc)
-            pair = _mul(x1mx2 + h * (d1 - d2), cof12, xtrunc) + _mul(
-                x1mx2 + h * (d2 - d1), cof21, xtrunc
-            )
+            cof21 = chain1.cofactor(d2, d).mul_trunc(chain2.cofactor(d1, d), xtrunc)
+            pair = (x1mx2 + h * (d1 - d2)).mul_trunc(cof12, xtrunc)
+            pair = pair + (x1mx2 + h * (d2 - d1)).mul_trunc(cof21, xtrunc)
             q = pair.divide_exact(x1mx2)
             if q is None:  # pragma: no cover - pair sums are antisymmetric
                 raise ArithmeticError("paired summand not divisible by x1 - x2")
             total = total + q
         sign = -1 if d % 2 else 1
-        num_d = _mul(A_d, total, xtrunc) * sign
+        num_d = A_d.mul_trunc(total, xtrunc) * sign
         nums[(d,)] = num_d
-        coeffs[(d,)] = RatFunc(num_d, _mul(chain1.products[d], chain2.products[d], xtrunc))
+        coeffs[(d,)] = RatFunc(num_d, chain1.products[d].mul_trunc(chain2.products[d], xtrunc))
     return HyperSeries(
         kind=f"Yclosed_{kind}", n=n, spec=a,
         payload=QSeries(1, D, coeffs), xtrunc=xtrunc,
@@ -499,45 +457,3 @@ def c_coeff(kind: str, slot: str, i: int, j: int, k: int, d: int, alphas, a: CIS
     else:
         factor = (al[k - 1] - al[j - 1]) / (al[i - 1] - al[j - 1])
     return sign * factor * fc
-
-
-def recursion_coeff(flavor: str, indices: tuple, d: int, alphas, a: CISpec | None = None,
-                    spec: AMatrixSpec | None = None) -> Fraction:
-    """Uniform entry point for all recursion-coefficient flavors.
-
-    flavor in {C_dot, C_ddot, frakC_dot, frakC_ddot, scrC_dot, scrC_ddot};
-    indices = (slot, i, j, k) with slot 'first'/'second' (or 1/2 for scr).
-    """
-    fam, kind = flavor.split("_")
-    slot, i, j, k = indices
-    if fam == "C":
-        return c_coeff(kind, slot, i, j, k, d, alphas, a)
-    if fam == "frakC":
-        return frak_coeff(kind, slot, i, j, k, d, alphas, a)
-    if fam == "scrC":
-        return scr_coeff(kind, int(slot), i, j, k, d, spec)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-class RecursionCoeffs:
-    """Memoized recursion-coefficient table for one flavor.
-
-    Calling it with (slot, i, j, k, d) matches the verifier's callback
-    shape; entries are cached under the same key.
-    """
-
-    def __init__(self, flavor: str, alphas=None, a: CISpec | None = None,
-                 spec: AMatrixSpec | None = None):
-        self.flavor = flavor
-        self.alphas = tuple(alphas) if alphas is not None else None
-        self.a = a
-        self.spec = spec
-        self.entries: dict = {}
-
-    def __call__(self, slot, i, j, k, d) -> Fraction:
-        key = (slot, i, j, k, d)
-        v = self.entries.get(key)
-        if v is None:
-            v = recursion_coeff(self.flavor, (slot, i, j, k), d, self.alphas, self.a, self.spec)
-            self.entries[key] = v
-        return v

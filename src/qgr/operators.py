@@ -42,38 +42,24 @@ def frakD_weight(p: tuple[int, int], d: tuple[int, int]) -> SparsePoly:
     return (_x("x1") + h * d[0]) ** p[0] * (_x("x2") + h * d[1]) ** p[1]
 
 
-def apply_frakD(F: HyperSeries, p: tuple[int, int], audit: bool = False) -> HyperSeries:
-    """Apply prod_i (x_i + h q_i d/dq_i)^{p_i} to a two-variable series.
-
-    With `audit=True` the table normalizations are asserted afterwards;
-    failure signals that this operator choice is inadequate for F (the
-    pipeline then uses the corrected family instead).
-    """
+def apply_frakD(F: HyperSeries, p: tuple[int, int]) -> HyperSeries:
+    """Apply prod_i (x_i + h q_i d/dq_i)^{p_i} to a two-variable series."""
     if F.payload.q_arity != 2:
         raise ValueError("the shift operators act on two-variable series")
     coeffs = {}
-    nums = {} if F.num_parts is not None else None
+    nums = {}
     for key, v in F.payload.coeffs.items():
         w = frakD_weight(p, key)
         coeffs[key] = v * RatFunc(w) if isinstance(v, RatFunc) else v * w
-        if nums is not None:
-            nums[key] = F.num_parts[key].mul_trunc(w, F.xtrunc) if F.xtrunc is not None else F.num_parts[key] * w
-    out = HyperSeries(
+        nums[key] = F.num_parts[key].mul_trunc(w, F.xtrunc)
+    return HyperSeries(
         kind=f"frakD{p}_{F.kind}", n=F.n, spec=F.spec,
         payload=QSeries(2, F.D, coeffs), xtrunc=F.xtrunc,
         den_chains=F.den_chains, num_parts=nums,
     )
-    if audit:
-        rep = audit_frakD_normalizations(F, p)
-        if not rep["ok"]:
-            raise ArithmeticError(
-                f"shift-operator normalization failed for p={p}: "
-                f"{len(rep['offenders'])} offending table entries"
-            )
-    return out
 
 
-def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int], depth: int | None = None) -> dict:
+def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
     """Verify the defining table properties of the shift-operator expansion.
 
     Checks, with C^(r)_{p,s} read off the x- and h-expansion of
@@ -83,8 +69,7 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int], depth: int | 
     """
     ptot = p[0] + p[1]
     rmax = ptot
-    if depth is None:
-        depth = F.n * F.D + ptot + 2
+    depth = F.n * F.D + ptot + 2
     offenders = []
     DF = apply_frakD(F, p)
     for key in sorted(DF.payload.coeffs, key=lambda k: (sum(k), k)):
@@ -130,17 +115,12 @@ def schur_shifted(lam, d: tuple[int, int]) -> SparsePoly:
 
 
 def _op_bare(K: HyperSeries, p: tuple[int, int]) -> dict:
-    return {
-        key: K.num_parts[key].mul_trunc(frakD_weight(p, key), K.xtrunc)
-        if K.xtrunc is not None
-        else K.num_parts[key] * frakD_weight(p, key)
-        for key in K.num_parts
-    }
+    return {key: K.num_parts[key].mul_trunc(frakD_weight(p, key), K.xtrunc) for key in K.num_parts}
 
 
 def _op_hpow(nums: dict, m: int, xtrunc) -> dict:
     h = _x("h") ** m
-    return {key: (v.mul_trunc(h, xtrunc) if xtrunc is not None else v * h) for key, v in nums.items()}
+    return {key: v.mul_trunc(h, xtrunc) for key, v in nums.items()}
 
 
 def _op_combine(nums_a: dict, nums_b: dict, coeff) -> dict:
@@ -162,8 +142,7 @@ def _op_scalar_mul(u: QSeries, nums: dict, K: HyperSeries) -> dict:
             if d1 + d2 > K.D:
                 continue
             cof = c1.cofactor(e1, d1) * c2.cofactor(e2, d2)
-            term = v.mul_trunc(cof, K.xtrunc) if K.xtrunc is not None else v * cof
-            term = term * uc
+            term = v.mul_trunc(cof, K.xtrunc) * uc
             key = (d1, d2)
             out[key] = out.get(key, SparsePoly.zero(V3)) + term
     return out
@@ -195,8 +174,6 @@ def _op_table_entry(nums: dict, K: HyperSeries, level: int, r: tuple[int, int]) 
 def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
     """Numerator tables of the normalized operators applied to K, indexed
     by the operator exponent p with |p| <= pmax."""
-    if K.num_parts is None or K.den_chains is None:
-        raise ValueError("normalized family needs a structured ladder series")
     D = K.D
     fam: dict = {}
     for L in range(pmax + 1):
@@ -253,26 +230,9 @@ def schur_shifted_eval(lam, xi, xj, d: tuple[int, int]) -> SparsePoly:
     return out * hsum
 
 
-def gamma_operator(lam, F: HyperSeries) -> HyperSeries:
-    """Schur polynomial in the two commuting shift-operator slots."""
-    if F.payload.q_arity != 2:
-        raise ValueError("gamma operators act on two-variable series")
-    coeffs = {}
-    nums = {} if F.num_parts is not None else None
-    for key, v in F.payload.coeffs.items():
-        w = schur_shifted(lam, key)
-        coeffs[key] = v * RatFunc(w) if isinstance(v, RatFunc) else v * w
-        if nums is not None:
-            nums[key] = F.num_parts[key].mul_trunc(w, F.xtrunc) if F.xtrunc is not None else F.num_parts[key] * w
-    return HyperSeries(
-        kind=f"gamma{lam}_{F.kind}", n=F.n, spec=F.spec,
-        payload=QSeries(2, F.D, coeffs), xtrunc=F.xtrunc,
-        den_chains=F.den_chains, num_parts=nums,
-    )
-
-
 def build_barD(lam, K: HyperSeries) -> HyperSeries:
-    """Bar transform of the gamma-shifted series (the two steps composed)."""
+    """Bar transform of the gamma-shifted series with the bare shift
+    operators: the reference the normalized family is tested against."""
     return bar_assemble(K, weight=lambda d1, d2: schur_shifted(lam, (d1, d2)),
                         out_kind=f"barD{lam}_{K.kind}")
 
@@ -386,31 +346,20 @@ class GammaPipeline:
 
 def _scalar_coeff(le: LaurentExpansion, e: int) -> Fraction:
     v = le.coeffs.get(e, Fraction(0))
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, RatFunc):
-        return v.const_value()
-    return v.const_value()
+    return v if isinstance(v, Fraction) else v.const_value()
 
 
-def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int,
-                   normalized: bool = True) -> GammaPipeline:
-    """Run the whole operator pipeline for one series.
-
-    `normalized=False` keeps the bare shift operators (adequate only when
-    every weight row fits in n; the table audits police this)."""
+def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipeline:
+    """Run the whole operator pipeline for one series, on the normalized
+    shift-operator family."""
     pipe = GammaPipeline(kind=kind, n=n, a=a,
                          alphas=tuple(alphas) if alphas is not None else None, D=D)
     kmax = pipe.kmax
     pipe.K = build_K(kind, n, a, alphas, D, xtrunc=kmax + 1)
     parts = box_partitions(n)
-    if normalized:
-        fam = frakD_family_normalized(pipe.K, kmax)
-        for lam in parts:
-            pipe.barD[lam] = build_barD_normalized(lam, pipe.K, fam)
-    else:
-        for lam in parts:
-            pipe.barD[lam] = build_barD(lam, pipe.K)
+    fam = frakD_family_normalized(pipe.K, kmax)
+    for lam in parts:
+        pipe.barD[lam] = build_barD_normalized(lam, pipe.K, fam)
     # degree-k endomorphism matrices and Neumann inverses
     barD_classes = {
         lam: {
@@ -571,29 +520,6 @@ def _eqtic_residual_is_zero(pipe: GammaPipeline, k: int, iidx: int) -> bool:
                 if not acc == want:
                     return False
     return True
-
-
-def build_calD(pipe: GammaPipeline, k: int):
-    """The normalized degree-k operator family applied to the series,
-    together with the endomorphism matrix, its inverse and the exact
-    inverse certificate."""
-    basis_k = partitions_of_degree(pipe.n, k)
-    family = {i: pipe.calD[(k, i)] for i in range(len(basis_k))}
-    return family, pipe.J[k], pipe.Jinv[k], pipe.J_certified[k]
-
-
-def extract_opexp(pipe: GammaPipeline, k: int, i: int) -> dict:
-    """Expansion table of the (k, i) operator-applied series:
-    (h-slot, (degree, basis index)) -> scalar q-series."""
-    return pipe.opexp[(k, i)]
-
-
-def solve_structure_coeffs(pipe: GammaPipeline, k: int, i: int) -> dict:
-    """Structure coefficients for (k, i); raises when the defining
-    equations are inconsistent (corrupted expansion tables)."""
-    if not pipe.eqtic_residual_zero[(k, i)]:
-        raise ArithmeticError(f"structure-coefficient equations inconsistent at {(k, i)}")
-    return pipe.structC[(k, i)]
 
 
 def assemble_Y_gamma(pipe: GammaPipeline, k: int, jidx: int) -> QSeries:

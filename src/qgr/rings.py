@@ -26,13 +26,11 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-#: Exact rational scalar type used for every coefficient in the package.
-BigRational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _FIXED_RANK = {"x1": 0, "x2": 1, "h": 2, "z": 3}
+_XNAMES = ("x1", "x2")
 _ALPHA_NAME = re.compile(r"a([0-9]+)$")
 
 
@@ -90,22 +88,6 @@ class SparsePoly:
         e = [0] * len(vars)
         e[idx] = 1
         return cls(vars, {tuple(e): _ONE}, _clean=True)
-
-    @classmethod
-    def linear(cls, vars: tuple[str, ...], coeffs: Mapping[str, object], const=0) -> "SparsePoly":
-        """Build c0 + sum coeffs[name] * name."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        c0 = Fraction(const)
-        if c0 != 0:
-            terms[(0,) * len(vars)] = c0
-        for name, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            e = [0] * len(vars)
-            e[vars.index(name)] = 1
-            terms[tuple(e)] = terms.get(tuple(e), _ZERO) + c
-        return cls(vars, terms)
 
     # -- basic queries -------------------------------------------------
 
@@ -208,10 +190,11 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def mul_trunc(self, other: "SparsePoly", max_xdeg: int, xnames: tuple[str, ...] = ("x1", "x2")) -> "SparsePoly":
-        """Product with terms of total degree in `xnames` above `max_xdeg` dropped."""
+    def mul_trunc(self, other: "SparsePoly", max_xdeg: int | None) -> "SparsePoly":
+        """Product with terms of total degree in x1, x2 above `max_xdeg`
+        dropped; `max_xdeg=None` is the plain product."""
         a, b = _unify(self, other)
-        xidx = tuple(i for i, v in enumerate(a.vars) if v in xnames)
+        xidx = tuple(i for i, v in enumerate(a.vars) if v in _XNAMES)
         return _mul_terms(a.vars, a.terms, b.terms, max_xdeg, xidx)
 
     def __pow__(self, k: int) -> "SparsePoly":
@@ -228,8 +211,8 @@ class SparsePoly:
 
     # -- structure -----------------------------------------------------
 
-    def truncate_x(self, max_xdeg: int, xnames: tuple[str, ...] = ("x1", "x2")) -> "SparsePoly":
-        xidx = tuple(i for i, v in enumerate(self.vars) if v in xnames)
+    def truncate_x(self, max_xdeg: int) -> "SparsePoly":
+        xidx = tuple(i for i, v in enumerate(self.vars) if v in _XNAMES)
         out = {e: c for e, c in self.terms.items() if sum(e[i] for i in xidx) <= max_xdeg}
         return SparsePoly(self.vars, out, _clean=True)
 
@@ -255,9 +238,9 @@ class SparsePoly:
             buckets.setdefault(k, {})[tuple(e2)] = c
         return {k: SparsePoly(self.vars, t, _clean=True) for k, t in buckets.items()}
 
-    def decompose_x(self, xnames: tuple[str, ...] = ("x1", "x2")) -> dict[tuple[int, ...], "SparsePoly"]:
-        """Split by the joint exponents of `xnames`; values have those exponents zeroed."""
-        xidx = tuple(self.vars.index(v) for v in xnames if v in self.vars)
+    def decompose_x(self) -> dict[tuple[int, ...], "SparsePoly"]:
+        """Split by the joint exponents of x1, x2; values have those exponents zeroed."""
+        xidx = tuple(self.vars.index(v) for v in _XNAMES if v in self.vars)
         buckets: dict[tuple[int, ...], dict] = {}
         for e, c in self.terms.items():
             key = tuple(e[i] for i in xidx)
@@ -513,21 +496,6 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
     return SparsePoly(vars, clean, _clean=True)
 
 
-def prod_polys(factors, unit_vars=("h",)) -> SparsePoly:
-    """Balanced product of a list of polynomials (empty product is 1)."""
-    fs = list(factors)
-    if not fs:
-        return SparsePoly.const(tuple(unit_vars), 1)
-    while len(fs) > 1:
-        nxt = []
-        for i in range(0, len(fs) - 1, 2):
-            nxt.append(fs[i] * fs[i + 1])
-        if len(fs) % 2:
-            nxt.append(fs[-1])
-        fs = nxt
-    return fs[0]
-
-
 # ---------------------------------------------------------------------------
 # univariate helpers (used by RatFunc reduction and the residue module)
 # ---------------------------------------------------------------------------
@@ -617,10 +585,6 @@ class RatFunc:
     def from_scalar(cls, c, vars: tuple[str, ...] = ()) -> "RatFunc":
         c = Fraction(c)
         return cls(SparsePoly.const(vars, c))
-
-    @classmethod
-    def from_poly(cls, p: SparsePoly) -> "RatFunc":
-        return cls(p)
 
     # -- queries ----------------------------------------------------------
 
@@ -792,20 +756,3 @@ def _normalize_pair(num: SparsePoly, den: SparsePoly):
         num = -num
         den = -den
     return num, den
-
-
-# Arithmetic dispatcher used by generic series code: accepts the mixed
-# value types that appear as series coefficients.
-
-
-def ratfunc_arithmetic(op: str, f: RatFunc, g: RatFunc):
-    """Spec-level entry point: add / mul / div / eq on rational functions."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    if op == "eq":
-        return f == g
-    raise ValueError(f"unknown operation {op!r}")

@@ -54,15 +54,6 @@ class LaurentExpansion:
             raise ValueError(f"exponent {e} below truncation depth {self.depth}")
         return self.coeffs.get(e, _ZERO)
 
-    def truncate(self, depth: int | None) -> "LaurentExpansion":
-        if depth is None:
-            if self.depth is not None:
-                raise ValueError("cannot extend a truncated expansion")
-            return self
-        if self.depth is not None and depth > self.depth:
-            raise ValueError("cannot extend a truncated expansion")
-        return LaurentExpansion(self.coeffs, depth)
-
     def mod_negative(self, p: int) -> "LaurentExpansion":
         """Drop h^-p and higher powers of h^-1, keeping the rest exact."""
         return LaurentExpansion({e: v for e, v in self.coeffs.items() if e > -p}, None)
@@ -198,16 +189,16 @@ def laurent_expand_hbar(f: RatFunc, depth: int, var: str = "h") -> LaurentExpans
 # ---------------------------------------------------------------------------
 
 
-def x_coefficients(f: RatFunc, max_x_degree: int, xnames=("x1", "x2")) -> dict[tuple[int, int], RatFunc]:
+def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFunc]:
     """Coefficients of all x-monomials of total degree <= max_x_degree.
 
     Requires den(x=0) != 0 as a polynomial in the remaining variables.
     Values are RatFunc over the remaining variables with denominator a
     power of den(x=0).
     """
-    num_parts = f.num.decompose_x(xnames)
-    den_parts = f.den.decompose_x(xnames)
-    zero = (0,) * len(xnames)
+    num_parts = f.num.decompose_x()
+    den_parts = f.den.decompose_x()
+    zero = (0, 0)
     g0 = den_parts.get(zero)
     if g0 is None or g0.is_zero():
         raise ValueError("denominator vanishes at x=0; expansion point invalid")
@@ -252,16 +243,6 @@ def x_coefficients(f: RatFunc, max_x_degree: int, xnames=("x1", "x2")) -> dict[t
     return out
 
 
-def expand_series_in_x(
-    f: RatFunc, max_x_degree: int, hbar_depth: int, xnames=("x1", "x2")
-) -> dict[tuple[int, int], LaurentExpansion]:
-    """x-expansion with each coefficient Laurent-expanded in h^-1."""
-    return {
-        e: laurent_expand_hbar(c, hbar_depth)
-        for e, c in x_coefficients(f, max_x_degree, xnames).items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # truncated power series in q (and optionally z)
 # ---------------------------------------------------------------------------
@@ -295,9 +276,6 @@ class QSeries:
         if self.z_tracked and key[self.q_arity] > self.trunc_z:
             return False
         return True
-
-    def qdeg(self, key) -> int:
-        return sum(key[: self.q_arity])
 
     @classmethod
     def one(cls, q_arity: int, trunc_q: int, unit=Fraction(1), z_tracked=False, trunc_z=0):
@@ -469,7 +447,3 @@ def _graded_keys(arity: int, trunc_q: int, z_tracked: bool, trunc_z: int):
     if not z_tracked:
         return qparts
     return [q + (p,) for q in qparts for p in range(trunc_z + 1)]
-
-
-def graded_keys(arity: int, trunc_q: int, z_tracked: bool = False, trunc_z: int = 0):
-    return _graded_keys(arity, trunc_q, z_tracked, trunc_z)

@@ -16,7 +16,7 @@ from math import factorial
 
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
-from .series import LaurentExpansion, QSeries, laurent_expand_hbar
+from .series import QSeries, laurent_expand_hbar
 
 HV = ("h",)
 
@@ -176,7 +176,6 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
 @dataclass
 class PhiSeries:
     payload: QSeries  # one q variable, z tracked; values RatFunc in h
-    eta: str
 
 
 def _flip_h(v: RatFunc) -> RatFunc:
@@ -229,7 +228,7 @@ def pair_weight(alphas, i: int, j: int) -> Fraction:
 
 
 def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int,
-              eta_name: str = "eta", fold_symmetric: bool = True) -> PhiSeries:
+              fold_symmetric: bool = True) -> PhiSeries:
     """The half-sum over ordered fixed-point pairs of
     eta e^{(a_i+a_j) z} / (pairing weight) * F(a_i, a_j, h, q e^{hz}) F'(a_i, a_j, -h, q).
 
@@ -252,8 +251,8 @@ def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int,
             term = T1 * T2 * ez
             total = total + term.scale(pref)
     if fold_symmetric:
-        return PhiSeries(total, eta_name)
-    return PhiSeries(total.scale(Fraction(1, 2)), eta_name)
+        return PhiSeries(total)
+    return PhiSeries(total.scale(Fraction(1, 2)))
 
 
 def check_mpc(phi: PhiSeries):

@@ -27,7 +27,7 @@ from qgr.hyper import (
     AMatrixSpec,
     CISpec,
     a_series_evaluated,
-    bar_transform,
+    bar_assemble,
     build_A,
     build_K,
     build_Y_closed,
@@ -103,7 +103,7 @@ def test_criterion_2_dual_path():
     for (n, a) in CRIT2_SET:
         ci = CISpec(tuple(a))
         for kind in ("dot", "ddot"):
-            Ybar = bar_transform(build_K(kind, n, ci, None, 3))
+            Ybar = bar_assemble(build_K(kind, n, ci, None, 3))
             Yclosed = build_Y_closed(kind, n, ci, 3)
             for d in range(4):
                 if not Ybar.coeff((d,)) == Yclosed.coeff((d,)):
@@ -163,8 +163,8 @@ def test_criterion_4_polynomiality():
         Fd = _y_evals("dot", n, ci, al, 3)
         Fdd = _y_evals("ddot", n, ci, al, 3)
         eta = lambda i, j: ci.product * (al[i - 1] + al[j - 1]) ** ci.ell
-        spc_ok, _ = check_mpc(build_phi(Fd, Fd, eta, al, n, 3, 3, "product-weight"))
-        mpc_ok, _ = check_mpc(build_phi(Fd, Fdd, lambda i, j: Fraction(1), al, n, 3, 3, "1"))
+        spc_ok, _ = check_mpc(build_phi(Fd, Fd, eta, al, n, 3, 3))
+        mpc_ok, _ = check_mpc(build_phi(Fd, Fdd, lambda i, j: Fraction(1), al, n, 3, 3))
         ok = ok and spc_ok and mpc_ok
     _report(4, ok, "no negative h powers in the fixed-point pairings through (z^3, q^3)", t0)
     assert ok
@@ -255,7 +255,7 @@ def test_criterion_8_fano_vanishing():
     for (n, a) in [(4, ()), (5, (2,))]:
         ci = CISpec(tuple(a))
         al = default_generic_alpha(n)
-        Y = bar_transform(build_K("dot", n, ci, al, 3, xtrunc=2 * (n - 2) + 1))
+        Y = bar_assemble(build_K("dot", n, ci, al, 3, xtrunc=2 * (n - 2) + 1))
         for d in range(1, 4):
             for e, v in x_coefficients(Y.coeff((d,)), 2 * (n - 2)).items():
                 le = laurent_expand_hbar(v, 3)

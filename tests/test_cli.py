@@ -58,9 +58,17 @@ def test_usage_errors_exit_2(capsys):
     assert run(["series", "--kind", "bogus", "--n", "3"]) == 2
     assert run(["series", "--kind", "dot-closed", "--n", "2"]) == 2
     assert run(["series", "--kind", "dot-closed", "--n", "3", "--a", "9"]) == 2
-    with pytest.raises(SystemExit) as e:
-        run(["not-a-command"])
-    assert e.value.code == 2
+    # inputs that would otherwise check nothing and report a pass
+    assert run(["verify", "--suite", "mpc", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "-1"]) == 2
+    assert run(["verify", "--suite", "recursivity", "--n", "3", "--a", "", "--qdeg", "2", "--mutate", "5:9"]) == 2
+    assert run(["verify", "--suite", "operator-norms", "--n", "3", "--a", "", "--qdeg", "1", "--mutate", "1:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 6
+    for argv in (["not-a-command"], ["y-gamma", "--n", "3", "--k", "1", "--j", "0"]):
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2
 
 
 def test_cohomology_payload(capsys):

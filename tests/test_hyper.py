@@ -7,7 +7,7 @@ from qgr.hyper import (
     AMatrixSpec,
     CISpec,
     amatrix_numerator,
-    bar_transform,
+    bar_assemble,
     build_A,
     build_K,
     build_Y_closed,
@@ -15,9 +15,7 @@ from qgr.hyper import (
     frak_coeff,
     k_series_evaluated,
     normalization_I,
-    recursion_coeff,
     scr_coeff,
-    specialize_to_K,
     y_series_evaluated,
 )
 from qgr.rings import RatFunc, SparsePoly
@@ -74,7 +72,7 @@ def test_K_swap_symmetry():
 def test_bar_transform_q0_and_symmetry():
     al = default_generic_alpha(3)
     K = build_K("dot", 3, CISpec(()), al, 2)
-    Y = bar_transform(K)
+    Y = bar_assemble(K)
     assert Y.coeff((0,)) == 1
     for d in range(3):
         c = Y.coeff((d,))
@@ -85,19 +83,10 @@ def test_dual_path_small():
     # bar(K)|_{alpha=0} equals the closed form, kinds dot and ddot
     for kind, n, a in (("dot", 4, CISpec((2,))), ("ddot", 4, CISpec((2,)))):
         K = build_K(kind, n, a, None, 2)
-        Ybar = bar_transform(K)
+        Ybar = bar_assemble(K)
         Yclosed = build_Y_closed(kind, n, a, 2)
         for d in range(3):
             assert Ybar.coeff((d,)) == Yclosed.coeff((d,)), (kind, d)
-
-
-def test_specialize_to_K_rebuild():
-    spec = AMatrixSpec(n=3)
-    A = build_A("dot", spec, 1)
-    al = default_generic_alpha(3)
-    K = specialize_to_K(A, CISpec((1,)), 3, al)
-    K2 = build_K("dot", 3, CISpec((1,)), al, 1)
-    assert K.coeff((1, 0)) == K2.coeff((1, 0))
 
 
 def test_homogeneity_at_alpha_zero():
@@ -137,7 +126,7 @@ def test_normalization_I_against_x_series_oracle():
 
 def test_recursion_coeff_hand_value():
     al = default_generic_alpha(3)
-    got = recursion_coeff("C_dot", ("second", 1, 2, 3), 1, al, CISpec(()))
+    got = c_coeff("dot", "second", 1, 2, 3, 1, al, CISpec(()))
     expect = Fraction(1) / ((al[0] - al[1]) * (al[2] - al[1]))
     assert got == expect
 
@@ -197,7 +186,7 @@ def test_evaluated_matches_trivariate():
             lhs = K.coeff((d1, d - d1)).substitute(pt)
             rhs = Ke.get((d1, d - d1))
             assert lhs == rhs
-    Y = bar_transform(K)
+    Y = bar_assemble(K)
     Ye = y_series_evaluated("dot", 3, a, al, 1, 2, 2)
     for d in range(3):
         assert Y.coeff((d,)).substitute(pt) == Ye.get((d,))

@@ -11,7 +11,7 @@ from qgr.cohomology import (
     partitions_of_degree,
     schur_poly,
 )
-from qgr.hyper import AMatrixSpec, CISpec, build_A, build_K, bar_transform
+from qgr.hyper import AMatrixSpec, CISpec, bar_assemble, build_A, build_K
 from qgr.operators import (
     apply_frakD,
     assemble_double_J,
@@ -20,7 +20,6 @@ from qgr.operators import (
     build_pipeline,
     equivariant_orthogonality_check,
     frakD_weight,
-    gamma_operator,
     orthogonality_check,
     y_gamma_evaluated,
 )
@@ -61,21 +60,25 @@ def test_frakD_normalization_audit_fails_out_of_range():
     assert not rep["ok"]
 
 
-def test_gamma_operator_q0():
-    al = default_generic_alpha(3)
-    K = build_K("dot", 3, CISpec(()), al, 1)
-    G = gamma_operator((1, 0), K)  # s_(1) = x1 + x2
-    assert G.coeff((0, 0)) == RatFunc(x1 + x2)
-    G2 = gamma_operator((1, 1), K)  # s_(1,1) = x1 x2
-    assert G2.coeff((0, 0)) == RatFunc(x1 * x2)
-    G0 = gamma_operator((0, 0), K)
-    assert G0.coeff((1, 0)) == K.coeff((1, 0))
+def test_barD_normalized_against_bare():
+    # weight rows that fit in n: the normalized family is the bare one
+    for a in ((), (1,)):
+        pipe = build_pipeline("dot", 3, CISpec(a), None, 2)
+        for lam in box_partitions(3):
+            bare = build_barD(lam, pipe.K)
+            for d in range(3):
+                assert pipe.barD[lam].coeff((d,)) == bare.coeff((d,)), (a, lam, d)
+    # the row (3, 3) exceeds n = 3: every bare operator needs correcting
+    pipe = build_pipeline("dot", 3, CISpec((3,)), None, 2)
+    for lam in box_partitions(3):
+        bare = build_barD(lam, pipe.K)
+        assert any(pipe.barD[lam].coeff((d,)) != bare.coeff((d,)) for d in range(3)), lam
 
 
 def test_barD_k0_is_bar_transform():
     K = build_K("dot", 3, CISpec(()), None, 2)
     D0 = build_barD((0, 0), K)
-    Y = bar_transform(K)
+    Y = bar_assemble(K)
     for d in range(3):
         assert D0.coeff((d,)) == Y.coeff((d,))
 
@@ -123,7 +126,7 @@ def test_opexp_q0_delta_and_homogeneity_filter():
 def test_k0_pipeline_is_plain_series():
     n, a = 3, CISpec(())
     pipe = build_pipeline("dot", n, a, None, 2)
-    Y = bar_transform(build_K("dot", n, a, None, 2, xtrunc=2 * (n - 2) + 1))
+    Y = bar_assemble(build_K("dot", n, a, None, 2, xtrunc=2 * (n - 2) + 1))
     for d in range(3):
         assert pipe.ygamma[(0, 0)].get((d,)) == Y.coeff((d,))
 
@@ -188,32 +191,9 @@ def test_y_gamma_evaluated_matches_trivariate():
         assert got_c == want
 
 
-def test_apply_frakD_audit_raises_out_of_range():
-    A = build_A("dot", AMatrixSpec(n=3, rows=((3, 3),)), 2)
-    with pytest.raises(ArithmeticError):
-        apply_frakD(A, (1, 0), audit=True)
-    # in range: audit passes silently
-    B = build_A("dot", AMatrixSpec(n=3, rows=((1, 1),)), 2)
-    apply_frakD(B, (1, 0), audit=True)
-
-
 def test_named_pipeline_accessors():
-    from qgr.operators import build_calD, extract_opexp, solve_structure_coeffs
-
     pipe = build_pipeline("dot", 3, CISpec((1,)), None, 2)
-    fam, J, Jinv, cert = build_calD(pipe, 1)
-    assert cert and set(fam) == {0}
-    table = extract_opexp(pipe, 1, 0)
-    assert table[(1, (1, 0))].get((0,)) == 1
-    coeffs = solve_structure_coeffs(pipe, 2, 0)
-    assert coeffs[(0, (2, 0))].get((0,)) == 1
-
-
-def test_recursion_coeff_table_cache():
-    from qgr.hyper import RecursionCoeffs
-
-    al = default_generic_alpha(3)
-    table = RecursionCoeffs("C_dot", al, CISpec(()))
-    v = table("second", 1, 2, 3, 1)
-    assert table.entries[("second", 1, 2, 3, 1)] == v
-    assert v == Fraction(1) / ((al[0] - al[1]) * (al[2] - al[1]))
+    assert pipe.J_certified[1] and {i for (k, i) in pipe.calD if k == 1} == {0}
+    assert pipe.opexp[(1, 0)][(1, (1, 0))].get((0,)) == 1
+    assert pipe.eqtic_residual_zero[(2, 0)]
+    assert pipe.structC[(2, 0)][(0, (2, 0))].get((0,)) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgr.rings import RatFunc, SparsePoly, order_vars, prod_polys, ratfunc_arithmetic
+from qgr.rings import RatFunc, SparsePoly, order_vars
 
 V = ("x1", "x2", "h")
 
@@ -36,24 +36,24 @@ def test_variable_order():
 
 def test_eq_by_cross_multiplication():
     f = RatFunc(x1 * x1 - x2 * x2, x1 - x2)
-    assert ratfunc_arithmetic("eq", f, RatFunc(x1 + x2)) is True
+    assert (f == RatFunc(x1 + x2)) is True
 
 
 def test_add_example():
     f = RatFunc(one, h - one)
     g = RatFunc(one, h + one)
-    s = ratfunc_arithmetic("add", f, g)
+    s = f + g
     assert s == RatFunc(2 * h, h * h - one)
 
 
 def test_div_identity():
-    f = ratfunc_arithmetic("div", RatFunc(x1 - x2), RatFunc(x1 - x2))
+    f = RatFunc(x1 - x2) / RatFunc(x1 - x2)
     assert f == 1
 
 
 def test_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        ratfunc_arithmetic("div", RatFunc(x1), RatFunc.from_scalar(0, V))
+        RatFunc(x1) / RatFunc.from_scalar(0, V)
 
 
 def test_normalization_invariants():
@@ -101,13 +101,10 @@ def test_swap_and_symmetry():
 
 def test_mul_trunc():
     p = (x1 + x2 + h) ** 3
-    t = p.truncate_x(1)
-    full = (x1 + x2 + h).mul_trunc((x1 + x2 + h) ** 2, 1)
-    assert full == t
-
-
-def test_prod_polys_empty():
-    assert prod_polys([]) == SparsePoly.const(("h",), 1)
+    # None keeps every term: the plain product
+    for max_xdeg, want in ((1, p.truncate_x(1)), (None, p)):
+        got = (x1 + x2 + h).mul_trunc((x1 + x2 + h) ** 2, max_xdeg)
+        assert got == want, max_xdeg
 
 
 def test_pow():

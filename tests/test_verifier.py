@@ -7,8 +7,8 @@ from qgr.hyper import (
     AMatrixSpec,
     CISpec,
     a_series_evaluated,
+    bar_assemble,
     bar_evaluated,
-    bar_transform,
     build_K,
     c_coeff,
     k_series_evaluated,
@@ -186,9 +186,9 @@ def test_residue_internal():
     n, a = 3, CISpec(())
     al = default_generic_alpha(n)
     K1 = build_K("dot", n, a, al, 1)
-    Y1 = bar_transform(K1)
+    Y1 = bar_assemble(K1)
     K2 = build_K("ddot", n, a, al, 1)
-    Y2 = bar_transform(K2)
+    Y2 = bar_assemble(K2)
     XV = ("x1", "x2")
     eta_poly = SparsePoly.const(XV, 1)
     rep = residue_internal_check(Y1, Y2, eta_poly, al, n, D=1, Nz=1, depth=6)

@@ -30,7 +30,6 @@ from .hyper import (
     build_K,
     build_Y_closed,
     c_coeff,
-    frak_coeff,
     normalization_I,
     scr_coeff,
     y_series_evaluated,

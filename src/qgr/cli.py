@@ -4,7 +4,8 @@ suites, and emit machine-readable results.
 Every number in the JSON output is exact (canonical strings for
 polynomials and rational functions, p/q strings for rationals, never
 floats).  Identical configuration yields byte-identical output.  Exit
-codes: 0 success, 1 verification/cross-check failure, 2 usage errors.
+codes: 0 success, 1 verification/cross-check failure, 2 usage errors,
+3 internal faults (an arithmetic or value error inside the computation).
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from .hyper import (
     CISpec,
     a_series_evaluated,
     bar_assemble,
-    bar_evaluated,
     build_A,
     build_K,
     build_Y_closed,
     c_coeff,
-    k_series_evaluated,
     normalization_I,
     scr_coeff,
     y_series_evaluated,
@@ -83,14 +82,18 @@ class RunConfig:
         return CISpec(self.a)
 
     def resolve_alpha(self):
-        if self.alpha_mode == "zero":
-            return None
-        if self.alpha_mode == "generic":
-            al = default_generic_alpha(self.n)
-        else:
+        """The weights as given: None at zero weights."""
+        return None if self.alpha_mode == "zero" else self.fixed_point_alpha()
+
+    def fixed_point_alpha(self) -> tuple:
+        """Concrete weights for a fixed-point computation: the explicit
+        list, else the generic default; both pass the genericity check."""
+        if self.alpha_mode == "explicit":
             al = self.alpha
             if al is None or len(al) != self.n:
                 raise UsageError("explicit alpha must list n values")
+        else:
+            al = default_generic_alpha(self.n)
         genericity_check(al, self.qdeg)
         return tuple(al)
 
@@ -111,7 +114,10 @@ def _parse_a(text: str) -> tuple[int, ...]:
 
 
 def _parse_alpha(text: str):
-    return tuple(Fraction(t) for t in text.split(","))
+    try:
+        return tuple(Fraction(t) for t in text.split(","))
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"bad --alpha {text!r}: zero, generic or a comma list of rationals") from e
 
 
 def _frac_str(v) -> str:
@@ -218,14 +224,11 @@ def _all_pairs(n):
 
 
 def _y_evals(kind, n, a, al, D, mutate=None):
-    out = {}
-    for (i, j) in _all_pairs(n):
-        if mutate is not None:
-            K = k_series_evaluated(kind, n, a, al, i, j, D, mutate=mutate if (i, j) == (1, 2) else None)
-            out[(i, j)] = bar_evaluated(K, al[i - 1] - al[j - 1])
-        else:
-            out[(i, j)] = y_series_evaluated(kind, n, a, al, i, j, D)
-    return out
+    """Fixed-point evaluations; `mutate` is injected at the pair (1, 2) only."""
+    return {
+        (i, j): y_series_evaluated(kind, n, a, al, i, j, D, mutate if (i, j) == (1, 2) else None)
+        for (i, j) in _all_pairs(n)
+    }
 
 
 def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
@@ -379,13 +382,7 @@ def _suite_residue_internal(cfg: RunConfig, al) -> list[dict]:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     suite = cfg.suite or "all"
     needs_alpha = suite in ("recursivity", "mpc", "fano-vanishing", "residue-internal", "all")
-    al = None
-    if needs_alpha:
-        if cfg.alpha_mode == "zero":
-            al = default_generic_alpha(cfg.n)
-            genericity_check(al, cfg.qdeg)
-        else:
-            al = cfg.resolve_alpha()
+    al = cfg.fixed_point_alpha() if needs_alpha else None
     results = []
     if suite in ("recursivity", "all"):
         results.extend(_suite_recursivity(cfg, al))
@@ -422,12 +419,7 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
     ]
     payload = {"basis": basis, "pairing_matrix": pmat, "diagonal": diag}
     if cfg.equivariant:
-        if cfg.alpha_mode == "explicit":
-            al = cfg.resolve_alpha()
-        else:
-            al = default_generic_alpha(n)
-            genericity_check(al, cfg.qdeg)
-        ectx = GrContext(n, alpha=al)
+        ectx = GrContext(n, alpha=cfg.fixed_point_alpha())
         table = []
         for f in localization_data(ectx):
             table.append({
@@ -472,73 +464,96 @@ def cmd_double_j(cfg: RunConfig) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+# Every flag a subcommand reads, with its argparse settings.  The parser
+# and the --config file reader both go through this table, so a file key
+# is exactly a flag name of the subcommand.
+_COMMON_FLAGS = {
+    "n": {"type": int},
+    "a": {"type": str},
+    "qdeg": {"type": int},
+    "zdeg": {"type": int},
+    "alpha": {"type": str, "help": "zero | generic | comma list"},
+    "output": {"type": str},
+}
+_COMMANDS = {
+    "series": ("emit a series table", {
+        "kind": {"type": str},
+        "k": {"type": int},
+        "j": {"type": int},
+    }),
+    "verify": ("run a verification suite", {
+        "suite": {"type": str},
+        "mutate": {"type": str, "help": "d:d1 sign flip fault injection"},
+    }),
+    "cohomology": ("emit basis, pairing, diagonals", {
+        "equivariant": {"action": "store_true", "default": None},
+    }),
+    "double-j": ("double-series tensor table", {}),
+}
+
+
+def _flags(command: str) -> dict:
+    return {**_COMMON_FLAGS, **_COMMANDS[command][1]}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qgr", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--a", type=str)
-        p.add_argument("--qdeg", type=int)
-        p.add_argument("--zdeg", type=int)
-        p.add_argument("--alpha", type=str, help="zero | generic | comma list")
-        p.add_argument("--output", type=str)
+    for command, (help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, spec in _COMMON_FLAGS.items():
+            p.add_argument(f"--{name}", **spec)
         p.add_argument("--config", type=str)
-
-    ps = sub.add_parser("series", help="emit a series table")
-    common(ps)
-    ps.add_argument("--kind", type=str)
-    ps.add_argument("--k", type=int)
-    ps.add_argument("--j", type=int)
-
-    pv = sub.add_parser("verify", help="run a verification suite")
-    common(pv)
-    pv.add_argument("--suite", type=str)
-    pv.add_argument("--mutate", type=str, help="d:d1 sign flip fault injection")
-
-    pc = sub.add_parser("cohomology", help="emit basis, pairing, diagonals")
-    common(pc)
-    pc.add_argument("--equivariant", action="store_true")
-
-    pj = sub.add_parser("double-j", help="double-series tensor table")
-    common(pj)
+        for name, spec in own.items():
+            p.add_argument(f"--{name}", **spec)
     return ap
 
 
-def _read_config_file(path: str) -> dict:
+def _file_value(name: str, spec: dict, text: str):
+    """A config-file value converted as the flag `name` would convert it."""
+    if spec.get("action") == "store_true":
+        if text.lower() not in ("true", "false"):
+            raise UsageError(f"config key {name} takes true or false, got {text!r}")
+        return text.lower() == "true"
+    try:
+        return spec["type"](text)
+    except ValueError as e:
+        raise UsageError(f"bad config value {name}={text!r}") from e
+
+
+def _read_config_file(path: str, command: str) -> dict:
+    flags = _flags(command)
     out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        raise UsageError(f"cannot read config file: {e}") from e
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        key, val = (t.strip() for t in line.split("=", 1))
+        if key not in flags:
+            raise UsageError(f"config key {key!r} is not a flag of {command}")
+        out[key] = _file_value(key, flags[key], val)
     return out
 
 
 def _make_config(ns: argparse.Namespace) -> RunConfig:
-    file_vals = {}
-    if getattr(ns, "config", None):
-        file_vals = _read_config_file(ns.config)
-
-    def pick(name, cast, default):
-        v = getattr(ns, name.replace("-", "_"), None)
-        if v is None:
-            v = file_vals.get(name)
-            if v is not None:
-                v = cast(v)
-        return default if v is None else v
-
-    alpha_raw = pick("alpha", str, "zero")
+    vals = _read_config_file(ns.config, ns.command) if ns.config else {}
+    for name in _flags(ns.command):
+        if getattr(ns, name) is not None:  # explicit flags win
+            vals[name] = getattr(ns, name)
+    alpha_raw = vals.get("alpha", "zero")
     if alpha_raw in ("zero", "generic"):
         alpha_mode, alpha = alpha_raw, None
     else:
         alpha_mode, alpha = "explicit", _parse_alpha(alpha_raw)
     mutate = None
-    mraw = getattr(ns, "mutate", None) or file_vals.get("mutate")
+    mraw = vals.get("mutate")
     if mraw:
         try:
             d, d1 = mraw.split(":")
@@ -548,26 +563,26 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
     depth = None
     env_depth = os.environ.get("QGR_DEPTH")
     if env_depth:
-        depth = int(env_depth)
-    a_raw = getattr(ns, "a", None)
-    if a_raw is None:
-        a_raw = file_vals.get("a")
+        try:
+            depth = int(env_depth)
+        except ValueError as e:
+            raise UsageError(f"QGR_DEPTH must be an integer, got {env_depth!r}") from e
     cfg = RunConfig(
         command=ns.command,
-        n=pick("n", int, 3),
-        a=_parse_a(a_raw) if a_raw is not None else (),
-        qdeg=pick("qdeg", int, 3),
-        zdeg=pick("zdeg", int, 3),
+        n=vals.get("n", 3),
+        a=_parse_a(vals.get("a", "")),
+        qdeg=vals.get("qdeg", 3),
+        zdeg=vals.get("zdeg", 3),
         depth=depth,
         alpha_mode=alpha_mode,
         alpha=alpha,
-        k=getattr(ns, "k", None),
-        j=getattr(ns, "j", None),
-        kind=getattr(ns, "kind", None),
-        suite=getattr(ns, "suite", None),
+        k=vals.get("k"),
+        j=vals.get("j"),
+        kind=vals.get("kind"),
+        suite=vals.get("suite"),
         mutate=mutate,
-        equivariant=getattr(ns, "equivariant", False),
-        output=pick("output", str, None),
+        equivariant=vals.get("equivariant", False),
+        output=vals.get("output"),
     )
     if cfg.n < 3:
         raise UsageError("need n >= 3")
@@ -581,6 +596,10 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         d, d1 = cfg.mutate
         if not 0 <= d1 <= d <= cfg.qdeg:
             raise UsageError(f"mutate {d}:{d1} must satisfy 0 <= d1 <= d <= qdeg = {cfg.qdeg}")
+    try:
+        cfg.ci()
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     if sum(cfg.a) > cfg.n:
         raise UsageError("|a| must not exceed n")
     return cfg
@@ -601,13 +620,20 @@ def run(argv=None) -> int:
             doc, code = cmd_double_j(cfg)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError(f"unknown command {ns.command}")
-    except (UsageError, GenericityError, ValueError) as e:
+    except (UsageError, GenericityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     text = json.dumps(doc, indent=2, sort_keys=True)
     if cfg.output:
-        with open(cfg.output, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(cfg.output, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return code

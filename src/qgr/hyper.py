@@ -416,44 +416,16 @@ def scr_coeff(kind: str, slot: int, i1: int, i2: int, k: int, d: int, spec: AMat
     return num / den
 
 
-def frak_coeff(kind: str, slot: str, i: int, j: int, k: int, d: int, alphas, a: CISpec) -> Fraction:
-    """Specialized ladder recursion coefficient.
+def c_coeff(kind: str, slot: int, i: int, j: int, k: int, d: int, alphas, a: CISpec) -> Fraction:
+    """Single-q recursion coefficients of the bar-transformed series.
 
-    slot "second": the pole family moving j -> k; slot "first": moving i -> k.
+    slot 2: the pole family moving j -> k; slot 1: moving i -> k.  The
+    ladder coefficient is `scr_coeff` with equal rows and one weight family.
     """
     al = tuple(Fraction(v) for v in alphas)
-    if slot == "second":
-        anchor, mover = i, j
-    elif slot == "first":
-        anchor, mover = j, i
-    else:
-        raise ValueError("slot must be 'first' or 'second'")
-    if k == mover:
-        raise ValueError("k must differ from the moving index")
-    step = al[k - 1] - al[mover - 1]
-    num = Fraction(1)
-    for ak in a.a:
-        base = ak * (al[i - 1] + al[j - 1])
-        for l in _num_l_range(kind, ak * d):
-            num *= base + Fraction(l, d) * step
-    den = Fraction(d)
-    for l in range(1, d + 1):
-        for m in range(1, len(al) + 1):
-            if (l, m) == (d, k):
-                continue
-            den *= al[mover - 1] - al[m - 1] + Fraction(l, d) * step
-    if den == 0:
-        raise ZeroDivisionError("recursion-coefficient denominator vanishes (non-generic alpha)")
-    return num / den
-
-
-def c_coeff(kind: str, slot: str, i: int, j: int, k: int, d: int, alphas, a: CISpec) -> Fraction:
-    """Single-q recursion coefficients of the bar-transformed series."""
-    al = tuple(Fraction(v) for v in alphas)
-    sign = Fraction(-1) ** d
-    fc = frak_coeff(kind, slot, i, j, k, d, alphas, a)
-    if slot == "second":
+    spec = AMatrixSpec(n=len(al), rows=tuple((ak, ak) for ak in a.a), alpha1=al, alpha2=al)
+    if slot == 2:
         factor = (al[i - 1] - al[k - 1]) / (al[i - 1] - al[j - 1])
     else:
         factor = (al[k - 1] - al[j - 1]) / (al[i - 1] - al[j - 1])
-    return sign * factor * fc
+    return Fraction(-1) ** d * factor * scr_coeff(kind, slot, i, j, k, d, spec)

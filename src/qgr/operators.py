@@ -397,13 +397,9 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
         if not pipe.J_certified[k]:  # pragma: no cover - Neumann inverse is exact
             raise ArithmeticError(f"inverse certificate failed at degree {k}")
         # normalized operator family
-        for iidx in range(size):
-            acc = None
-            for jidx, lam in enumerate(basis_k):
-                cbar = Minv[jidx][iidx]  # J^{-1}(gamma_i) = sum_j cbar[j][i] gamma_j
-                term = cbar * pipe.barD[lam].payload
-                acc = term if acc is None else acc + term
-            pipe.calD[(k, iidx)] = acc
+        bar_series = {lam: pipe.barD[lam].payload for lam in basis_k}
+        for iidx, ser in enumerate(_apply_inverse(Minv, bar_series, basis_k)):
+            pipe.calD[(k, iidx)] = ser
     # expansion tables
     for (k, iidx), ser in pipe.calD.items():
         table = {}
@@ -435,7 +431,7 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     for k in range(kmax + 1):
         basis_k = partitions_of_degree(n, k)
         for jidx, lam in enumerate(basis_k):
-            pipe.ygamma[lam] = assemble_Y_gamma(pipe, k, jidx)
+            pipe.ygamma[lam] = assemble_Y_gamma(pipe, pipe.calD, k, jidx, _x("h"))
             pipe.classes[lam] = {
                 d: class_extract(_as_ratfunc(pipe.ygamma[lam].get((d,))), n, kmax, pipe.depth)
                 for d in range(D + 1)
@@ -443,8 +439,21 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     return pipe
 
 
-def _as_ratfunc(v) -> RatFunc:
-    return v if isinstance(v, RatFunc) else RatFunc.from_scalar(v, V3)
+def _as_ratfunc(v, vars=V3) -> RatFunc:
+    return v if isinstance(v, RatFunc) else RatFunc.from_scalar(v, vars)
+
+
+def _apply_inverse(Minv, series: dict, basis_k) -> list:
+    """J^{-1}(gamma_i) = sum_j Minv[j][i] gamma_j for every basis index i;
+    `series` maps each degree-k partition to its bar-transformed series."""
+    out = []
+    for iidx in range(len(basis_k)):
+        acc = None
+        for jidx, lam in enumerate(basis_k):
+            term = Minv[jidx][iidx] * series[lam]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
 
 
 def _opexp_entry(pipe: GammaPipeline, s: int, jidx: int, m: int, r1: int, j1: int) -> QSeries:
@@ -522,11 +531,15 @@ def _eqtic_residual_is_zero(pipe: GammaPipeline, k: int, iidx: int) -> bool:
     return True
 
 
-def assemble_Y_gamma(pipe: GammaPipeline, k: int, jidx: int) -> QSeries:
+def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h: SparsePoly) -> QSeries:
     """The basis-weighted series: the normalized operator applied to the
-    ladder series plus the structure-coefficient corrections."""
-    h = _x("h")
-    out = pipe.calD[(k, jidx)]
+    ladder series plus the structure-coefficient corrections.
+
+    `calD` maps (k, i) to the normalized operator series and `h` is the
+    h-variable of their values: trivariate for `pipe.calD`, univariate for
+    their evaluations at a fixed point.
+    """
+    out = calD[(k, jidx)]
     C = pipe.structC[(k, jidx)]
     for t in range(1, k + 1):
         for s in range(k - t + 1):
@@ -535,7 +548,7 @@ def assemble_Y_gamma(pipe: GammaPipeline, k: int, jidx: int) -> QSeries:
                 if cser is None or not cser.coeffs:
                     continue
                 hpow = RatFunc(h ** (k - t - s))
-                term = cser * pipe.calD[(s, iidx)].map_values(lambda v: _as_ratfunc(v) * hpow)
+                term = cser * calD[(s, iidx)].map_values(lambda v: _as_ratfunc(v, h.vars) * hpow)
                 out = out + term
     return out
 
@@ -545,42 +558,38 @@ def assemble_Y_gamma(pipe: GammaPipeline, k: int, jidx: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def y_gamma_evaluated(pipe: GammaPipeline, k: int, jidx: int, i: int, j: int, Kevals=None) -> QSeries:
-    """The assembled series evaluated at the fixed point (i, j)."""
+def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
+    """Every basis-weighted series evaluated at the fixed point (i, j):
+    partition -> QSeries with values rational in h.
+
+    The series are weighted with the bare shift operators, not the
+    normalized family that `pipe.ygamma` uses.  Where the two families
+    differ (e.g. (n, a) = (3, (1,1,1)) or (3, (3,))), the result differs
+    from `pipe.ygamma` evaluated at x = (alpha_i, alpha_j) at q^1 and q^2
+    for every partition, so checks on it do not check `pipe.ygamma` there.
+    """
     if pipe.alphas is None:
         raise ValueError("fixed-point evaluation needs concrete weights")
     al = pipe.alphas
-    if Kevals is None:
-        Kevals = k_series_evaluated(pipe.kind, pipe.n, pipe.a, al, i, j, pipe.D)
+    K = k_series_evaluated(pipe.kind, pipe.n, pipe.a, al, i, j, pipe.D)
     diff = al[i - 1] - al[j - 1]
-    barD_eval = {}
-    for lam in box_partitions(pipe.n):
-        barD_eval[lam] = bar_evaluated(
-            Kevals, diff,
+    barD = {
+        lam: bar_evaluated(
+            K, diff,
             weight=lambda d1, d2, lam=lam: RatFunc(
                 schur_shifted_eval(lam, al[i - 1], al[j - 1], (d1, d2))
             ),
         )
-    calD_eval = {}
-    for kk in range(pipe.kmax + 1):
-        basis_k = partitions_of_degree(pipe.n, kk)
-        for iidx in range(len(basis_k)):
-            acc = None
-            for jj, lam in enumerate(basis_k):
-                term = pipe.Jinv[kk][jj][iidx] * barD_eval[lam]
-                acc = term if acc is None else acc + term
-            calD_eval[(kk, iidx)] = acc
+        for lam in box_partitions(pipe.n)
+    }
     h = SparsePoly.variable(HV, "h")
-    out = calD_eval[(k, jidx)]
-    C = pipe.structC[(k, jidx)]
-    for t in range(1, k + 1):
-        for s in range(k - t + 1):
-            for iidx in range(len(partitions_of_degree(pipe.n, s))):
-                cser = C.get((t, (s, iidx)))
-                if cser is None or not cser.coeffs:
-                    continue
-                hpow = RatFunc(h ** (k - t - s))
-                out = out + cser * calD_eval[(s, iidx)].map_values(lambda v: v * hpow)
+    calD, out = {}, {}
+    for k in range(pipe.kmax + 1):  # degree k assembles from calD of degree <= k
+        basis_k = partitions_of_degree(pipe.n, k)
+        for iidx, ser in enumerate(_apply_inverse(pipe.Jinv[k], barD, basis_k)):
+            calD[(k, iidx)] = ser
+        for jidx, lam in enumerate(basis_k):
+            out[lam] = assemble_Y_gamma(pipe, calD, k, jidx, h)
     return out
 
 
@@ -593,28 +602,34 @@ def _laurent_flip_h(le: LaurentExpansion) -> LaurentExpansion:
     return LaurentExpansion({e: (v if e % 2 == 0 else -v) for e, v in le.coeffs.items()}, le.depth)
 
 
+def _complementary_terms(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline, d: int):
+    """Yield ((lam1, lam2), le1, le2) for every complementary class pair
+    (lam, mu), split d = d1 + d2 and pair of basis components: le1 is the
+    component lam1 of the first series' class at q^d1, le2 the component
+    lam2 of the second's at q^d2."""
+    n = pipe_dot.n
+    for lam in box_partitions(n):
+        mu = complement(lam, n)
+        for d1 in range(d + 1):
+            c1 = pipe_dot.classes[lam][d1]
+            c2 = pipe_ddot.classes[mu][d - d1]
+            for (r1, j1), le1 in c1.items():
+                lam1 = partitions_of_degree(n, r1)[j1]
+                for (r2, j2), le2 in c2.items():
+                    yield (lam1, partitions_of_degree(n, r2)[j2]), le1, le2
+
+
 def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> dict:
     """The bilinear combination over complementary basis pairs, with the
     second factor at -h, reduced in H* (x) H*: it must equal the diagonal
     tensor at q^0 and vanish at every positive q-degree."""
     n = pipe_dot.n
     D = min(pipe_dot.D, pipe_ddot.D)
-    parts = box_partitions(n)
     failures = []
     for d in range(D + 1):
         tensor: dict = {}
-        for lam in parts:
-            mu = complement(lam, n)
-            for d1 in range(d + 1):
-                c1 = pipe_dot.classes[lam][d1]
-                c2 = pipe_ddot.classes[mu][d - d1]
-                for (r1, j1), le1 in c1.items():
-                    lam1 = partitions_of_degree(n, r1)[j1]
-                    for (r2, j2), le2 in c2.items():
-                        lam2 = partitions_of_degree(n, r2)[j2]
-                        prod = le1 * _laurent_flip_h(le2)
-                        key = (lam1, lam2)
-                        tensor[key] = tensor.get(key, LaurentExpansion.zero(None)) + prod
+        for key, le1, le2 in _complementary_terms(pipe_dot, pipe_ddot, d):
+            tensor[key] = tensor.get(key, LaurentExpansion.zero(None)) + le1 * _laurent_flip_h(le2)
         want = diagonal(GrContext(n)) if d == 0 else {}
         keys = set(tensor) | set(want)
         for key in keys:
@@ -626,7 +641,7 @@ def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> di
 
 
 def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline,
-                                    tensor, ctx, max_pairs: int | None = None) -> dict:
+                                    tensor, ctx) -> dict:
     """Fixed-point form of the double-series consequence: for ordered
     fixed-point pairs (p1, p2),
 
@@ -636,34 +651,22 @@ def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPip
     every positive q-degree.  Exact rational-function arithmetic in h.
     """
     from .cohomology import euler_tangent
-    from .verifier import _flip_h
+    from .verifier import _as_h, _flip_h
 
     n = pipe_dot.n
     D = min(pipe_dot.D, pipe_ddot.D)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
-    parts = box_partitions(n)
-
-    def kj(lam):
-        k = sum(lam)
-        return k, partitions_of_degree(n, k).index(lam)
-
+    ev1 = {p: y_gamma_evaluated(pipe_dot, *p) for p in pairs}
+    ev2 = {p: y_gamma_evaluated(pipe_ddot, *p) for p in pairs}
     failures = []
     for p1 in pairs:
-        ev1 = {lam: y_gamma_evaluated(pipe_dot, *kj(lam), *p1) for lam in parts}
         for p2 in pairs:
-            ev2 = {lam: y_gamma_evaluated(pipe_ddot, *kj(lam), *p2) for lam in parts}
             for d in range(D + 1):
                 acc = None
                 for (lam, mu), g in tensor.items():
                     for d1 in range(d + 1):
-                        v1 = ev1[lam].get((d1,))
-                        v2 = ev2[mu].get((d - d1,))
-                        if isinstance(v1, Fraction):
-                            v1 = RatFunc.from_scalar(v1, HV)
-                        if isinstance(v2, Fraction):
-                            v2 = RatFunc.from_scalar(v2, HV)
+                        v1 = _as_h(ev1[p1][lam].get((d1,)))
+                        v2 = _as_h(ev2[p2][mu].get((d - d1,)))
                         term = g * v1 * _flip_h(v2)
                         acc = term if acc is None else acc + term
                 want = Fraction(0)
@@ -681,26 +684,15 @@ def assemble_double_J(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> dict
     The double series is this numerator divided by (h1 + h2); its q^0
     term is the diagonal tensor.
     """
-    n = pipe_dot.n
     D = min(pipe_dot.D, pipe_ddot.D)
-    parts = box_partitions(n)
     out: dict = {}
     for d in range(D + 1):
         tensor: dict = {}
-        for lam in parts:
-            mu = complement(lam, n)
-            for d1 in range(d + 1):
-                c1 = pipe_dot.classes[lam][d1]
-                c2 = pipe_ddot.classes[mu][d - d1]
-                for (r1, j1), le1 in c1.items():
-                    lam1 = partitions_of_degree(n, r1)[j1]
-                    for (r2, j2), le2 in c2.items():
-                        lam2 = partitions_of_degree(n, r2)[j2]
-                        key = (lam1, lam2)
-                        cur = tensor.setdefault(key, {})
-                        for e1, v1 in le1.coeffs.items():
-                            for e2, v2 in le2.coeffs.items():
-                                cur[(e1, e2)] = cur.get((e1, e2), Fraction(0)) + Fraction(v1) * Fraction(v2)
+        for key, le1, le2 in _complementary_terms(pipe_dot, pipe_ddot, d):
+            cur = tensor.setdefault(key, {})
+            for e1, v1 in le1.coeffs.items():
+                for e2, v2 in le2.coeffs.items():
+                    cur[(e1, e2)] = cur.get((e1, e2), Fraction(0)) + Fraction(v1) * Fraction(v2)
         tensor = {
             key: {e: v for e, v in entry.items() if v}
             for key, entry in tensor.items()

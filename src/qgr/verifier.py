@@ -25,10 +25,6 @@ def _h() -> SparsePoly:
     return SparsePoly.variable(HV, "h")
 
 
-def _eval_h(v: RatFunc, w: Fraction) -> Fraction:
-    return v.eval_all({"h": w})
-
-
 def _is_h_monomial(p: SparsePoly) -> bool:
     if p.is_zero():
         return False
@@ -59,57 +55,56 @@ class RecursivityReport:
         return [e for e in self.entries if not e.ok]
 
 
+def _as_h(v) -> RatFunc:
+    return RatFunc.from_scalar(v, HV) if isinstance(v, Fraction) else v
+
+
+def _check_entry(evals, pair, key, terms, coeff_fn, diverge_note: str = "") -> RecursivityEntry:
+    """Subtract the pole terms (slot, lower pair, lower q-key, w, k, d) from
+    the `key` coefficient of evals[pair] and test that the remainder's
+    denominator is a power of h."""
+    R = _as_h(evals[pair].get(key))
+    h = _h()
+    for slot, lower_pair, lower_key, w, k, d in terms:
+        c = coeff_fn(slot, *pair, k, d)
+        lower = evals.get(lower_pair)
+        if lower is None:
+            raise KeyError(f"missing evaluation at {lower_pair}")
+        try:
+            val = _as_h(lower.get(lower_key)).eval_all({"h": w})
+        except ZeroDivisionError:
+            note = f"evaluation of F{lower_pair} at h={w} diverges{diverge_note}"
+            return RecursivityEntry(pair, key, R, False, note)
+        R = R - RatFunc(SparsePoly.const(HV, c), h - SparsePoly.const(HV, w)) * val
+    R = R.reduced()
+    ok = R.is_zero() or _is_h_monomial(R.den)
+    note = "" if ok else f"remainder has non-monomial denominator {R.den.to_string()}"
+    return RecursivityEntry(pair, key, R, ok, note)
+
+
 def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityReport:
     """Single-q recursivity: for each ordered pair and degree, subtract the
     prescribed pole terms and test that the remainder's denominator is a
     power of h.
 
     evals: (i, j) -> QSeries in one q with RatFunc-in-h values.
-    coeff_fn(slot, i, j, k, d) -> Fraction, slot in {'second', 'first'}.
+    coeff_fn(slot, i, j, k, d) -> Fraction; slot 2 moves j -> k, slot 1
+    moves i -> k.
     """
     al = [Fraction(v) for v in alphas]
     report = RecursivityReport()
-    h = _h()
-    for (i, j), F in sorted(evals.items()):
+    for (i, j) in sorted(evals):
         for dstar in range(D + 1):
-            R = F.get((dstar,))
-            if isinstance(R, Fraction):
-                R = RatFunc.from_scalar(R, HV)
-            note = ""
-            ok = True
+            terms = []
             for d in range(1, dstar + 1):
                 for k in range(1, n + 1):
-                    if k in (i, j):
-                        continue
-                    for slot, pair, w in (
-                        ("second", (i, k), Fraction(al[k - 1] - al[j - 1], d)),
-                        ("first", (k, j), Fraction(al[k - 1] - al[i - 1], d)),
-                    ):
-                        c = coeff_fn(slot, i, j, k, d)
-                        lower = evals[pair].get((dstar - d,))
-                        if isinstance(lower, Fraction):
-                            lower = RatFunc.from_scalar(lower, HV)
-                        try:
-                            val = _eval_h(lower, w)
-                        except ZeroDivisionError:
-                            ok = False
-                            note = (
-                                f"evaluation of F{pair} at h={w} diverges "
-                                f"(recursivity violated below degree {dstar})"
-                            )
-                            break
-                        pole = RatFunc(SparsePoly.const(HV, c), h - SparsePoly.const(HV, w))
-                        R = R - pole * val
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                R = R.reduced()
-                ok = R.is_zero() or _is_h_monomial(R.den)
-                if not ok:
-                    note = f"remainder has non-monomial denominator {R.den.to_string()}"
-            report.entries.append(RecursivityEntry((i, j), (dstar,), R, ok, note))
+                    if k not in (i, j):
+                        terms.append((2, (i, k), (dstar - d,), Fraction(al[k - 1] - al[j - 1], d), k, d))
+                        terms.append((1, (k, j), (dstar - d,), Fraction(al[k - 1] - al[i - 1], d), k, d))
+            report.entries.append(_check_entry(
+                evals, (i, j), (dstar,), terms, coeff_fn,
+                f" (recursivity violated below degree {dstar})",
+            ))
     return report
 
 
@@ -123,17 +118,11 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
     a1 = [Fraction(v) for v in alpha1]
     a2 = [Fraction(v) for v in alpha2]
     report = RecursivityReport()
-    h = _h()
-    for (i1, i2), F in sorted(evals.items()):
+    for (i1, i2) in sorted(evals):
         if i1 == i2:
             continue  # equal-index evaluations only feed the pole terms
         for D1 in range(D + 1):
             for D2 in range(D + 1 - D1):
-                R = F.get((D1, D2))
-                if isinstance(R, Fraction):
-                    R = RatFunc.from_scalar(R, HV)
-                ok = True
-                note = ""
                 terms = []
                 for d in range(1, D2 + 1):
                     for k in range(1, n + 1):
@@ -143,28 +132,7 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
                     for k in range(1, n + 1):
                         if k != i1:
                             terms.append((1, (k, i2), (D1 - d, D2), Fraction(a1[k - 1] - a1[i1 - 1], d), k, d))
-                for slot, pair, key, w, k, d in terms:
-                    c = coeff_fn(slot, i1, i2, k, d)
-                    lower = evals.get(pair)
-                    if lower is None:
-                        raise KeyError(f"missing evaluation at {pair}")
-                    lv = lower.get(key)
-                    if isinstance(lv, Fraction):
-                        lv = RatFunc.from_scalar(lv, HV)
-                    try:
-                        val = _eval_h(lv, w)
-                    except ZeroDivisionError:
-                        ok = False
-                        note = f"evaluation of F{pair} at h={w} diverges"
-                        break
-                    pole = RatFunc(SparsePoly.const(HV, c), h - SparsePoly.const(HV, w))
-                    R = R - pole * val
-                if ok:
-                    R = R.reduced()
-                    ok = R.is_zero() or _is_h_monomial(R.den)
-                    if not ok:
-                        note = f"remainder has non-monomial denominator {R.den.to_string()}"
-                report.entries.append(RecursivityEntry((i1, i2), (D1, D2), R, ok, note))
+                report.entries.append(_check_entry(evals, (i1, i2), (D1, D2), terms, coeff_fn))
     return report
 
 

@@ -18,7 +18,6 @@ from qgr.cohomology import (
     default_generic_alpha,
     genericity_check,
     pairing,
-    partitions_of_degree,
     schur_poly,
     schur_reduce,
     small_generic_alpha,
@@ -211,16 +210,15 @@ def test_criterion_6_theorem2_structure():
         pipes = {kind: build_pipeline(kind, n, ci, al, 2) for kind in ("dot", "ddot")}
         Yd = _y_evals("dot", n, ci, al, 2)
         eta = lambda i, j: ci.product * (al[i - 1] + al[j - 1]) ** ci.ell
+        ygam = {kind: {p: y_gamma_evaluated(pipes[kind], *p) for p in _pairs(n)} for kind in pipes}
         for lam in box_partitions(n):
-            k = sum(lam)
-            jidx = partitions_of_degree(n, k).index(lam)
             for kind in ("dot", "ddot"):
                 pipe = pipes[kind]
                 # q^0 coefficient is exactly the basis class
                 q0 = pipe.ygamma[lam].get((0,))
                 ok = ok and q0 == RatFunc(schur_poly(lam).embed(V3))
                 # recursivity with the unchanged coefficient tables
-                evals = {p: y_gamma_evaluated(pipe, k, jidx, *p) for p in _pairs(n)}
+                evals = {p: ygam[kind][p][lam] for p in _pairs(n)}
                 rep = check_recursive(
                     evals,
                     lambda s, i, j, kk, d, _k=kind: c_coeff(_k, s, i, j, kk, d, al, ci),

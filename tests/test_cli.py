@@ -127,3 +127,82 @@ def test_double_j(capsys):
     q0 = next(e for e in doc["payload"] if e["q"] == 0)
     keys = {(tuple(t["left"]), tuple(t["right"])) for t in q0["tensor"]}
     assert ((0, 0), (1, 1)) in keys and ((1, 0), (1, 0)) in keys
+
+
+def _write_cfg(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_config_reads_every_flag(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "kind=ddot-closed\nn=3\na=1\nqdeg=1\n")
+    code, doc = run_json(capsys, ["series", "--config", cfg])
+    assert code == 0 and doc["meta"]["kind"] == "ddot-closed"
+    _, direct = run_json(capsys, ["series", "--kind", "ddot-closed", "--n", "3", "--a", "1", "--qdeg", "1"])
+    assert doc["payload"] == direct["payload"]
+    # explicit flags win over the file
+    _, over = run_json(capsys, ["series", "--config", cfg, "--kind", "dot-closed"])
+    assert over["meta"]["kind"] == "dot-closed"
+
+    cfg = _write_cfg(tmp_path, "kind=y-gamma\nk=1\nj=0\nn=3\nqdeg=1\n")
+    code, doc = run_json(capsys, ["series", "--config", cfg])
+    assert code == 0 and (doc["meta"]["k"], doc["meta"]["j"]) == (1, 0)
+
+    cfg = _write_cfg(tmp_path, "suite=recursivity\nn=3\nqdeg=1\nmutate=1:1\n")
+    code, doc = run_json(capsys, ["verify", "--config", cfg])
+    assert code == 1 and doc["meta"]["suite"] == "recursivity"
+    assert {r["check"].split("-")[0] for r in doc["payload"]} == {"recursivity"}
+
+    cfg = _write_cfg(tmp_path, "n=3\nequivariant=true\n")
+    code, doc = run_json(capsys, ["cohomology", "--config", cfg])
+    assert code == 0 and doc["meta"]["equivariant"] is True and "fixed_points" in doc["payload"]
+
+
+def test_config_keys_must_be_flags_of_the_subcommand(tmp_path, capsys):
+    for command, text in (
+        ("verify", "kind=dot-closed\n"),  # a flag of another subcommand
+        ("series", "suite=all\n"),
+        ("double-j", "equivariant=true\n"),
+        ("series", "config=other.cfg\n"),
+        ("series", "foo=1\n"),
+        ("series", "n=three\n"),  # not an integer
+        ("cohomology", "equivariant=yes\n"),
+        ("series", "n=3\nno equals sign\n"),
+    ):
+        assert run([command, "--config", _write_cfg(tmp_path, text)]) == 2, text
+    assert run(["series", "--config", str(tmp_path / "missing.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: ") == 9
+
+
+def test_bad_inputs_are_usage_errors(tmp_path, capsys, monkeypatch):
+    assert run(["series", "--kind", "dot-closed", "--n", "3", "--a", "0"]) == 2
+    assert run(["cohomology", "--n", "3", "--output", str(tmp_path / "no-dir" / "out.json")]) == 2
+    assert run(["series", "--kind", "dot-bar", "--n", "3", "--a", "1", "--alpha", "x,y,z"]) == 2
+    assert run(["series", "--kind", "dot-bar", "--n", "3", "--a", "1", "--alpha", "1/0,2,3"]) == 2
+    monkeypatch.setenv("QGR_DEPTH", "deep")
+    assert run(["verify", "--suite", "residue-internal", "--n", "3", "--qdeg", "1", "--zdeg", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 5 and "internal error" not in captured.err
+
+
+def test_internal_fault_exit_3(capsys, monkeypatch):
+    import qgr.cli
+
+    def fault(*args, **kwargs):
+        raise ArithmeticError("injected fault")
+
+    monkeypatch.setattr(qgr.cli, "build_Y_closed", fault)
+    assert run(["series", "--kind", "dot-closed", "--n", "3", "--qdeg", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ArithmeticError: injected fault\n"
+
+    def value_fault(*args, **kwargs):
+        raise ValueError("injected value fault")
+
+    monkeypatch.setattr(qgr.cli, "check_recursive", value_fault)
+    assert run(["verify", "--suite", "recursivity", "--n", "3", "--qdeg", "1"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ValueError: ")

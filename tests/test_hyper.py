@@ -12,7 +12,6 @@ from qgr.hyper import (
     build_K,
     build_Y_closed,
     c_coeff,
-    frak_coeff,
     k_series_evaluated,
     normalization_I,
     scr_coeff,
@@ -126,46 +125,38 @@ def test_normalization_I_against_x_series_oracle():
 
 def test_recursion_coeff_hand_value():
     al = default_generic_alpha(3)
-    got = c_coeff("dot", "second", 1, 2, 3, 1, al, CISpec(()))
+    got = c_coeff("dot", 2, 1, 2, 3, 1, al, CISpec(()))
     expect = Fraction(1) / ((al[0] - al[1]) * (al[2] - al[1]))
     assert got == expect
 
 
+def _diagonal_spec(al, a: CISpec) -> AMatrixSpec:
+    return AMatrixSpec(n=len(al), rows=tuple((ak, ak) for ak in a.a), alpha1=al, alpha2=al)
+
+
 def test_c_over_frak_ratio():
+    # the single-q coefficient is a sign and a weight ratio times the
+    # ladder coefficient on equal rows and one weight family
     al = default_generic_alpha(4)
-    a = CISpec((2,))
-    for d in (1, 2):
-        for (i, j, k) in ((1, 2, 3), (2, 4, 1), (3, 1, 4)):
-            c = c_coeff("dot", "second", i, j, k, d, al, a)
-            f = frak_coeff("dot", "second", i, j, k, d, al, a)
-            ratio = Fraction(-1) ** d * (al[i - 1] - al[k - 1]) / (al[i - 1] - al[j - 1])
-            assert c == ratio * f
-            c1 = c_coeff("ddot", "first", i, j, k, d, al, a)
-            f1 = frak_coeff("ddot", "first", i, j, k, d, al, a)
-            ratio1 = Fraction(-1) ** d * (al[k - 1] - al[j - 1]) / (al[i - 1] - al[j - 1])
-            assert c1 == ratio1 * f1
-
-
-def test_frak_is_specialized_scr():
-    # the specialized displays agree with the general two-family ones
-    al = default_generic_alpha(4)
-    a = CISpec((2, 1))
-    spec = AMatrixSpec(n=4, rows=((2, 2), (1, 1)), alpha1=al, alpha2=al)
-    for d in (1, 2):
-        for (i, j, k) in ((1, 2, 3), (2, 3, 1)):
-            assert frak_coeff("dot", "second", i, j, k, d, al, a) == scr_coeff(
-                "dot", 2, i, j, k, d, spec
-            )
-            assert frak_coeff("ddot", "first", i, j, k, d, al, a) == scr_coeff(
-                "ddot", 1, i, j, k, d, spec
-            )
+    for a in (CISpec((2,)), CISpec((2, 1))):
+        spec = _diagonal_spec(al, a)
+        for d in (1, 2):
+            for (i, j, k) in ((1, 2, 3), (2, 4, 1), (3, 1, 4)):
+                c = c_coeff("dot", 2, i, j, k, d, al, a)
+                f = scr_coeff("dot", 2, i, j, k, d, spec)
+                ratio = Fraction(-1) ** d * (al[i - 1] - al[k - 1]) / (al[i - 1] - al[j - 1])
+                assert c == ratio * f
+                c1 = c_coeff("ddot", 1, i, j, k, d, al, a)
+                f1 = scr_coeff("ddot", 1, i, j, k, d, spec)
+                ratio1 = Fraction(-1) ** d * (al[k - 1] - al[j - 1]) / (al[i - 1] - al[j - 1])
+                assert c1 == ratio1 * f1
 
 
 def test_ddot_C1_numerator_l0_factor():
     # the l=0 factor a_r(alpha_i + alpha_j) shows up in the ddot coefficient
     al = default_generic_alpha(3)
     a = CISpec((1,))
-    got = frak_coeff("ddot", "second", 1, 2, 3, 1, al, a)
+    got = scr_coeff("ddot", 2, 1, 2, 3, 1, _diagonal_spec(al, a))
     # numerator prod_{l=0}^{0}: exactly a(alpha_1+alpha_2)
     den = Fraction(1)
     for m in range(1, 4):
@@ -196,11 +187,7 @@ def test_mutation_changes_series():
     al = default_generic_alpha(3)
     a = CISpec(())
     clean = y_series_evaluated("dot", 3, a, al, 1, 2, 2)
-    bad = None
-    from qgr.hyper import bar_evaluated
-
-    Kbad = k_series_evaluated("dot", 3, a, al, 1, 2, 2, mutate=(1, 1))
-    bad = bar_evaluated(Kbad, al[0] - al[1])
+    bad = y_series_evaluated("dot", 3, a, al, 1, 2, 2, mutate=(1, 1))
     assert clean.get((1,)) != bad.get((1,))
 
 

@@ -13,12 +13,16 @@ from qgr.cohomology import (
 )
 from qgr.hyper import AMatrixSpec, CISpec, bar_assemble, build_A, build_K
 from qgr.operators import (
+    _apply_inverse,
     apply_frakD,
+    assemble_Y_gamma,
     assemble_double_J,
     audit_frakD_normalizations,
     build_barD,
+    build_barD_normalized,
     build_pipeline,
     equivariant_orthogonality_check,
+    frakD_family_normalized,
     frakD_weight,
     orthogonality_check,
     y_gamma_evaluated,
@@ -164,31 +168,37 @@ def test_equivariant_double_series_two_seeds():
         pd = build_pipeline("dot", n, a, al, D)
         pdd = build_pipeline("ddot", n, a, al, D)
         tensor = equivariant_diagonal(ctx)
-        rep = equivariant_orthogonality_check(pd, pdd, tensor, ctx, max_pairs=3)
+        rep = equivariant_orthogonality_check(pd, pdd, tensor, ctx)
         assert rep["ok"], (base, rep["failures"][:2])
 
 
 def test_y_gamma_evaluated_matches_trivariate():
-    n, a = 3, CISpec((1,))
+    # the evaluated route equals J^-1 and the structure corrections applied
+    # to the normalized family on the untruncated ladder series, substituted
+    # at x = (alpha_1, alpha_2)
+    n, a, D = 3, CISpec((2,)), 2
     al = default_generic_alpha(n)
-    pipe = build_pipeline("dot", n, a, al, 2)
+    pipe = build_pipeline("dot", n, a, al, D)
+    K = build_K("dot", n, a, al, D)
+    fam = frakD_family_normalized(K, pipe.kmax)
     pt = {"x1": al[0], "x2": al[1]}
-    for lam in box_partitions(n):
-        k = sum(lam)
-        j = partitions_of_degree(n, k).index(lam)
-        ev = y_gamma_evaluated(pipe, k, j, 1, 2)
-        for d in range(3):
-            tri = pipe.ygamma[lam].get((d,))
-            tri = tri if isinstance(tri, RatFunc) else RatFunc.from_scalar(tri, V3)
-            # trivariate payload is x-truncated, but evaluation must agree
-            # with the exact fixed-point construction on x-degree <= trunc
-            # components; compare full values via the evaluated route only
-            assert ev.get((d,)) is not None
-        # q0 evaluates to the restricted class
-        got = ev.get((0,))
-        want = schur_poly(lam).eval_all({"x1": al[0], "x2": al[1]})
-        got_c = got.const_value() if isinstance(got, RatFunc) else got
-        assert got_c == want
+    bar = {
+        lam: build_barD_normalized(lam, K, fam).payload.map_values(lambda v: v.substitute(pt))
+        for lam in box_partitions(n)
+    }
+    calD = {}
+    for k in range(pipe.kmax + 1):
+        for i, ser in enumerate(_apply_inverse(pipe.Jinv[k], bar, partitions_of_degree(n, k))):
+            calD[(k, i)] = ser
+    ev = y_gamma_evaluated(pipe, 1, 2)
+    assert set(ev) == set(box_partitions(n))
+    for k in range(pipe.kmax + 1):
+        for j, lam in enumerate(partitions_of_degree(n, k)):
+            want = assemble_Y_gamma(pipe, calD, k, j, h)
+            for d in range(D + 1):
+                assert ev[lam].get((d,)) == want.get((d,)), (lam, d)
+            # q0 evaluates to the restricted class
+            assert ev[lam].get((0,)) == schur_poly(lam).eval_all(pt)
 
 
 def test_named_pipeline_accessors():

@@ -8,10 +8,8 @@ from qgr.hyper import (
     CISpec,
     a_series_evaluated,
     bar_assemble,
-    bar_evaluated,
     build_K,
     c_coeff,
-    k_series_evaluated,
     scr_coeff,
     y_series_evaluated,
 )
@@ -63,6 +61,30 @@ def test_recursive_counterexample():
     # the offending remainder carries the pole
     e = next(e for e in fails if e.pair == (1, 2))
     assert "non-monomial" in e.note
+
+
+def test_recursive_diverging_lower_evaluation():
+    # a lower-degree evaluation with a pole exactly at a recursion point
+    # cannot supply its pole term: both checkers report the divergence
+    n = 3
+    al = default_generic_alpha(n)
+    w = al[2] - al[1]  # slot-2 point of pair (1, 2) moving 2 -> 3 at d = 1
+    evals = {p: QSeries(1, 1, {(0,): RatFunc(one)}) for p in all_pairs(n)}
+    evals[(1, 3)] = QSeries(1, 1, {(0,): RatFunc(one, h - SparsePoly.const(HV, w))})
+    rep = check_recursive(evals, lambda *args: Fraction(0), al, 1, n)
+    e = next(e for e in rep.entries if (e.pair, e.degree) == ((1, 2), (1,)))
+    assert not e.ok
+    assert e.note == f"evaluation of F(1, 3) at h={w} diverges (recursivity violated below degree 1)"
+
+    a2 = tuple(Fraction(11**m) for m in range(1, n + 1))
+    w2 = a2[0] - a2[1]  # slot-2 point of (1, 2) moving 2 -> 1 at d = 1
+    evals2 = {(i1, i2): QSeries(2, 1, {(0, 0): RatFunc(one)})
+              for i1 in range(1, n + 1) for i2 in range(1, n + 1)}
+    evals2[(1, 1)] = QSeries(2, 1, {(0, 0): RatFunc(one, h - SparsePoly.const(HV, w2))})
+    rep2 = check_recursive_2q(evals2, lambda *args: Fraction(0), al, a2, 1, n)
+    e2 = next(e for e in rep2.entries if (e.pair, e.degree) == ((1, 2), (0, 1)))
+    assert not e2.ok
+    assert e2.note == f"evaluation of F(1, 1) at h={w2} diverges"
 
 
 def test_recursive_2q_ladder_series():
@@ -172,9 +194,8 @@ def test_mutation_detected():
     n, a = 3, CISpec(())
     al = default_generic_alpha(n)
     evals = y_evals("dot", n, a, al, 2)
-    K_bad = k_series_evaluated("dot", n, a, al, 1, 2, 2, mutate=(1, 1))
     bad = dict(evals)
-    bad[(1, 2)] = bar_evaluated(K_bad, al[0] - al[1])
+    bad[(1, 2)] = y_series_evaluated("dot", n, a, al, 1, 2, 2, mutate=(1, 1))
     coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a)
     rep = check_recursive(bad, coeff, al, 2, n)
     eta = lambda i, j: Fraction(1)
@@ -216,7 +237,7 @@ def test_audit_uniqueness_with_operator_weighted_series():
     al = default_generic_alpha(n)
     pipe = build_pipeline("dot", n, a, al, 2)
     Fd = y_evals("dot", n, a, al, 2)
-    Dg = {p: y_gamma_evaluated(pipe, 1, 0, *p) for p in all_pairs(n)}
+    Dg = {p: y_gamma_evaluated(pipe, *p)[(1, 0)] for p in all_pairs(n)}
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
     coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a)
     audit = audit_uniqueness_hypotheses(Fd, Dg, coeff, eta, al, n, 2)

@@ -315,11 +315,13 @@ def _suite_operator_norms(cfg: RunConfig) -> list[dict]:
             })
     for kind in ("dot", "ddot"):
         pipe = build_pipeline(kind, n, a, None, D)
+        # build_pipeline raises on a failed certificate, so this one can only pass
         results.append({"check": f"inverse-certificates-{kind}", "pass": all(pipe.J_certified.values()), "failures": []})
+        residual_failures = [{"k": k, "i": i} for (k, i), ok in pipe.eqtic_residual_zero.items() if not ok]
         results.append({
             "check": f"structure-residual-{kind}",
-            "pass": all(pipe.eqtic_residual_zero.values()),
-            "failures": [],
+            "pass": not residual_failures,
+            "failures": residual_failures,
         })
         c0 = True
         for (k, i), table in pipe.structC.items():
@@ -567,6 +569,8 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
             depth = int(env_depth)
         except ValueError as e:
             raise UsageError(f"QGR_DEPTH must be an integer, got {env_depth!r}") from e
+        if depth < 1:
+            raise UsageError(f"QGR_DEPTH must be at least 1, got {depth}")
     cfg = RunConfig(
         command=ns.command,
         n=vals.get("n", 3),

@@ -26,7 +26,7 @@ from .cohomology import (
 )
 from .hyper import CISpec, HyperSeries, V3, bar_assemble, bar_evaluated, build_K, k_series_evaluated
 from .rings import RatFunc, SparsePoly
-from .series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficients
+from .series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficient, x_coefficients
 
 HV = ("h",)
 
@@ -151,15 +151,12 @@ def _op_scalar_mul(u: QSeries, nums: dict, K: HyperSeries) -> dict:
 def _op_table_entry(nums: dict, K: HyperSeries, level: int, r: tuple[int, int]) -> QSeries:
     """The scalar series multiplying x^r h^{level - |r|} in the expansion."""
     c1, c2 = K.den_chains
-    rtot = r[0] + r[1]
-    e0 = level - rtot
+    e0 = level - r[0] - r[1]
     out = {}
     for (d1, d2), num in nums.items():
         if num.is_zero():
             continue
-        f = RatFunc(num, c1.products[d1] * c2.products[d2])
-        xc = x_coefficients(f, rtot)
-        v = xc.get(r)
+        v = x_coefficient(num, c1.products[d1] * c2.products[d2], r)
         if v is None:
             continue
         le = laurent_expand_hbar(v, max(2, 2 - e0))

@@ -10,7 +10,9 @@ Fraction, SparsePoly and RatFunc all work.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .rings import RatFunc, SparsePoly
@@ -189,6 +191,51 @@ def laurent_expand_hbar(f: RatFunc, depth: int, var: str = "h") -> LaurentExpans
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _x_inverse(den: SparsePoly, M: int) -> tuple[Mapping[tuple[int, int], SparsePoly], SparsePoly]:
+    """Truncated x-adic inverse of den, cleared of denominators.
+
+    Returns (N, g0^(M+1)) with g0 = den(x=0) and, for every x-monomial of
+    total degree <= M in graded order, N[e] = (coefficient of x^e in
+    1/den) * g0^(M+1), a polynomial.  The symbolic pipeline expands many
+    numerators over few ladder denominators, so the table is computed once
+    per (den, M) and shared; it is read-only.
+    """
+    den_parts = den.decompose_x()
+    zero = (0, 0)
+    g0 = den_parts.get(zero)
+    if g0 is None or g0.is_zero():
+        raise ValueError("denominator vanishes at x=0; expansion point invalid")
+    N: dict[tuple[int, int], SparsePoly] = {zero: g0**M}
+    for d in range(1, M + 1):
+        for e in [(e1, d - e1) for e1 in range(d + 1)]:
+            s = None
+            for ep, dp in den_parts.items():
+                if ep == zero or ep[0] > e[0] or ep[1] > e[1]:
+                    continue
+                term = dp * N[(e[0] - ep[0], e[1] - ep[1])]
+                s = term if s is None else s + term
+            if s is None:
+                N[e] = SparsePoly.zero(g0.vars)
+                continue
+            q = (-s).divide_exact(g0)
+            if q is None:  # pragma: no cover - recurrence guarantees divisibility
+                raise ArithmeticError("inverse-series recurrence failed to divide")
+            N[e] = q
+    return MappingProxyType(N), g0 ** (M + 1)
+
+
+def _x_convolve(num_parts: Mapping, N: Mapping, e: tuple[int, int]) -> SparsePoly | None:
+    """sum over ep of num_parts[ep] * N[e - ep]; None when it is zero."""
+    s = None
+    for ep, np_ in num_parts.items():
+        if ep[0] > e[0] or ep[1] > e[1]:
+            continue
+        term = np_ * N[(e[0] - ep[0], e[1] - ep[1])]
+        s = term if s is None else s + term
+    return None if s is None or s.is_zero() else s
+
+
 def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFunc]:
     """Coefficients of all x-monomials of total degree <= max_x_degree.
 
@@ -196,51 +243,22 @@ def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFu
     Values are RatFunc over the remaining variables with denominator a
     power of den(x=0).
     """
+    N, gM1 = _x_inverse(f.den, max_x_degree)
     num_parts = f.num.decompose_x()
-    den_parts = f.den.decompose_x()
-    zero = (0, 0)
-    g0 = den_parts.get(zero)
-    if g0 is None or g0.is_zero():
-        raise ValueError("denominator vanishes at x=0; expansion point invalid")
-    M = max_x_degree
-    keys = [
-        (e1, e2)
-        for d in range(M + 1)
-        for e1 in range(d + 1)
-        for e2 in [d - e1]
-    ]
-    # N[e] = (coefficient of x^e in 1/den) * g0^(M+1), a polynomial
-    N: dict[tuple[int, int], SparsePoly] = {zero: g0**M}
-    for e in keys:
-        if e == zero:
-            continue
-        s = None
-        for ep, dp in den_parts.items():
-            if ep == zero or ep[0] > e[0] or ep[1] > e[1]:
-                continue
-            rest = (e[0] - ep[0], e[1] - ep[1])
-            term = dp * N[rest]
-            s = term if s is None else s + term
-        if s is None:
-            N[e] = SparsePoly.zero(g0.vars)
-            continue
-        q = (-s).divide_exact(g0)
-        if q is None:  # pragma: no cover - recurrence guarantees divisibility
-            raise ArithmeticError("inverse-series recurrence failed to divide")
-        N[e] = q
-    gM1 = g0 ** (M + 1)
     out: dict[tuple[int, int], RatFunc] = {}
-    for e in keys:
-        s = None
-        for ep, np_ in num_parts.items():
-            if ep[0] > e[0] or ep[1] > e[1]:
-                continue
-            rest = (e[0] - ep[0], e[1] - ep[1])
-            term = np_ * N[rest]
-            s = term if s is None else s + term
-        if s is not None and not s.is_zero():
+    for e in N:
+        s = _x_convolve(num_parts, N, e)
+        if s is not None:
             out[e] = RatFunc(s, gM1)
     return out
+
+
+def x_coefficient(num: SparsePoly, den: SparsePoly, r: tuple[int, int]) -> RatFunc | None:
+    """The x^r entry of ``x_coefficients(RatFunc(num, den), |r|)``, or None
+    when it is zero, computed without expanding the other monomials."""
+    N, gM1 = _x_inverse(den, r[0] + r[1])
+    s = _x_convolve(num.decompose_x(), N, r)
+    return None if s is None else RatFunc(s, gM1)
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,27 @@ def test_bad_inputs_are_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["cohomology", "--n", "3", "--output", str(tmp_path / "no-dir" / "out.json")]) == 2
     assert run(["series", "--kind", "dot-bar", "--n", "3", "--a", "1", "--alpha", "x,y,z"]) == 2
     assert run(["series", "--kind", "dot-bar", "--n", "3", "--a", "1", "--alpha", "1/0,2,3"]) == 2
-    monkeypatch.setenv("QGR_DEPTH", "deep")
-    assert run(["verify", "--suite", "residue-internal", "--n", "3", "--qdeg", "1", "--zdeg", "1"]) == 2
+    for depth in ("deep", "0", "-2"):
+        monkeypatch.setenv("QGR_DEPTH", depth)
+        assert run(["verify", "--suite", "residue-internal", "--n", "3", "--qdeg", "1", "--zdeg", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error: ") == 5 and "internal error" not in captured.err
+    assert captured.err.count("error: ") == 7 and "internal error" not in captured.err
+
+
+def test_structure_residual_names_failing_entry(capsys, monkeypatch):
+    import qgr.operators
+
+    def residual_fails_at_2_0(pipe, k, iidx):
+        return (k, iidx) != (2, 0)
+
+    monkeypatch.setattr(qgr.operators, "_eqtic_residual_is_zero", residual_fails_at_2_0)
+    code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
+    assert code == 1
+    by_check = {r["check"]: r for r in doc["payload"]}
+    for kind in ("dot", "ddot"):
+        rec = by_check[f"structure-residual-{kind}"]
+        assert rec["pass"] is False and rec["failures"] == [{"k": 2, "i": 0}]
 
 
 def test_internal_fault_exit_3(capsys, monkeypatch):

@@ -207,3 +207,26 @@ def test_named_pipeline_accessors():
     assert pipe.opexp[(1, 0)][(1, (1, 0))].get((0,)) == 1
     assert pipe.eqtic_residual_zero[(2, 0)]
     assert pipe.structC[(2, 0)][(0, (2, 0))].get((0,)) == 1
+
+
+def test_pipeline_shares_x_inverse(monkeypatch):
+    # Regression guard by count: the pipeline expands many numerators over
+    # few ladder denominators, so most x-expansions must reuse a memoized
+    # inverse.  Without the memo every call is a miss (ratio 1).
+    import qgr.operators
+    from qgr.series import _x_inverse, x_coefficient, x_coefficients
+
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qgr.operators, "x_coefficients", counted(x_coefficients))
+    monkeypatch.setattr(qgr.operators, "x_coefficient", counted(x_coefficient))
+    _x_inverse.cache_clear()
+    build_pipeline("dot", 3, CISpec((1,)), None, 2)
+    misses = _x_inverse.cache_info().misses
+    assert calls[0] > 0 and misses <= calls[0] / 4, (misses, calls[0])

@@ -7,7 +7,9 @@ from qgr.rings import RatFunc, SparsePoly
 from qgr.series import (
     LaurentExpansion,
     QSeries,
+    _x_inverse,
     laurent_expand_hbar,
+    x_coefficient,
     x_coefficients,
 )
 
@@ -89,8 +91,12 @@ def test_expand_x_identity():
 
 def test_expand_x_invalid_point():
     f = RatFunc(one, x1 * h)
-    with pytest.raises(ValueError):
-        x_coefficients(f, 1)
+    # the inverse is memoized, but a failure is not: a repeat raises again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            x_coefficients(f, 1)
+        with pytest.raises(ValueError):
+            x_coefficient(one, x1 * h, (1, 0))
 
 
 def _naive_x_expansion(f: RatFunc, max_x):
@@ -148,6 +154,52 @@ def test_expand_x_against_naive_oracle():
             a = mine.get(e, RatFunc.from_scalar(0, V))
             b = oracle.get(e, RatFunc.from_scalar(0, V))
             assert a == b, f"x^{e}: {a} != {b}"
+
+
+def test_shared_x_inverse_against_naive_oracle():
+    # Denominators repeat and interleave, so the memoized inverse is read
+    # both fresh and from the cache; -3 * base[1] differs from base[1] only
+    # by a constant factor.  base[2] is a series in x1*x2 alone, so many
+    # entries of one / base[2] are zero.
+    rng = random.Random(29)
+    base = [
+        (x1 + h) * (x2 + h) + 2 * h * h,
+        (x1 + 2 * h) ** 2 - x1 * x1 + x2 * h,
+        h - one + x1 * x2,
+    ]
+    dens = [base[0], base[1], base[0], base[2], -3 * base[1], base[2], base[0], base[1]]
+    zero = RatFunc.from_scalar(0, V)
+    _x_inverse.cache_clear()
+    nones = 0
+    for i, den in enumerate(dens):
+        if i == 3:
+            num = one
+        else:
+            num = SparsePoly(V, {
+                (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)): Fraction(rng.randint(-3, 3))
+                for _ in range(3)
+            })
+        f = RatFunc(num, den)
+        oracle = _naive_x_expansion(f, 3)
+        for M in range(4):
+            xc = x_coefficients(f, M)
+            for e1 in range(M + 1):
+                for e2 in range(M + 1 - e1):
+                    assert xc.get((e1, e2), zero) == oracle.get((e1, e2), zero), (i, M, (e1, e2))
+        for r in [(r1, tot - r1) for tot in range(4) for r1 in range(tot + 1)]:
+            got = x_coefficient(num, den, r)
+            want = x_coefficients(f, r[0] + r[1]).get(r)
+            if want is None:
+                nones += 1
+                assert got is None, (i, r)
+                assert oracle.get(r, zero).is_zero(), (i, r)
+            else:
+                # same normalized pair, not only the same value
+                assert (got.num, got.den) == (want.num, want.den), (i, r)
+                assert got == oracle[r], (i, r)
+    assert nones > 0
+    info = _x_inverse.cache_info()
+    assert info.hits > 0 and info.misses > 0
 
 
 def test_expand_x_reconstruction_remainder():

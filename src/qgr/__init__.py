@@ -21,6 +21,7 @@ from .cohomology import (
     schur_poly,
     schur_reduce,
 )
+from .hrat import HRat
 from .hyper import (
     AMatrixSpec,
     CISpec,

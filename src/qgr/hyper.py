@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from .hrat import HRat
 from .rings import RatFunc, SparsePoly
 from .series import QSeries
 
 V3 = ("x1", "x2", "h")
-HV = ("h",)
 
 
 @dataclass(frozen=True)
@@ -112,18 +112,6 @@ def den_factor(n: int, alphas, l: int, xname: str, xtrunc: int | None = None) ->
     return p1 - p2
 
 
-def den_factor_eval(n: int, alphas, l: int, xval: Fraction) -> SparsePoly:
-    """The same ladder factor with x evaluated; univariate in h."""
-    h = SparsePoly.variable(HV, "h")
-    p1 = SparsePoly.const(HV, 1)
-    c2 = Fraction(1)
-    for j in range(n):
-        aj = Fraction(0) if alphas is None else Fraction(alphas[j])
-        p1 = p1 * (h * l + SparsePoly.const(HV, xval - aj))
-        c2 *= xval - aj
-    return p1 - SparsePoly.const(HV, c2)
-
-
 def _num_l_range(kind: str, m: int) -> range:
     if kind == "dot":
         return range(1, m + 1)
@@ -141,17 +129,6 @@ def amatrix_numerator(kind: str, rows, d1: int, d2: int, xtrunc: int | None = No
         base = _xvar("x1") * a1 + _xvar("x2") * a2
         for l in _num_l_range(kind, m):
             out = out.mul_trunc(base + h * l, xtrunc)
-    return out
-
-
-def amatrix_numerator_eval(kind: str, rows, d1: int, d2: int, x1val, x2val) -> SparsePoly:
-    h = SparsePoly.variable(HV, "h")
-    out = SparsePoly.const(HV, 1)
-    for (a1, a2) in rows:
-        m = a1 * d1 + a2 * d2
-        c = a1 * Fraction(x1val) + a2 * Fraction(x2val)
-        for l in _num_l_range(kind, m):
-            out = out * (h * l + SparsePoly.const(HV, c))
     return out
 
 
@@ -328,31 +305,41 @@ def normalization_I(kind: str, n: int, a: CISpec, D: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+def _inverse_ladder(alphas, i: int, D: int) -> list[HRat]:
+    """1 / (ladder product B[d]) at x = alpha_i for d <= D: there the
+    factor l is l^n prod_j (h - (alpha_j - alpha_i)/l), the j = i root
+    being 0."""
+    out = [HRat.poly((1,))]
+    for l in range(1, D + 1):
+        prev = out[-1]
+        roots = dict(prev.roots)
+        for aj in alphas:
+            r = Fraction(aj - alphas[i - 1], l)
+            roots[r] = roots.get(r, 0) + 1
+        out.append(HRat([prev.coeffs[0] / l ** len(alphas)], roots))
+    return out
+
+
 def a_series_evaluated(kind: str, spec: AMatrixSpec, i1: int, i2: int, D: int,
                        mutate: tuple[int, int] | None = None) -> QSeries:
     """The two-variable series evaluated at (x1, x2) = (alpha_{1;i1}, alpha_{2;i2}).
 
-    Values are rational functions in h.  `mutate=(d, d1)` flips the sign of
+    Values are HRat (rational in h).  `mutate=(d, d1)` flips the sign of
     the single (d1, d-d1) summand (fault injection for the detection suites).
     """
-    a1 = spec.alpha(1)
-    a2 = spec.alpha(2)
-    x1v, x2v = a1[i1 - 1], a2[i2 - 1]
-    f1 = [den_factor_eval(spec.n, a1, l, x1v) for l in range(1, D + 1)]
-    f2 = [den_factor_eval(spec.n, a2, l, x2v) for l in range(1, D + 1)]
-    p1 = [SparsePoly.const(HV, 1)]
-    p2 = [SparsePoly.const(HV, 1)]
-    for l in range(D):
-        p1.append(p1[-1] * f1[l])
-        p2.append(p2[-1] * f2[l])
+    x1v, x2v = spec.alpha(1)[i1 - 1], spec.alpha(2)[i2 - 1]
+    inv1 = _inverse_ladder(spec.alpha(1), i1, D)
+    inv2 = _inverse_ladder(spec.alpha(2), i2, D)
     coeffs = {}
     for d in range(D + 1):
         for d1 in range(d + 1):
             d2 = d - d1
-            num = amatrix_numerator_eval(kind, spec.rows, d1, d2, x1v, x2v)
-            if mutate is not None and mutate == (d, d1):
-                num = -num
-            coeffs[(d1, d2)] = RatFunc(num, p1[d1] * p2[d2])
+            num = HRat.poly((-1 if mutate == (d, d1) else 1,))
+            for (a1, a2) in spec.rows:
+                c = a1 * x1v + a2 * x2v
+                for l in _num_l_range(kind, a1 * d1 + a2 * d2):
+                    num = num * HRat.poly((c, l))
+            coeffs[(d1, d2)] = num * inv1[d1] * inv2[d2]
     return QSeries(2, D, coeffs)
 
 
@@ -364,16 +351,14 @@ def k_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: 
 
 
 def bar_evaluated(K2q: QSeries, diff: Fraction, weight=None) -> QSeries:
-    """Bar transform of an evaluated two-variable series; diff = x1 - x2 there."""
-    h = SparsePoly.variable(HV, "h")
+    """Bar transform of an evaluated two-variable series; diff = x1 - x2 there.
+    `weight(d1, d2)` optionally multiplies each summand by an HRat."""
     inv = Fraction(1) / Fraction(diff)
 
     def w(d):
         d1, d2 = d
-        base = RatFunc(SparsePoly.const(HV, 1) + h * ((d1 - d2) * inv))
-        if weight is not None:
-            base = base * weight(d1, d2)
-        return base
+        base = HRat.poly((1, (d1 - d2) * inv))
+        return base if weight is None else base * weight(d1, d2)
 
     return K2q.substitute_q_neg(weight=w)
 

@@ -24,11 +24,10 @@ from .cohomology import (
     partitions_of_degree,
     schur_poly,
 )
+from .hrat import HRat
 from .hyper import CISpec, HyperSeries, V3, bar_assemble, bar_evaluated, build_K, k_series_evaluated
 from .rings import RatFunc, SparsePoly
 from .series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficient, x_coefficients
-
-HV = ("h",)
 
 
 def _x(name):
@@ -214,17 +213,15 @@ def build_barD_normalized(lam, K: HyperSeries, fam: dict) -> HyperSeries:
     return bar_assemble(F, out_kind=f"barD{lam}_{K.kind}")
 
 
-def schur_shifted_eval(lam, xi, xj, d: tuple[int, int]) -> SparsePoly:
+def schur_shifted_eval(lam, xi, xj, d: tuple[int, int]) -> HRat:
     """The same shift with (x1, x2) evaluated; univariate in h."""
-    h = SparsePoly.variable(HV, "h")
-    u = h * d[0] + SparsePoly.const(HV, xi)
-    v = h * d[1] + SparsePoly.const(HV, xj)
+    u = HRat.poly((xi, d[0]))
+    v = HRat.poly((xj, d[1]))
     a, b = lam
-    out = (u * v) ** b
-    hsum = SparsePoly.zero(HV)
+    hsum = HRat.poly(())
     for i in range(a - b + 1):
         hsum = hsum + u**i * v ** (a - b - i)
-    return out * hsum
+    return (u * v) ** b * hsum
 
 
 def build_barD(lam, K: HyperSeries) -> HyperSeries:
@@ -428,7 +425,7 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     for k in range(kmax + 1):
         basis_k = partitions_of_degree(n, k)
         for jidx, lam in enumerate(basis_k):
-            pipe.ygamma[lam] = assemble_Y_gamma(pipe, pipe.calD, k, jidx, _x("h"))
+            pipe.ygamma[lam] = assemble_Y_gamma(pipe, pipe.calD, k, jidx, RatFunc(_x("h")))
             pipe.classes[lam] = {
                 d: class_extract(_as_ratfunc(pipe.ygamma[lam].get((d,))), n, kmax, pipe.depth)
                 for d in range(D + 1)
@@ -528,12 +525,12 @@ def _eqtic_residual_is_zero(pipe: GammaPipeline, k: int, iidx: int) -> bool:
     return True
 
 
-def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h: SparsePoly) -> QSeries:
+def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h) -> QSeries:
     """The basis-weighted series: the normalized operator applied to the
     ladder series plus the structure-coefficient corrections.
 
-    `calD` maps (k, i) to the normalized operator series and `h` is the
-    h-variable of their values: trivariate for `pipe.calD`, univariate for
+    `calD` maps (k, i) to the normalized operator series and `h` is h as a
+    value of their kind: a trivariate RatFunc for `pipe.calD`, an HRat for
     their evaluations at a fixed point.
     """
     out = calD[(k, jidx)]
@@ -544,8 +541,8 @@ def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h: Spar
                 cser = C.get((t, (s, iidx)))
                 if cser is None or not cser.coeffs:
                     continue
-                hpow = RatFunc(h ** (k - t - s))
-                term = cser * calD[(s, iidx)].map_values(lambda v: _as_ratfunc(v, h.vars) * hpow)
+                hpow = h ** (k - t - s)
+                term = cser * calD[(s, iidx)].map_values(lambda v: v * hpow)
                 out = out + term
     return out
 
@@ -573,13 +570,11 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
     barD = {
         lam: bar_evaluated(
             K, diff,
-            weight=lambda d1, d2, lam=lam: RatFunc(
-                schur_shifted_eval(lam, al[i - 1], al[j - 1], (d1, d2))
-            ),
+            weight=lambda d1, d2, lam=lam: schur_shifted_eval(lam, al[i - 1], al[j - 1], (d1, d2)),
         )
         for lam in box_partitions(pipe.n)
     }
-    h = SparsePoly.variable(HV, "h")
+    h = HRat.poly((0, 1))
     calD, out = {}, {}
     for k in range(pipe.kmax + 1):  # degree k assembles from calD of degree <= k
         basis_k = partitions_of_degree(pipe.n, k)
@@ -645,10 +640,9 @@ def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPip
       sum_{lam,mu} g_{lam,mu} Y_{gamma_lam}|_{p1}(h, q) Y''_{gamma_mu}|_{p2}(-h, q)
 
     equals the equivariant diagonal restriction at q^0 and vanishes at
-    every positive q-degree.  Exact rational-function arithmetic in h.
+    every positive q-degree.  Exact HRat arithmetic.
     """
     from .cohomology import euler_tangent
-    from .verifier import _as_h, _flip_h
 
     n = pipe_dot.n
     D = min(pipe_dot.D, pipe_ddot.D)
@@ -662,9 +656,9 @@ def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPip
                 acc = None
                 for (lam, mu), g in tensor.items():
                     for d1 in range(d + 1):
-                        v1 = _as_h(ev1[p1][lam].get((d1,)))
-                        v2 = _as_h(ev2[p2][mu].get((d - d1,)))
-                        term = g * v1 * _flip_h(v2)
+                        v1 = HRat.convert(ev1[p1][lam].get((d1,)))
+                        v2 = HRat.convert(ev2[p2][mu].get((d - d1,)))
+                        term = g * v1 * v2.flip_h()
                         acc = term if acc is None else acc + term
                 want = Fraction(0)
                 if d == 0 and set(p1) == set(p2):

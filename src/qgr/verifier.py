@@ -5,15 +5,17 @@ mechanics behind the polynomiality argument.
 
 All checks run at concrete generic torus weights, on series supplied as
 fixed-point evaluations (maps (i, j) -> truncated q-series whose values
-are rational functions in h).
+are rational functions in h, as HRat).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
+from .hrat import HRat
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
 from .series import QSeries, laurent_expand_hbar
@@ -21,24 +23,11 @@ from .series import QSeries, laurent_expand_hbar
 HV = ("h",)
 
 
-def _h() -> SparsePoly:
-    return SparsePoly.variable(HV, "h")
-
-
-def _is_h_monomial(p: SparsePoly) -> bool:
-    if p.is_zero():
-        return False
-    if len(p.terms) != 1:
-        return False
-    used = p.used_vars()
-    return used == () or used == ("h",)
-
-
 @dataclass
 class RecursivityEntry:
     pair: tuple
     degree: tuple
-    remainder: RatFunc | None
+    remainder: HRat | None  # cancelled; None when a lower evaluation diverged
     ok: bool
     note: str = ""
 
@@ -55,30 +44,28 @@ class RecursivityReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _as_h(v) -> RatFunc:
-    return RatFunc.from_scalar(v, HV) if isinstance(v, Fraction) else v
-
-
-def _check_entry(evals, pair, key, terms, coeff_fn, diverge_note: str = "") -> RecursivityEntry:
-    """Subtract the pole terms (slot, lower pair, lower q-key, w, k, d) from
-    the `key` coefficient of evals[pair] and test that the remainder's
-    denominator is a power of h."""
-    R = _as_h(evals[pair].get(key))
-    h = _h()
-    for slot, lower_pair, lower_key, w, k, d in terms:
-        c = coeff_fn(slot, *pair, k, d)
+def _check_entry(evals, pair, key, terms, diverge_note: str = "") -> RecursivityEntry:
+    """Subtract the pole terms c * F_lower(w) / (h - w), listed as
+    (c, lower pair, lower q-key, w), from the `key` coefficient of
+    evals[pair], summed per w into one subtraction, and test that after
+    cancellation every remaining root of the denominator is 0."""
+    residues: dict = {}
+    for c, lower_pair, lower_key, w in terms:
         lower = evals.get(lower_pair)
         if lower is None:
             raise KeyError(f"missing evaluation at {lower_pair}")
         try:
-            val = _as_h(lower.get(lower_key)).eval_all({"h": w})
+            val = HRat.convert(lower.get(lower_key)).at(w)
         except ZeroDivisionError:
             note = f"evaluation of F{lower_pair} at h={w} diverges{diverge_note}"
-            return RecursivityEntry(pair, key, R, False, note)
-        R = R - RatFunc(SparsePoly.const(HV, c), h - SparsePoly.const(HV, w)) * val
-    R = R.reduced()
-    ok = R.is_zero() or _is_h_monomial(R.den)
-    note = "" if ok else f"remainder has non-monomial denominator {R.den.to_string()}"
+            return RecursivityEntry(pair, key, None, False, note)
+        residues[w] = residues.get(w, 0) + c * val
+    poles = HRat.poly(())
+    for w, s in residues.items():
+        poles = poles + HRat.pole(w, s)
+    R = (HRat.convert(evals[pair].get(key)) - poles).cancel()
+    ok = set(R.roots) <= {0}
+    note = "" if ok else f"remainder has non-monomial denominator {R.to_ratfunc().den.to_string()}"
     return RecursivityEntry(pair, key, R, ok, note)
 
 
@@ -87,11 +74,12 @@ def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityRepor
     prescribed pole terms and test that the remainder's denominator is a
     power of h.
 
-    evals: (i, j) -> QSeries in one q with RatFunc-in-h values.
+    evals: (i, j) -> QSeries in one q with HRat values.
     coeff_fn(slot, i, j, k, d) -> Fraction; slot 2 moves j -> k, slot 1
     moves i -> k.
     """
     al = [Fraction(v) for v in alphas]
+    coeff = functools.cache(coeff_fn)  # each (slot, i, j, k, d) once per check
     report = RecursivityReport()
     for (i, j) in sorted(evals):
         for dstar in range(D + 1):
@@ -99,11 +87,12 @@ def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityRepor
             for d in range(1, dstar + 1):
                 for k in range(1, n + 1):
                     if k not in (i, j):
-                        terms.append((2, (i, k), (dstar - d,), Fraction(al[k - 1] - al[j - 1], d), k, d))
-                        terms.append((1, (k, j), (dstar - d,), Fraction(al[k - 1] - al[i - 1], d), k, d))
+                        terms.append((coeff(2, i, j, k, d), (i, k), (dstar - d,),
+                                      Fraction(al[k - 1] - al[j - 1], d)))
+                        terms.append((coeff(1, i, j, k, d), (k, j), (dstar - d,),
+                                      Fraction(al[k - 1] - al[i - 1], d)))
             report.entries.append(_check_entry(
-                evals, (i, j), (dstar,), terms, coeff_fn,
-                f" (recursivity violated below degree {dstar})",
+                evals, (i, j), (dstar,), terms, f" (recursivity violated below degree {dstar})",
             ))
     return report
 
@@ -117,6 +106,7 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
     """
     a1 = [Fraction(v) for v in alpha1]
     a2 = [Fraction(v) for v in alpha2]
+    coeff = functools.cache(coeff_fn)  # each (slot, i1, i2, k, d) once per check
     report = RecursivityReport()
     for (i1, i2) in sorted(evals):
         if i1 == i2:
@@ -127,12 +117,14 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
                 for d in range(1, D2 + 1):
                     for k in range(1, n + 1):
                         if k != i2:
-                            terms.append((2, (i1, k), (D1, D2 - d), Fraction(a2[k - 1] - a2[i2 - 1], d), k, d))
+                            terms.append((coeff(2, i1, i2, k, d), (i1, k), (D1, D2 - d),
+                                          Fraction(a2[k - 1] - a2[i2 - 1], d)))
                 for d in range(1, D1 + 1):
                     for k in range(1, n + 1):
                         if k != i1:
-                            terms.append((1, (k, i2), (D1 - d, D2), Fraction(a1[k - 1] - a1[i1 - 1], d), k, d))
-                report.entries.append(_check_entry(evals, (i1, i2), (D1, D2), terms, coeff_fn))
+                            terms.append((coeff(1, i1, i2, k, d), (k, i2), (D1 - d, D2),
+                                          Fraction(a1[k - 1] - a1[i1 - 1], d)))
+                report.entries.append(_check_entry(evals, (i1, i2), (D1, D2), terms))
     return report
 
 
@@ -143,35 +135,18 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
 
 @dataclass
 class PhiSeries:
-    payload: QSeries  # one q variable, z tracked; values RatFunc in h
-
-
-def _flip_h(v: RatFunc) -> RatFunc:
-    """h -> -h, done by sign-flipping odd-degree terms."""
-
-    def flip(p: SparsePoly) -> SparsePoly:
-        if "h" not in p.vars:
-            return p
-        i = p.vars.index("h")
-        return SparsePoly(
-            p.vars,
-            {e: (-c if e[i] % 2 else c) for e, c in p.terms.items()},
-            _clean=True,
-        )
-
-    return RatFunc(flip(v.num), flip(v.den))
+    payload: QSeries  # one q variable, z tracked; HRat values
 
 
 def _exp_qhz(F: QSeries, Nz: int) -> QSeries:
     """q^d -> q^d * sum_p (d h z)^p / p!, tracked to z-order Nz."""
     out = {}
-    h = _h()
     for (d,), v in F.coeffs.items():
+        v = HRat.convert(v)
         for p in range(Nz + 1):
             if p > 0 and d == 0:
                 break
-            w = v * RatFunc((h * d) ** p) * Fraction(1, factorial(p))
-            out[(d, p)] = w
+            out[(d, p)] = v * HRat.poly((0,) * p + (Fraction(d**p, factorial(p)),))
     return QSeries(1, F.trunc_q, out, z_tracked=True, trunc_z=Nz)
 
 
@@ -213,8 +188,7 @@ def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int,
                 raise ValueError(f"eta vanishes at the fixed point ({i},{j})")
             pref = Fraction(ev) / pair_weight(alphas, i, j)
             T1 = _exp_qhz(F_evals[(i, j)], Nz)
-            T2 = _embed_z(Fp_evals[(i, j)].map_values(
-                lambda v: _flip_h(v) if isinstance(v, RatFunc) else Fraction(v)), Nz)
+            T2 = _embed_z(Fp_evals[(i, j)].map_values(lambda v: HRat.convert(v).flip_h()), Nz)
             ez = _exp_cz(alphas[i - 1] + alphas[j - 1], D, Nz)
             term = T1 * T2 * ez
             total = total + term.scale(pref)
@@ -224,13 +198,14 @@ def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int,
 
 
 def check_mpc(phi: PhiSeries):
-    """True iff every (z, q)-coefficient is a polynomial in h."""
+    """True iff every (z, q)-coefficient is a polynomial in h: no root of
+    its denominator is left after cancellation.  Offenders are reported as
+    gcd-reduced RatFunc values."""
     offenders = []
     for key, v in phi.payload.terms():
-        if isinstance(v, Fraction):
-            continue
-        if v.num.divide_exact(v.den) is None:
-            offenders.append((key, v.reduced()))
+        v = v.cancel()
+        if v.roots:
+            offenders.append((key, v.to_ratfunc()))
     return (not offenders), offenders
 
 
@@ -285,6 +260,7 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
     Y1, Y2: HyperSeries in one q with trivariate RatFunc coefficients.
     Returns a report dict; "ok" is the conjunction of all checks.
     """
+    h = SparsePoly.variable(HV, "h")
     checks = []
     for var_kept, var_fixed in (("x2", "x1"), ("x1", "x2")):
         denom_poly = SparsePoly.const((var_kept,), 1)
@@ -299,11 +275,11 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
             for d1 in range(qd + 1):
                 d2 = qd - d1
                 c1 = Y1.coeff((d1,)).substitute({var_fixed: xi})
-                c2 = Y2.coeff((d2,)).substitute({var_fixed: xi, "h": -_h()})
+                c2 = Y2.coeff((d2,)).substitute({var_fixed: xi, "h": -h})
                 # z-contributions: e^{(x1+x2)z} and the q -> q e^{hz} shift in Y1
                 for p1 in range(dz + 1):
                     p2 = dz - p1
-                    zshift = RatFunc((_h() * d1) ** p2) * Fraction(1, factorial(p2))
+                    zshift = RatFunc((h * d1) ** p2) * Fraction(1, factorial(p2))
                     lin = SparsePoly.variable((var_kept,), var_kept) + SparsePoly.const(
                         (var_kept,), xi
                     )

@@ -34,3 +34,14 @@ def test_x_coefficients_order_parameter_name():
     from qgr.series import x_coefficients
 
     assert list(inspect.signature(x_coefficients).parameters)[1] == "max_x_degree"
+
+
+def test_tracer_sizes_evaluated_values():
+    # the probes read .num / .den of fixed-point values as polynomials in h
+    from qgr.cohomology import default_generic_alpha
+    from qgr.hyper import CISpec, y_series_evaluated
+
+    tracer = _load_tracer()
+    Y = y_series_evaluated("dot", 3, CISpec((1,)), default_generic_alpha(3), 1, 2, 2)
+    assert tracer._den_h_degree(Y) > 0
+    assert tracer._coeff_bits(Y) > 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qgr.cohomology import default_generic_alpha
+from qgr.hrat import HRat
 from qgr.hyper import (
     AMatrixSpec,
     CISpec,
@@ -24,9 +25,7 @@ from qgr.verifier import (
     residue_internal_check,
 )
 
-HV = ("h",)
-h = SparsePoly.variable(HV, "h")
-one = SparsePoly.const(HV, 1)
+one = HRat.poly((1,))
 
 
 def all_pairs(n):
@@ -50,10 +49,10 @@ def test_recursive_counterexample():
     n = 3
     al = default_generic_alpha(n)
     w = al[2] - al[1]
-    bad = RatFunc(one, h - SparsePoly.const(HV, w))
+    bad = HRat.pole(w)
     evals = {}
     for (i, j) in all_pairs(n):
-        evals[(i, j)] = QSeries(1, 1, {(0,): RatFunc(one), (1,): bad})
+        evals[(i, j)] = QSeries(1, 1, {(0,): one, (1,): bad})
     rep = check_recursive(evals, lambda *args: Fraction(0), al, 1, n)
     assert not rep.all_pass
     fails = rep.failures()
@@ -69,8 +68,8 @@ def test_recursive_diverging_lower_evaluation():
     n = 3
     al = default_generic_alpha(n)
     w = al[2] - al[1]  # slot-2 point of pair (1, 2) moving 2 -> 3 at d = 1
-    evals = {p: QSeries(1, 1, {(0,): RatFunc(one)}) for p in all_pairs(n)}
-    evals[(1, 3)] = QSeries(1, 1, {(0,): RatFunc(one, h - SparsePoly.const(HV, w))})
+    evals = {p: QSeries(1, 1, {(0,): one}) for p in all_pairs(n)}
+    evals[(1, 3)] = QSeries(1, 1, {(0,): HRat.pole(w)})
     rep = check_recursive(evals, lambda *args: Fraction(0), al, 1, n)
     e = next(e for e in rep.entries if (e.pair, e.degree) == ((1, 2), (1,)))
     assert not e.ok
@@ -78,9 +77,9 @@ def test_recursive_diverging_lower_evaluation():
 
     a2 = tuple(Fraction(11**m) for m in range(1, n + 1))
     w2 = a2[0] - a2[1]  # slot-2 point of (1, 2) moving 2 -> 1 at d = 1
-    evals2 = {(i1, i2): QSeries(2, 1, {(0, 0): RatFunc(one)})
+    evals2 = {(i1, i2): QSeries(2, 1, {(0, 0): one})
               for i1 in range(1, n + 1) for i2 in range(1, n + 1)}
-    evals2[(1, 1)] = QSeries(2, 1, {(0, 0): RatFunc(one, h - SparsePoly.const(HV, w2))})
+    evals2[(1, 1)] = QSeries(2, 1, {(0, 0): HRat.pole(w2)})
     rep2 = check_recursive_2q(evals2, lambda *args: Fraction(0), al, a2, 1, n)
     e2 = next(e for e in rep2.entries if (e.pair, e.degree) == ((1, 2), (0, 1)))
     assert not e2.ok
@@ -116,11 +115,11 @@ def test_phi_trivial_has_no_hbar():
     n = 3
     al = default_generic_alpha(n)
     ones = {
-        (i, j): QSeries(1, 1, {(0,): RatFunc(one)}) for (i, j) in all_pairs(n)
+        (i, j): QSeries(1, 1, {(0,): one}) for (i, j) in all_pairs(n)
     }
     phi = build_phi(ones, ones, lambda i, j: Fraction(1), al, n, 2, 1)
     for key, v in phi.payload.terms():
-        vv = v if isinstance(v, Fraction) else v.reduced()
+        vv = v if isinstance(v, Fraction) else v.to_ratfunc()
         if isinstance(vv, RatFunc):
             assert vv.used_vars() == ()  # no h anywhere
 
@@ -129,11 +128,11 @@ def test_exp_substitution_shape():
     # q^d -> q^d sum_p (d h z)^p / p!
     from qgr.verifier import _exp_qhz
 
-    F = QSeries(1, 2, {(1,): RatFunc(one)})
+    F = QSeries(1, 2, {(1,): one})
     out = _exp_qhz(F, 2)
-    assert out.get((1, 0)) == RatFunc(one)
-    assert out.get((1, 1)) == RatFunc(h)
-    assert out.get((1, 2)) == RatFunc(h * h) * Fraction(1, 2)
+    assert out.get((1, 0)) == one
+    assert out.get((1, 1)) == HRat.poly((0, 1))
+    assert out.get((1, 2)) == HRat.poly((0, 0, 1)) * Fraction(1, 2)
 
 
 def test_mpc_pairs():
@@ -155,7 +154,7 @@ def test_mpc_detects_perturbation():
     Fd = y_evals("dot", n, a, al, 2)
     Fp = y_evals("dot", n, a, al, 2)
     pert = dict(Fp[(1, 2)].coeffs)
-    pert[(1,)] = pert[(1,)] + RatFunc(one, h)
+    pert[(1,)] = pert[(1,)] + HRat.pole(0)
     Fp[(1, 2)] = QSeries(1, 2, pert)
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
     ok, offenders = check_mpc(build_phi(Fd, Fp, eta, al, n, 2, 2))
@@ -165,7 +164,7 @@ def test_mpc_detects_perturbation():
 def test_eta_vanishing_rejected():
     n = 3
     al = (Fraction(1), Fraction(2), Fraction(-1))
-    ones = {(i, j): QSeries(1, 0, {(0,): RatFunc(one)}) for (i, j) in all_pairs(n)}
+    ones = {(i, j): QSeries(1, 0, {(0,): one}) for (i, j) in all_pairs(n)}
     with pytest.raises(ValueError):
         build_phi(ones, ones, lambda i, j: al[i - 1] + al[j - 1], al, n, 1, 0)
 
@@ -182,7 +181,7 @@ def test_audit_uniqueness():
 
     # constructed q0 failure
     broken = dict(Fd)
-    z = QSeries(1, 2, {(1,): RatFunc(one)})
+    z = QSeries(1, 2, {(1,): one})
     broken[(1, 2)] = z
     audit2 = audit_uniqueness_hypotheses(broken, Fdd, coeff, lambda i, j: Fraction(1), al, n, 1)
     assert not audit2["q0_nonzero"]

@@ -36,11 +36,9 @@ from .hyper import (
     y_series_evaluated,
 )
 from .operators import (
-    apply_frakD,
     assemble_Y_gamma,
     assemble_double_J,
     audit_frakD_normalizations,
-    build_barD,
     build_pipeline,
     equivariant_orthogonality_check,
     orthogonality_check,

@@ -323,14 +323,17 @@ def _suite_operator_norms(cfg: RunConfig) -> list[dict]:
             "pass": not residual_failures,
             "failures": residual_failures,
         })
-        c0 = True
-        for (k, i), table in pipe.structC.items():
-            for (t, (s, j)), ser in table.items():
-                if t == 0:
-                    want = QSeries.one(1, D) if (s, j) == (k, i) else QSeries(1, D)
-                    if not ser == want:
-                        c0 = False
-        results.append({"check": f"structure-t0-delta-{kind}", "pass": c0, "failures": []})
+        t0_failures = [
+            {"k": k, "i": i, "s": s, "j": j}
+            for (k, i), table in pipe.structC.items()
+            for (t, (s, j)), ser in table.items()
+            if t == 0 and not ser == (QSeries.one(1, D) if (s, j) == (k, i) else QSeries(1, D))
+        ]
+        results.append({
+            "check": f"structure-t0-delta-{kind}",
+            "pass": not t0_failures,
+            "failures": t0_failures,
+        })
     return results
 
 

@@ -195,13 +195,11 @@ def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = N
     return hs
 
 
-def bar_assemble(F: HyperSeries, weight=None, out_kind: str | None = None) -> HyperSeries:
+def bar_assemble(F: HyperSeries, out_kind: str | None = None) -> HyperSeries:
     """q1 = q2 = -q substitution plus the antisymmetrized derivative term.
 
-    `weight(d1, d2)` optionally multiplies each numerator before assembly
-    (the route used by the operator calculus).  The summed derivative
-    numerator must be exactly divisible by (x1 - x2); failure signals an
-    asymmetric input.
+    The summed derivative numerator must be exactly divisible by
+    (x1 - x2); failure signals an asymmetric input.
     """
     if F.payload.q_arity != 2:
         raise ValueError("bar transform needs a two-variable series")
@@ -219,8 +217,6 @@ def bar_assemble(F: HyperSeries, weight=None, out_kind: str | None = None) -> Hy
             num = F.num_parts.get((d1, d2))
             if num is None:
                 continue
-            if weight is not None:
-                num = num.mul_trunc(weight(d1, d2), F.xtrunc)
             cof = c1.cofactor(d1, d).mul_trunc(c2.cofactor(d2, d), F.xtrunc)
             t = num.mul_trunc(cof, F.xtrunc)
             N0 = N0 + t
@@ -350,17 +346,10 @@ def k_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: 
     return a_series_evaluated(kind, spec, i, j, D, mutate)
 
 
-def bar_evaluated(K2q: QSeries, diff: Fraction, weight=None) -> QSeries:
-    """Bar transform of an evaluated two-variable series; diff = x1 - x2 there.
-    `weight(d1, d2)` optionally multiplies each summand by an HRat."""
+def bar_evaluated(K2q: QSeries, diff: Fraction) -> QSeries:
+    """Bar transform of an evaluated two-variable series; diff = x1 - x2 there."""
     inv = Fraction(1) / Fraction(diff)
-
-    def w(d):
-        d1, d2 = d
-        base = HRat.poly((1, (d1 - d2) * inv))
-        return base if weight is None else base * weight(d1, d2)
-
-    return K2q.substitute_q_neg(weight=w)
+    return K2q.substitute_q_neg(weight=lambda d: HRat.poly((1, (d[0] - d[1]) * inv)))
 
 
 def y_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: int,

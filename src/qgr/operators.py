@@ -12,6 +12,7 @@ box basis, then take the h^0 coefficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,21 +42,9 @@ def frakD_weight(p: tuple[int, int], d: tuple[int, int]) -> SparsePoly:
     return (_x("x1") + h * d[0]) ** p[0] * (_x("x2") + h * d[1]) ** p[1]
 
 
-def apply_frakD(F: HyperSeries, p: tuple[int, int]) -> HyperSeries:
-    """Apply prod_i (x_i + h q_i d/dq_i)^{p_i} to a two-variable series."""
-    if F.payload.q_arity != 2:
-        raise ValueError("the shift operators act on two-variable series")
-    coeffs = {}
-    nums = {}
-    for key, v in F.payload.coeffs.items():
-        w = frakD_weight(p, key)
-        coeffs[key] = v * RatFunc(w) if isinstance(v, RatFunc) else v * w
-        nums[key] = F.num_parts[key].mul_trunc(w, F.xtrunc)
-    return HyperSeries(
-        kind=f"frakD{p}_{F.kind}", n=F.n, spec=F.spec,
-        payload=QSeries(2, F.D, coeffs), xtrunc=F.xtrunc,
-        den_chains=F.den_chains, num_parts=nums,
-    )
+def _op_bare(K: HyperSeries, p: tuple[int, int]) -> dict:
+    """Numerator tables of the bare shift operator p applied to K."""
+    return {key: K.num_parts[key].mul_trunc(frakD_weight(p, key), K.xtrunc) for key in K.num_parts}
 
 
 def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
@@ -70,12 +59,13 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
     rmax = ptot
     depth = F.n * F.D + ptot + 2
     offenders = []
-    DF = apply_frakD(F, p)
-    for key in sorted(DF.payload.coeffs, key=lambda k: (sum(k), k)):
-        g = DF.coeff(key)
-        xc = x_coefficients(g, rmax)
+    c1, c2 = F.den_chains
+    nums = _op_bare(F, p)
+    for key in sorted(nums, key=lambda k: (sum(k), k)):
+        den = c1.products[key[0]] * c2.products[key[1]]
+        parts = nums[key].decompose_x()
         for e in [(e1, e2) for tot in range(rmax + 1) for e1 in range(tot + 1) for e2 in [tot - e1]]:
-            rf = xc.get(e)
+            rf = x_coefficient(parts, den, e)
             le = laurent_expand_hbar(rf, depth) if rf is not None else LaurentExpansion.zero(None)
             etot = e[0] + e[1]
             if sum(key) == 0:
@@ -94,141 +84,132 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
     return {"ok": not offenders, "offenders": offenders}
 
 
-def schur_shifted(lam, d: tuple[int, int]) -> SparsePoly:
-    """gamma(x1 + d1 h, x2 + d2 h) as a polynomial in (x1, x2, h)."""
-    h = _x("h")
-    return schur_poly(lam).substitute({"x1": _x("x1") + h * d[0], "x2": _x("x2") + h * d[1]})
-
-
 # ---------------------------------------------------------------------------
 # normalized operator family
 #
 # The bare shift operators satisfy the table normalizations only while
 # every weight row fits in n (their audit catches the failure on
-# Calabi-Yau-type specializations).  The family actually used by the
-# pipeline is corrected level by level: lower diagonal-slot entries are
-# killed by subtracting already-normalized operators, then each level is
-# recombined through the inverse of its diagonal block.  In the regime
-# where the bare audit passes all corrections vanish identically.
+# Calabi-Yau-type specializations).  The family actually used is corrected
+# level by level: lower diagonal-slot entries are killed by subtracting
+# already-normalized operators, then each level is recombined through the
+# inverse of its diagonal block.  Every step is linear over scalar
+# (q1, q2) series, so the family is stored as a lower-triangular matrix
+# over the bare operators,
+#
+#     N_p = sum_t U[p][t] h^{|p|-|t|} frakD_t,
+#
+# which the symbolic and the fixed-point routes both apply.  Where the
+# bare audit passes, U is the identity.
 # ---------------------------------------------------------------------------
 
 
-def _op_bare(K: HyperSeries, p: tuple[int, int]) -> dict:
-    return {key: K.num_parts[key].mul_trunc(frakD_weight(p, key), K.xtrunc) for key in K.num_parts}
-
-
-def _op_hpow(nums: dict, m: int, xtrunc) -> dict:
-    h = _x("h") ** m
-    return {key: v.mul_trunc(h, xtrunc) for key, v in nums.items()}
-
-
-def _op_combine(nums_a: dict, nums_b: dict, coeff) -> dict:
-    out = dict(nums_a)
-    for key, v in nums_b.items():
-        w = v * coeff
-        out[key] = out.get(key, SparsePoly.zero(V3)) + w
-    return out
-
-
-def _op_scalar_mul(u: QSeries, nums: dict, K: HyperSeries) -> dict:
-    """Multiply by a scalar series in (q1, q2), rescaling to the common
-    ladder denominators with cofactors."""
-    c1, c2 = K.den_chains
-    out: dict = {}
-    for (u1, u2), uc in u.coeffs.items():
-        for (e1, e2), v in nums.items():
-            d1, d2 = e1 + u1, e2 + u2
-            if d1 + d2 > K.D:
-                continue
-            cof = c1.cofactor(e1, d1) * c2.cofactor(e2, d2)
-            term = v.mul_trunc(cof, K.xtrunc) * uc
-            key = (d1, d2)
-            out[key] = out.get(key, SparsePoly.zero(V3)) + term
-    return out
-
-
-def _op_table_entry(nums: dict, K: HyperSeries, level: int, r: tuple[int, int]) -> QSeries:
-    """The scalar series multiplying x^r h^{level - |r|} in the expansion."""
-    c1, c2 = K.den_chains
-    e0 = level - r[0] - r[1]
-    out = {}
-    for (d1, d2), num in nums.items():
-        if num.is_zero():
-            continue
-        v = x_coefficient(num, c1.products[d1] * c2.products[d2], r)
-        if v is None:
-            continue
-        le = laurent_expand_hbar(v, max(2, 2 - e0))
-        c = le.coeffs.get(e0, Fraction(0))
-        if not isinstance(c, Fraction):
-            c = c.const_value()
-        if c:
-            out[(d1, d2)] = c
-    return QSeries(2, K.D, out)
+def _add_rows(acc: dict, row: dict, c) -> None:
+    """acc += c * row for rows {t: scalar series} over the bare operators."""
+    for t, u in row.items():
+        acc[t] = acc[t] + c * u if t in acc else c * u
 
 
 def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
-    """Numerator tables of the normalized operators applied to K, indexed
-    by the operator exponent p with |p| <= pmax."""
+    """The normalized operators for K as the matrix U over the bare ones:
+    p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero entries omitted."""
     D = K.D
+    c1, c2 = K.den_chains
+    dens = {key: c1.products[key[0]] * c2.products[key[1]] for key in K.num_parts}
+
+    @functools.cache
+    def bare(t) -> dict:
+        return {key: num.decompose_x() for key, num in _op_bare(K, t).items()}
+
+    @functools.cache
+    def table(t, r) -> QSeries:
+        # the scalar series multiplying x^r h^{|t|-|r|} in frakD_t K; it is
+        # also the (level, r) entry of h^{level-|t|} frakD_t at every level
+        e0 = t[0] + t[1] - r[0] - r[1]
+        out = {}
+        for key, parts in bare(t).items():
+            v = x_coefficient(parts, dens[key], r)
+            if v is not None:
+                out[key] = _scalar_coeff(laurent_expand_hbar(v, max(2, 2 - e0)), e0)
+        return QSeries(2, D, out)
+
+    def entry(row: dict, r) -> QSeries:
+        acc = QSeries(2, D)
+        for t, u in row.items():
+            acc = acc + u * table(t, r)
+        return acc
+
     fam: dict = {}
     for L in range(pmax + 1):
         ps = [(p1, L - p1) for p1 in range(L + 1)]
         work = {}
         for p in ps:
-            G = _op_bare(K, p)
+            G = {p: QSeries.one(2, D)}
             # kill diagonal-slot entries below this level
             for Lr in range(L):
                 for r in [(r1, Lr - r1) for r1 in range(Lr + 1)]:
-                    c = _op_table_entry(G, K, L, r)
+                    c = entry(G, r)
                     if c.coeffs:
-                        corr = _op_scalar_mul(c, _op_hpow(fam[r], L - Lr, K.xtrunc), K)
-                        G = _op_combine(G, corr, Fraction(-1))
+                        _add_rows(G, fam[r], -c)
             work[p] = G
         # recombine through the inverse of the level's diagonal block
-        block = [[_op_table_entry(work[pc], K, L, pr) for pc in ps] for pr in ps]
-        size = len(ps)
-        for idx in range(size):
+        block = [[entry(work[pc], pr) for pc in ps] for pr in ps]
+        for idx in range(len(ps)):
             if block[idx][idx].get((0, 0)) != 1:
                 raise ArithmeticError("operator block lost its unit constant term")
         binv = neumann_inverse(block, D, arity=2)
         for icol, p in enumerate(ps):
             acc: dict = {}
             for irow, r in enumerate(ps):
-                acc = _op_combine(acc, _op_scalar_mul(binv[irow][icol], work[r], K), Fraction(1))
-            fam[p] = acc
+                _add_rows(acc, work[r], binv[irow][icol])
+            fam[p] = {t: u for t, u in acc.items() if u.coeffs}
     return fam
+
+
+def _schur_row(lam, fam: dict) -> dict:
+    """Row over the bare operators of gamma_lam in the normalized ones."""
+    row: dict = {}
+    for e, c in schur_poly(lam).terms.items():
+        _add_rows(row, fam[e], c)
+    return row
+
+
+def _row_weights(row: dict, level: int, D: int, x1, x2, h):
+    """Yield (e, d, w) for every step q^e -> q^d of the operator
+    sum_t row[t] h^{level-|t|} frakD_t with a nonzero weight
+
+        w = sum_t row[t][d - e] (x1 + e1 h)^t1 (x2 + e2 h)^t2 h^{level-|t|},
+
+    computed in the type of x1, x2 and h."""
+    for e in [(e1, tot - e1) for tot in range(D + 1) for e1 in range(tot + 1)]:
+        shifted = {
+            t: (x1 + h * e[0]) ** t[0] * (x2 + h * e[1]) ** t[1] * h ** (level - t[0] - t[1])
+            for t in row
+        }
+        for d in [(d1, d2) for d1 in range(e[0], D + 1) for d2 in range(e[1], D + 1 - d1)]:
+            w = None
+            for t, u in row.items():
+                c = u.get((d[0] - e[0], d[1] - e[1]))
+                if c:
+                    w = shifted[t] * c if w is None else w + shifted[t] * c
+            if w is not None:
+                yield e, d, w
 
 
 def build_barD_normalized(lam, K: HyperSeries, fam: dict) -> HyperSeries:
     """Bar transform of the Schur combination of normalized operators."""
+    c1, c2 = K.den_chains
     combo: dict = {}
-    for (e1, e2), c in schur_poly(lam).terms.items():
-        combo = _op_combine(combo, fam[(e1, e2)], c)
+    steps = _row_weights(_schur_row(lam, fam), lam[0] + lam[1], K.D, _x("x1"), _x("x2"), _x("h"))
+    for e, d, w in steps:
+        cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
+        term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
+        combo[d] = combo[d] + term if d in combo else term
     F = HyperSeries(
         kind=f"gammaN{lam}_{K.kind}", n=K.n, spec=K.spec,
         payload=QSeries(2, K.D, {}), xtrunc=K.xtrunc,
         den_chains=K.den_chains, num_parts=combo,
     )
     return bar_assemble(F, out_kind=f"barD{lam}_{K.kind}")
-
-
-def schur_shifted_eval(lam, xi, xj, d: tuple[int, int]) -> HRat:
-    """The same shift with (x1, x2) evaluated; univariate in h."""
-    u = HRat.poly((xi, d[0]))
-    v = HRat.poly((xj, d[1]))
-    a, b = lam
-    hsum = HRat.poly(())
-    for i in range(a - b + 1):
-        hsum = hsum + u**i * v ** (a - b - i)
-    return (u * v) ** b * hsum
-
-
-def build_barD(lam, K: HyperSeries) -> HyperSeries:
-    """Bar transform of the gamma-shifted series with the bare shift
-    operators: the reference the normalized family is tested against."""
-    return bar_assemble(K, weight=lambda d1, d2: schur_shifted(lam, (d1, d2)),
-                        out_kind=f"barD{lam}_{K.kind}")
 
 
 def class_extract(f: RatFunc, n: int, kmax: int, depth: int) -> dict:
@@ -314,6 +295,7 @@ class GammaPipeline:
     alphas: tuple | None
     D: int
     K: HyperSeries = None
+    family: dict = field(default_factory=dict)  # p -> {t: U[p][t]}, see frakD_family_normalized
     barD: dict = field(default_factory=dict)  # lam -> HyperSeries (1q)
     J: dict = field(default_factory=dict)  # k -> matrix (rows/cols over degree-k basis)
     Jinv: dict = field(default_factory=dict)
@@ -351,9 +333,9 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     kmax = pipe.kmax
     pipe.K = build_K(kind, n, a, alphas, D, xtrunc=kmax + 1)
     parts = box_partitions(n)
-    fam = frakD_family_normalized(pipe.K, kmax)
+    pipe.family = frakD_family_normalized(pipe.K, kmax)
     for lam in parts:
-        pipe.barD[lam] = build_barD_normalized(lam, pipe.K, fam)
+        pipe.barD[lam] = build_barD_normalized(lam, pipe.K, pipe.family)
     # degree-k endomorphism matrices and Neumann inverses
     barD_classes = {
         lam: {
@@ -556,25 +538,22 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
     """Every basis-weighted series evaluated at the fixed point (i, j):
     partition -> QSeries with values rational in h.
 
-    The series are weighted with the bare shift operators, not the
-    normalized family that `pipe.ygamma` uses.  Where the two families
-    differ (e.g. (n, a) = (3, (1,1,1)) or (3, (3,))), the result differs
-    from `pipe.ygamma` evaluated at x = (alpha_i, alpha_j) at q^1 and q^2
-    for every partition, so checks on it do not check `pipe.ygamma` there.
+    The operator weights are exact at the point: the bare operator t acts
+    on the q^(d1,d2) coefficient as (alpha_i + d1 h)^t1 (alpha_j + d2 h)^t2,
+    and `pipe.family` combines the bare operators as in `pipe.ygamma`.
     """
     if pipe.alphas is None:
         raise ValueError("fixed-point evaluation needs concrete weights")
-    al = pipe.alphas
-    K = k_series_evaluated(pipe.kind, pipe.n, pipe.a, al, i, j, pipe.D)
-    diff = al[i - 1] - al[j - 1]
-    barD = {
-        lam: bar_evaluated(
-            K, diff,
-            weight=lambda d1, d2, lam=lam: schur_shifted_eval(lam, al[i - 1], al[j - 1], (d1, d2)),
-        )
-        for lam in box_partitions(pipe.n)
-    }
-    h = HRat.poly((0, 1))
+    xi, xj = pipe.alphas[i - 1], pipe.alphas[j - 1]
+    K = k_series_evaluated(pipe.kind, pipe.n, pipe.a, pipe.alphas, i, j, pipe.D)
+    x1, x2, h = HRat.poly((xi,)), HRat.poly((xj,)), HRat.poly((0, 1))
+    barD = {}
+    for lam in box_partitions(pipe.n):
+        combo: dict = {}
+        for e, d, w in _row_weights(_schur_row(lam, pipe.family), lam[0] + lam[1], pipe.D, x1, x2, h):
+            term = K.get(e) * w
+            combo[d] = combo[d] + term if d in combo else term
+        barD[lam] = bar_evaluated(QSeries(2, pipe.D, combo), xi - xj)
     calD, out = {}, {}
     for k in range(pipe.kmax + 1):  # degree k assembles from calD of degree <= k
         basis_k = partitions_of_degree(pipe.n, k)

@@ -253,11 +253,14 @@ def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFu
     return out
 
 
-def x_coefficient(num: SparsePoly, den: SparsePoly, r: tuple[int, int]) -> RatFunc | None:
+def x_coefficient(num_parts: Mapping, den: SparsePoly, r: tuple[int, int]) -> RatFunc | None:
     """The x^r entry of ``x_coefficients(RatFunc(num, den), |r|)``, or None
-    when it is zero, computed without expanding the other monomials."""
+    when it is zero, computed without expanding the other monomials.
+
+    `num_parts` is ``num.decompose_x()``, so that a caller reading several
+    entries of one numerator splits it once."""
     N, gM1 = _x_inverse(den, r[0] + r[1])
-    s = _x_convolve(num.decompose_x(), N, r)
+    s = _x_convolve(num_parts, N, r)
     return None if s is None else RatFunc(s, gM1)
 
 

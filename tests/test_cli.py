@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qgr.cli import run
+from qgr.series import QSeries
 
 
 def run_json(capsys, argv):
@@ -202,6 +203,26 @@ def test_structure_residual_names_failing_entry(capsys, monkeypatch):
     for kind in ("dot", "ddot"):
         rec = by_check[f"structure-residual-{kind}"]
         assert rec["pass"] is False and rec["failures"] == [{"k": 2, "i": 0}]
+
+
+def test_structure_t0_delta_names_failing_entry(capsys, monkeypatch):
+    import qgr.operators
+
+    solve = qgr.operators._solve_structure
+
+    def t0_entry_zero_at_2_0(pipe, k, iidx):
+        table = solve(pipe, k, iidx)
+        if (k, iidx) == (2, 0):
+            table[(0, (2, 0))] = QSeries(1, pipe.D)
+        return table
+
+    monkeypatch.setattr(qgr.operators, "_solve_structure", t0_entry_zero_at_2_0)
+    code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
+    assert code == 1
+    by_check = {r["check"]: r for r in doc["payload"]}
+    for kind in ("dot", "ddot"):
+        rec = by_check[f"structure-t0-delta-{kind}"]
+        assert rec["pass"] is False and rec["failures"] == [{"k": 2, "i": 0, "s": 2, "j": 0}]
 
 
 def test_internal_fault_exit_3(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,10 @@ from qgr.cohomology import (
 from qgr.hyper import AMatrixSpec, CISpec, bar_assemble, build_A, build_K
 from qgr.operators import (
     _apply_inverse,
-    apply_frakD,
+    _op_bare,
     assemble_Y_gamma,
     assemble_double_J,
     audit_frakD_normalizations,
-    build_barD,
     build_barD_normalized,
     build_pipeline,
     equivariant_orthogonality_check,
@@ -36,15 +36,25 @@ x2 = SparsePoly.variable(V3, "x2")
 h = SparsePoly.variable(V3, "h")
 
 
+def build_barD(lam, K):
+    """Reference: the bar transform of the Schur polynomial in the bare
+    shift operators, gamma(x1 + d1 h, x2 + d2 h) on the q^(d1,d2) term."""
+    nums = {
+        d: v.mul_trunc(schur_poly(lam).substitute({"x1": x1 + h * d[0], "x2": x2 + h * d[1]}), K.xtrunc)
+        for d, v in K.num_parts.items()
+    }
+    return bar_assemble(dataclasses.replace(K, num_parts=nums))
+
+
 def test_frakD_eigen_action():
     # (x1 + h q1 d/dq1) on a monomial q1^d1 c is (x1 + d1 h) q1^d1 c
     assert frakD_weight((1, 0), (3, 5)) == x1 + 3 * h
     assert frakD_weight((2, 1), (1, 2)) == (x1 + h) ** 2 * (x2 + 2 * h)
     spec = AMatrixSpec(n=3)
     A = build_A("dot", spec, 1)
-    DA = apply_frakD(A, (1, 0))
-    assert DA.coeff((0, 0)) == RatFunc(x1)
-    assert DA.coeff((1, 0)) == A.coeff((1, 0)) * RatFunc(x1 + h)
+    nums = _op_bare(A, (1, 0))
+    assert nums[(0, 0)] == x1
+    assert nums[(1, 0)] == A.num_parts[(1, 0)] * (x1 + h)
 
 
 def test_frakD_normalization_audit_passes_in_range():
@@ -65,6 +75,14 @@ def test_frakD_normalization_audit_fails_out_of_range():
 
 
 def test_barD_normalized_against_bare():
+    # the family is the identity matrix over the bare operators exactly
+    # where every weight row fits in n
+    for n, a, trivial in [(3, (), True), (3, (1,), True), (4, (2,), True),
+                          (3, (1, 1, 1), False), (3, (3,), False)]:
+        K = build_K("dot", n, CISpec(a), default_generic_alpha(n), 2, xtrunc=2 * (n - 2) + 1)
+        fam = frakD_family_normalized(K, 2 * (n - 2))
+        identity = {p: {p: QSeries.one(2, 2)} for p in fam}
+        assert (fam == identity) is trivial, (n, a)
     # weight rows that fit in n: the normalized family is the bare one
     for a in ((), (1,)):
         pipe = build_pipeline("dot", 3, CISpec(a), None, 2)
@@ -175,30 +193,32 @@ def test_equivariant_double_series_two_seeds():
 def test_y_gamma_evaluated_matches_trivariate():
     # the evaluated route equals J^-1 and the structure corrections applied
     # to the normalized family on the untruncated ladder series, substituted
-    # at x = (alpha_1, alpha_2)
-    n, a, D = 3, CISpec((2,)), 2
+    # at x = (alpha_1, alpha_2); on (1,1,1) and (3,) the family is not the
+    # bare one
+    n, D = 3, 2
     al = default_generic_alpha(n)
-    pipe = build_pipeline("dot", n, a, al, D)
-    K = build_K("dot", n, a, al, D)
-    fam = frakD_family_normalized(K, pipe.kmax)
     pt = {"x1": al[0], "x2": al[1]}
-    bar = {
-        lam: build_barD_normalized(lam, K, fam).payload.map_values(lambda v: v.substitute(pt))
-        for lam in box_partitions(n)
-    }
-    calD = {}
-    for k in range(pipe.kmax + 1):
-        for i, ser in enumerate(_apply_inverse(pipe.Jinv[k], bar, partitions_of_degree(n, k))):
-            calD[(k, i)] = ser
-    ev = y_gamma_evaluated(pipe, 1, 2)
-    assert set(ev) == set(box_partitions(n))
-    for k in range(pipe.kmax + 1):
-        for j, lam in enumerate(partitions_of_degree(n, k)):
-            want = assemble_Y_gamma(pipe, calD, k, j, h)
-            for d in range(D + 1):
-                assert ev[lam].get((d,)) == want.get((d,)), (lam, d)
-            # q0 evaluates to the restricted class
-            assert ev[lam].get((0,)) == schur_poly(lam).eval_all(pt)
+    for a in (CISpec((2,)), CISpec((1, 1, 1)), CISpec((3,))):
+        pipe = build_pipeline("dot", n, a, al, D)
+        K = build_K("dot", n, a, al, D)
+        fam = frakD_family_normalized(K, pipe.kmax)
+        bar = {
+            lam: build_barD_normalized(lam, K, fam).payload.map_values(lambda v: v.substitute(pt))
+            for lam in box_partitions(n)
+        }
+        calD = {}
+        for k in range(pipe.kmax + 1):
+            for i, ser in enumerate(_apply_inverse(pipe.Jinv[k], bar, partitions_of_degree(n, k))):
+                calD[(k, i)] = ser
+        ev = y_gamma_evaluated(pipe, 1, 2)
+        assert set(ev) == set(box_partitions(n))
+        for k in range(pipe.kmax + 1):
+            for j, lam in enumerate(partitions_of_degree(n, k)):
+                want = assemble_Y_gamma(pipe, calD, k, j, h)
+                for d in range(D + 1):
+                    assert ev[lam].get((d,)) == want.get((d,)), (a, lam, d)
+                # q0 evaluates to the restricted class
+                assert ev[lam].get((0,)) == schur_poly(lam).eval_all(pt)
 
 
 def test_named_pipeline_accessors():

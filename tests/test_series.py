@@ -96,7 +96,7 @@ def test_expand_x_invalid_point():
         with pytest.raises(ValueError):
             x_coefficients(f, 1)
         with pytest.raises(ValueError):
-            x_coefficient(one, x1 * h, (1, 0))
+            x_coefficient(one.decompose_x(), x1 * h, (1, 0))
 
 
 def _naive_x_expansion(f: RatFunc, max_x):
@@ -187,7 +187,7 @@ def test_shared_x_inverse_against_naive_oracle():
                 for e2 in range(M + 1 - e1):
                     assert xc.get((e1, e2), zero) == oracle.get((e1, e2), zero), (i, M, (e1, e2))
         for r in [(r1, tot - r1) for tot in range(4) for r1 in range(tot + 1)]:
-            got = x_coefficient(num, den, r)
+            got = x_coefficient(num.decompose_x(), den, r)
             want = x_coefficients(f, r[0] + r[1]).get(r)
             if want is None:
                 nones += 1

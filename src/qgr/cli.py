@@ -170,19 +170,19 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
     code = 0
     if kind in ("dot-closed", "ddot-closed"):
         Y = build_Y_closed(kind.split("-")[0], n, a, D)
-        payload = _series_entries(Y.payload)
+        payload = _series_entries(Y.series())
     elif kind in ("dot-bar", "ddot-bar"):
         al = cfg.resolve_alpha()
         Y = bar_assemble(build_K(kind.split("-")[0], n, a, al, D))
-        payload = _series_entries(Y.payload)
+        payload = _series_entries(Y.series())
     elif kind in ("dot-dual", "ddot-dual"):
         base = kind.split("-")[0]
-        Ybar = bar_assemble(build_K(base, n, a, None, D))
-        Yclosed = build_Y_closed(base, n, a, D)
-        equal = all(Ybar.coeff((d,)) == Yclosed.coeff((d,)) for d in range(D + 1))
+        Ybar = bar_assemble(build_K(base, n, a, None, D)).series()
+        Yclosed = build_Y_closed(base, n, a, D).series()
+        equal = all(Ybar.get((d,)) == Yclosed.get((d,)) for d in range(D + 1))
         payload = {
-            "closed": _series_entries(Yclosed.payload),
-            "bar": _series_entries(Ybar.payload),
+            "closed": _series_entries(Yclosed),
+            "bar": _series_entries(Ybar),
         }
         if not equal:
             code = 1
@@ -194,7 +194,7 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
         base = "dot" if kind.startswith("z-") else "ddot"
         Y = build_Y_closed(base, n, a, D)
         I = normalization_I(base, n, a, D)
-        Z = Y.payload * I.inverse_unit().map_values(lambda v: RatFunc.from_scalar(v, ("x1", "x2", "h")))
+        Z = Y.series() * I.inverse_unit().map_values(lambda v: RatFunc.from_scalar(v, ("x1", "x2", "h")))
         payload = _series_entries(Z)
     elif kind in ("y-gamma", "ydd-gamma"):
         if cfg.k is None or cfg.j is None:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .rings import RatFunc, SparsePoly, order_vars
+from .series import _vzero
 
 XV = ("x1", "x2")
 
@@ -184,12 +185,6 @@ class CohClass:
         for lam, c in self.coeffs.items():
             out = out + schur_poly(lam) * c
         return out
-
-
-def _vzero(v) -> bool:
-    if isinstance(v, Fraction):
-        return v == 0
-    return v.is_zero()
 
 
 def schur_expand(p: SparsePoly) -> dict[Partition, Fraction]:

@@ -4,14 +4,15 @@ the bar transform to one q variable, the closed-form series of the
 introduction, the scalar normalization series, and the recursion
 coefficient tables.
 
-Every q-coefficient is assembled as a single normalized fraction over the
-explicit product denominator; pairs of summands are combined before any
-division by (x1 - x2), so coefficients are genuine rational functions
-regular on x1 = x2.
+A ladder series keeps one numerator per q-key over the product of its two
+ladder denominator chains; the RatFunc coefficient is formed when it is
+read.  Pairs of summands are combined before any division by (x1 - x2),
+so coefficients are genuine rational functions regular on x1 = x2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -58,9 +59,6 @@ class AMatrixSpec:
     rows: tuple[tuple[int, int], ...] = ()
     alpha1: tuple[Fraction, ...] | None = None  # None = all zero
     alpha2: tuple[Fraction, ...] | None = None
-
-    def weight_sum(self) -> int:
-        return sum(a1 + a2 for (a1, a2) in self.rows)
 
     def alpha(self, slot: int) -> tuple[Fraction, ...]:
         al = self.alpha1 if slot == 1 else self.alpha2
@@ -134,25 +132,40 @@ def amatrix_numerator(kind: str, rows, d1: int, d2: int, xtrunc: int | None = No
 
 @dataclass
 class HyperSeries:
-    """A tagged generating function with its construction parameters."""
+    """A ladder series in one or two q variables: q-key -> numerator over
+    the ladder products of its denominator chains.  A one-q key (d,) sits
+    over B[d] of both chains, a two-q key (d1, d2) over B[d1] B[d2]."""
 
-    kind: str  # e.g. "A_dot", "K_ddot", "Y_dot", "Yclosed_ddot"
     n: int
-    spec: object  # CISpec or AMatrixSpec
-    payload: QSeries
+    D: int
     den_chains: tuple[DenChain, DenChain]
-    num_parts: dict  # q-key -> numerator over the den_chains products
+    num_parts: dict
     xtrunc: int | None = None
 
     @property
-    def D(self) -> int:
-        return self.payload.trunc_q
+    def q_arity(self) -> int:
+        return len(next(iter(self.num_parts)))
+
+    @functools.cached_property
+    def dens(self) -> dict:
+        """q-key -> its denominator, formed once per series at the chains'
+        x-truncation (a bar transform keeps one order less than that)."""
+        c1, c2 = self.den_chains
+        return {
+            key: c1.products[key[0]].mul_trunc(c2.products[key[-1]], c1.xtrunc)
+            for key in self.num_parts
+        }
 
     def coeff(self, key) -> RatFunc:
-        v = self.payload.get(tuple(key))
-        if isinstance(v, Fraction):
-            return RatFunc.from_scalar(v, V3)
-        return v
+        key = tuple(key)
+        return RatFunc(self.num_parts[key], self.dens[key])
+
+    def series(self) -> QSeries:
+        """The coefficients as a QSeries of RatFunc, zero numerators dropped."""
+        dens = self.dens
+        return QSeries(self.q_arity, self.D, {
+            key: RatFunc(num, dens[key]) for key, num in self.num_parts.items() if not num.is_zero()
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +178,11 @@ def build_A(kind: str, spec: AMatrixSpec, D: int, xtrunc: int | None = None) -> 
     the weight-row numerator product over the slot-wise ladder denominators."""
     c1 = DenChain.build(spec.n, spec.alpha1, "x1", D, xtrunc)
     c2 = DenChain.build(spec.n, spec.alpha2, "x2", D, xtrunc)
-    coeffs = {}
-    nums = {}
-    for d in range(D + 1):
-        for d1 in range(d + 1):
-            d2 = d - d1
-            num = amatrix_numerator(kind, spec.rows, d1, d2, xtrunc)
-            nums[(d1, d2)] = num
-            coeffs[(d1, d2)] = RatFunc(num, c1.products[d1].mul_trunc(c2.products[d2], xtrunc))
-    return HyperSeries(
-        kind=f"A_{kind}", n=spec.n, spec=spec,
-        payload=QSeries(2, D, coeffs), xtrunc=xtrunc,
-        den_chains=(c1, c2), num_parts=nums,
-    )
+    nums = {
+        (d1, d - d1): amatrix_numerator(kind, spec.rows, d1, d - d1, xtrunc)
+        for d in range(D + 1) for d1 in range(d + 1)
+    }
+    return HyperSeries(n=spec.n, D=D, den_chains=(c1, c2), num_parts=nums, xtrunc=xtrunc)
 
 
 def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = None) -> HyperSeries:
@@ -189,25 +194,21 @@ def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = N
         alpha1=tuple(alphas) if alphas is not None else None,
         alpha2=tuple(alphas) if alphas is not None else None,
     )
-    hs = build_A(kind, spec, D, xtrunc)
-    hs.kind = f"K_{kind}"
-    hs.spec = a
-    return hs
+    return build_A(kind, spec, D, xtrunc)
 
 
-def bar_assemble(F: HyperSeries, out_kind: str | None = None) -> HyperSeries:
+def bar_assemble(F: HyperSeries) -> HyperSeries:
     """q1 = q2 = -q substitution plus the antisymmetrized derivative term.
 
     The summed derivative numerator must be exactly divisible by
     (x1 - x2); failure signals an asymmetric input.
     """
-    if F.payload.q_arity != 2:
+    if F.q_arity != 2:
         raise ValueError("bar transform needs a two-variable series")
     D = F.D
     x1mx2 = _xvar("x1") - _xvar("x2")
     h = _xvar("h")
     c1, c2 = F.den_chains
-    coeffs = {}
     nums = {}
     for d in range(D + 1):
         N0 = SparsePoly.zero(V3)
@@ -229,15 +230,11 @@ def bar_assemble(F: HyperSeries, out_kind: str | None = None) -> HyperSeries:
             if Q is None:
                 raise ValueError("derivative numerator not divisible by x1 - x2 (asymmetric input)")
         sign = -1 if d % 2 else 1
-        num_d = (N0 + h.mul_trunc(Q, F.xtrunc)) * sign
-        nums[(d,)] = num_d
-        coeffs[(d,)] = RatFunc(num_d, c1.products[d].mul_trunc(c2.products[d], F.xtrunc))
-    kind = out_kind or ("Y_" + F.kind.split("_", 1)[1])
+        nums[(d,)] = (N0 + h.mul_trunc(Q, F.xtrunc)) * sign
     # dividing by x1 - x2 costs one order of x-precision
     return HyperSeries(
-        kind=kind, n=F.n, spec=F.spec,
-        payload=QSeries(1, D, coeffs), xtrunc=None if F.xtrunc is None else F.xtrunc - 1,
-        den_chains=F.den_chains, num_parts=nums,
+        n=F.n, D=D, den_chains=F.den_chains, num_parts=nums,
+        xtrunc=None if F.xtrunc is None else F.xtrunc - 1,
     )
 
 
@@ -252,7 +249,6 @@ def build_Y_closed(kind: str, n: int, a: CISpec, D: int, xtrunc: int | None = No
     chain2 = DenChain.build(n, None, "x2", D, xtrunc)
     x1mx2 = _xvar("x1") - _xvar("x2")
     h = _xvar("h")
-    coeffs = {}
     nums = {}
     for d in range(D + 1):
         A_d = amatrix_numerator(kind, tuple((ak, ak) for ak in a.a), d, 0, xtrunc)
@@ -271,14 +267,8 @@ def build_Y_closed(kind: str, n: int, a: CISpec, D: int, xtrunc: int | None = No
                 raise ArithmeticError("paired summand not divisible by x1 - x2")
             total = total + q
         sign = -1 if d % 2 else 1
-        num_d = A_d.mul_trunc(total, xtrunc) * sign
-        nums[(d,)] = num_d
-        coeffs[(d,)] = RatFunc(num_d, chain1.products[d].mul_trunc(chain2.products[d], xtrunc))
-    return HyperSeries(
-        kind=f"Yclosed_{kind}", n=n, spec=a,
-        payload=QSeries(1, D, coeffs), xtrunc=xtrunc,
-        den_chains=(chain1, chain2), num_parts=nums,
-    )
+        nums[(d,)] = A_d.mul_trunc(total, xtrunc) * sign
+    return HyperSeries(n=n, D=D, den_chains=(chain1, chain2), num_parts=nums, xtrunc=xtrunc)
 
 
 def normalization_I(kind: str, n: int, a: CISpec, D: int) -> QSeries:

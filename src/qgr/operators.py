@@ -59,13 +59,11 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
     rmax = ptot
     depth = F.n * F.D + ptot + 2
     offenders = []
-    c1, c2 = F.den_chains
     nums = _op_bare(F, p)
     for key in sorted(nums, key=lambda k: (sum(k), k)):
-        den = c1.products[key[0]] * c2.products[key[1]]
         parts = nums[key].decompose_x()
         for e in [(e1, e2) for tot in range(rmax + 1) for e1 in range(tot + 1) for e2 in [tot - e1]]:
-            rf = x_coefficient(parts, den, e)
+            rf = x_coefficient(parts, F.dens[key], e)
             le = laurent_expand_hbar(rf, depth) if rf is not None else LaurentExpansion.zero(None)
             etot = e[0] + e[1]
             if sum(key) == 0:
@@ -113,8 +111,7 @@ def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
     """The normalized operators for K as the matrix U over the bare ones:
     p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero entries omitted."""
     D = K.D
-    c1, c2 = K.den_chains
-    dens = {key: c1.products[key[0]] * c2.products[key[1]] for key in K.num_parts}
+    dens = K.dens
 
     @functools.cache
     def bare(t) -> dict:
@@ -204,12 +201,8 @@ def build_barD_normalized(lam, K: HyperSeries, fam: dict) -> HyperSeries:
         cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
         term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
         combo[d] = combo[d] + term if d in combo else term
-    F = HyperSeries(
-        kind=f"gammaN{lam}_{K.kind}", n=K.n, spec=K.spec,
-        payload=QSeries(2, K.D, {}), xtrunc=K.xtrunc,
-        den_chains=K.den_chains, num_parts=combo,
-    )
-    return bar_assemble(F, out_kind=f"barD{lam}_{K.kind}")
+    F = HyperSeries(n=K.n, D=K.D, den_chains=K.den_chains, num_parts=combo, xtrunc=K.xtrunc)
+    return bar_assemble(F)
 
 
 def class_extract(f: RatFunc, n: int, kmax: int, depth: int) -> dict:
@@ -337,9 +330,10 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     for lam in parts:
         pipe.barD[lam] = build_barD_normalized(lam, pipe.K, pipe.family)
     # degree-k endomorphism matrices and Neumann inverses
+    bar_series = {lam: pipe.barD[lam].series() for lam in parts}
     barD_classes = {
         lam: {
-            d: class_extract(pipe.barD[lam].coeff((d,)), n, kmax, pipe.depth)
+            d: class_extract(_as_ratfunc(bar_series[lam].get((d,))), n, kmax, pipe.depth)
             for d in range(D + 1)
         }
         for lam in parts
@@ -373,17 +367,13 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
         if not pipe.J_certified[k]:  # pragma: no cover - Neumann inverse is exact
             raise ArithmeticError(f"inverse certificate failed at degree {k}")
         # normalized operator family
-        bar_series = {lam: pipe.barD[lam].payload for lam in basis_k}
         for iidx, ser in enumerate(_apply_inverse(Minv, bar_series, basis_k)):
             pipe.calD[(k, iidx)] = ser
     # expansion tables
     for (k, iidx), ser in pipe.calD.items():
         table = {}
         for d in range(D + 1):
-            v = ser.get((d,))
-            if isinstance(v, Fraction):
-                v = RatFunc.from_scalar(v, V3)
-            cls = class_extract(v, n, kmax, pipe.depth)
+            cls = class_extract(_as_ratfunc(ser.get((d,))), n, kmax, pipe.depth)
             for (r, jidx), le in cls.items():
                 for s in range(pipe.smax + 1):
                     c = _scalar_coeff(le, k - s)
@@ -421,7 +411,8 @@ def _as_ratfunc(v, vars=V3) -> RatFunc:
 
 def _apply_inverse(Minv, series: dict, basis_k) -> list:
     """J^{-1}(gamma_i) = sum_j Minv[j][i] gamma_j for every basis index i;
-    `series` maps each degree-k partition to its bar-transformed series."""
+    `series` maps each partition, of degree k among others, to its
+    bar-transformed series."""
     out = []
     for iidx in range(len(basis_k)):
         acc = None

@@ -216,17 +216,6 @@ class SparsePoly:
         out = {e: c for e, c in self.terms.items() if sum(e[i] for i in xidx) <= max_xdeg}
         return SparsePoly(self.vars, out, _clean=True)
 
-    def coeff_of(self, name: str, k: int) -> "SparsePoly":
-        """Coefficient of name**k, as a polynomial with that variable removed from use."""
-        i = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = list(e)
-                e2[i] = 0
-                out[tuple(e2)] = c
-        return SparsePoly(self.vars, out, _clean=True)
-
     def decompose_by(self, name: str) -> dict[int, "SparsePoly"]:
         """Split as sum_k name**k * f_k; values keep the ambient variable tuple."""
         i = self.vars.index(name)
@@ -590,9 +579,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_const()
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()

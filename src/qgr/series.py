@@ -5,7 +5,7 @@ rational functions around x = 0.
 A Laurent expansion stores finitely many positive powers of h and
 negative powers down to h^(-depth+1); ``depth=None`` marks an exact
 (untruncated) Laurent polynomial.  Series coefficients are duck-typed:
-Fraction, SparsePoly and RatFunc all work.
+Fraction, SparsePoly, RatFunc and HRat all work.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class LaurentExpansion:
         if self.depth is not None and e < -self.depth + 1:
             raise ValueError(f"exponent {e} below truncation depth {self.depth}")
         return self.coeffs.get(e, _ZERO)
-
-    def mod_negative(self, p: int) -> "LaurentExpansion":
-        """Drop h^-p and higher powers of h^-1, keeping the rest exact."""
-        return LaurentExpansion({e: v for e, v in self.coeffs.items() if e > -p}, None)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -356,8 +352,6 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return self + (-other)
         return self + (-other)
 
     def scale(self, c) -> "QSeries":

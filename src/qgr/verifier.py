@@ -257,7 +257,8 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
     variable's origin and its residues over {alpha points, 0, infinity}
     sum to zero.
 
-    Y1, Y2: HyperSeries in one q with trivariate RatFunc coefficients.
+    Y1, Y2: one-q HyperSeries; each trivariate coefficient is read once
+    per evaluated variable.
     Returns a report dict; "ok" is the conjunction of all checks.
     """
     h = SparsePoly.variable(HV, "h")
@@ -270,12 +271,12 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
         fixed_weight = Fraction(1)
         for ak in alphas:
             fixed_weight *= xi - ak
+        c1s = [Y1.coeff((d,)).substitute({var_fixed: xi}) for d in range(D + 1)]
+        c2s = [Y2.coeff((d,)).substitute({var_fixed: xi, "h": -h}) for d in range(D + 1)]
         for (dz, qd) in [(p, d) for d in range(D + 1) for p in range(Nz + 1)]:
             total = None
             for d1 in range(qd + 1):
-                d2 = qd - d1
-                c1 = Y1.coeff((d1,)).substitute({var_fixed: xi})
-                c2 = Y2.coeff((d2,)).substitute({var_fixed: xi, "h": -h})
+                c1, c2 = c1s[d1], c2s[qd - d1]
                 # z-contributions: e^{(x1+x2)z} and the q -> q e^{hz} shift in Y1
                 for p1 in range(dz + 1):
                     p2 = dz - p1

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from qgr.cli import run
+from qgr.hyper import build_Y_closed
 from qgr.series import QSeries
 
 
@@ -38,6 +40,22 @@ def test_series_y_gamma_q0_payload(capsys):
 def test_series_dual_equal_flag(capsys):
     code, doc = run_json(capsys, ["series", "--kind", "dot-dual", "--n", "3", "--a", "3", "--qdeg", "2"])
     assert code == 0 and doc["equal"] is True
+
+
+def test_series_dual_unequal_is_a_failure(capsys, monkeypatch):
+    # a closed form with one sign-flipped numerator no longer matches the
+    # bar route: the document says so and the exit code is 1
+    import qgr.cli
+
+    def flipped(*args):
+        Y = build_Y_closed(*args)
+        nums = dict(Y.num_parts)
+        nums[(1,)] = -nums[(1,)]
+        return dataclasses.replace(Y, num_parts=nums)
+
+    monkeypatch.setattr(qgr.cli, "build_Y_closed", flipped)
+    code, doc = run_json(capsys, ["series", "--kind", "dot-dual", "--n", "3", "--a", "3", "--qdeg", "2"])
+    assert code == 1 and doc["equal"] is False
 
 
 def test_verify_exit_codes(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from qgr.hyper import (
     y_series_evaluated,
 )
 from qgr.rings import RatFunc, SparsePoly
+from qgr.series import QSeries
 
 V3 = ("x1", "x2", "h")
 x1 = SparsePoly.variable(V3, "x1")
@@ -86,6 +88,60 @@ def test_dual_path_small():
         Yclosed = build_Y_closed(kind, n, a, 2)
         for d in range(3):
             assert Ybar.coeff((d,)) == Yclosed.coeff((d,)), (kind, d)
+
+
+def _eager_series(F, xtrunc) -> QSeries:
+    """Reference: every coefficient formed up front as one fraction, the
+    numerator over c1.products[d1] * c2.products[d2] (d1 = d2 = d for a
+    one-q key), multiplied at the builder's x-truncation."""
+    c1, c2 = F.den_chains
+    coeffs = {}
+    for key, num in F.num_parts.items():
+        d1, d2 = key if len(key) == 2 else key * 2
+        coeffs[key] = RatFunc(num, c1.products[d1].mul_trunc(c2.products[d2], xtrunc))
+    return QSeries(len(key), F.D, coeffs)
+
+
+def _assert_same_coefficients(F, want: QSeries):
+    got = F.series()
+    assert got.q_arity == want.q_arity and got.trunc_q == want.trunc_q
+    assert set(got.coeffs) == set(want.coeffs)
+    for key, v in want.coeffs.items():
+        assert (got.coeffs[key].num, got.coeffs[key].den) == (v.num, v.den), key
+        assert F.coeff(key) == v, key
+
+
+def test_series_matches_eager_fractions():
+    al = default_generic_alpha(3)
+    other = tuple(Fraction(11**m) for m in range(1, 4))
+    for spec in (AMatrixSpec(n=3, rows=((1, 2),), alpha1=al, alpha2=other),
+                 AMatrixSpec(n=3, rows=((1, 1), (2, 0)))):
+        for xtrunc in (None, 3):
+            A = build_A("dot", spec, 2, xtrunc)
+            _assert_same_coefficients(A, _eager_series(A, xtrunc))
+    for kind in ("dot", "ddot"):
+        for alphas in (None, al):
+            for xtrunc in (None, 3):
+                Y = bar_assemble(build_K(kind, 3, CISpec((1,)), alphas, 2, xtrunc))
+                _assert_same_coefficients(Y, _eager_series(Y, xtrunc))
+        for xtrunc in (None, 3):
+            Y = build_Y_closed(kind, 4, CISpec((2,)), 2, xtrunc)
+            _assert_same_coefficients(Y, _eager_series(Y, xtrunc))
+
+
+@pytest.mark.parametrize("n, a", [(3, ()), (3, (1, 1, 1)), (4, (2,))])
+def test_bar_and_closed_routes_are_one_series(n, a):
+    # at alpha = 0 both routes share their denominator chains, so equal
+    # coefficients mean equal numerators
+    for kind in ("dot", "ddot"):
+        Ybar = bar_assemble(build_K(kind, n, CISpec(a), None, 2))
+        Yclosed = build_Y_closed(kind, n, CISpec(a), 2)
+        assert Ybar == Yclosed, kind
+        nums = dict(Yclosed.num_parts)
+        nums[(1,)] = -nums[(1,)]
+        flipped = dataclasses.replace(Yclosed, num_parts=nums)
+        assert Ybar != flipped, kind
+        assert Ybar.coeff((1,)) != flipped.coeff((1,)), kind
 
 
 def test_homogeneity_at_alpha_zero():

@@ -4,9 +4,14 @@ deleted target makes ``Tracer.install`` raise.  This catches that here."""
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -45,3 +50,34 @@ def test_tracer_sizes_evaluated_values():
     Y = y_series_evaluated("dot", 3, CISpec((1,)), default_generic_alpha(3), 1, 2, 2)
     assert tracer._den_h_degree(Y) > 0
     assert tracer._coeff_bits(Y) > 0
+
+
+# Installs the tracer, runs every golden CLI case through qgr.cli.run with
+# stdout discarded, and prints the targets that were never called.
+_CALL_EVERY_TARGET = textwrap.dedent("""
+    import contextlib, importlib.util, io, json, sys
+    root = sys.argv[1]
+    sys.path[:0] = [root + "/src", root + "/perfbench"]
+    import qgr.cli
+    from tracer import Tracer
+
+    spec = importlib.util.spec_from_file_location("golden", root + "/tests/test_cli_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    tracer = Tracer()
+    tracer.install()
+    for argv, _, _ in golden.GOLDEN:
+        with contextlib.redirect_stdout(io.StringIO()):
+            qgr.cli.run(argv)
+    print(json.dumps([n for n, c in zip(tracer.names, tracer.calls) if not c]))
+""")
+
+
+def test_golden_cases_call_every_trace_target():
+    # A target that no workload calls makes the traced benchmark run fail;
+    # the golden cases cover every command, so each target must show up
+    # there.  A subprocess keeps the wrapped functions out of other tests.
+    proc = subprocess.run([sys.executable, "-c", _CALL_EVERY_TARGET, str(ROOT)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

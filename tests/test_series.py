@@ -5,7 +5,6 @@ import pytest
 
 from qgr.rings import RatFunc, SparsePoly
 from qgr.series import (
-    LaurentExpansion,
     QSeries,
     _x_inverse,
     laurent_expand_hbar,
@@ -273,8 +272,3 @@ def test_substitute_q_neg():
     assert w.get((1,)) == 0
     assert w.get((2,)) == 0
 
-
-def test_laurent_mod_negative():
-    le = LaurentExpansion({1: Fraction(2), 0: Fraction(1), -1: Fraction(5), -2: Fraction(7)}, 4)
-    m = le.mod_negative(1)
-    assert m.coeffs == {1: Fraction(2), 0: Fraction(1)}

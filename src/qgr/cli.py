@@ -97,10 +97,10 @@ class RunConfig:
         genericity_check(al, self.qdeg)
         return tuple(al)
 
-    def laurent_depth(self, kmax: int = 0) -> int:
+    def laurent_depth(self) -> int:
         if self.depth is not None:
             return self.depth
-        return self.n * self.qdeg + kmax + 2
+        return self.n * self.qdeg + 2
 
 
 def _parse_a(text: str) -> tuple[int, ...]:

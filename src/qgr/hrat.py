@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .residues import NonSplitDenominatorError, _deflate, _deflate_once
-from .rings import RatFunc, SparsePoly, poly_from_coeffs, univariate_coeffs
+from .residues import _deflate_once
+from .rings import RatFunc, SparsePoly, poly_from_coeffs
 
 _ZERO = Fraction(0)
 
@@ -88,29 +88,11 @@ class HRat:
         return cls(_trim([Fraction(c)]), {Fraction(r): 1})
 
     @classmethod
-    def convert(cls, v, candidates=()) -> "HRat":
-        """A Fraction, int, or SparsePoly / RatFunc in h alone as an HRat.
-
-        A RatFunc denominator is deflated at the candidate roots; a factor
-        left over raises NonSplitDenominatorError.
-        """
+    def convert(cls, v) -> "HRat":
+        """An HRat as itself, a Fraction or int as a constant HRat."""
         if isinstance(v, HRat):
             return v
-        if isinstance(v, (int, Fraction)):
-            return cls.poly((v,))
-        if isinstance(v, SparsePoly):
-            v = RatFunc(v)
-        den = univariate_coeffs(v.den, "h")
-        roots = {}
-        for r in candidates:
-            r = Fraction(r)
-            if r not in roots:
-                den, m = _deflate(den, r)
-                if m:
-                    roots[r] = m
-        if len(den) > 1:
-            raise NonSplitDenominatorError("denominator has roots outside the supplied candidates")
-        return cls(_trim([c / den[0] for c in univariate_coeffs(v.num, "h")]), roots)
+        return cls.poly((v,))
 
     # -- views (read-only SparsePoly over ("h",), as stored) ----------
 

@@ -5,9 +5,13 @@ operator-expansion tables, the triangular solve for the structure
 coefficients, and assembly of the basis-weighted series and the double
 series (with the diagonal-orthogonality consequence).
 
-The degree-k bracket is read as: expand in x about 0 with Laurent-in-h^-1
-coefficients, take the x-total-degree-k part, Schur-reduce it into the
-box basis, then take the h^0 coefficient.
+The class map is: expand in x about 0, Schur-reduce each graded piece into
+the box basis, then Laurent-expand the coefficients in h^-1; the degree-k
+bracket is the h^0 coefficient of its degree-k components.  The map is
+linear, and the normalized operator series and the basis-weighted series
+are Q[[q]]-combinations, with h-power weights, of the bar-transformed
+operator series.  So it runs once per bar series, and every later table
+is the same linear combination of those class tables.
 """
 
 from __future__ import annotations
@@ -205,21 +209,22 @@ def build_barD_normalized(lam, K: HyperSeries, fam: dict) -> HyperSeries:
     return bar_assemble(F)
 
 
-def class_extract(f: RatFunc, n: int, kmax: int, depth: int) -> dict:
-    """x-expand, Schur-reduce each graded piece into the box basis, and
-    Laurent-expand the h-coefficients.  Returns (r, jindex) -> expansion."""
-    xc = x_coefficients(f, kmax)
-    out = {}
-    for r in range(kmax + 1):
-        vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
-        if not vals:
-            continue
-        for lam, v in graded_to_schur(vals, r).items():
-            if lam[0] > n - 2:
+def class_extract(ser: QSeries, n: int, kmax: int, depth: int) -> dict:
+    """The class map on a one-q series: x-expand every coefficient,
+    Schur-reduce each graded piece into the box basis, and Laurent-expand
+    the h-coefficients.  Returns (r, jindex) -> QSeries of expansions."""
+    out: dict = {}
+    for key, f in ser.coeffs.items():
+        xc = x_coefficients(f, kmax)
+        for r in range(kmax + 1):
+            vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
+            if not vals:
                 continue
-            jidx = partitions_of_degree(n, r).index(lam)
-            out[(r, jidx)] = laurent_expand_hbar(v, depth)
-    return out
+            for lam, v in graded_to_schur(vals, r).items():
+                if lam[0] <= n - 2:
+                    jidx = partitions_of_degree(n, r).index(lam)
+                    out.setdefault((r, jidx), {})[key] = laurent_expand_hbar(v, depth)
+    return {rj: QSeries(1, ser.trunc_q, comp) for rj, comp in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,8 @@ def neumann_inverse(M, D: int, arity: int = 1):
 class GammaPipeline:
     """Everything derived from one ladder series: the operator family, the
     degree-k endomorphisms and inverses, the expansion tables, structure
-    coefficients, and the assembled basis-weighted series."""
+    coefficients, and the classes of the assembled basis-weighted series.
+    The series themselves, `calD` and `ygamma`, are formed when read."""
 
     kind: str
     n: int
@@ -293,11 +299,9 @@ class GammaPipeline:
     J: dict = field(default_factory=dict)  # k -> matrix (rows/cols over degree-k basis)
     Jinv: dict = field(default_factory=dict)
     J_certified: dict = field(default_factory=dict)
-    calD: dict = field(default_factory=dict)  # (k, i) -> QSeries of RatFunc
     opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
     structC: dict = field(default_factory=dict)  # (k, i) -> {(t,(s,j)) -> scalar QSeries}
     eqtic_residual_zero: dict = field(default_factory=dict)
-    ygamma: dict = field(default_factory=dict)  # lam -> QSeries of RatFunc
     classes: dict = field(default_factory=dict)  # lam -> {d -> {(r,j) -> Laurent}}
 
     @property
@@ -305,17 +309,35 @@ class GammaPipeline:
         return 2 * (self.n - 2)
 
     @property
-    def smax(self) -> int:
-        return 2 * (self.n - 2)
-
-    @property
     def depth(self) -> int:
         return self.n * self.D + self.kmax + 2
+
+    @functools.cached_property
+    def calD(self) -> dict:
+        """(k, i) -> the normalized operator series, a QSeries of RatFunc."""
+        return _normalized(self, {lam: bar.series() for lam, bar in self.barD.items()})
+
+    @functools.cached_property
+    def ygamma(self) -> dict:
+        """lam -> the basis-weighted series, a QSeries of RatFunc."""
+        return _assembled(self, self.calD, RatFunc(_x("h")))
 
 
 def _scalar_coeff(le: LaurentExpansion, e: int) -> Fraction:
     v = le.coeffs.get(e, Fraction(0))
     return v if isinstance(v, Fraction) else v.const_value()
+
+
+def _h_coeff(ser: QSeries, e: int) -> QSeries:
+    """The scalar series of h^e coefficients of a series of expansions."""
+    return QSeries(1, ser.trunc_q, {key: _scalar_coeff(le, e) for key, le in ser.coeffs.items()})
+
+
+def _basis(n: int, kmax: int):
+    """Yield (k, i, lam) for the i-th box partition lam of degree k."""
+    for k in range(kmax + 1):
+        for i, lam in enumerate(partitions_of_degree(n, k)):
+            yield k, i, lam
 
 
 def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipeline:
@@ -329,36 +351,18 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     pipe.family = frakD_family_normalized(pipe.K, kmax)
     for lam in parts:
         pipe.barD[lam] = build_barD_normalized(lam, pipe.K, pipe.family)
+    # the class map is linear, so it runs once per bar series; kmax extra
+    # orders cover the h^(k-t-s) weights of the assembly
+    bar_cls = {lam: class_extract(pipe.barD[lam].series(), n, kmax, pipe.depth + kmax) for lam in parts}
+    comps = [(r, j) for r, j, _ in _basis(n, kmax)]
+    zero = QSeries(1, D)
     # degree-k endomorphism matrices and Neumann inverses
-    bar_series = {lam: pipe.barD[lam].series() for lam in parts}
-    barD_classes = {
-        lam: {
-            d: class_extract(_as_ratfunc(bar_series[lam].get((d,))), n, kmax, pipe.depth)
-            for d in range(D + 1)
-        }
-        for lam in parts
-    }
     for k in range(kmax + 1):
         basis_k = partitions_of_degree(n, k)
         size = len(basis_k)
-        M = [[QSeries(1, D) for _ in range(size)] for _ in range(size)]
-        for jidx, lam in enumerate(basis_k):
-            for d in range(D + 1):
-                cls = barD_classes[lam][d]
-                for iidx in range(size):
-                    le = cls.get((k, iidx))
-                    if le is None:
-                        continue
-                    c = _scalar_coeff(le, 0)
-                    if c:
-                        M[iidx][jidx] = M[iidx][jidx] + QSeries(1, D, {(d,): c})
-        for iidx in range(size):
-            for jidx in range(size):
-                want = Fraction(1) if iidx == jidx else Fraction(0)
-                if M[iidx][jidx].get((0,)) != want:
-                    raise ArithmeticError(
-                        f"degree-{k} endomorphism q^0 part is not the identity"
-                    )
+        M = [[_h_coeff(bar_cls[lam].get((k, i), zero), 0) for lam in basis_k] for i in range(size)]
+        if any(M[i][j].get((0,)) != (1 if i == j else 0) for i in range(size) for j in range(size)):
+            raise ArithmeticError(f"degree-{k} endomorphism q^0 part is not the identity")
         Minv = neumann_inverse(M, D)
         pipe.J[k] = M
         pipe.Jinv[k] = Minv
@@ -366,21 +370,16 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
         pipe.J_certified[k] = (_mat_mul(M, Minv) == ident) and (_mat_mul(Minv, M) == ident)
         if not pipe.J_certified[k]:  # pragma: no cover - Neumann inverse is exact
             raise ArithmeticError(f"inverse certificate failed at degree {k}")
-        # normalized operator family
-        for iidx, ser in enumerate(_apply_inverse(Minv, bar_series, basis_k)):
-            pipe.calD[(k, iidx)] = ser
+    # classes of the normalized operator series, per component
+    calD_cls = {rj: _normalized(pipe, {lam: bar_cls[lam].get(rj, zero) for lam in parts}) for rj in comps}
     # expansion tables
-    for (k, iidx), ser in pipe.calD.items():
+    for k, iidx, _ in _basis(n, kmax):
         table = {}
-        for d in range(D + 1):
-            cls = class_extract(_as_ratfunc(ser.get((d,))), n, kmax, pipe.depth)
-            for (r, jidx), le in cls.items():
-                for s in range(pipe.smax + 1):
-                    c = _scalar_coeff(le, k - s)
-                    if c:
-                        key = (s, (r, jidx))
-                        table.setdefault(key, QSeries(1, D))
-                        table[key] = table[key] + QSeries(1, D, {(d,): c})
+        for rj in comps:
+            for s in range(kmax + 1):
+                ser_c = _h_coeff(calD_cls[rj][(k, iidx)], k - s)
+                if ser_c.coeffs:
+                    table[(s, rj)] = ser_c
         # the q^0 table is the triple delta
         for (s, (r, jidx)), ser_c in table.items():
             want = Fraction(1) if (jidx == iidx and r == k and s == r) else Fraction(0)
@@ -388,39 +387,36 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
                 raise ArithmeticError(f"expansion table q^0 delta failed at {(k, iidx, s, r, jidx)}")
         pipe.opexp[(k, iidx)] = table
     # structure coefficients and their defining residual
-    for k in range(kmax + 1):
-        basis_k = partitions_of_degree(n, k)
-        for iidx in range(len(basis_k)):
-            pipe.structC[(k, iidx)] = _solve_structure(pipe, k, iidx)
-            pipe.eqtic_residual_zero[(k, iidx)] = _eqtic_residual_is_zero(pipe, k, iidx)
-    # assembled series and their cohomology classes
-    for k in range(kmax + 1):
-        basis_k = partitions_of_degree(n, k)
-        for jidx, lam in enumerate(basis_k):
-            pipe.ygamma[lam] = assemble_Y_gamma(pipe, pipe.calD, k, jidx, RatFunc(_x("h")))
-            pipe.classes[lam] = {
-                d: class_extract(_as_ratfunc(pipe.ygamma[lam].get((d,))), n, kmax, pipe.depth)
-                for d in range(D + 1)
-            }
+    for k, iidx, _ in _basis(n, kmax):
+        pipe.structC[(k, iidx)] = _solve_structure(pipe, k, iidx)
+        pipe.eqtic_residual_zero[(k, iidx)] = _eqtic_residual_is_zero(pipe, k, iidx)
+    # classes of the assembled series, cut back to the pipeline depth
+    y_cls = {rj: _assembled(pipe, cls, LaurentExpansion({1: Fraction(1)}, None)) for rj, cls in calD_cls.items()}
+    for lam in parts:
+        pipe.classes[lam] = {d: {} for d in range(D + 1)}
+        for rj in comps:
+            for (d,), le in y_cls[rj][lam].coeffs.items():
+                pipe.classes[lam][d][rj] = LaurentExpansion(le.coeffs, None if le.depth is None else pipe.depth)
     return pipe
 
 
-def _as_ratfunc(v, vars=V3) -> RatFunc:
-    return v if isinstance(v, RatFunc) else RatFunc.from_scalar(v, vars)
-
-
-def _apply_inverse(Minv, series: dict, basis_k) -> list:
-    """J^{-1}(gamma_i) = sum_j Minv[j][i] gamma_j for every basis index i;
-    `series` maps each partition, of degree k among others, to its
-    bar-transformed series."""
-    out = []
-    for iidx in range(len(basis_k)):
+def _normalized(pipe: GammaPipeline, bar: dict) -> dict:
+    """(k, i) -> J^{-1}(gamma_i) = sum_j Jinv[k][j][i] bar[gamma_j] for every
+    basis class, where `bar` maps each box partition to a series: of
+    RatFunc, of HRat at a fixed point, or of one class component."""
+    out = {}
+    for k, iidx, _ in _basis(pipe.n, pipe.kmax):
         acc = None
-        for jidx, lam in enumerate(basis_k):
-            term = Minv[jidx][iidx] * series[lam]
+        for jidx, lam in enumerate(partitions_of_degree(pipe.n, k)):
+            term = pipe.Jinv[k][jidx][iidx] * bar[lam]
             acc = term if acc is None else acc + term
-        out.append(acc)
+        out[(k, iidx)] = acc
     return out
+
+
+def _assembled(pipe: GammaPipeline, calD: dict, h) -> dict:
+    """lam -> the basis-weighted series of lam, assembled from `calD`."""
+    return {lam: assemble_Y_gamma(pipe, calD, k, jidx, h) for k, jidx, lam in _basis(pipe.n, pipe.kmax)}
 
 
 def _opexp_entry(pipe: GammaPipeline, s: int, jidx: int, m: int, r1: int, j1: int) -> QSeries:
@@ -504,7 +500,8 @@ def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h) -> Q
 
     `calD` maps (k, i) to the normalized operator series and `h` is h as a
     value of their kind: a trivariate RatFunc for `pipe.calD`, an HRat for
-    their evaluations at a fixed point.
+    their evaluations at a fixed point, an exact LaurentExpansion for one
+    component of their classes.
     """
     out = calD[(k, jidx)]
     C = pipe.structC[(k, jidx)]
@@ -545,14 +542,7 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
             term = K.get(e) * w
             combo[d] = combo[d] + term if d in combo else term
         barD[lam] = bar_evaluated(QSeries(2, pipe.D, combo), xi - xj)
-    calD, out = {}, {}
-    for k in range(pipe.kmax + 1):  # degree k assembles from calD of degree <= k
-        basis_k = partitions_of_degree(pipe.n, k)
-        for iidx, ser in enumerate(_apply_inverse(pipe.Jinv[k], barD, basis_k)):
-            calD[(k, iidx)] = ser
-        for jidx, lam in enumerate(basis_k):
-            out[lam] = assemble_Y_gamma(pipe, calD, k, jidx, h)
-    return out
+    return _assembled(pipe, _normalized(pipe, barD), h)
 
 
 # ---------------------------------------------------------------------------

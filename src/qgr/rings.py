@@ -309,27 +309,13 @@ class SparsePoly:
             out[tuple(e2)] = out.get(tuple(e2), _ZERO) + c
         return SparsePoly(newvars, out)
 
-    def permute_vars(self, mapping: Mapping[str, str]) -> "SparsePoly":
-        """Rename variables (e.g. swap x1 and x2) within the same space."""
-        names = [mapping.get(v, v) for v in self.vars]
-        if order_vars(names) != self.vars:
-            # general rename into a new space
-            target = order_vars(names)
-            out = {}
-            for e, c in self.terms.items():
-                e2 = [0] * len(target)
-                for i, p in enumerate(e):
-                    if p:
-                        e2[target.index(names[i])] += p
-                key = tuple(e2)
-                out[key] = out.get(key, _ZERO) + c
-            return SparsePoly(target, out)
-        perm = [names.index(v) for v in self.vars]
-        out = {tuple(e[perm[i]] for i in range(len(e))): c for e, c in self.terms.items()}
-        return SparsePoly(self.vars, out, _clean=True)
-
     def swap_x(self) -> "SparsePoly":
-        return self.permute_vars({"x1": "x2", "x2": "x1"})
+        """Exchange x1 and x2, which rank first in any space holding them."""
+        if self.vars[:2] != _XNAMES:
+            if set(_XNAMES) & set(self.vars):
+                raise ValueError("swap_x needs both x1 and x2 in the variable space")
+            return self
+        return SparsePoly(self.vars, {(e[1], e[0]) + e[2:]: c for e, c in self.terms.items()}, _clean=True)
 
     def is_symmetric_x(self) -> bool:
         return self == self.swap_x()

@@ -114,6 +114,12 @@ class LaurentExpansion:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "LaurentExpansion":
+        out = LaurentExpansion.scalar(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
     def eq_mod_common_depth(self, other: "LaurentExpansion") -> bool:
         d = self._join_depth(other)
         lo = -d + 1 if d is not None else None

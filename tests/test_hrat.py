@@ -19,7 +19,6 @@ from qgr.hyper import (
     build_K,
     y_series_evaluated,
 )
-from qgr.residues import NonSplitDenominatorError
 from qgr.rings import RatFunc, SparsePoly
 from qgr.verifier import build_phi, pair_weight
 
@@ -82,21 +81,6 @@ def test_views_for_the_tracer():
     assert v.num.vars == ("h",) and v.den.vars == ("h",)
     assert v.num == 2 * h * h + _c(3)
     assert v.den == h * h * (h - _c(Fraction(1, 2)))
-
-
-def test_convert_deflates_at_candidates():
-    f = RatFunc(h + _c(2), h * (h - _c(3)) ** 2 * 5)
-    v = HRat.convert(f, [0, 3, 7])
-    assert v.roots == {Fraction(0): 1, Fraction(3): 2}
-    assert v == f
-    assert HRat.convert(h * h - _c(1)) == RatFunc(h * h - _c(1))
-
-
-def test_non_split_denominator_raises():
-    with pytest.raises(NonSplitDenominatorError):
-        HRat.convert(RatFunc(_c(1), h * h + _c(1)), [0, 1, -1])
-    with pytest.raises(NonSplitDenominatorError):
-        HRat.convert(RatFunc(_c(1), h * (h - _c(2))), [0])
 
 
 # ---------------------------------------------------------------------------

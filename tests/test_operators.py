@@ -14,13 +14,14 @@ from qgr.cohomology import (
 )
 from qgr.hyper import AMatrixSpec, CISpec, bar_assemble, build_A, build_K
 from qgr.operators import (
-    _apply_inverse,
+    _normalized,
     _op_bare,
     assemble_Y_gamma,
     assemble_double_J,
     audit_frakD_normalizations,
     build_barD_normalized,
     build_pipeline,
+    class_extract,
     equivariant_orthogonality_check,
     frakD_family_normalized,
     frakD_weight,
@@ -220,10 +221,7 @@ def test_y_gamma_evaluated_matches_trivariate():
             lam: build_barD_normalized(lam, K, fam).series().map_values(lambda v: v.substitute(pt))
             for lam in box_partitions(n)
         }
-        calD = {}
-        for k in range(pipe.kmax + 1):
-            for i, ser in enumerate(_apply_inverse(pipe.Jinv[k], bar, partitions_of_degree(n, k))):
-                calD[(k, i)] = ser
+        calD = _normalized(pipe, bar)
         ev = y_gamma_evaluated(pipe, 1, 2)
         assert set(ev) == set(box_partitions(n))
         for k in range(pipe.kmax + 1):
@@ -233,6 +231,55 @@ def test_y_gamma_evaluated_matches_trivariate():
                     assert ev[lam].get((d,)) == want.get((d,)), (a, lam, d)
                 # q0 evaluates to the restricted class
                 assert ev[lam].get((0,)) == schur_poly(lam).eval_all(pt)
+
+
+def _coefficient_classes(pipe, ser) -> dict:
+    """d -> {(r, j) -> expansion}: the class map run on each single
+    q-coefficient of a series of RatFunc, at the pipeline depth."""
+    out = {d: {} for d in range(pipe.D + 1)}
+    for (d,), v in ser.coeffs.items():
+        for rj, cls in class_extract(QSeries(1, pipe.D, {(d,): v}), pipe.n, pipe.kmax, pipe.depth).items():
+            out[d][rj] = cls.get((d,))
+    return out
+
+
+@pytest.mark.parametrize("n,a,alphas", [
+    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None),
+    (3, (1, 1, 1), "generic"), (3, (2,), "generic"),
+])
+def test_classes_match_coefficientwise_extraction(n, a, alphas):
+    # the pipeline extracts classes from the bar series only and gets the
+    # rest by linear algebra; extracting every coefficient of the formed
+    # RatFunc series must agree in keys, coefficients and depth
+    al = default_generic_alpha(n) if alphas else None
+    pipe = build_pipeline("dot", n, CISpec(a), al, 2)
+    for lam, ser in pipe.ygamma.items():
+        want = _coefficient_classes(pipe, ser)
+        for d in range(pipe.D + 1):
+            got = pipe.classes[lam][d]
+            assert set(got) == set(want[d]), (lam, d)
+            for rj, le in want[d].items():
+                assert got[rj] == le and got[rj].depth == le.depth, (lam, d, rj)
+    for (k, i), ser in pipe.calD.items():
+        table = {}
+        for d, cls in _coefficient_classes(pipe, ser).items():
+            for rj, le in cls.items():
+                for s in range(pipe.kmax + 1):
+                    c = le.coeffs.get(k - s, 0)
+                    if c:
+                        table[(s, rj)] = table.get((s, rj), QSeries(1, pipe.D)) + QSeries(1, pipe.D, {(d,): c})
+        assert pipe.opexp[(k, i)] == table, (k, i)
+
+
+def test_series_views_are_formed_on_read():
+    # double-j and the orthogonality check work from the class tables alone
+    pd = build_pipeline("dot", 3, CISpec((1,)), None, 1)
+    pdd = build_pipeline("ddot", 3, CISpec((1,)), None, 1)
+    assert orthogonality_check(pd, pdd)["ok"]
+    assemble_double_J(pd, pdd)
+    for pipe in (pd, pdd):
+        assert "calD" not in vars(pipe) and "ygamma" not in vars(pipe)
+    assert pd.ygamma[(0, 0)].get((0,)) == 1 and "calD" in vars(pd)
 
 
 def test_named_pipeline_accessors():

@@ -11,14 +11,23 @@ import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load(name):
+    """Load perfbench/<name>.py as a module, leaving sys.path as it was."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_trace_targets_resolve():
@@ -81,3 +90,26 @@ def test_golden_cases_call_every_trace_target():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# The symbolic benchmark jobs that draw no input, and the drawn y-gamma
+# jobs at one class each: the golden digests stop at n = 3, so these are
+# the tier-1 view of the n = 4 operator pipeline.
+_SYMBOLIC_N4 = (
+    ["double-j", "--n", "4", "--a", "2", "--qdeg", "3"],
+    ["double-j", "--n", "4", "--a", "4", "--qdeg", "2"],
+    ["verify", "--suite", "operator-norms", "--n", "4", "--a", "2", "--qdeg", "2"],
+    ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "2", "--j", "1"],
+    ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "3", "--j", "0"],
+)
+
+
+def test_symbolic_n4_documents_match_reference():
+    import qgr.cli
+
+    worker = _load("worker")
+    with open(PERFBENCH / "reference.json") as f:
+        reference = json.load(f)["jobs"]
+    for argv in _SYMBOLIC_N4:
+        code, text, error = worker.run_job(qgr, argv)
+        assert worker.grade(reference, argv, code, text, error) == "", argv

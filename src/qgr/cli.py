@@ -413,7 +413,7 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
     n = cfg.n
     ctx = GrContext(n)
     parts = box_partitions(n)
-    basis = [{"degree": sum(lam), "partition": list(lam), "poly": schur_str(lam)} for lam in parts]
+    basis = [{"degree": sum(lam), "partition": list(lam), "poly": schur_poly(lam).to_string()} for lam in parts]
     pmat = [
         [_frac_str(pairing(CohClass({lam: Fraction(1)}), CohClass({mu: Fraction(1)}), ctx)) for mu in parts]
         for lam in parts
@@ -439,10 +439,6 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
             for (lam, mu), g in sorted(equivariant_diagonal(ectx).items())
         ]
     return _emit(cfg, payload), 0
-
-
-def schur_str(lam) -> str:
-    return schur_poly(lam).to_string()
 
 
 def cmd_double_j(cfg: RunConfig) -> tuple[dict, int]:

@@ -380,11 +380,12 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
                 ser_c = _h_coeff(calD_cls[rj][(k, iidx)], k - s)
                 if ser_c.coeffs:
                     table[(s, rj)] = ser_c
-        # the q^0 table is the triple delta
-        for (s, (r, jidx)), ser_c in table.items():
-            want = Fraction(1) if (jidx == iidx and r == k and s == r) else Fraction(0)
-            if ser_c.get((0,)) != want:
-                raise ArithmeticError(f"expansion table q^0 delta failed at {(k, iidx, s, r, jidx)}")
+        # the q^0 table is the triple delta; an absent entry reads as 0
+        for s in range(kmax + 1):
+            for r, jidx in comps:
+                want = Fraction(1) if (jidx == iidx and r == k and s == r) else Fraction(0)
+                if table.get((s, (r, jidx)), zero).get((0,)) != want:
+                    raise ArithmeticError(f"expansion table q^0 delta failed at {(k, iidx, s, r, jidx)}")
         pipe.opexp[(k, iidx)] = table
     # structure coefficients and their defining residual
     for k, iidx, _ in _basis(n, kmax):

@@ -21,6 +21,7 @@ denominator is 1.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from fractions import Fraction
@@ -55,6 +56,12 @@ def monomial_key(exp: tuple[int, ...]):
     exponent tuple makes the highest-ranked variable most significant.
     """
     return (sum(exp), exp[::-1])
+
+
+def _descending(exp: tuple[int, ...]):
+    """Heap entry: ascending entries are descending `monomial_key` order."""
+    deg, rev = monomial_key(exp)
+    return -deg, tuple(-p for p in rev), exp
 
 
 class SparsePoly:
@@ -104,11 +111,6 @@ class SparsePoly:
         if sum(e) != 0:
             raise ValueError("not a constant polynomial")
         return c
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         if not self.terms:
@@ -321,36 +323,39 @@ class SparsePoly:
         return self == self.swap_x()
 
     def divide_exact(self, divisor: "SparsePoly"):
-        """Exact polynomial division; returns the quotient or None."""
+        """Exact polynomial division; returns the quotient or None.
+
+        The remainder's exponents sit in a heap in descending canonical
+        order.  A cancelled term stays in the remainder as a zero until it
+        is popped, so each exponent is pushed once.
+        """
         a, d = _unify(self, divisor)
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if a.is_zero():
-            return SparsePoly.zero(a.vars)
-        if a.total_degree() < d.total_degree():
-            return None
-        if not _divides_modp(a, d):
-            return None
         dl_e, dl_c = d.leading()
+        dterms = [(e, c) for e, c in d.terms.items() if e != dl_e]
         rem = dict(a.terms)
+        heap = [_descending(e) for e in rem]
+        heapq.heapify(heap)
         quot: dict[tuple[int, ...], Fraction] = {}
-        dterms = list(d.terms.items())
-        while rem:
-            e = max(rem, key=monomial_key)
-            c = rem[e]
+        while heap:
+            e = heapq.heappop(heap)[-1]
+            c = rem.pop(e)
+            if not c:
+                continue
             qe = tuple(ei - di for ei, di in zip(e, dl_e))
             if any(q < 0 for q in qe):
                 return None
             qc = c / dl_c
-            quot[qe] = quot.get(qe, _ZERO) + qc
+            quot[qe] = qc
             for de, dc in dterms:
                 ke = tuple(q + di for q, di in zip(qe, de))
-                v = rem.get(ke, _ZERO) - qc * dc
-                if v:
-                    rem[ke] = v
-                else:
-                    rem.pop(ke, None)
-        return SparsePoly(a.vars, quot)
+                v = rem.get(ke)
+                if v is None:
+                    heapq.heappush(heap, _descending(ke))
+                    v = _ZERO
+                rem[ke] = v - qc * dc
+        return SparsePoly(a.vars, quot, _clean=True)
 
     # -- normalization helpers ------------------------------------------
 
@@ -393,57 +398,6 @@ def _unify(a: SparsePoly, b: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
         return a, b
     vs = order_vars(set(a.vars) | set(b.vars))
     return a.embed(vs), b.embed(vs)
-
-
-_MODP = (1 << 31) - 1  # Mersenne prime; machine-word arithmetic
-
-
-def _divides_modp(a: SparsePoly, d: SparsePoly) -> bool:
-    """Fast necessary test for d | a: exact division over Z mod a prime.
-
-    False negatives are impossible unless a coefficient denominator or the
-    divisor's leading coefficient vanishes mod p, in which case the test
-    answers True and the exact division decides.
-    """
-    p = _MODP
-
-    def reduce_terms(poly):
-        out = {}
-        for e, c in poly.terms.items():
-            den = c.denominator % p
-            if den == 0:
-                return None
-            v = (c.numerator % p) * pow(den, p - 2, p) % p
-            out[e] = v
-        return out
-
-    ra = reduce_terms(a)
-    rd = reduce_terms(d)
-    if ra is None or rd is None:
-        return True
-    rem = {e: v for e, v in ra.items() if v}
-    dterms = [(e, v) for e, v in rd.items() if v]
-    if not dterms:
-        return True
-    dl_e = max(rd, key=monomial_key)
-    dl_c = rd[dl_e]
-    if dl_c == 0:
-        return True
-    dl_inv = pow(dl_c, p - 2, p)
-    while rem:
-        e = max(rem, key=monomial_key)
-        qe = tuple(ei - di for ei, di in zip(e, dl_e))
-        if any(q < 0 for q in qe):
-            return False
-        qc = rem[e] * dl_inv % p
-        for de, dc in dterms:
-            ke = tuple(q + di for q, di in zip(qe, de))
-            v = (rem.get(ke, 0) - qc * dc) % p
-            if v:
-                rem[ke] = v
-            else:
-                rem.pop(ke, None)
-    return True
 
 
 def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:

@@ -18,6 +18,7 @@ from typing import Callable, Mapping
 from .rings import RatFunc, SparsePoly
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _vzero(v) -> bool:
@@ -156,34 +157,28 @@ def laurent_expand_hbar(f: RatFunc, depth: int, var: str = "h") -> LaurentExpans
     N = max(den_parts)
     lead = den_parts[N]
 
-    def out_val(v: RatFunc):
-        return v.const_value() if v.is_const() else v
+    def out_val(v):
+        return v.const_value() if isinstance(v, RatFunc) and v.is_const() else v
 
     if len(den_parts) == 1:
         coeffs = {
             k - N: out_val(RatFunc(p, lead)) for k, p in num_parts.items()
         }
         return LaurentExpansion(coeffs, None)
-    lead_rf = RatFunc(lead)
-    u = {j: RatFunc(den_parts[N - j], lead) for j in range(1, N + 1) if N - j in den_parts}
-    b = {j: RatFunc(num_parts[M - j], lead) for j in range(0, M + 1) if M - j in num_parts}
+    # the recurrence runs in the values of u and b: Fractions when f is a
+    # function of `var` alone
+    u = {j: out_val(RatFunc(den_parts[N - j], lead)) for j in range(1, N + 1) if N - j in den_parts}
+    b = {j: out_val(RatFunc(num_parts[M - j], lead)) for j in range(0, M + 1) if M - j in num_parts}
     jmax = M - N + depth - 1
     if jmax < 0:
         return LaurentExpansion.zero(depth)
-    v: list[RatFunc] = [RatFunc.from_scalar(1, lead.vars)]
+    v: list = [_ONE]
     for j in range(1, jmax + 1):
-        s = RatFunc.from_scalar(0, lead.vars)
-        for t, ut in u.items():
-            if t <= j:
-                s = s + ut * v[j - t]
-        v.append(-s)
+        v.append(-sum((ut * v[j - t] for t, ut in u.items() if t <= j), _ZERO))
     coeffs: dict[int, object] = {}
     for j in range(0, jmax + 1):
-        s = RatFunc.from_scalar(0, lead.vars)
-        for sdeg, bs in b.items():
-            if sdeg <= j:
-                s = s + bs * v[j - sdeg]
-        if not s.is_zero():
+        s = sum((bs * v[j - sdeg] for sdeg, bs in b.items() if sdeg <= j), _ZERO)
+        if not _vzero(s):
             coeffs[M - N - j] = out_val(s)
     return LaurentExpansion(coeffs, depth)
 

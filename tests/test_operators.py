@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgr import operators
 from qgr.cohomology import (
     GrContext,
     box_partitions,
@@ -144,6 +145,18 @@ def test_opexp_q0_delta_and_homogeneity_filter():
             for (d,), v in ser.coeffs.items():
                 if v:
                     assert s == r + deficit * d
+
+
+def test_opexp_q0_delta_requires_its_entries(monkeypatch):
+    # zero class tables leave every expansion table empty; the delta
+    # entries are then missing, and the check must not pass
+    def zero_tables(pipe, bar):
+        return {(k, i): QSeries(1, pipe.D) for k in range(pipe.kmax + 1)
+                for i in range(len(partitions_of_degree(pipe.n, k)))}
+
+    monkeypatch.setattr(operators, "_normalized", zero_tables)
+    with pytest.raises(ArithmeticError, match="q\\^0 delta"):
+        build_pipeline("dot", 3, CISpec((1,)), None, 1)
 
 
 def test_k0_pipeline_is_plain_series():

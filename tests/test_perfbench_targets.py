@@ -103,13 +103,22 @@ _SYMBOLIC_N4 = (
     ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "3", "--j", "0"],
 )
 
+# closedform benchmark jobs at one drawn input each: they divide in
+# bar_assemble at generic alpha, in build_Y_closed and in the x-adic
+# inverse, all at n >= 4.
+_CLOSEDFORM = (
+    ["series", "--kind", "z-normalized", "--n", "4", "--a", "4", "--qdeg", "4"],
+    ["series", "--kind", "dot-bar", "--n", "5", "--a", "1,2", "--qdeg", "3", "--alpha", "1,2,12,21,28"],
+    ["verify", "--suite", "fano-vanishing", "--n", "4", "--a", "", "--qdeg", "3", "--alpha", "10,11,15,28"],
+)
 
-def test_symbolic_n4_documents_match_reference():
+
+def test_symbolic_and_closedform_documents_match_reference():
     import qgr.cli
 
     worker = _load("worker")
     with open(PERFBENCH / "reference.json") as f:
         reference = json.load(f)["jobs"]
-    for argv in _SYMBOLIC_N4:
+    for argv in _SYMBOLIC_N4 + _CLOSEDFORM:
         code, text, error = worker.run_job(qgr, argv)
         assert worker.grade(reference, argv, code, text, error) == "", argv

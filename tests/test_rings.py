@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgr.rings import RatFunc, SparsePoly, order_vars
+from qgr.rings import RatFunc, SparsePoly, monomial_key, order_vars
 
 V = ("x1", "x2", "h")
 
@@ -153,3 +153,93 @@ def test_reduced_preserves_value(f):
     except ZeroDivisionError:
         return
     assert g.reduced() == g
+
+
+# -- exact division against the previous loop ---------------------------
+
+
+def _divide_by_scan(a, d):
+    """The previous exact-division loop over Q, which found each leading
+    term of the remainder with a linear max scan; the differential oracle
+    for the heap-ordered SparsePoly.divide_exact."""
+    vs = order_vars(set(a.vars) | set(d.vars))
+    a, d = a.embed(vs), d.embed(vs)
+    dl_e, dl_c = d.leading()
+    rem = dict(a.terms)
+    quot = {}
+    while rem:
+        e = max(rem, key=monomial_key)
+        qe = tuple(ei - di for ei, di in zip(e, dl_e))
+        if any(q < 0 for q in qe):
+            return None
+        qc = rem[e] / dl_c
+        quot[qe] = quot.get(qe, Fraction(0)) + qc
+        for de, dc in d.terms.items():
+            ke = tuple(q + di for q, di in zip(qe, de))
+            v = rem.get(ke, Fraction(0)) - qc * dc
+            if v:
+                rem[ke] = v
+            else:
+                rem.pop(ke, None)
+    return SparsePoly(vs, quot)
+
+
+def _same_division(a, d, got):
+    want = _divide_by_scan(a, d)
+    return got is None and want is None or (
+        got is not None and want is not None and got.vars == want.vars and got.terms == want.terms
+    )
+
+
+_small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_polys = st.builds(
+    lambda cs: SparsePoly(V, {e: c for e, c in cs}),
+    st.lists(
+        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), _small_rationals),
+        max_size=6,
+    ),
+)
+_divisors = _polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _divisors)
+def test_divide_exact_recovers_exact_multiples(p, d):
+    assert (p * d).divide_exact(d) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _divisors, _polys)
+def test_divide_exact_matches_scan_on_perturbed_multiples(p, d, r):
+    a = p * d + r
+    assert _same_division(a, d, a.divide_exact(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _divisors)
+def test_divide_exact_matches_scan_on_random_pairs(a, d):
+    assert _same_division(a, d, a.divide_exact(d))
+
+
+def test_divide_exact_matches_scan_on_pipeline_inputs(monkeypatch, capsys):
+    from qgr import cli, series
+    from qgr.cohomology import default_generic_alpha
+    from qgr.hyper import CISpec, bar_assemble, build_K, build_Y_closed
+
+    calls = []
+    divide = SparsePoly.divide_exact
+
+    def recording(a, d):
+        q = divide(a, d)
+        calls.append((a, d, q))
+        return q
+
+    monkeypatch.setattr(SparsePoly, "divide_exact", recording)
+    series._x_inverse.cache_clear()
+    bar_assemble(build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2))
+    build_Y_closed("ddot", 4, CISpec((1,)), 2)
+    cli.run(["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1"])
+    capsys.readouterr()
+    assert any(q is None for _, _, q in calls) and any(q is not None for _, _, q in calls)
+    for a, d, q in calls:
+        assert _same_division(a, d, q), (a, d)

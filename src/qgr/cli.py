@@ -51,7 +51,7 @@ from .operators import (
     orthogonality_check,
 )
 from .rings import RatFunc, SparsePoly
-from .series import QSeries, laurent_expand_hbar, x_coefficients
+from .series import QSeries, _vzero, laurent_expand_hbar, x_coefficients
 from .verifier import build_phi, check_mpc, check_recursive, check_recursive_2q, residue_internal_check
 
 
@@ -351,7 +351,7 @@ def _suite_fano(cfg: RunConfig, al) -> list[dict]:
             le = laurent_expand_hbar(v, depth)
             for ex in (0, -1):
                 got = le.coeffs.get(ex, Fraction(0))
-                if not (got == 0 if isinstance(got, Fraction) else got.is_zero()):
+                if not _vzero(got):
                     failures.append({"q": d, "x": list(e), "h_exp": ex, "coeff": _coeff_str(got)})
     return [{"check": "fano-vanishing", "pass": not failures, "failures": failures}]
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .cohomology import (
     GrContext,
@@ -32,23 +33,22 @@ from .cohomology import (
 from .hrat import HRat
 from .hyper import CISpec, HyperSeries, V3, bar_assemble, bar_evaluated, build_K, k_series_evaluated
 from .rings import RatFunc, SparsePoly
-from .series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficient, x_coefficients
+from .series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficients
 
 
 def _x(name):
     return SparsePoly.variable(V3, name)
 
 
-def frakD_weight(p: tuple[int, int], d: tuple[int, int]) -> SparsePoly:
-    """Action of the shift operator on the q^(d1,d2) coefficient:
-    multiplication by (x1 + d1 h)^p1 (x2 + d2 h)^p2."""
-    h = _x("h")
-    return (_x("x1") + h * d[0]) ** p[0] * (_x("x2") + h * d[1]) ** p[1]
-
-
-def _op_bare(K: HyperSeries, p: tuple[int, int]) -> dict:
-    """Numerator tables of the bare shift operator p applied to K."""
-    return {key: K.num_parts[key].mul_trunc(frakD_weight(p, key), K.xtrunc) for key in K.num_parts}
+def _shift_weights(t: tuple[int, int], d: tuple[int, int]):
+    """Yield (a, w_a) for the nonzero terms of the shift operator's weight
+    (x1 + d1 h)^t1 (x2 + d2 h)^t2 = sum_a w_a x^a h^{|t|-|a|} on q^(d1,d2),
+    w_a = C(t1,a1) C(t2,a2) d1^(t1-a1) d2^(t2-a2)."""
+    for a1 in range(t[0] + 1):
+        for a2 in range(t[1] + 1):
+            w = comb(t[0], a1) * comb(t[1], a2) * d[0] ** (t[0] - a1) * d[1] ** (t[1] - a2)
+            if w:
+                yield (a1, a2), w
 
 
 def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
@@ -60,26 +60,31 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
       * C^(r)_{p,|r|} = delta_{p,r} as a full q-series whenever |r| <= |p|.
     """
     ptot = p[0] + p[1]
-    rmax = ptot
     depth = F.n * F.D + ptot + 2
     offenders = []
-    nums = _op_bare(F, p)
-    for key in sorted(nums, key=lambda k: (sum(k), k)):
-        parts = nums[key].decompose_x()
-        for e in [(e1, e2) for tot in range(rmax + 1) for e1 in range(tot + 1) for e2 in [tot - e1]]:
-            rf = x_coefficient(parts, F.dens[key], e)
-            le = laurent_expand_hbar(rf, depth) if rf is not None else LaurentExpansion.zero(None)
+    zero = LaurentExpansion.zero(None)
+    for key in sorted(F.num_parts, key=lambda k: (sum(k), k)):
+        # one expansion of the coefficient: at q^0 the weight is x^p alone,
+        # and elsewhere only exponents >= -|p| are read, so depth suffices
+        X = {b: laurent_expand_hbar(v, depth) for b, v in x_coefficients(F.coeff(key), ptot).items()}
+        weights = list(_shift_weights(p, key))
+
+        def got_at(e, m):
+            # the x^e h^m coefficient of sum_a w_a x^a h^{|p|-|a|} F_key
+            return sum((w * X.get((e[0] - a[0], e[1] - a[1]), zero).coeff(m - ptot + a[0] + a[1])
+                        for a, w in weights), Fraction(0))
+
+        for e in [(e1, tot - e1) for tot in range(ptot + 1) for e1 in range(tot + 1)]:
             etot = e[0] + e[1]
             if sum(key) == 0:
                 # q^0 table: exact deltas for every s within reach
-                smax_chk = depth - 1 + ptot
-                for s in range(0, smax_chk + 1):
-                    got = le.coeff(ptot - s)
+                for s in range(depth + ptot):
+                    got = got_at(e, ptot - s)
                     want = Fraction(1) if (e == p and s == etot) else Fraction(0)
                     if got != want:
                         offenders.append({"check": "q0-delta", "q": key, "r": e, "s": s, "got": got})
             if etot <= ptot:
-                got = le.coeff(ptot - etot)
+                got = got_at(e, ptot - etot)
                 want = Fraction(1) if (e == p and sum(key) == 0) else Fraction(0)
                 if got != want:
                     offenders.append({"check": "series-delta", "q": key, "r": e, "s": etot, "got": got})
@@ -115,23 +120,21 @@ def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
     """The normalized operators for K as the matrix U over the bare ones:
     p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero entries omitted."""
     D = K.D
-    dens = K.dens
-
-    @functools.cache
-    def bare(t) -> dict:
-        return {key: num.decompose_x() for key, num in _op_bare(K, t).items()}
+    # kappa[d][s]: the x^s h^{-|s|} coefficient of the q^d coefficient of K
+    kappa = {key: {s: _scalar_coeff(laurent_expand_hbar(v, s[0] + s[1] + 1), -s[0] - s[1])
+                   for s, v in x_coefficients(K.coeff(key), pmax).items()} for key in K.num_parts}
 
     @functools.cache
     def table(t, r) -> QSeries:
         # the scalar series multiplying x^r h^{|t|-|r|} in frakD_t K; it is
-        # also the (level, r) entry of h^{level-|t|} frakD_t at every level
-        e0 = t[0] + t[1] - r[0] - r[1]
-        out = {}
-        for key, parts in bare(t).items():
-            v = x_coefficient(parts, dens[key], r)
-            if v is not None:
-                out[key] = _scalar_coeff(laurent_expand_hbar(v, max(2, 2 - e0)), e0)
-        return QSeries(2, D, out)
+        # also the (level, r) entry of h^{level-|t|} frakD_t at every level.
+        # The weight of frakD_t on K_d is homogeneous in (x, h), so its term
+        # w_a x^a h^{|t|-|a|} reads the x^{r-a} coefficient of K_d at
+        # h^{-|r-a|}: the entry is sum_a w_a kappa[d][r - a].
+        return QSeries(2, D, {
+            key: sum((w * kd.get((r[0] - a[0], r[1] - a[1]), 0) for a, w in _shift_weights(t, key)), Fraction(0))
+            for key, kd in kappa.items()
+        })
 
     def entry(row: dict, r) -> QSeries:
         acc = QSeries(2, D)
@@ -421,13 +424,8 @@ def _assembled(pipe: GammaPipeline, calD: dict, h) -> dict:
 
 
 def _opexp_entry(pipe: GammaPipeline, s: int, jidx: int, m: int, r1: int, j1: int) -> QSeries:
-    """C^{(r1,j1)}_{s,j,m} as a scalar series (zero when out of range)."""
-    if m < 0:
-        return QSeries(1, pipe.D)
-    table = pipe.opexp.get((s, jidx))
-    if table is None:
-        return QSeries(1, pipe.D)
-    return table.get((m, (r1, j1)), QSeries(1, pipe.D))
+    """C^{(r1,j1)}_{s,j,m} as a scalar series (zero when absent)."""
+    return pipe.opexp[(s, jidx)].get((m, (r1, j1)), QSeries(1, pipe.D))
 
 
 def _solve_structure(pipe: GammaPipeline, k: int, iidx: int) -> dict:

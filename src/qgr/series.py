@@ -222,17 +222,6 @@ def _x_inverse(den: SparsePoly, M: int) -> tuple[Mapping[tuple[int, int], Sparse
     return MappingProxyType(N), g0 ** (M + 1)
 
 
-def _x_convolve(num_parts: Mapping, N: Mapping, e: tuple[int, int]) -> SparsePoly | None:
-    """sum over ep of num_parts[ep] * N[e - ep]; None when it is zero."""
-    s = None
-    for ep, np_ in num_parts.items():
-        if ep[0] > e[0] or ep[1] > e[1]:
-            continue
-        term = np_ * N[(e[0] - ep[0], e[1] - ep[1])]
-        s = term if s is None else s + term
-    return None if s is None or s.is_zero() else s
-
-
 def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFunc]:
     """Coefficients of all x-monomials of total degree <= max_x_degree.
 
@@ -244,21 +233,15 @@ def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFu
     num_parts = f.num.decompose_x()
     out: dict[tuple[int, int], RatFunc] = {}
     for e in N:
-        s = _x_convolve(num_parts, N, e)
-        if s is not None:
+        s = None
+        for ep, np_ in num_parts.items():
+            if ep[0] > e[0] or ep[1] > e[1]:
+                continue
+            term = np_ * N[(e[0] - ep[0], e[1] - ep[1])]
+            s = term if s is None else s + term
+        if s is not None and not s.is_zero():
             out[e] = RatFunc(s, gM1)
     return out
-
-
-def x_coefficient(num_parts: Mapping, den: SparsePoly, r: tuple[int, int]) -> RatFunc | None:
-    """The x^r entry of ``x_coefficients(RatFunc(num, den), |r|)``, or None
-    when it is zero, computed without expanding the other monomials.
-
-    `num_parts` is ``num.decompose_x()``, so that a caller reading several
-    entries of one numerator splits it once."""
-    N, gM1 = _x_inverse(den, r[0] + r[1])
-    s = _x_convolve(num_parts, N, r)
-    return None if s is None else RatFunc(s, gM1)
 
 
 # ---------------------------------------------------------------------------

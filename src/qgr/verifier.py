@@ -18,7 +18,7 @@ from math import factorial
 from .hrat import HRat
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
-from .series import QSeries, laurent_expand_hbar
+from .series import QSeries, _vzero, laurent_expand_hbar
 
 HV = ("h",)
 
@@ -221,9 +221,7 @@ def audit_uniqueness_hypotheses(F_evals, Fp_evals, coeff_fn, eta_fn, alphas,
     q0_ok = True
     q0_detail = []
     for (i, j), F in sorted(F_evals.items()):
-        v = F.get((0,) * F.q_arity)
-        vanish = v == 0 if isinstance(v, Fraction) else v.is_zero()
-        if vanish:
+        if _vzero(F.get((0,) * F.q_arity)):
             q0_ok = False
             q0_detail.append((i, j))
     return {

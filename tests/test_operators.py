@@ -16,7 +16,7 @@ from qgr.cohomology import (
 from qgr.hyper import AMatrixSpec, CISpec, bar_assemble, build_A, build_K
 from qgr.operators import (
     _normalized,
-    _op_bare,
+    _shift_weights,
     assemble_Y_gamma,
     assemble_double_J,
     audit_frakD_normalizations,
@@ -25,12 +25,12 @@ from qgr.operators import (
     class_extract,
     equivariant_orthogonality_check,
     frakD_family_normalized,
-    frakD_weight,
+    neumann_inverse,
     orthogonality_check,
     y_gamma_evaluated,
 )
 from qgr.rings import RatFunc, SparsePoly
-from qgr.series import QSeries
+from qgr.series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficients
 
 V3 = ("x1", "x2", "h")
 x1 = SparsePoly.variable(V3, "x1")
@@ -49,14 +49,15 @@ def build_barD(lam, K):
 
 
 def test_frakD_eigen_action():
-    # (x1 + h q1 d/dq1) on a monomial q1^d1 c is (x1 + d1 h) q1^d1 c
-    assert frakD_weight((1, 0), (3, 5)) == x1 + 3 * h
-    assert frakD_weight((2, 1), (1, 2)) == (x1 + h) ** 2 * (x2 + 2 * h)
-    spec = AMatrixSpec(n=3)
-    A = build_A("dot", spec, 1)
-    nums = _op_bare(A, (1, 0))
-    assert nums[(0, 0)] == x1
-    assert nums[(1, 0)] == A.num_parts[(1, 0)] * (x1 + h)
+    # (x1 + h q1 d/dq1)^t1 (x2 + h q2 d/dq2)^t2 on q^d c is
+    # (x1 + d1 h)^t1 (x2 + d2 h)^t2 q^d c; the weights are its terms
+    for t in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (4, 2)]:
+        for d in [(0, 0), (3, 5), (1, 2), (0, 4), (2, 0)]:
+            got = SparsePoly.zero(V3)
+            for a, w in _shift_weights(t, d):
+                assert w != 0
+                got = got + w * x1 ** a[0] * x2 ** a[1] * h ** (t[0] + t[1] - a[0] - a[1])
+            assert got == (x1 + d[0] * h) ** t[0] * (x2 + d[1] * h) ** t[1], (t, d)
 
 
 def test_frakD_normalization_audit_passes_in_range():
@@ -74,6 +75,125 @@ def test_frakD_normalization_audit_fails_out_of_range():
     A = build_A("dot", AMatrixSpec(n=3, rows=((3, 3),)), 2)
     rep = audit_frakD_normalizations(A, (1, 0))
     assert not rep["ok"]
+
+
+def test_frakD_normalization_audit_q0_delta_can_fail():
+    # build_A always has F_(0,0) = 1; doubling it breaks both deltas at
+    # q^0, and only at the operator's own index
+    A = build_A("dot", AMatrixSpec(n=3), 2)
+    F = dataclasses.replace(A, num_parts={**A.num_parts, (0, 0): 2 * A.num_parts[(0, 0)]})
+    for p in ((1, 0), (0, 1), (1, 1), (2, 0)):
+        assert audit_frakD_normalizations(A, p)["ok"]
+        ptot = p[0] + p[1]
+        assert audit_frakD_normalizations(F, p)["offenders"] == [
+            {"check": "q0-delta", "q": (0, 0), "r": p, "s": ptot, "got": 2},
+            {"check": "series-delta", "q": (0, 0), "r": p, "s": ptot, "got": 2},
+        ], p
+
+
+# Reference route: apply each bare operator to the numerators, then x- and
+# h-expand every product again for each entry read.
+
+
+def _ref_bare(K, t):
+    return {
+        key: num.mul_trunc((x1 + h * key[0]) ** t[0] * (x2 + h * key[1]) ** t[1], K.xtrunc)
+        for key, num in K.num_parts.items()
+    }
+
+
+def _ref_entry(num, den, r, depth):
+    """The x^r entry of num/den expanded at h = infinity."""
+    v = x_coefficients(RatFunc(num, den), r[0] + r[1]).get(r)
+    return laurent_expand_hbar(v, depth) if v is not None else LaurentExpansion.zero(None)
+
+
+def _ref_family(K, pmax):
+    D = K.D
+    tables = {}
+
+    def table(t, r):
+        if (t, r) not in tables:
+            e0 = t[0] + t[1] - r[0] - r[1]
+            out = {}
+            for key, num in _ref_bare(K, t).items():
+                v = _ref_entry(num, K.dens[key], r, max(2, 2 - e0)).coeffs.get(e0, Fraction(0))
+                out[key] = v if isinstance(v, Fraction) else v.const_value()
+            tables[(t, r)] = QSeries(2, D, out)
+        return tables[(t, r)]
+
+    def entry(row, r):
+        acc = QSeries(2, D)
+        for t, u in row.items():
+            acc = acc + u * table(t, r)
+        return acc
+
+    def add_rows(acc, row, c):
+        for t, u in row.items():
+            acc[t] = acc[t] + c * u if t in acc else c * u
+
+    fam = {}
+    for L in range(pmax + 1):
+        ps = [(p1, L - p1) for p1 in range(L + 1)]
+        work = {}
+        for p in ps:
+            G = {p: QSeries.one(2, D)}
+            for r in [(r1, Lr - r1) for Lr in range(L) for r1 in range(Lr + 1)]:
+                c = entry(G, r)
+                if c.coeffs:
+                    add_rows(G, fam[r], -c)
+            work[p] = G
+        binv = neumann_inverse([[entry(work[pc], pr) for pc in ps] for pr in ps], D, arity=2)
+        for icol, p in enumerate(ps):
+            acc = {}
+            for irow, r in enumerate(ps):
+                add_rows(acc, work[r], binv[irow][icol])
+            fam[p] = {t: u for t, u in acc.items() if u.coeffs}
+    return fam
+
+
+def _ref_audit(F, p):
+    ptot = p[0] + p[1]
+    depth = F.n * F.D + ptot + 2
+    offenders = []
+    nums = _ref_bare(F, p)
+    for key in sorted(nums, key=lambda k: (sum(k), k)):
+        for e in [(e1, tot - e1) for tot in range(ptot + 1) for e1 in range(tot + 1)]:
+            le = _ref_entry(nums[key], F.dens[key], e, depth)
+            etot = e[0] + e[1]
+            if sum(key) == 0:
+                for s in range(depth + ptot):
+                    got = le.coeff(ptot - s)
+                    if got != (1 if (e == p and s == etot) else 0):
+                        offenders.append({"check": "q0-delta", "q": key, "r": e, "s": s, "got": got})
+            if etot <= ptot:
+                got = le.coeff(ptot - etot)
+                if got != (1 if (e == p and sum(key) == 0) else 0):
+                    offenders.append({"check": "series-delta", "q": key, "r": e, "s": etot, "got": got})
+    return {"ok": not offenders, "offenders": offenders}
+
+
+def test_family_and_audit_match_reference_route():
+    # the bare operators act on one expansion of each coefficient; the
+    # route that expands each operator's numerator products must agree
+    # entry for entry, Calabi-Yau rows (U != I) and generic weights included
+    cases = [(n, a, None) for n, a in [(3, ()), (3, (1,)), (3, (1, 1, 1)), (3, (3,)), (4, (2,)), (4, (4,))]]
+    cases += [(4, (2,), default_generic_alpha(4)), (3, (1, 1, 1), default_generic_alpha(3))]
+    for kind in ("dot", "ddot"):
+        for n, a, al in cases:
+            K = build_K(kind, n, CISpec(a), al, 2, xtrunc=2 * (n - 2) + 1)
+            assert frakD_family_normalized(K, 2 * (n - 2)) == _ref_family(K, 2 * (n - 2)), (kind, n, a, al)
+    failing = 0
+    for kind in ("dot", "ddot"):
+        # generic weights truncate the h-expansions, so the depth matters there
+        for rows, n, al in [((), 3, None), (((1, 1),), 3, None), (((2, 1),), 4, None), (((3, 3),), 3, None),
+                            (((1, 1),), 3, default_generic_alpha(3))]:
+            A = build_A(kind, AMatrixSpec(n=n, rows=rows, alpha1=al, alpha2=al), 2)
+            for p in ((1, 0), (0, 1), (1, 1), (2, 0)):
+                rep = audit_frakD_normalizations(A, p)
+                assert rep == _ref_audit(A, p), (kind, rows, al, p)
+                failing += not rep["ok"]
+    assert failing > 0
 
 
 def test_barD_normalized_against_bare():
@@ -304,23 +424,21 @@ def test_named_pipeline_accessors():
 
 
 def test_pipeline_shares_x_inverse(monkeypatch):
-    # Regression guard by count: the pipeline expands many numerators over
-    # few ladder denominators, so most x-expansions must reuse a memoized
-    # inverse.  Without the memo every call is a miss (ratio 1).
+    # Regression guard by count: the pipeline expands the bar series of
+    # every box class over the same few ladder denominators, so each
+    # (denominator, order) inverse must be computed once and then reused.
+    # Without the memo every call is a miss.
     import qgr.operators
-    from qgr.series import _x_inverse, x_coefficient, x_coefficients
+    from qgr.series import _x_inverse
 
-    calls = [0]
+    seen = []
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(f, max_x_degree):
+        seen.append((f.den, max_x_degree))
+        return x_coefficients(f, max_x_degree)
 
-    monkeypatch.setattr(qgr.operators, "x_coefficients", counted(x_coefficients))
-    monkeypatch.setattr(qgr.operators, "x_coefficient", counted(x_coefficient))
+    monkeypatch.setattr(qgr.operators, "x_coefficients", counted)
     _x_inverse.cache_clear()
-    build_pipeline("dot", 3, CISpec((1,)), None, 2)
+    build_pipeline("dot", 4, CISpec((2,)), None, 2)
     misses = _x_inverse.cache_info().misses
-    assert calls[0] > 0 and misses <= calls[0] / 4, (misses, calls[0])
+    assert misses == len(set(seen)) < len(seen), (misses, len(set(seen)), len(seen))

@@ -21,8 +21,10 @@ denominator is 1.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -133,13 +135,6 @@ class SparsePoly:
         e = max(self.terms, key=monomial_key)
         return e, self.terms[e]
 
-    def homogeneous_degree(self):
-        """Total degree if homogeneous, else None."""
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.const(self.vars, other)
@@ -212,11 +207,6 @@ class SparsePoly:
         return result
 
     # -- structure -----------------------------------------------------
-
-    def truncate_x(self, max_xdeg: int) -> "SparsePoly":
-        xidx = tuple(i for i, v in enumerate(self.vars) if v in _XNAMES)
-        out = {e: c for e, c in self.terms.items() if sum(e[i] for i in xidx) <= max_xdeg}
-        return SparsePoly(self.vars, out, _clean=True)
 
     def decompose_by(self, name: str) -> dict[int, "SparsePoly"]:
         """Split as sum_k name**k * f_k; values keep the ambient variable tuple."""
@@ -401,27 +391,68 @@ def _unify(a: SparsePoly, b: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
 
 
 def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
+    """Product of two term dicts over `vars`, without the terms whose degree
+    in x1, x2 (positions `xidx`) exceeds `max_xdeg`; None keeps every term.
+
+    Exponent tuples are packed into ints (Kronecker substitution): the
+    exponent of vars[i] fills the bit field [i*width, (i+1)*width).  `width`
+    is the bit length of the largest per-variable exponent sum the product
+    can reach plus one spare bit, so every exponent sum fits its field.
+    With no negative exponent (checked: packing would silently corrupt one)
+    no carry or borrow crosses a field, adding packed keys adds exponent
+    tuples, and each output key is unpacked once.  For a
+    truncated product the longer operand is sorted by x-degree, and each row
+    of the shorter one stops at the first term over the bound, found by
+    bisection.  A one-term factor only shifts exponents, so no two of its
+    products collide and that case needs no packing.
+    """
     if not ta or not tb:
         return SparsePoly.zero(vars)
     if len(ta) > len(tb):
         ta, tb = tb, ta
+    cols_a, cols_b = list(zip(*ta)), list(zip(*tb))
+    if min(map(min, cols_a + cols_b), default=0) < 0:
+        raise ValueError("negative exponent in a polynomial product")
+    if len(ta) == 1:
+        [(ea, ca)] = ta.items()
+        out = {}
+        for eb, cb in tb.items():
+            e = tuple(map(operator.add, ea, eb))
+            if max_xdeg is None or sum([e[i] for i in xidx]) <= max_xdeg:
+                out[e] = ca * cb
+        return SparsePoly(vars, out, _clean=True)
+    top = max(map(operator.add, map(max, cols_a), map(max, cols_b)), default=0)
+    width = top.bit_length() + 1
+    shifts = range(0, width * len(vars), width)
     int_mode = all(c.denominator == 1 for c in ta.values()) and all(
         c.denominator == 1 for c in tb.values()
     )
-    out: dict[tuple[int, ...], object] = {}
-    if int_mode:
-        ia = [(e, c.numerator) for e, c in ta.items()]
-        ib = [(e, c.numerator) for e, c in tb.items()]
+
+    def packed(items):
+        return [(sum(map(operator.lshift, e, shifts)), c.numerator if int_mode else c) for e, c in items]
+
+    def xdeg(e):
+        return sum([e[i] for i in xidx])
+
+    ia = packed(ta.items())
+    if max_xdeg is None:
+        ib = packed(tb.items())
+        rows = ((ka, ca, ib) for ka, ca in ia)
     else:
-        ia = list(ta.items())
-        ib = list(tb.items())
-    for ea, ca in ia:
-        for eb, cb in ib:
-            e = tuple(p + q for p, q in zip(ea, eb))
-            if max_xdeg is not None and sum(e[i] for i in xidx) > max_xdeg:
-                continue
-            out[e] = out.get(e, 0) + ca * cb
-    clean = {e: Fraction(v) if int_mode else v for e, v in out.items() if v}
+        sb = sorted(tb.items(), key=lambda t: xdeg(t[0]))
+        degs = [xdeg(e) for e, _ in sb]
+        ib = packed(sb)
+        rows = ((ka, ca, ib[: bisect.bisect_right(degs, max_xdeg - xdeg(e))]) for e, (ka, ca) in zip(ta, ia))
+    out = {}
+    get = out.get
+    for ka, ca, row in rows:
+        for kb, cb in row:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    mask = (1 << width) - 1
+    clean = {
+        tuple([k >> s & mask for s in shifts]): Fraction(v) if int_mode else v for k, v in out.items() if v
+    }
     return SparsePoly(vars, clean, _clean=True)
 
 

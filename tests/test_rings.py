@@ -99,10 +99,16 @@ def test_swap_and_symmetry():
     assert not (x1 * x1 * x2).is_symmetric_x()
 
 
+def _truncate_x(p, max_xdeg):
+    """The terms of `p` of total degree at most `max_xdeg` in x1, x2."""
+    xidx = [i for i, v in enumerate(p.vars) if v in ("x1", "x2")]
+    return SparsePoly(p.vars, {e: c for e, c in p.terms.items() if sum(e[i] for i in xidx) <= max_xdeg})
+
+
 def test_mul_trunc():
     p = (x1 + x2 + h) ** 3
     # None keeps every term: the plain product
-    for max_xdeg, want in ((1, p.truncate_x(1)), (None, p)):
+    for max_xdeg, want in ((1, _truncate_x(p, 1)), (None, p)):
         got = (x1 + x2 + h).mul_trunc((x1 + x2 + h) ** 2, max_xdeg)
         assert got == want, max_xdeg
 
@@ -243,3 +249,120 @@ def test_divide_exact_matches_scan_on_pipeline_inputs(monkeypatch, capsys):
     assert any(q is None for _, _, q in calls) and any(q is not None for _, _, q in calls)
     for a, d, q in calls:
         assert _same_division(a, d, q), (a, d)
+
+
+# -- packed product kernel against the previous tuple kernel ------------
+
+
+def _mul_by_tuples(vars, ta, tb, max_xdeg, xidx):
+    """The previous product kernel, which built one exponent tuple per
+    term pair; the differential oracle for the packed rings._mul_terms."""
+    if not ta or not tb:
+        return SparsePoly.zero(vars)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    int_mode = all(c.denominator == 1 for c in ta.values()) and all(
+        c.denominator == 1 for c in tb.values()
+    )
+    out = {}
+    if int_mode:
+        ia = [(e, c.numerator) for e, c in ta.items()]
+        ib = [(e, c.numerator) for e, c in tb.items()]
+    else:
+        ia = list(ta.items())
+        ib = list(tb.items())
+    for ea, ca in ia:
+        for eb, cb in ib:
+            e = tuple(p + q for p, q in zip(ea, eb))
+            if max_xdeg is not None and sum(e[i] for i in xidx) > max_xdeg:
+                continue
+            out[e] = out.get(e, 0) + ca * cb
+    clean = {e: Fraction(v) if int_mode else v for e, v in out.items() if v}
+    return SparsePoly(vars, clean, _clean=True)
+
+
+def _tuple_product(a, b, max_xdeg=None):
+    vs = order_vars(set(a.vars) | set(b.vars))
+    xidx = tuple(i for i, v in enumerate(vs) if v in ("x1", "x2"))
+    return _mul_by_tuples(vs, a.embed(vs).terms, b.embed(vs).terms, max_xdeg, xidx)
+
+
+def _same_product(got, want):
+    return got.vars == want.vars and got.terms == want.terms
+
+
+_NAMES = ("x1", "x2", "h", "z", "a1", "a2", "a10", "t")
+_coeffs = st.one_of(st.integers(-6, 6).map(Fraction), _small_rationals)
+
+
+@st.composite
+def _spaced_polys(draw):
+    vs = order_vars(draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=6)))
+    exps = st.tuples(*(st.integers(0, 4) for _ in vs))
+    return SparsePoly(vs, draw(st.dictionaries(exps, _coeffs, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaced_polys(), _spaced_polys())
+def test_mul_matches_tuple_kernel(a, b):
+    assert _same_product(a * b, _tuple_product(a, b))
+    for max_xdeg in (None, 0, 1, 2, 3, 4):
+        assert _same_product(a.mul_trunc(b, max_xdeg), _tuple_product(a, b, max_xdeg)), max_xdeg
+
+
+def test_mul_matches_tuple_kernel_on_pipeline_inputs(monkeypatch, capsys):
+    from qgr import cli, rings, series
+    from qgr.cohomology import default_generic_alpha
+    from qgr.hyper import CISpec, bar_assemble, build_K, build_Y_closed
+
+    calls = []
+    kernel = rings._mul_terms
+
+    def recording(vars, ta, tb, max_xdeg, xidx):
+        got = kernel(vars, ta, tb, max_xdeg, xidx)
+        calls.append((vars, ta, tb, max_xdeg, xidx, got))
+        return got
+
+    monkeypatch.setattr(rings, "_mul_terms", recording)
+    series._x_inverse.cache_clear()
+    bar_assemble(build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2))
+    build_Y_closed("ddot", 4, CISpec((1,)), 2)
+    cli.run(["verify", "--suite", "fano-vanishing", "--n", "3", "--a", "1", "--qdeg", "2"])
+    capsys.readouterr()
+    assert any(m is None for *_, m, _, _ in calls) and any(m is not None for *_, m, _, _ in calls)
+    assert max(len(ta) * len(tb) for _, ta, tb, *_ in calls) > 500
+    for vars, ta, tb, max_xdeg, xidx, got in calls:
+        assert _same_product(got, _mul_by_tuples(vars, ta, tb, max_xdeg, xidx)), (vars, max_xdeg)
+
+
+def test_mul_large_exponents_stay_exact():
+    big = SparsePoly.variable(V, "x1") ** 300 * SparsePoly.variable(V, "x1") ** 500
+    assert big.terms == {(800, 0, 0): 1}
+    big = (x1**300 + h) * (x1**500 + x2)
+    assert big.terms == {(800, 0, 0): 1, (300, 1, 0): 1, (500, 0, 1): 1, (0, 1, 1): 1}
+    a = SparsePoly(V, {(10**6, 0, 1): Fraction(1), (0, 1, 0): Fraction(2)})
+    b = SparsePoly(V, {(1, 0, 0): Fraction(3), (0, 0, 2): Fraction(-1, 2)})
+    assert _same_product(a * b, _tuple_product(a, b))
+    assert (a * b).terms == {
+        (10**6 + 1, 0, 1): 3, (10**6, 0, 3): Fraction(-1, 2), (1, 1, 0): 6, (0, 1, 2): -1,
+    }
+    assert _same_product(a.mul_trunc(b, 2), _tuple_product(a, b, 2))
+    assert a.mul_trunc(b, 2).terms == {(1, 1, 0): 6, (0, 1, 2): -1}
+
+
+def test_mul_rejects_negative_exponent():
+    bad = SparsePoly(V, {(0, -1, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="negative exponent"):
+        bad * (x1 + h)
+    with pytest.raises(ValueError, match="negative exponent"):
+        (x1 + h).mul_trunc(bad, 2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        (bad + h) * (x1 + h)
+    with pytest.raises(ValueError, match="negative exponent"):
+        (x1 + h) * (bad + h + x2)
+
+
+def test_mul_in_empty_variable_space():
+    p = SparsePoly((), {(): 3}) * SparsePoly((), {(): 5})
+    assert p.vars == () and p.terms == {(): 15}
+    assert SparsePoly((), {(): 3}).mul_trunc(SparsePoly((), {(): 5}), 0).terms == {(): 15}

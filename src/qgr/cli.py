@@ -223,11 +223,13 @@ def _all_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
-def _y_evals(kind, n, a, al, D, mutate=None):
-    """Fixed-point evaluations; `mutate` is injected at the pair (1, 2) only."""
+def _y_evals(kind, n, a, al, D, pairs, mutate=None):
+    """Fixed-point evaluations at `pairs`; `mutate` is injected at (1, 2) only.
+    build_phi reads only the pairs i < j, each standing for both orderings,
+    so in the mpc suite a fault at (1, 2) acts on (2, 1) as well."""
     return {
         (i, j): y_series_evaluated(kind, n, a, al, i, j, D, mutate if (i, j) == (1, 2) else None)
-        for (i, j) in _all_pairs(n)
+        for (i, j) in pairs
     }
 
 
@@ -235,7 +237,7 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
     results = []
     for kind in ("dot", "ddot"):
-        evals = _y_evals(kind, n, a, al, D, mutate=cfg.mutate if kind == "dot" else None)
+        evals = _y_evals(kind, n, a, al, D, _all_pairs(n), mutate=cfg.mutate if kind == "dot" else None)
         rep = check_recursive(
             evals, lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, al, a), al, D, n
         )
@@ -280,8 +282,9 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
 
 def _suite_mpc(cfg: RunConfig, al) -> list[dict]:
     n, a, D, Nz = cfg.n, cfg.ci(), cfg.qdeg, cfg.zdeg
-    Fd = _y_evals("dot", n, a, al, D, mutate=cfg.mutate)
-    Fdd = _y_evals("ddot", n, a, al, D)
+    pairs = [(i, j) for (i, j) in _all_pairs(n) if i < j]  # the pairs build_phi reads
+    Fd = _y_evals("dot", n, a, al, D, pairs, mutate=cfg.mutate)
+    Fdd = _y_evals("ddot", n, a, al, D, pairs)
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
     results = []
     ok, off = check_mpc(build_phi(Fd, Fd, eta, al, n, Nz, D))

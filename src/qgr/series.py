@@ -1,6 +1,6 @@
 """Truncated series: Laurent expansions in h^-1, truncated power series in
-q (one or two variables, optionally also z), and x-adic expansion of
-rational functions around x = 0.
+one or two q variables, and x-adic expansion of rational functions
+around x = 0.
 
 A Laurent expansion stores finitely many positive powers of h and
 negative powers down to h^(-depth+1); ``depth=None`` marks an exact
@@ -60,9 +60,6 @@ class LaurentExpansion:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __neg__(self):
-        return LaurentExpansion({e: -v for e, v in self.coeffs.items()}, self.depth)
-
     def _join_depth(self, other: "LaurentExpansion") -> int | None:
         if self.depth is None:
             return other.depth
@@ -83,11 +80,6 @@ class LaurentExpansion:
         return LaurentExpansion(out, self._join_depth(other))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentExpansion.scalar(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SparsePoly, RatFunc)):
@@ -245,43 +237,31 @@ def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFu
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in q (and optionally z)
+# truncated power series in q
 # ---------------------------------------------------------------------------
 
 
 class QSeries:
-    """Power series truncated in total q-degree (and z-degree if tracked).
+    """Power series in one or two q variables, truncated in total q-degree.
 
-    Keys are tuples: the q-exponents followed by the z-exponent when
-    ``z_tracked``.  Values may be any exact ring element supporting + and *.
+    Keys are tuples of q-exponents.  Values may be any exact ring element
+    supporting + and *.
     """
 
-    __slots__ = ("q_arity", "z_tracked", "trunc_q", "trunc_z", "coeffs")
+    __slots__ = ("q_arity", "trunc_q", "coeffs")
 
-    def __init__(self, q_arity: int, trunc_q: int, coeffs: Mapping[tuple, object] | None = None,
-                 z_tracked: bool = False, trunc_z: int = 0):
+    def __init__(self, q_arity: int, trunc_q: int, coeffs: Mapping[tuple, object] | None = None):
         self.q_arity = q_arity
-        self.z_tracked = z_tracked
         self.trunc_q = trunc_q
-        self.trunc_z = trunc_z
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                if self._in_range(k) and not _vzero(v):
+                if sum(k) <= trunc_q and not _vzero(v):
                     self.coeffs[k] = v
 
-    def _in_range(self, key) -> bool:
-        qd = sum(key[: self.q_arity])
-        if qd > self.trunc_q:
-            return False
-        if self.z_tracked and key[self.q_arity] > self.trunc_z:
-            return False
-        return True
-
     @classmethod
-    def one(cls, q_arity: int, trunc_q: int, unit=Fraction(1), z_tracked=False, trunc_z=0):
-        key = (0,) * (q_arity + (1 if z_tracked else 0))
-        return cls(q_arity, trunc_q, {key: unit}, z_tracked, trunc_z)
+    def one(cls, q_arity: int, trunc_q: int):
+        return cls(q_arity, trunc_q, {(0,) * q_arity: _ONE})
 
     def get(self, key, default=_ZERO):
         return self.coeffs.get(tuple(key), default)
@@ -290,53 +270,29 @@ class QSeries:
         return sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
 
     def map_values(self, fn: Callable) -> "QSeries":
-        return QSeries(
-            self.q_arity, self.trunc_q,
-            {k: fn(v) for k, v in self.coeffs.items()},
-            self.z_tracked, self.trunc_z,
-        )
+        return self._like({k: fn(v) for k, v in self.coeffs.items()})
 
-    def _like(self, coeffs, trunc_q=None, trunc_z=None) -> "QSeries":
-        return QSeries(
-            self.q_arity,
-            self.trunc_q if trunc_q is None else trunc_q,
-            coeffs,
-            self.z_tracked,
-            self.trunc_z if trunc_z is None else trunc_z,
-        )
+    def _like(self, coeffs, trunc_q=None) -> "QSeries":
+        return QSeries(self.q_arity, self.trunc_q if trunc_q is None else trunc_q, coeffs)
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.coeffs.items()})
 
     def _check_compat(self, other: "QSeries"):
-        if self.q_arity != other.q_arity or self.z_tracked != other.z_tracked:
+        if self.q_arity != other.q_arity:
             raise ValueError("incompatible series shapes")
 
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            self._check_compat(other)
-            out = dict(self.coeffs)
-            for k, v in other.coeffs.items():
-                w = out.get(k)
-                nv = v if w is None else w + v
-                if _vzero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-            return self._like(
-                out,
-                trunc_q=min(self.trunc_q, other.trunc_q),
-                trunc_z=min(self.trunc_z, other.trunc_z),
-            )
-        key = (0,) * (self.q_arity + (1 if self.z_tracked else 0))
+    def __add__(self, other: "QSeries") -> "QSeries":
+        self._check_compat(other)
         out = dict(self.coeffs)
-        out[key] = out.get(key, _ZERO) + other
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
+        for k, v in other.coeffs.items():
+            w = out.get(k)
+            nv = v if w is None else w + v
+            if _vzero(nv):
+                out.pop(k, None)
+            else:
+                out[k] = nv
+        return self._like(out, trunc_q=min(self.trunc_q, other.trunc_q))
 
     def scale(self, c) -> "QSeries":
         return self._like({k: v * c for k, v in self.coeffs.items()})
@@ -346,39 +302,30 @@ class QSeries:
             return self.scale(other)
         self._check_compat(other)
         tq = min(self.trunc_q, other.trunc_q)
-        tz = min(self.trunc_z, other.trunc_z)
         out: dict[tuple, object] = {}
         for k1, v1 in self.coeffs.items():
-            q1 = sum(k1[: self.q_arity])
+            q1 = sum(k1)
             for k2, v2 in other.coeffs.items():
-                if q1 + sum(k2[: self.q_arity]) > tq:
+                if q1 + sum(k2) > tq:
                     continue
                 k = tuple(a + b for a, b in zip(k1, k2))
-                if self.z_tracked and k[self.q_arity] > tz:
-                    continue
                 w = out.get(k)
                 p = v1 * v2
                 out[k] = p if w is None else w + p
-        return self._like(out, trunc_q=tq, trunc_z=tz)
+        return self._like(out, trunc_q=tq)
 
     __rmul__ = scale
 
     def inverse_unit(self) -> "QSeries":
         """Inverse of a series whose constant term is invertible."""
-        key0 = (0,) * (self.q_arity + (1 if self.z_tracked else 0))
+        key0 = (0,) * self.q_arity
         c0 = self.coeffs.get(key0)
         if c0 is None:
             raise ZeroDivisionError("series has no constant term")
         inv0 = Fraction(1) / c0 if isinstance(c0, Fraction) else RatFunc.from_scalar(1) / c0
-        keys = sorted(self.coeffs.keys() | {key0}, key=lambda k: (sum(k), k))
         # graded recursion: c0 * inv[k] = delta_{k,0} - sum_{0 < k' <= k} c[k'] inv[k-k']
         inv = {key0: inv0}
-        all_keys = [
-            k
-            for k in _graded_keys(self.q_arity, self.trunc_q, self.z_tracked, self.trunc_z)
-            if k != key0
-        ]
-        for k in all_keys:
+        for k in _graded_keys(self.q_arity, self.trunc_q)[1:]:
             s = None
             for kp, cp in self.coeffs.items():
                 if kp == key0 or any(a > b for a, b in zip(kp, k)):
@@ -401,22 +348,20 @@ class QSeries:
         if self.q_arity != 2:
             raise ValueError("substitute_q_neg needs a two-variable series")
         out: dict[tuple, object] = {}
-        for k, v in self.coeffs.items():
-            d1, d2 = k[0], k[1]
-            sign = -1 if (d1 + d2) % 2 else 1
+        for (d1, d2), v in self.coeffs.items():
             w = v if weight is None else v * weight((d1, d2))
             if _vzero(w):
                 continue
-            nk = (d1 + d2,) + k[2:]
-            w = w * sign if sign < 0 else w
-            prev = out.get(nk)
-            out[nk] = w if prev is None else prev + w
-        return QSeries(1, self.trunc_q, out, self.z_tracked, self.trunc_z)
+            if (d1 + d2) % 2:
+                w = w * -1
+            prev = out.get((d1 + d2,))
+            out[(d1 + d2,)] = w if prev is None else prev + w
+        return QSeries(1, self.trunc_q, out)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if (self.q_arity, self.z_tracked) != (other.q_arity, other.z_tracked):
+        if self.q_arity != other.q_arity:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
         for k in keys:
@@ -435,14 +380,9 @@ class QSeries:
         return f"QSeries(arity={self.q_arity}, trunc={self.trunc_q}, nterms={len(self.coeffs)})"
 
 
-def _graded_keys(arity: int, trunc_q: int, z_tracked: bool, trunc_z: int):
-    qparts = []
+def _graded_keys(arity: int, trunc_q: int):
     if arity == 1:
-        qparts = [(d,) for d in range(trunc_q + 1)]
-    elif arity == 2:
-        qparts = [(d1, d - d1) for d in range(trunc_q + 1) for d1 in range(d + 1)]
-    else:
-        raise ValueError("q arity must be 1 or 2")
-    if not z_tracked:
-        return qparts
-    return [q + (p,) for q in qparts for p in range(trunc_z + 1)]
+        return [(d,) for d in range(trunc_q + 1)]
+    if arity == 2:
+        return [(d1, d - d1) for d in range(trunc_q + 1) for d1 in range(d + 1)]
+    raise ValueError("q arity must be 1 or 2")

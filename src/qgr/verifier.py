@@ -21,6 +21,7 @@ from .rings import RatFunc, SparsePoly
 from .series import QSeries, _vzero, laurent_expand_hbar
 
 HV = ("h",)
+_XI = Fraction(1, 3)  # the generic point at which residue_internal_check holds one x-variable
 
 
 @dataclass
@@ -135,29 +136,7 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
 
 @dataclass
 class PhiSeries:
-    payload: QSeries  # one q variable, z tracked; HRat values
-
-
-def _exp_qhz(F: QSeries, Nz: int) -> QSeries:
-    """q^d -> q^d * sum_p (d h z)^p / p!, tracked to z-order Nz."""
-    out = {}
-    for (d,), v in F.coeffs.items():
-        v = HRat.convert(v)
-        for p in range(Nz + 1):
-            if p > 0 and d == 0:
-                break
-            out[(d, p)] = v * HRat.poly((0,) * p + (Fraction(d**p, factorial(p)),))
-    return QSeries(1, F.trunc_q, out, z_tracked=True, trunc_z=Nz)
-
-
-def _embed_z(F: QSeries, Nz: int) -> QSeries:
-    return QSeries(1, F.trunc_q, {(d, 0): v for (d,), v in F.coeffs.items()},
-                   z_tracked=True, trunc_z=Nz)
-
-
-def _exp_cz(c: Fraction, D: int, Nz: int) -> QSeries:
-    return QSeries(1, D, {(0, p): Fraction(c) ** p / factorial(p) for p in range(Nz + 1)},
-                   z_tracked=True, trunc_z=Nz)
+    payload: QSeries  # keys (q-degree, z-degree); HRat values
 
 
 def pair_weight(alphas, i: int, j: int) -> Fraction:
@@ -170,35 +149,54 @@ def pair_weight(alphas, i: int, j: int) -> Fraction:
     return out
 
 
-def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int,
-              fold_symmetric: bool = True) -> PhiSeries:
+def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int) -> PhiSeries:
     """The half-sum over ordered fixed-point pairs of
-    eta e^{(a_i+a_j) z} / (pairing weight) * F(a_i, a_j, h, q e^{hz}) F'(a_i, a_j, -h, q).
+    eta e^{(a_i+a_j) z} / (pairing weight) * F(a_i, a_j, h, q e^{hz}) F'(a_i, a_j, -h, q):
+    its q^d z^p coefficients for d <= min(D, F.trunc_q, F'.trunc_q), p <= Nz.
 
-    With `fold_symmetric` the (i, j) and (j, i) terms — equal for the
-    x-symmetric series in scope — are merged, cancelling the half.
+    The (i, j) and (j, i) terms are equal for the x-symmetric series in
+    scope, so only the pairs i < j are read and the half cancels; a fault
+    injected at (1, 2) therefore acts on both orderings.
+
+    With c = a_i + a_j, the product of the q^{d1} coefficient of F and the
+    q^{d2} coefficient of F'(-h) enters q^{d1+d2} z^p with the weight
+    sum_{p1 <= p} (d1 h)^{p1} / p1! * c^{p-p1} / (p-p1)!.  Terms are summed
+    per pair, on that pair's roots; each pair's sums are then scaled by
+    eta / (pairing weight) and added into the total once per key, where
+    adding every term into the total would merge the root sets of
+    different pairs at every step.
     """
-    total = QSeries(1, D, {}, z_tracked=True, trunc_z=Nz)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j or (fold_symmetric and i > j):
-                continue
-            ev = eta_fn(i, j)
-            if ev == 0:
-                raise ValueError(f"eta vanishes at the fixed point ({i},{j})")
-            pref = Fraction(ev) / pair_weight(alphas, i, j)
-            T1 = _exp_qhz(F_evals[(i, j)], Nz)
-            T2 = _embed_z(Fp_evals[(i, j)].map_values(lambda v: HRat.convert(v).flip_h()), Nz)
-            ez = _exp_cz(alphas[i - 1] + alphas[j - 1], D, Nz)
-            term = T1 * T2 * ez
-            total = total + term.scale(pref)
-    if fold_symmetric:
-        return PhiSeries(total)
-    return PhiSeries(total.scale(Fraction(1, 2)))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    Dq = min([D] + [E[ij].trunc_q for ij in pairs for E in (F_evals, Fp_evals)])
+    total: dict[tuple[int, int], HRat] = {}
+    for i, j in pairs:
+        ev = eta_fn(i, j)
+        if ev == 0:
+            raise ValueError(f"eta vanishes at the fixed point ({i},{j})")
+        pref = Fraction(ev) / pair_weight(alphas, i, j)
+        cz = [Fraction(alphas[i - 1] + alphas[j - 1]) ** m / factorial(m) for m in range(Nz + 1)]
+        Fp = [(d2, HRat.convert(v).flip_h()) for (d2,), v in Fp_evals[(i, j)].coeffs.items()]
+        acc: dict[tuple[int, int], HRat] = {}
+        for (d1,), v1 in F_evals[(i, j)].coeffs.items():
+            weights = [HRat.poly([Fraction(d1**p1, factorial(p1)) * cz[p - p1] for p1 in range(p + 1)])
+                       for p in range(Nz + 1)]
+            v1 = HRat.convert(v1)
+            for d2, v2 in Fp:
+                if d1 + d2 > Dq:
+                    continue
+                f = v1 * v2
+                for p, w in enumerate(weights):
+                    key = (d1 + d2, p)
+                    t = f * w
+                    acc[key] = t if key not in acc else acc[key] + t
+        for key, s in acc.items():
+            s = s * pref
+            total[key] = s if key not in total else total[key] + s
+    return PhiSeries(QSeries(2, D + Nz, total))
 
 
 def check_mpc(phi: PhiSeries):
-    """True iff every (z, q)-coefficient is a polynomial in h: no root of
+    """True iff every (q, z)-coefficient is a polynomial in h: no root of
     its denominator is left after cancellation.  Offenders are reported as
     gcd-reduced RatFunc values."""
     offenders = []
@@ -245,8 +243,7 @@ def audit_uniqueness_hypotheses(F_evals, Fp_evals, coeff_fn, eta_fn, alphas,
 
 
 def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
-                           alphas, n: int, D: int, Nz: int, depth: int,
-                           xi=Fraction(1, 3)) -> dict:
+                           alphas, n: int, D: int, Nz: int, depth: int) -> dict:
     """Residue checks for the integrand
     eta(x) e^{(x1+x2)z} (x1-x2)(x2-x1) / (prod_k (x1-a_k) prod_k (x2-a_k))
       * Y1(x, h, q e^{hz}) * Y2(x, -h, q)
@@ -268,9 +265,9 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
             denom_poly = denom_poly * (xk - SparsePoly.const((var_kept,), ak))
         fixed_weight = Fraction(1)
         for ak in alphas:
-            fixed_weight *= xi - ak
-        c1s = [Y1.coeff((d,)).substitute({var_fixed: xi}) for d in range(D + 1)]
-        c2s = [Y2.coeff((d,)).substitute({var_fixed: xi, "h": -h}) for d in range(D + 1)]
+            fixed_weight *= _XI - ak
+        c1s = [Y1.coeff((d,)).substitute({var_fixed: _XI}) for d in range(D + 1)]
+        c2s = [Y2.coeff((d,)).substitute({var_fixed: _XI, "h": -h}) for d in range(D + 1)]
         for (dz, qd) in [(p, d) for d in range(D + 1) for p in range(Nz + 1)]:
             total = None
             for d1 in range(qd + 1):
@@ -280,7 +277,7 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
                     p2 = dz - p1
                     zshift = RatFunc((h * d1) ** p2) * Fraction(1, factorial(p2))
                     lin = SparsePoly.variable((var_kept,), var_kept) + SparsePoly.const(
-                        (var_kept,), xi
+                        (var_kept,), _XI
                     )
                     epart = RatFunc(lin**p1) * Fraction(1, factorial(p1))
                     term = c1 * zshift * c2 * epart
@@ -288,10 +285,10 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
             if total is None:
                 continue
             x_kept = SparsePoly.variable((var_kept,), var_kept)
-            sqpoly = (SparsePoly.const((var_kept,), xi) - x_kept) * (
-                x_kept - SparsePoly.const((var_kept,), xi)
+            sqpoly = (SparsePoly.const((var_kept,), _XI) - x_kept) * (
+                x_kept - SparsePoly.const((var_kept,), _XI)
             )
-            integrand = total * RatFunc(eta_poly.substitute({var_fixed: xi})) * RatFunc(
+            integrand = total * RatFunc(eta_poly.substitute({var_fixed: _XI})) * RatFunc(
                 sqpoly
             ) / (RatFunc(denom_poly) * fixed_weight)
             le = laurent_expand_hbar(integrand, depth)

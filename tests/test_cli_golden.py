@@ -56,6 +56,11 @@ GOLDEN = [
      "f9170e346c7566388fbe7867ebabd6f4636e5dc02675962aa95a8d8a51e3a0e3"),
     (["verify", "--suite", "mpc", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1", "--mutate", "1:0"], 1,
      "dcf23950d1376974a595a19ec56bd0c067d01b356e7a7f7ee0c1d85f6391070e"),
+    (["verify", "--suite", "mpc", "--n", "3", "--a", "", "--qdeg", "3", "--zdeg", "3", "--mutate", "1:1",
+      "--alpha", "1,6,37"], 1,
+     "7d6e4c43eac5ec298fc984d57c791b51328d8924e7dea5194832f8659972f4c4"),
+    (["verify", "--suite", "mpc", "--n", "4", "--a", "2", "--qdeg", "2", "--zdeg", "2", "--alpha", "2,19,29,31"], 0,
+     "007f258cca8bffd7474e899c7b79264eede36245ed354934380945e4b899fca7"),
     (["verify", "--suite", "all", "--n", "3", "--a", "", "--qdeg", "1", "--zdeg", "1", "--mutate", "1:1"], 1,
      "119c3e43968ecd1c6d7f4f3f42a9443e15f3aa57234f92884504017a2dbb8d4d"),
     (["cohomology", "--n", "3", "--equivariant", "--alpha", "7,49,343"], 0,

@@ -61,6 +61,27 @@ def test_tracer_sizes_evaluated_values():
     assert tracer._coeff_bits(Y) > 0
 
 
+def test_tracer_sizes_phi_payload():
+    # the build_phi and check_mpc probes read .payload.coeffs as a dict of
+    # HRat values, one per nonzero (q, z) entry
+    from fractions import Fraction
+
+    from qgr.cohomology import default_generic_alpha
+    from qgr.hyper import CISpec, y_series_evaluated
+    from qgr.verifier import build_phi
+
+    tracer = _load_tracer()
+    n, a, al, D, Nz = 3, CISpec((1,)), default_generic_alpha(3), 2, 2
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    Fd = {p: y_series_evaluated("dot", n, a, al, *p, D) for p in pairs}
+    Fdd = {p: y_series_evaluated("ddot", n, a, al, *p, D) for p in pairs}
+    payload = build_phi(Fd, Fdd, lambda i, j: Fraction(i + 2 * j), al, n, Nz, D).payload
+    assert tracer._den_h_degree(payload) > 0
+    assert tracer._coeff_bits(payload) > 0
+    box = [payload.get((d, p)) for d in range(D + 1) for p in range(Nz + 1)]
+    assert len(payload.coeffs) == sum(1 for v in box if v != 0)
+
+
 # Installs the tracer, runs every golden CLI case through qgr.cli.run with
 # stdout discarded, and prints the targets that were never called.
 _CALL_EVERY_TARGET = textwrap.dedent("""

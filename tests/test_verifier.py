@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -22,6 +23,7 @@ from qgr.verifier import (
     check_mpc,
     check_recursive,
     check_recursive_2q,
+    pair_weight,
     residue_internal_check,
 )
 
@@ -125,14 +127,18 @@ def test_phi_trivial_has_no_hbar():
 
 
 def test_exp_substitution_shape():
-    # q^d -> q^d sum_p (d h z)^p / p!
-    from qgr.verifier import _exp_qhz
-
-    F = QSeries(1, 2, {(1,): one})
-    out = _exp_qhz(F, 2)
+    # q^d -> q^d sum_p (d h z)^p / p!, read through build_phi at n = 2 with
+    # a_1 + a_2 = 0, so that e^{(a_1+a_2) z} = 1 and the pairing weight is 1
+    al = (Fraction(1), Fraction(-1))
+    F = {(1, 2): QSeries(1, 2, {(1,): one, (2,): one})}
+    Fp = {(1, 2): QSeries.one(1, 2)}
+    out = build_phi(F, Fp, lambda i, j: Fraction(1), al, 2, 2, 2).payload
     assert out.get((1, 0)) == one
     assert out.get((1, 1)) == HRat.poly((0, 1))
     assert out.get((1, 2)) == HRat.poly((0, 0, 1)) * Fraction(1, 2)
+    assert out.get((2, 1)) == HRat.poly((0, 2))
+    assert out.get((2, 2)) == HRat.poly((0, 0, 2))
+    assert len(out.coeffs) == 6
 
 
 def test_mpc_pairs():
@@ -215,15 +221,103 @@ def test_residue_internal():
     assert rep["ok"], [c for c in rep["checks"] if not (c["sum_zero"] and c["regular_at_0"])][:3]
 
 
+def _zmul(A, B, Dq, Nz):
+    """Product of two tables over (q-degree, z-degree), truncated at d <= Dq, p <= Nz."""
+    out = {}
+    for (d1, p1), a in A.items():
+        for (d2, p2), b in B.items():
+            if d1 + d2 <= Dq and p1 + p2 <= Nz:
+                k = (d1 + d2, p1 + p2)
+                out[k] = out[k] + a * b if k in out else a * b
+    return out
+
+
+def _phi_z_tracked(F_evals, Fp_evals, eta_fn, al, Nz, D, pairs):
+    """The sum over `pairs` of the pairing terms, formed as the z-tracked
+    product F(h, q e^{hz}) * F'(-h, q) * e^{(a_i+a_j) z} of three tables
+    over (d, p) and added into the total term by term."""
+    Dq = min([D] + [E[ij].trunc_q for ij in pairs for E in (F_evals, Fp_evals)])
+    total = {}
+    for i, j in pairs:
+        pref = Fraction(eta_fn(i, j)) / pair_weight(al, i, j)
+        T1 = {(d, p): HRat.convert(v) * HRat.poly((0,) * p + (Fraction(d**p, factorial(p)),))
+              for (d,), v in F_evals[(i, j)].coeffs.items() for p in range(Nz + 1) if d or not p}
+        T2 = {(d, 0): HRat.convert(v).flip_h() for (d,), v in Fp_evals[(i, j)].coeffs.items()}
+        c = al[i - 1] + al[j - 1]
+        ez = {(0, p): HRat.poly((c**p / factorial(p),)) for p in range(Nz + 1)}
+        for k, v in _zmul(_zmul(T1, T2, Dq, Nz), ez, Dq, Nz).items():
+            total[k] = total[k] + v * pref if k in total else v * pref
+    return {k: v for k, v in total.items() if not v.is_zero()}
+
+
+def _assert_same_table(phi, want):
+    assert set(phi.coeffs) == set(want)
+    for k, v in want.items():
+        assert phi.coeffs[k] == v, k
+
+
+def _upper_pairs(n):
+    return [(i, j) for (i, j) in all_pairs(n) if i < j]
+
+
 def test_phi_fold_matches_literal_half_sum():
     n, a = 3, CISpec((1,))
     al = default_generic_alpha(n)
     Fd = y_evals("dot", n, a, al, 2)
     Fdd = y_evals("ddot", n, a, al, 2)
     eta = lambda i, j: Fraction(1)
-    folded = build_phi(Fd, Fdd, eta, al, n, 2, 2)
-    literal = build_phi(Fd, Fdd, eta, al, n, 2, 2, fold_symmetric=False)
-    assert folded.payload == literal.payload
+    literal = _phi_z_tracked(Fd, Fdd, eta, al, 2, 2, all_pairs(n))
+    assert literal
+    half = {k: v * Fraction(1, 2) for k, v in literal.items()}
+    _assert_same_table(build_phi(Fd, Fdd, eta, al, n, 2, 2).payload, half)
+
+
+@pytest.mark.parametrize("n,ci", [(3, (1,)), (3, (1, 1, 1)), (4, (2,))])
+def test_build_phi_matches_z_tracked_products(n, ci):
+    a = CISpec(ci)
+    al = default_generic_alpha(n)
+    pairs = _upper_pairs(n)
+    Fd = {p: y_series_evaluated("dot", n, a, al, *p, 3) for p in pairs}
+    Fdd = {p: y_series_evaluated("ddot", n, a, al, *p, 3) for p in pairs}
+    eta = lambda i, j: Fraction(i + 2 * j)  # asymmetric, so the table is not all polynomial
+    for D in range(4):
+        for Nz in range(4):
+            want = _phi_z_tracked(Fd, Fdd, eta, al, Nz, D, pairs)
+            assert want
+            _assert_same_table(build_phi(Fd, Fdd, eta, al, n, Nz, D).payload, want)
+
+
+def test_build_phi_matches_z_tracked_products_mutated_and_short():
+    n, a = 3, CISpec(())
+    al = default_generic_alpha(n)
+    pairs = _upper_pairs(n)
+    eta = lambda i, j: Fraction(1)
+    bad = {p: y_series_evaluated("dot", n, a, al, *p, 3, (1, 1) if p == (1, 2) else None) for p in pairs}
+    want = _phi_z_tracked(bad, bad, eta, al, 3, 3, pairs)
+    assert not check_mpc(build_phi(bad, bad, eta, al, n, 3, 3))[0]
+    _assert_same_table(build_phi(bad, bad, eta, al, n, 3, 3).payload, want)
+    # F truncated below D: the table stops at F's truncation
+    short = {p: y_series_evaluated("dot", n, a, al, *p, 1) for p in pairs}
+    Fdd = {p: y_series_evaluated("ddot", n, a, al, *p, 3) for p in pairs}
+    odd = lambda i, j: Fraction(i + 2 * j)
+    want = _phi_z_tracked(short, Fdd, odd, al, 2, 3, pairs)
+    assert max(d for d, _ in want) == 1
+    _assert_same_table(build_phi(short, Fdd, odd, al, n, 2, 3).payload, want)
+
+
+def test_phi_payload_stays_in_box():
+    # QSeries bounds the total q-degree only, so build_phi alone keeps z <= Nz
+    n, a = 3, CISpec((1,))
+    al = default_generic_alpha(n)
+    pairs = _upper_pairs(n)
+    eta = lambda i, j: Fraction(i + 2 * j)
+    Fd = {p: y_series_evaluated("dot", n, a, al, *p, 2) for p in pairs}
+    Fdd = {p: y_series_evaluated("ddot", n, a, al, *p, 3) for p in pairs}
+    for D, Nz in ((3, 1), (1, 3), (2, 2)):
+        keys = set(build_phi(Fd, Fdd, eta, al, n, Nz, D).payload.coeffs)
+        Dq = min(D, 2)
+        assert keys <= {(d, p) for d in range(Dq + 1) for p in range(Nz + 1)}
+        assert (Dq, Nz) in keys  # the far corner of the box is filled
 
 
 def test_audit_uniqueness_with_operator_weighted_series():

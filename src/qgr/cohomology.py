@@ -64,20 +64,6 @@ def default_generic_alpha(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(7**m) for m in range(1, n + 1))
 
 
-def small_generic_alpha(n: int, max_degree: int) -> tuple[Fraction, ...]:
-    """Compact generic weights (coefficient growth matters for speed);
-    falls back to the geometric default when the pre-flight check fails."""
-    base = (1, 3, 8, 21, 55, 144, 377, 987)
-    if n <= len(base):
-        cand = tuple(Fraction(v) for v in base[:n])
-        try:
-            genericity_check(cand, max_degree)
-            return cand
-        except GenericityError:
-            pass
-    return default_generic_alpha(n)
-
-
 def genericity_check(alpha, max_degree: int) -> None:
     """Abort early if a scheduled denominator vanishes.
 
@@ -179,12 +165,6 @@ class CohClass:
 
     def get(self, lam: Partition):
         return self.coeffs.get(tuple(lam), Fraction(0))
-
-    def to_poly(self) -> SparsePoly:
-        out = SparsePoly.zero(XV)
-        for lam, c in self.coeffs.items():
-            out = out + schur_poly(lam) * c
-        return out
 
 
 def schur_expand(p: SparsePoly) -> dict[Partition, Fraction]:

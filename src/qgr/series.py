@@ -175,6 +175,48 @@ def laurent_expand_hbar(f: RatFunc, depth: int, var: str = "h") -> LaurentExpans
     return LaurentExpansion(coeffs, depth)
 
 
+def laurent_expand_hbar_x(
+    num: SparsePoly, den: SparsePoly, max_x_degree: int, depth: int
+) -> dict[int, SparsePoly]:
+    """Expand num/den at h = infinity with x-polynomial coefficients.
+
+    The top h-coefficient of den must be a nonzero constant c (true of
+    every ladder product).  Then 1/den = h^(-N) sum_j w_j h^(-j) with
+    w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}, the recurrence of
+    laurent_expand_hbar run on polynomials in x, each product truncated
+    at total x-degree max_x_degree.  Returns h-exponent -> x-polynomial
+    for the exponents down to h^(1-depth), zero polynomials omitted.
+    Read at x^e, it agrees with expanding the x^e coefficient of
+    x_coefficients(num/den, max_x_degree) at h = infinity.
+    """
+    if num.is_zero():
+        return {}
+    num_parts = num.decompose_by("h") if "h" in num.vars else {0: num}
+    den_parts = den.decompose_by("h") if "h" in den.vars else {0: den}
+    M, N = max(num_parts), max(den_parts, default=0)
+    lead = den_parts.get(N)
+    if lead is None or lead.is_zero() or not lead.is_const():
+        raise ValueError("top h-coefficient of the denominator is not a nonzero constant")
+    inv = 1 / lead.const_value()
+    u = {t: den_parts[N - t] * inv for t in range(1, N + 1) if N - t in den_parts}
+    w = [SparsePoly.const(den.vars, inv)]
+    out: dict[int, SparsePoly] = {}
+    for j in range(M - N + depth):
+        if j:
+            s = SparsePoly.zero(den.vars)
+            for t, ut in u.items():
+                if t <= j:
+                    s = s + ut.mul_trunc(w[j - t], max_x_degree)
+            w.append(-s)
+        c = SparsePoly.zero(num.vars)
+        for k in range(max(0, j - M), j + 1):
+            if M - (j - k) in num_parts:
+                c = c + num_parts[M - (j - k)].mul_trunc(w[k], max_x_degree)
+        if not c.is_zero():
+            out[M - N - j] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # x-adic expansion around x = 0
 # ---------------------------------------------------------------------------

@@ -65,6 +65,31 @@ def test_verify_exit_codes(capsys):
     assert code2 == 0 and doc2["pass"] is True
 
 
+def test_fano_vanishing_names_failing_term(capsys, monkeypatch):
+    # c x1 h^N over a q^1 denominator of h-degree N and top h-coefficient 1
+    # adds c to the x1 h^0 term, which the suite must report
+    import qgr.cli
+    from qgr.rings import SparsePoly
+
+    assemble = qgr.cli.bar_assemble
+
+    def perturbed(K):
+        Y = assemble(K)
+        N = Y.dens[(1,)].degree_in("h")
+        Y.num_parts[(1,)] = Y.num_parts[(1,)] + SparsePoly(("x1", "x2", "h"), {(1, 0, N): 3})
+        return Y
+
+    argv = ["verify", "--suite", "fano-vanishing", "--n", "4", "--a", "", "--qdeg", "2"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["pass"] is True
+    monkeypatch.setattr(qgr.cli, "bar_assemble", perturbed)
+    code, doc = run_json(capsys, argv)
+    [rec] = doc["payload"]
+    assert code == 1 and doc["pass"] is False and rec["pass"] is False
+    assert {"q": 1, "x": [1, 0], "h_exp": 0, "coeff": "3"} in rec["failures"]
+    assert all(f["q"] == 1 for f in rec["failures"])
+
+
 def test_verify_mutation_detected(capsys):
     code, doc = run_json(
         capsys,

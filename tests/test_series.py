@@ -8,6 +8,7 @@ from qgr.series import (
     QSeries,
     _x_inverse,
     laurent_expand_hbar,
+    laurent_expand_hbar_x,
     x_coefficients,
 )
 
@@ -225,6 +226,68 @@ def test_expand_x_on_degree_one_ladder_coefficient():
         a = mine.get(e, RatFunc.from_scalar(0, V))
         b = oracle.get(e, RatFunc.from_scalar(0, V))
         assert a == b, e
+
+
+def _hbar_x_table(expansion):
+    """h-exponent -> x-exponent -> Fraction, read off laurent_expand_hbar_x."""
+    return {
+        ex: {e: c.const_value() for e, c in p.decompose_x().items()}
+        for ex, p in expansion.items()
+    }
+
+
+def _oracle_hbar_x(num, den, max_x, depth):
+    """The route laurent_expand_hbar_x replaces: x-adic coefficients first,
+    each then expanded at h = infinity.  Exponents below the cut are
+    dropped (at alpha = 0 the h-expansions are exact)."""
+    out = {}
+    for e, v in x_coefficients(RatFunc(num, den), max_x).items():
+        for ex, c in laurent_expand_hbar(v, depth).coeffs.items():
+            if ex >= 1 - depth:
+                out.setdefault(ex, {})[e] = c
+    return out
+
+
+@pytest.mark.parametrize("n, a, alpha, D", [
+    (4, (), "generic", 3),
+    (4, (), (2, 19, 29, 31), 2),
+    (4, (), (12, 19, 31, 34), 2),
+    (5, (2,), "generic", 2),
+    (5, (2,), (12, 15, 17, 25, 34), 1),
+    (5, (2,), (4, 5, 17, 27, 28), 1),
+    (3, (2,), "generic", 2),
+    (4, (4,), "generic", 2),
+    (4, (), None, 2),
+    (3, (2,), None, 2),
+])
+def test_hbar_x_expansion_matches_x_first_route(n, a, alpha, D):
+    from qgr.cohomology import default_generic_alpha
+    from qgr.hyper import CISpec, bar_assemble, build_K
+
+    al = default_generic_alpha(n) if alpha == "generic" else alpha
+    if al is not None:
+        al = tuple(Fraction(w) for w in al)
+    mx, depth = 2 * (n - 2), 3
+    Y = bar_assemble(build_K("dot", n, CISpec(a), al, D, xtrunc=mx + 1))
+    low = False
+    for d in range(1, D + 1):
+        num, den = Y.num_parts[(d,)], Y.dens[(d,)]
+        mine = _hbar_x_table(laurent_expand_hbar_x(num, den, mx, depth))
+        assert mine == _oracle_hbar_x(num, den, mx, depth), d
+        low = low or bool(mine.get(0) or mine.get(-1))
+    # |a| <= n - 2 is Fano: the h^0 and h^-1 terms vanish; otherwise they do not
+    assert low == (sum(a) > n - 2)
+
+
+def test_hbar_x_expansion_edge_cases():
+    assert laurent_expand_hbar_x(SparsePoly.zero(V), (x1 + h) * (x2 + h), 2, 3) == {}
+    with pytest.raises(ValueError):
+        laurent_expand_hbar_x(one, x1 * h + one, 2, 3)
+    with pytest.raises(ValueError):
+        laurent_expand_hbar_x(one, SparsePoly.zero(V), 2, 3)
+    # 1/(h + x1) = h^-1 - x1 h^-2 + x1^2 h^-3 - ..., cut at x-degree 1
+    got = laurent_expand_hbar_x(one, h + x1, 1, 4)
+    assert got == {-1: one, -2: -x1}
 
 
 def test_qseries_basic():

@@ -33,17 +33,29 @@ def _coeff_lists(f: RatFunc, var: str) -> tuple[list[Fraction], list[Fraction]]:
     return univariate_coeffs(f.num, var), univariate_coeffs(f.den, var)
 
 
-def _shift(coeffs: list[Fraction], z0: Fraction) -> list[Fraction]:
-    """Taylor shift: ascending coefficients of p(z + z0), via Horner."""
+def _divmod_linear(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Synthetic division of ascending-coeff a by (z - z0): (quotient, a(z0))."""
+    q = [Fraction(0)] * (len(a) - 1)
+    r = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        q[i] = r
+        r = a[i] + z0 * r
+    return q, r
+
+
+def _taylor_head(a: list[Fraction], z0: Fraction, m: int) -> list[Fraction]:
+    """The first m coefficients of a(z + z0): the input's own at z0 = 0,
+    else the successive remainders of division by (z - z0)."""
+    if z0 == 0:
+        return (a + [Fraction(0)] * m)[:m]
     out: list[Fraction] = []
-    for c in reversed(coeffs):
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i] += v * z0
-            new[i + 1] += v
-        new[0] += c
-        out = new
-    return out if out else [Fraction(0)]
+    for _ in range(m):
+        if not a:
+            out.append(Fraction(0))
+            continue
+        a, r = _divmod_linear(a, z0)
+        out.append(r)
+    return out
 
 
 def _series_inverse(u: list[Fraction], order: int) -> list[Fraction]:
@@ -59,44 +71,28 @@ def _series_inverse(u: list[Fraction], order: int) -> list[Fraction]:
 
 
 def residue_at(f: RatFunc, z0, var: str = "z") -> Fraction:
-    """Coefficient of (z - z0)^(-1) in the local Laurent expansion."""
+    """Coefficient of (z - z0)^(-1) in the local Laurent expansion.
+
+    With den = (z - z0)^m u and u(z0) != 0, only the first m Taylor
+    coefficients of num and of u at z0 enter."""
     z0 = Fraction(z0)
     num, den = _coeff_lists(f, var)
-    if not den:
-        raise ZeroDivisionError("denominator is identically zero")
-    nsh = _shift(num, z0)
-    dsh = _shift(den, z0)
-    m = 0
-    while m < len(dsh) and dsh[m] == 0:
-        m += 1
-    if m == len(dsh):  # pragma: no cover - nonzero den cannot vanish identically
-        raise ZeroDivisionError("non-isolated singularity")
+    u, m = _deflate(den, z0)
     if m == 0:
         return Fraction(0)
-    u = dsh[m:]
-    uinv = _series_inverse(u, m - 1)
-    res = Fraction(0)
-    for i in range(m):
-        if i < len(nsh):
-            res += nsh[i] * uinv[m - 1 - i]
-    return res
+    nsh = _taylor_head(num, z0, m)
+    uinv = _series_inverse(_taylor_head(u, z0, m), m - 1)
+    return sum((nsh[i] * uinv[m - 1 - i] for i in range(m)), Fraction(0))
 
 
 def pole_order_at(f: RatFunc, z0, var: str = "z") -> int:
-    """Order of the pole of f at z0 (0 at a regular point)."""
+    """Order of the pole of f at z0 (0 at a regular point): the root
+    multiplicity of den at z0 less that of num."""
     z0 = Fraction(z0)
     num, den = _coeff_lists(f, var)
-    dsh = _shift(den, z0)
-    m = 0
-    while m < len(dsh) and dsh[m] == 0:
-        m += 1
-    nsh = _shift(num, z0)
-    k = 0
-    while k < len(nsh) and nsh[k] == 0:
-        k += 1
-    if k == len(nsh):
+    if not any(num):
         return 0
-    return max(m - k, 0)
+    return max(_deflate(den, z0)[1] - _deflate(num, z0)[1], 0)
 
 
 def residue_at_infinity(f: RatFunc, var: str = "z") -> Fraction:
@@ -122,16 +118,10 @@ def residue_at_infinity(f: RatFunc, var: str = "z") -> Fraction:
 
 def _deflate_once(a: list[Fraction], z0: Fraction):
     """Synthetic division of ascending-coeff a by (z - z0); None unless exact."""
-    n = len(a) - 1
-    if n < 1:
+    if len(a) < 2:
         return None
-    q = [Fraction(0)] * n
-    q[n - 1] = a[n]
-    for i in range(n - 1, 0, -1):
-        q[i - 1] = a[i] + z0 * q[i]
-    if a[0] + z0 * q[0] != 0:
-        return None
-    return q
+    q, r = _divmod_linear(a, z0)
+    return q if r == 0 else None
 
 
 def _deflate(den: list[Fraction], z0: Fraction) -> tuple[list[Fraction], int]:

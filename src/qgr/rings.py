@@ -233,21 +233,31 @@ class SparsePoly:
 
     def substitute(self, assignments: Mapping[str, object]) -> "SparsePoly":
         """Substitute variables by Fractions or polynomials."""
-        values = {}
-        extra_vars = set(self.vars)
+        scalars: dict[int, Fraction] = {}
+        values: dict[str, SparsePoly] = {}
         for name, val in assignments.items():
             if name not in self.vars:
                 continue
             if isinstance(val, SparsePoly):
                 values[name] = val
-                extra_vars.update(val.vars)
             else:
-                values[name] = Fraction(val)
-        target_vars = order_vars(extra_vars)
+                scalars[self.vars.index(name)] = Fraction(val)
+        # scalar values fold into the coefficients, term by term
+        folded: dict[tuple[int, ...], Fraction] = {}
+        for e, c in self.terms.items():
+            for i, v in scalars.items():
+                if e[i]:
+                    c = c * v ** e[i]
+                    e = e[:i] + (0,) + e[i + 1:]
+            folded[e] = folded.get(e, _ZERO) + c
+        target_vars = order_vars(set(self.vars).union(*(v.vars for v in values.values())))
+        base = SparsePoly(self.vars, folded)
+        if not values:
+            return base.embed(target_vars)
         result = SparsePoly.zero(target_vars)
         # Horner would be faster; term-by-term is fine at the sizes in scope.
         pow_cache: dict[tuple[str, int], SparsePoly] = {}
-        for e, c in self.terms.items():
+        for e, c in base.terms.items():
             term = SparsePoly.const(target_vars, c)
             for i, p in enumerate(e):
                 if p == 0:
@@ -256,13 +266,11 @@ class SparsePoly:
                 val = values.get(name)
                 if val is None:
                     term = term * SparsePoly.variable(target_vars, name) ** p
-                elif isinstance(val, SparsePoly):
+                else:
                     key = (name, p)
                     if key not in pow_cache:
                         pow_cache[key] = val.embed(target_vars) ** p
                     term = term * pow_cache[key]
-                else:
-                    term = term * val**p
             result = result + term
         return result
 
@@ -521,7 +529,8 @@ class RatFunc:
 
     Invariants: den != 0; num and den have integer coefficients with joint
     integer content 1; the leading coefficient of den under the canonical
-    order is positive.  Equality is decided by cross-multiplication, so it
+    order is positive.  Equality compares numerators over equal
+    denominators and is decided by cross-multiplication otherwise, so it
     does not rely on gcd-reduced representatives.
     """
 
@@ -567,6 +576,8 @@ class RatFunc:
             other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

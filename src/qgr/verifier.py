@@ -13,14 +13,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .hrat import HRat
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
-from .series import QSeries, _vzero, laurent_expand_hbar
+from .series import QSeries, _vzero, laurent_expand_hbar_x
 
-HV = ("h",)
 _XI = Fraction(1, 3)  # the generic point at which residue_internal_check holds one x-variable
 
 
@@ -242,60 +241,98 @@ def audit_uniqueness_hypotheses(F_evals, Fp_evals, coeff_fn, eta_fn, alphas,
 # ---------------------------------------------------------------------------
 
 
+def _expand_at_infinity(coeffs: list[RatFunc], depth: int) -> tuple[list[dict], SparsePoly]:
+    """Expand each coeffs[d] = num/den at h = infinity over one common
+    x-denominator L: returns ([h-exponent -> x-polynomial P], L) with
+    coeffs[d] = sum_e P_e h^e / L, exact for e >= 1 - depth.
+
+    Each denominator splits as L_d * den', L_d its top h-coefficient
+    (ValueError if L_d does not divide it), so that den' has the top
+    coefficient 1 that laurent_expand_hbar_x needs; L = prod_d L_d."""
+    leads = []
+    for c in coeffs:
+        parts = c.den.decompose_by("h")
+        leads.append(parts[max(parts)])
+    L = prod(leads, start=SparsePoly.const(coeffs[0].den.vars, 1))
+    out = []
+    for c, lead in zip(coeffs, leads):
+        den = c.den.divide_exact(lead)
+        if den is None:
+            raise ValueError("denominator is not its top h-coefficient times a polynomial")
+        out.append(laurent_expand_hbar_x(c.num * L.divide_exact(lead), den, None, depth))
+    return out, L
+
+
 def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
                            alphas, n: int, D: int, Nz: int, depth: int) -> dict:
     """Residue checks for the integrand
     eta(x) e^{(x1+x2)z} (x1-x2)(x2-x1) / (prod_k (x1-a_k) prod_k (x2-a_k))
       * Y1(x, h, q e^{hz}) * Y2(x, -h, q)
     with one x-variable held at a generic rational point: each h-Laurent
-    coefficient of each (z, q)-coefficient is regular at the evaluated
-    variable's origin and its residues over {alpha points, 0, infinity}
-    sum to zero.
+    coefficient, down to h^(1-depth), of each (z, q)-coefficient is
+    regular at the evaluated variable's origin and its residues over
+    {alpha points, 0, infinity} sum to zero.
 
-    Y1, Y2: one-q HyperSeries; each trivariate coefficient is read once
-    per evaluated variable.
+    Y1, Y2: one-q HyperSeries; eta_poly: a polynomial in x1, x2.
+
+    Each coefficient Y.coeff((d,)), with the fixed variable set to xi, is
+    expanded once at h = infinity as sum_e P_e(x) h^e / L(x)
+    (_expand_at_infinity); Y2's terms take the sign (-1)^e of h -> -h.
+    Depth: with t the largest deg_h num - deg_h den among the partner
+    series' coefficients, a factor known down to h^(1-depth-Nz-t) makes
+    every product term down to h^(1-depth-Nz) exact, and the z-shift
+    (d1 h)^p2 with p2 <= Nz lifts those into the checked range
+    h^(>= 1-depth).  A (z, q)-coefficient is the sum over d1 and
+    p1 + p2 = z of the product of the q^d1 and q^(q-d1) expansions times
+    lin^p1/p1! (d1 h)^p2/p2!, lin = x + xi; each of its h-coefficients P_e
+    gives the checked function
+    P_e eta (x-xi)(xi-x) / (prod_k (x-a_k)(xi-a_k) * L1 L2).
+    Constant functions are not checked.
     Returns a report dict; "ok" is the conjunction of all checks.
     """
-    h = SparsePoly.variable(HV, "h")
+    lo = 1 - depth - Nz  # the lowest product exponent that any check reads
     checks = []
     for var_kept, var_fixed in (("x2", "x1"), ("x1", "x2")):
-        denom_poly = SparsePoly.const((var_kept,), 1)
-        xk = SparsePoly.variable((var_kept,), var_kept)
+        subs = [[Y.coeff((d,)).substitute({var_fixed: _XI}) for d in range(D + 1)] for Y in (Y1, Y2)]
+        tops = [max((c.num.degree_in("h") - c.den.degree_in("h") for c in cs if not c.is_zero()), default=0)
+                for cs in subs]
+        (e1, L1), (e2, L2) = (
+            _expand_at_infinity(cs, depth + Nz + tops[1 - s]) for s, cs in enumerate(subs)
+        )
+        e2 = [{e: (-P if e % 2 else P) for e, P in ex.items()} for ex in e2]  # h -> -h
+        V = L1.vars
+        conv = {}
+        for d1 in range(D + 1):
+            for d2 in range(D + 1 - d1):
+                acc: dict[int, SparsePoly] = {}
+                for a, P1 in e1[d1].items():
+                    for b, P2 in e2[d2].items():
+                        if a + b >= lo:
+                            t = P1 * P2
+                            acc[a + b] = t if a + b not in acc else acc[a + b] + t
+                conv[(d1, d2)] = acc
+        x = SparsePoly.variable(V, var_kept)
+        xi = SparsePoly.const(V, _XI)
+        lin = x + xi
+        lin_pows = [lin**p * Fraction(1, factorial(p)) for p in range(Nz + 1)]
+        front = eta_poly.substitute({var_fixed: _XI}) * (xi - x) * (x - xi)
+        pole_den = L1 * L2
         for ak in alphas:
-            denom_poly = denom_poly * (xk - SparsePoly.const((var_kept,), ak))
-        fixed_weight = Fraction(1)
-        for ak in alphas:
-            fixed_weight *= _XI - ak
-        c1s = [Y1.coeff((d,)).substitute({var_fixed: _XI}) for d in range(D + 1)]
-        c2s = [Y2.coeff((d,)).substitute({var_fixed: _XI, "h": -h}) for d in range(D + 1)]
+            pole_den = pole_den * (x - SparsePoly.const(V, ak)) * (_XI - ak)
         for (dz, qd) in [(p, d) for d in range(D + 1) for p in range(Nz + 1)]:
-            total = None
+            # z-contributions: e^{(x1+x2)z} and the q -> q e^{hz} shift in Y1
+            total: dict[int, SparsePoly] = {}
             for d1 in range(qd + 1):
-                c1, c2 = c1s[d1], c2s[qd - d1]
-                # z-contributions: e^{(x1+x2)z} and the q -> q e^{hz} shift in Y1
-                for p1 in range(dz + 1):
-                    p2 = dz - p1
-                    zshift = RatFunc((h * d1) ** p2) * Fraction(1, factorial(p2))
-                    lin = SparsePoly.variable((var_kept,), var_kept) + SparsePoly.const(
-                        (var_kept,), _XI
-                    )
-                    epart = RatFunc(lin**p1) * Fraction(1, factorial(p1))
-                    term = c1 * zshift * c2 * epart
-                    total = term if total is None else total + term
-            if total is None:
-                continue
-            x_kept = SparsePoly.variable((var_kept,), var_kept)
-            sqpoly = (SparsePoly.const((var_kept,), _XI) - x_kept) * (
-                x_kept - SparsePoly.const((var_kept,), _XI)
-            )
-            integrand = total * RatFunc(eta_poly.substitute({var_fixed: _XI})) * RatFunc(
-                sqpoly
-            ) / (RatFunc(denom_poly) * fixed_weight)
-            le = laurent_expand_hbar(integrand, depth)
-            for hexp, coeff in sorted(le.coeffs.items(), reverse=True):
-                if isinstance(coeff, Fraction):
+                for p2 in range(dz + 1 if d1 else 1):
+                    w = lin_pows[dz - p2] * Fraction(d1**p2, factorial(p2))
+                    for e, P in conv[(d1, qd - d1)].items():
+                        if e + p2 >= 1 - depth:
+                            t = P * w
+                            total[e + p2] = t if e + p2 not in total else total[e + p2] + t
+            for hexp in sorted(total, reverse=True):
+                f = RatFunc(total[hexp] * front, pole_den)
+                if f.is_const():
                     continue
-                f = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
                 reg0 = pole_order_at(f, Fraction(0), var_kept) == 0
                 res0 = residue_at(f, Fraction(0), var_kept)
                 ok_sum, _ = residue_sum_check(f, list(alphas) + [Fraction(0)], var_kept)

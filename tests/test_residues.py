@@ -6,11 +6,12 @@ import pytest
 from qgr.residues import (
     INFINITY,
     NonSplitDenominatorError,
+    pole_order_at,
     residue_at,
     residue_at_infinity,
     residue_sum_check,
 )
-from qgr.rings import RatFunc, SparsePoly
+from qgr.rings import RatFunc, SparsePoly, univariate_coeffs
 
 Z = ("z",)
 z = SparsePoly.variable(Z, "z")
@@ -101,3 +102,80 @@ def test_random_prescribed_poles_sum_to_zero():
         f = RatFunc(num, den)
         ok, _ = residue_sum_check(f, locs)
         assert ok
+
+
+# -- linear-cost local expansions against the previous Taylor-shift route --
+
+
+def _shift_oracle(coeffs, z0):
+    """Ascending coefficients of p(z + z0), via Horner: the previous
+    full Taylor shift behind residue_at and pole_order_at."""
+    out = []
+    for c in reversed(coeffs):
+        new = [Fraction(0)] * (len(out) + 1)
+        for i, v in enumerate(out):
+            new[i] += v * z0
+            new[i + 1] += v
+        new[0] += c
+        out = new
+    return out if out else [Fraction(0)]
+
+
+def _residue_oracle(num, den, z0):
+    nsh, dsh = _shift_oracle(num, z0), _shift_oracle(den, z0)
+    m = next(i for i, c in enumerate(dsh) if c != 0)
+    if m == 0:
+        return Fraction(0)
+    u = dsh[m:]
+    inv = [1 / u[0]]
+    for k in range(1, m):
+        inv.append(-sum(u[t] * inv[k - t] for t in range(1, min(k, len(u) - 1) + 1)) / u[0])
+    return sum(nsh[i] * inv[m - 1 - i] for i in range(min(m, len(nsh))))
+
+
+def _pole_order_oracle(num, den, z0):
+    nsh, dsh = _shift_oracle(num, z0), _shift_oracle(den, z0)
+    m = next(i for i, c in enumerate(dsh) if c != 0)
+    k = next((i for i, c in enumerate(nsh) if c != 0), None)
+    return 0 if k is None else max(m - k, 0)
+
+
+def _rooted(rng, roots, unsplit):
+    """A random constant times prod (z - r)^mult over `roots`, times
+    z^2 + c (no rational root) when `unsplit`."""
+    p = SparsePoly.const(Z, Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5])))
+    for r, mult in roots:
+        p = p * (z - SparsePoly.const(Z, r)) ** mult
+    if unsplit:
+        p = p * (z * z + SparsePoly.const(Z, rng.randint(1, 4)))
+    return p
+
+
+def test_local_expansions_match_taylor_shift_route():
+    rng = random.Random(14)
+    points = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 2)]
+    cases = 0
+    for _ in range(400):
+        den_roots = [(r, rng.randint(1, 3)) for r in rng.sample(points, rng.randint(1, 3))]
+        unsplit = rng.random() < 0.5
+        den = _rooted(rng, den_roots, unsplit)
+        kind = rng.randrange(3)
+        if kind == 0:  # a zero numerator
+            num = SparsePoly.zero(Z)
+        elif kind == 1:  # numerator roots that cancel some of the poles
+            num = _rooted(rng, [(r, rng.randint(0, m + 1)) for r, m in den_roots], rng.random() < 0.5)
+        else:
+            num = SparsePoly(Z, {(i,): Fraction(rng.randint(-4, 4)) for i in range(rng.randint(1, 6))})
+        f = RatFunc(num, den)
+        nc, dc = univariate_coeffs(f.num, "z"), univariate_coeffs(f.den, "z")
+        for z0 in points + [Fraction(5)]:  # 5 is never a root
+            assert residue_at(f, z0) == _residue_oracle(nc, dc, z0)
+            assert pole_order_at(f, z0) == _pole_order_oracle(nc, dc, z0)
+            cases += 1
+        if unsplit:
+            continue
+        ok, reports = residue_sum_check(f, points)
+        assert ok and all(r.residue == _residue_oracle(nc, dc, r.pole_location)
+                          and r.order == _pole_order_oracle(nc, dc, r.pole_location)
+                          for r in reports if r.pole_location != INFINITY)
+    assert cases == 2400

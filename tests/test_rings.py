@@ -39,6 +39,30 @@ def test_eq_by_cross_multiplication():
     assert (f == RatFunc(x1 + x2)) is True
 
 
+def test_eq_compares_numerators_over_equal_denominators(monkeypatch):
+    products = []
+    mul = SparsePoly.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    f = RatFunc(x1 + h, x2 - h)
+    same_den = [RatFunc(x1 - h, x2 - h), RatFunc((x1 + h) * 3, (x2 - h) * 3)]
+    # normalization makes proportional denominators of equal values
+    # identical, so these differ in value and cross-multiplication decides
+    proportional = RatFunc(x1 + h, (x2 - h) * 2)
+    # a representative that keeps the common factor x1
+    unreduced = RatFunc((x1 + h) * x1, (x2 - h) * x1)
+    monkeypatch.setattr(SparsePoly, "__mul__", counting_mul)
+    assert [f == g for g in same_den] == [False, True]
+    assert products == []
+    assert proportional.den != f.den and (f == proportional) is False
+    assert len(products) == 2
+    assert unreduced.den != f.den and (f == unreduced) is True
+    assert len(products) == 4
+
+
 def test_add_example():
     f = RatFunc(one, h - one)
     g = RatFunc(one, h + one)
@@ -245,6 +269,7 @@ def test_divide_exact_matches_scan_on_pipeline_inputs(monkeypatch, capsys):
     bar_assemble(build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2))
     build_Y_closed("ddot", 4, CISpec((1,)), 2)
     cli.run(["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1"])
+    cli.run(["series", "--kind", "y-gamma", "--n", "3", "--a", "1", "--qdeg", "1", "--k", "1", "--j", "0"])
     capsys.readouterr()
     assert any(q is None for _, _, q in calls) and any(q is not None for _, _, q in calls)
     for a, d, q in calls:

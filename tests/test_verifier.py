@@ -221,6 +221,121 @@ def test_residue_internal():
     assert rep["ok"], [c for c in rep["checks"] if not (c["sum_zero"] and c["regular_at_0"])][:3]
 
 
+def _residue_internal_by_sums(Y1, Y2, eta_poly, alphas, n, D, Nz, depth):
+    """The previous route of residue_internal_check: each (z, q)-coefficient
+    summed as one RatFunc integrand and expanded at h = infinity with
+    laurent_expand_hbar; the differential oracle for the per-coefficient
+    expansion."""
+    from qgr.residues import pole_order_at, residue_at, residue_sum_check
+    from qgr.series import laurent_expand_hbar
+    from qgr.verifier import _XI
+
+    h = SparsePoly.variable(("h",), "h")
+    checks = []
+    for var_kept, var_fixed in (("x2", "x1"), ("x1", "x2")):
+        xk = SparsePoly.variable((var_kept,), var_kept)
+        denom_poly = SparsePoly.const((var_kept,), 1)
+        fixed_weight = Fraction(1)
+        for ak in alphas:
+            denom_poly = denom_poly * (xk - SparsePoly.const((var_kept,), ak))
+            fixed_weight *= _XI - ak
+        c1s = [Y1.coeff((d,)).substitute({var_fixed: _XI}) for d in range(D + 1)]
+        c2s = [Y2.coeff((d,)).substitute({var_fixed: _XI, "h": -h}) for d in range(D + 1)]
+        lin = xk + SparsePoly.const((var_kept,), _XI)
+        sqpoly = (SparsePoly.const((var_kept,), _XI) - xk) * (xk - SparsePoly.const((var_kept,), _XI))
+        for (dz, qd) in [(p, d) for d in range(D + 1) for p in range(Nz + 1)]:
+            total = None
+            for d1 in range(qd + 1):
+                for p1 in range(dz + 1):
+                    p2 = dz - p1
+                    term = (c1s[d1] * (RatFunc((h * d1) ** p2) * Fraction(1, factorial(p2)))
+                            * c2s[qd - d1] * (RatFunc(lin**p1) * Fraction(1, factorial(p1))))
+                    total = term if total is None else total + term
+            integrand = total * RatFunc(eta_poly.substitute({var_fixed: _XI})) * RatFunc(sqpoly) / (
+                RatFunc(denom_poly) * fixed_weight)
+            le = laurent_expand_hbar(integrand, depth)
+            for hexp, coeff in sorted(le.coeffs.items(), reverse=True):
+                if isinstance(coeff, Fraction):
+                    continue
+                f = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
+                ok_sum, _ = residue_sum_check(f, list(alphas) + [Fraction(0)], var_kept)
+                checks.append({
+                    "var": var_kept, "z": dz, "q": qd, "h_exp": hexp,
+                    "regular_at_0": pole_order_at(f, Fraction(0), var_kept) == 0,
+                    "residue_at_0": residue_at(f, Fraction(0), var_kept),
+                    "sum_zero": ok_sum,
+                })
+    ok = all(c["regular_at_0"] and c["residue_at_0"] == 0 and c["sum_zero"] for c in checks)
+    return {"ok": ok, "checks": checks}
+
+
+class _MutatedQ1:
+    """A one-q ladder series whose q^1 coefficient is changed by `fn`."""
+
+    def __init__(self, Y, fn):
+        self.Y, self.fn = Y, fn
+
+    def coeff(self, key):
+        c = self.Y.coeff(key)
+        return self.fn(c) if tuple(key) == (1,) else c
+
+
+def _residue_inputs(n, a, D):
+    al = default_generic_alpha(n)
+    Y1 = bar_assemble(build_K("dot", n, CISpec(a), al, D))
+    Y2 = bar_assemble(build_K("ddot", n, CISpec(a), al, D))
+    return Y1, Y2, SparsePoly.const(("x1", "x2"), 1), al
+
+
+@pytest.mark.parametrize("depth", [4, 7, 11])
+@pytest.mark.parametrize("n, a, D, Nz", [
+    (3, (1,), 2, 2), (3, (), 1, 1), (3, (2,), 1, 1), (4, (2,), 1, 1), (3, (1, 1, 1), 1, 1),
+])
+def test_residue_internal_matches_summed_integrand_route(n, a, D, Nz, depth):
+    Y1, Y2, eta, al = _residue_inputs(n, a, D)
+    new = residue_internal_check(Y1, Y2, eta, al, n, D, Nz, depth)
+    assert new["checks"] and new["ok"]
+    assert new == _residue_internal_by_sums(Y1, Y2, eta, al, n, D, Nz, depth)
+
+
+def test_residue_internal_mutants_match_summed_integrand_route():
+    n, D, Nz, depth = 3, 2, 2, 7
+    Y1, Y2, eta, al = _residue_inputs(n, (1,), D)
+    x1 = SparsePoly.variable(("x1", "x2", "h"), "x1")
+    # a pole at the kept variable's origin: failure records, not an exception
+    pole = _MutatedQ1(Y1, lambda c: RatFunc(c.num, c.den * x1))
+    new = residue_internal_check(pole, Y2, eta, al, n, D, Nz, depth)
+    assert not new["ok"]
+    assert any(c["var"] == "x1" and not c["regular_at_0"] for c in new["checks"])
+    assert new == _residue_internal_by_sums(pole, Y2, eta, al, n, D, Nz, depth)
+    scaled = _MutatedQ1(Y1, lambda c: c * 2)
+    new = residue_internal_check(scaled, Y2, eta, al, n, D, Nz, depth)
+    assert new == _residue_internal_by_sums(scaled, Y2, eta, al, n, D, Nz, depth)
+
+
+def test_residue_internal_expands_each_coefficient_not_the_integrand(monkeypatch):
+    from qgr import series, verifier
+
+    Y1, Y2, eta, al = _residue_inputs(3, (1,), 2)
+    calls = []
+    add = RatFunc.__add__
+    expand = series.laurent_expand_hbar
+
+    def counting_add(a, b):
+        calls.append("add")
+        return add(a, b)
+
+    def counting_expand(*args, **kw):
+        calls.append("expand")
+        return expand(*args, **kw)
+
+    monkeypatch.setattr(RatFunc, "__add__", counting_add)
+    monkeypatch.setattr(series, "laurent_expand_hbar", counting_expand)
+    monkeypatch.setattr(verifier, "laurent_expand_hbar", counting_expand, raising=False)
+    assert residue_internal_check(Y1, Y2, eta, al, 3, 2, 2, 7)["ok"]
+    assert calls == []
+
+
 def _zmul(A, B, Dq, Nz):
     """Product of two tables over (q-degree, z-degree), truncated at d <= Dq, p <= Nz."""
     out = {}

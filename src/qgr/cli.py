@@ -51,7 +51,7 @@ from .operators import (
     orthogonality_check,
 )
 from .rings import RatFunc, SparsePoly
-from .series import QSeries, laurent_expand_hbar_x
+from .series import QSeries, laurent_expand_hbar
 from .verifier import build_phi, check_mpc, check_recursive, check_recursive_2q, residue_internal_check
 
 
@@ -349,8 +349,8 @@ def _suite_fano(cfg: RunConfig, al) -> list[dict]:
     mx = 2 * (n - 2)
     failures = []
     for d in range(1, D + 1):
-        le = laurent_expand_hbar_x(Y.num_parts[(d,)], Y.dens[(d,)], mx, 2)
-        parts = {ex: le[ex].decompose_x() if ex in le else {} for ex in (0, -1)}
+        le = laurent_expand_hbar(Y.num_parts[(d,)], Y.dens[(d,)], 2, mx)
+        parts = {ex: le.coeffs[ex].decompose_x() if ex in le.coeffs else {} for ex in (0, -1)}
         for e in ((e1, k - e1) for k in range(mx + 1) for e1 in range(k + 1)):
             for ex in (0, -1):
                 got = parts[ex].get(e)

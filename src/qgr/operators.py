@@ -51,6 +51,13 @@ def _shift_weights(t: tuple[int, int], d: tuple[int, int]):
                 yield (a1, a2), w
 
 
+def _h_expand(f: RatFunc, depth: int) -> LaurentExpansion:
+    """f, a rational function of h alone, expanded at h = infinity with
+    Fraction values (exact when its denominator is a monomial in h)."""
+    le = laurent_expand_hbar(f.num, f.den, depth)
+    return LaurentExpansion({e: v.const_value() for e, v in le.coeffs.items()}, le.depth)
+
+
 def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
     """Verify the defining table properties of the shift-operator expansion.
 
@@ -66,7 +73,7 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
     for key in sorted(F.num_parts, key=lambda k: (sum(k), k)):
         # one expansion of the coefficient: at q^0 the weight is x^p alone,
         # and elsewhere only exponents >= -|p| are read, so depth suffices
-        X = {b: laurent_expand_hbar(v, depth) for b, v in x_coefficients(F.coeff(key), ptot).items()}
+        X = {b: _h_expand(v, depth) for b, v in x_coefficients(F.coeff(key), ptot).items()}
         weights = list(_shift_weights(p, key))
 
         def got_at(e, m):
@@ -121,7 +128,7 @@ def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
     p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero entries omitted."""
     D = K.D
     # kappa[d][s]: the x^s h^{-|s|} coefficient of the q^d coefficient of K
-    kappa = {key: {s: _scalar_coeff(laurent_expand_hbar(v, s[0] + s[1] + 1), -s[0] - s[1])
+    kappa = {key: {s: _h_expand(v, s[0] + s[1] + 1).coeffs.get(-s[0] - s[1], Fraction(0))
                    for s, v in x_coefficients(K.coeff(key), pmax).items()} for key in K.num_parts}
 
     @functools.cache
@@ -226,7 +233,7 @@ def class_extract(ser: QSeries, n: int, kmax: int, depth: int) -> dict:
             for lam, v in graded_to_schur(vals, r).items():
                 if lam[0] <= n - 2:
                     jidx = partitions_of_degree(n, r).index(lam)
-                    out.setdefault((r, jidx), {})[key] = laurent_expand_hbar(v, depth)
+                    out.setdefault((r, jidx), {})[key] = _h_expand(v, depth)
     return {rj: QSeries(1, ser.trunc_q, comp) for rj, comp in sorted(out.items())}
 
 
@@ -287,7 +294,7 @@ def neumann_inverse(M, D: int, arity: int = 1):
 @dataclass
 class GammaPipeline:
     """Everything derived from one ladder series: the operator family, the
-    degree-k endomorphisms and inverses, the expansion tables, structure
+    inverses of the degree-k endomorphisms, the expansion tables, structure
     coefficients, and the classes of the assembled basis-weighted series.
     The series themselves, `calD` and `ygamma`, are formed when read."""
 
@@ -299,8 +306,7 @@ class GammaPipeline:
     K: HyperSeries = None
     family: dict = field(default_factory=dict)  # p -> {t: U[p][t]}, see frakD_family_normalized
     barD: dict = field(default_factory=dict)  # lam -> HyperSeries (1q)
-    J: dict = field(default_factory=dict)  # k -> matrix (rows/cols over degree-k basis)
-    Jinv: dict = field(default_factory=dict)
+    Jinv: dict = field(default_factory=dict)  # k -> inverse of the degree-k endomorphism matrix
     J_certified: dict = field(default_factory=dict)
     opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
     structC: dict = field(default_factory=dict)  # (k, i) -> {(t,(s,j)) -> scalar QSeries}
@@ -326,14 +332,9 @@ class GammaPipeline:
         return _assembled(self, self.calD, RatFunc(_x("h")))
 
 
-def _scalar_coeff(le: LaurentExpansion, e: int) -> Fraction:
-    v = le.coeffs.get(e, Fraction(0))
-    return v if isinstance(v, Fraction) else v.const_value()
-
-
 def _h_coeff(ser: QSeries, e: int) -> QSeries:
     """The scalar series of h^e coefficients of a series of expansions."""
-    return QSeries(1, ser.trunc_q, {key: _scalar_coeff(le, e) for key, le in ser.coeffs.items()})
+    return QSeries(1, ser.trunc_q, {key: le.coeffs.get(e, Fraction(0)) for key, le in ser.coeffs.items()})
 
 
 def _basis(n: int, kmax: int):
@@ -367,7 +368,6 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
         if any(M[i][j].get((0,)) != (1 if i == j else 0) for i in range(size) for j in range(size)):
             raise ArithmeticError(f"degree-{k} endomorphism q^0 part is not the identity")
         Minv = neumann_inverse(M, D)
-        pipe.J[k] = M
         pipe.Jinv[k] = Minv
         ident = _mat_identity(size, D)
         pipe.J_certified[k] = (_mat_mul(M, Minv) == ident) and (_mat_mul(Minv, M) == ident)

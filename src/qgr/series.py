@@ -134,72 +134,34 @@ class LaurentExpansion:
         return f"LaurentExpansion({{{items}}}, depth={self.depth})"
 
 
-def laurent_expand_hbar(f: RatFunc, depth: int, var: str = "h") -> LaurentExpansion:
-    """Expand a rational function at h = infinity.
+def laurent_expand_hbar(
+    num: SparsePoly, den: SparsePoly, depth: int, max_x_degree: int | None = None
+) -> LaurentExpansion:
+    """Expand num/den at h = infinity with polynomial coefficients.
 
-    Coefficients are RatFunc in the remaining variables (plain Fractions
-    when constant).  If the denominator is a monomial in h the result is
-    exact and marked with depth None.
+    The top h-coefficient c of den must be a nonzero constant (true of
+    every ladder product and of every x-adic coefficient of one), or
+    ValueError is raised.  Then 1/den = h^(-N) sum_j w_j h^(-j) with
+    w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}, each product
+    truncated at total x-degree max_x_degree (None: not truncated).  If
+    den is c h^N every term is returned and the result is exact (depth
+    None); otherwise the terms down to h^(1-depth) are.  Coefficients are
+    polynomials in the remaining variables.
     """
-    if f.is_zero():
-        return LaurentExpansion.zero(None)
-    num_parts = f.num.decompose_by(var) if var in f.num.vars else {0: f.num}
-    den_parts = f.den.decompose_by(var) if var in f.den.vars else {0: f.den}
-    M = max(num_parts)
-    N = max(den_parts)
-    lead = den_parts[N]
-
-    def out_val(v):
-        return v.const_value() if isinstance(v, RatFunc) and v.is_const() else v
-
-    if len(den_parts) == 1:
-        coeffs = {
-            k - N: out_val(RatFunc(p, lead)) for k, p in num_parts.items()
-        }
-        return LaurentExpansion(coeffs, None)
-    # the recurrence runs in the values of u and b: Fractions when f is a
-    # function of `var` alone
-    u = {j: out_val(RatFunc(den_parts[N - j], lead)) for j in range(1, N + 1) if N - j in den_parts}
-    b = {j: out_val(RatFunc(num_parts[M - j], lead)) for j in range(0, M + 1) if M - j in num_parts}
-    jmax = M - N + depth - 1
-    if jmax < 0:
-        return LaurentExpansion.zero(depth)
-    v: list = [_ONE]
-    for j in range(1, jmax + 1):
-        v.append(-sum((ut * v[j - t] for t, ut in u.items() if t <= j), _ZERO))
-    coeffs: dict[int, object] = {}
-    for j in range(0, jmax + 1):
-        s = sum((bs * v[j - sdeg] for sdeg, bs in b.items() if sdeg <= j), _ZERO)
-        if not _vzero(s):
-            coeffs[M - N - j] = out_val(s)
-    return LaurentExpansion(coeffs, depth)
-
-
-def laurent_expand_hbar_x(
-    num: SparsePoly, den: SparsePoly, max_x_degree: int, depth: int
-) -> dict[int, SparsePoly]:
-    """Expand num/den at h = infinity with x-polynomial coefficients.
-
-    The top h-coefficient of den must be a nonzero constant c (true of
-    every ladder product).  Then 1/den = h^(-N) sum_j w_j h^(-j) with
-    w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}, the recurrence of
-    laurent_expand_hbar run on polynomials in x, each product truncated
-    at total x-degree max_x_degree.  Returns h-exponent -> x-polynomial
-    for the exponents down to h^(1-depth), zero polynomials omitted.
-    Read at x^e, it agrees with expanding the x^e coefficient of
-    x_coefficients(num/den, max_x_degree) at h = infinity.
-    """
-    if num.is_zero():
-        return {}
     num_parts = num.decompose_by("h") if "h" in num.vars else {0: num}
     den_parts = den.decompose_by("h") if "h" in den.vars else {0: den}
-    M, N = max(num_parts), max(den_parts, default=0)
+    N = max(den_parts, default=0)
     lead = den_parts.get(N)
     if lead is None or lead.is_zero() or not lead.is_const():
         raise ValueError("top h-coefficient of the denominator is not a nonzero constant")
+    if num.is_zero():
+        return LaurentExpansion.zero(None)
     inv = 1 / lead.const_value()
-    u = {t: den_parts[N - t] * inv for t in range(1, N + 1) if N - t in den_parts}
     w = [SparsePoly.const(den.vars, inv)]
+    if len(den_parts) == 1:
+        return LaurentExpansion({k - N: p.mul_trunc(w[0], max_x_degree) for k, p in num_parts.items()}, None)
+    M = max(num_parts)
+    u = {t: den_parts[N - t] * inv for t in range(1, N + 1) if N - t in den_parts}
     out: dict[int, SparsePoly] = {}
     for j in range(M - N + depth):
         if j:
@@ -212,9 +174,8 @@ def laurent_expand_hbar_x(
         for k in range(max(0, j - M), j + 1):
             if M - (j - k) in num_parts:
                 c = c + num_parts[M - (j - k)].mul_trunc(w[k], max_x_degree)
-        if not c.is_zero():
-            out[M - N - j] = c
-    return out
+        out[M - N - j] = c
+    return LaurentExpansion(out, depth)
 
 
 # ---------------------------------------------------------------------------

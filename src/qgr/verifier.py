@@ -18,7 +18,7 @@ from math import factorial, prod
 from .hrat import HRat
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
-from .series import QSeries, _vzero, laurent_expand_hbar_x
+from .series import QSeries, _vzero, laurent_expand_hbar
 
 _XI = Fraction(1, 3)  # the generic point at which residue_internal_check holds one x-variable
 
@@ -247,8 +247,10 @@ def _expand_at_infinity(coeffs: list[RatFunc], depth: int) -> tuple[list[dict], 
     coeffs[d] = sum_e P_e h^e / L, exact for e >= 1 - depth.
 
     Each denominator splits as L_d * den', L_d its top h-coefficient
-    (ValueError if L_d does not divide it), so that den' has the top
-    coefficient 1 that laurent_expand_hbar_x needs; L = prod_d L_d."""
+    (ValueError if L_d does not divide it), so that den' has the constant
+    top coefficient 1 that laurent_expand_hbar needs; L = prod_d L_d.  A
+    top coefficient that depends on x (a pole at the kept variable's
+    origin, say) thus moves into L, where the residue checks see it."""
     leads = []
     for c in coeffs:
         parts = c.den.decompose_by("h")
@@ -259,7 +261,7 @@ def _expand_at_infinity(coeffs: list[RatFunc], depth: int) -> tuple[list[dict], 
         den = c.den.divide_exact(lead)
         if den is None:
             raise ValueError("denominator is not its top h-coefficient times a polynomial")
-        out.append(laurent_expand_hbar_x(c.num * L.divide_exact(lead), den, None, depth))
+        out.append(laurent_expand_hbar(c.num * L.divide_exact(lead), den, depth).coeffs)
     return out, L
 
 

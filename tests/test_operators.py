@@ -105,7 +105,10 @@ def _ref_bare(K, t):
 def _ref_entry(num, den, r, depth):
     """The x^r entry of num/den expanded at h = infinity."""
     v = x_coefficients(RatFunc(num, den), r[0] + r[1]).get(r)
-    return laurent_expand_hbar(v, depth) if v is not None else LaurentExpansion.zero(None)
+    if v is None:
+        return LaurentExpansion.zero(None)
+    le = laurent_expand_hbar(v.num, v.den, depth)
+    return LaurentExpansion({e: c.const_value() for e, c in le.coeffs.items()}, le.depth)
 
 
 def _ref_family(K, pmax):
@@ -117,8 +120,7 @@ def _ref_family(K, pmax):
             e0 = t[0] + t[1] - r[0] - r[1]
             out = {}
             for key, num in _ref_bare(K, t).items():
-                v = _ref_entry(num, K.dens[key], r, max(2, 2 - e0)).coeffs.get(e0, Fraction(0))
-                out[key] = v if isinstance(v, Fraction) else v.const_value()
+                out[key] = _ref_entry(num, K.dens[key], r, max(2, 2 - e0)).coeffs.get(e0, Fraction(0))
             tables[(t, r)] = QSeries(2, D, out)
         return tables[(t, r)]
 

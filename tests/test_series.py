@@ -5,10 +5,11 @@ import pytest
 
 from qgr.rings import RatFunc, SparsePoly
 from qgr.series import (
+    LaurentExpansion,
     QSeries,
+    _vzero,
     _x_inverse,
     laurent_expand_hbar,
-    laurent_expand_hbar_x,
     x_coefficients,
 )
 
@@ -21,14 +22,14 @@ one = SparsePoly.const(V, 1)
 
 def test_laurent_geometric():
     f = RatFunc(h, h - one)
-    le = laurent_expand_hbar(f, 3)
+    le = laurent_expand_hbar(f.num, f.den, 3)
     assert le.coeff(0) == 1 and le.coeff(-1) == 1 and le.coeff(-2) == 1
     assert le.top() == 0
 
 
 def test_laurent_long_division_step():
     f = RatFunc(h * h, h - one)
-    le = laurent_expand_hbar(f, 2)
+    le = laurent_expand_hbar(f.num, f.den, 2)
     assert le.coeff(1) == 1 and le.coeff(0) == 1 and le.coeff(-1) == 1
 
 
@@ -38,7 +39,7 @@ def test_laurent_shifted_pole():
     hv = ("h",)
     hh = SparsePoly.variable(hv, "h")
     f = RatFunc(SparsePoly.const(hv, aik), hh - SparsePoly.const(hv, w))
-    le = laurent_expand_hbar(f, 3)
+    le = laurent_expand_hbar(f.num, f.den, 3)
     assert le.coeff(-1) == aik
     assert le.coeff(-2) == aik * w
     assert le.top() == -1
@@ -46,7 +47,7 @@ def test_laurent_shifted_pole():
 
 def test_laurent_exact_monomial_denominator():
     f = RatFunc(h * h + one, h * h * h)
-    le = laurent_expand_hbar(f, 99)
+    le = laurent_expand_hbar(f.num, f.den, 99)
     assert le.depth is None
     assert le.coeff(-1) == 1 and le.coeff(-3) == 1
 
@@ -65,9 +66,10 @@ def test_laurent_multiplicativity():
 
     for _ in range(50):
         f, g = rand_ratfunc(), rand_ratfunc()
-        lf = laurent_expand_hbar(f, 6)
-        lg = laurent_expand_hbar(g, 6)
-        lfg = laurent_expand_hbar(f * g, 6)
+        fg = f * g
+        lf = laurent_expand_hbar(f.num, f.den, 6)
+        lg = laurent_expand_hbar(g.num, g.den, 6)
+        lfg = laurent_expand_hbar(fg.num, fg.den, 6)
         assert lfg.eq_mod_common_depth(lf * lg)
 
 
@@ -77,7 +79,7 @@ def test_expand_x_geometric():
     assert xc[(0, 0)] == RatFunc(one, h * h)
     assert xc[(1, 0)] == RatFunc(-2 * one, h * h * h)
     assert xc[(2, 0)] == RatFunc(4 * one, h**4)
-    le = {e: laurent_expand_hbar(c, 5) for e, c in xc.items()}
+    le = {e: laurent_expand_hbar(c.num, c.den, 5) for e, c in xc.items()}
     assert le[(0, 0)].coeff(-2) == 1
     assert le[(1, 0)].coeff(-3) == -2
 
@@ -228,23 +230,122 @@ def test_expand_x_on_degree_one_ladder_coefficient():
         assert a == b, e
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _ratfunc_laurent_expand_hbar(f: RatFunc, depth: int, var: str = "h") -> LaurentExpansion:
+    """The previous general kernel, verbatim: the recurrence on RatFunc
+    values, for any denominator.  Oracle for the differential tests."""
+    if f.is_zero():
+        return LaurentExpansion.zero(None)
+    num_parts = f.num.decompose_by(var) if var in f.num.vars else {0: f.num}
+    den_parts = f.den.decompose_by(var) if var in f.den.vars else {0: f.den}
+    M = max(num_parts)
+    N = max(den_parts)
+    lead = den_parts[N]
+
+    def out_val(v):
+        return v.const_value() if isinstance(v, RatFunc) and v.is_const() else v
+
+    if len(den_parts) == 1:
+        coeffs = {
+            k - N: out_val(RatFunc(p, lead)) for k, p in num_parts.items()
+        }
+        return LaurentExpansion(coeffs, None)
+    # the recurrence runs in the values of u and b: Fractions when f is a
+    # function of `var` alone
+    u = {j: out_val(RatFunc(den_parts[N - j], lead)) for j in range(1, N + 1) if N - j in den_parts}
+    b = {j: out_val(RatFunc(num_parts[M - j], lead)) for j in range(0, M + 1) if M - j in num_parts}
+    jmax = M - N + depth - 1
+    if jmax < 0:
+        return LaurentExpansion.zero(depth)
+    v: list = [_ONE]
+    for j in range(1, jmax + 1):
+        v.append(-sum((ut * v[j - t] for t, ut in u.items() if t <= j), _ZERO))
+    coeffs: dict[int, object] = {}
+    for j in range(0, jmax + 1):
+        s = sum((bs * v[j - sdeg] for sdeg, bs in b.items() if sdeg <= j), _ZERO)
+        if not _vzero(s):
+            coeffs[M - N - j] = out_val(s)
+    return LaurentExpansion(coeffs, depth)
+
+
+def _polynomial_laurent_expand_hbar_x(
+    num: SparsePoly, den: SparsePoly, max_x_degree: int, depth: int
+) -> dict[int, SparsePoly]:
+    """The previous x-truncated kernel, verbatim: h-exponent -> x-polynomial.
+    Oracle for the differential tests."""
+    if num.is_zero():
+        return {}
+    num_parts = num.decompose_by("h") if "h" in num.vars else {0: num}
+    den_parts = den.decompose_by("h") if "h" in den.vars else {0: den}
+    M, N = max(num_parts), max(den_parts, default=0)
+    lead = den_parts.get(N)
+    if lead is None or lead.is_zero() or not lead.is_const():
+        raise ValueError("top h-coefficient of the denominator is not a nonzero constant")
+    inv = 1 / lead.const_value()
+    u = {t: den_parts[N - t] * inv for t in range(1, N + 1) if N - t in den_parts}
+    w = [SparsePoly.const(den.vars, inv)]
+    out: dict[int, SparsePoly] = {}
+    for j in range(M - N + depth):
+        if j:
+            s = SparsePoly.zero(den.vars)
+            for t, ut in u.items():
+                if t <= j:
+                    s = s + ut.mul_trunc(w[j - t], max_x_degree)
+            w.append(-s)
+        c = SparsePoly.zero(num.vars)
+        for k in range(max(0, j - M), j + 1):
+            if M - (j - k) in num_parts:
+                c = c + num_parts[M - (j - k)].mul_trunc(w[k], max_x_degree)
+        if not c.is_zero():
+            out[M - N - j] = c
+    return out
+
+
+def test_expansion_matches_ratfunc_kernel_on_functions_of_h():
+    # random num/den in h alone, a third of them with an h-monomial
+    # denominator (exact expansions), depths on both sides of deg num - deg den
+    rng = random.Random(41)
+    hv = ("h",)
+
+    def rand_poly(deg):
+        return SparsePoly(hv, {(i,): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(deg + 1)})
+
+    exact = 0
+    for trial in range(300):
+        N = rng.randint(0, 3)
+        den = SparsePoly(hv, {(N,): Fraction(rng.choice([1, -2, 3]), rng.randint(1, 3))})
+        if trial % 3 and N:
+            den = den + rand_poly(N - 1)
+        num = rand_poly(rng.randint(0, 4))
+        depth = rng.randint(1, 6)
+        mine = laurent_expand_hbar(num, den, depth)
+        want = _ratfunc_laurent_expand_hbar(RatFunc(num, den), depth)
+        assert mine.depth == want.depth, (num, den, depth)
+        assert {e: v.const_value() for e, v in mine.coeffs.items()} == want.coeffs, (num, den, depth)
+        exact += mine.depth is None and not num.is_zero()
+    assert 50 < exact < 300
+
+
 def _hbar_x_table(expansion):
-    """h-exponent -> x-exponent -> Fraction, read off laurent_expand_hbar_x."""
+    """h-exponent -> x-exponent -> Fraction, read off an expansion with
+    x-polynomial values."""
     return {
         ex: {e: c.const_value() for e, c in p.decompose_x().items()}
-        for ex, p in expansion.items()
+        for ex, p in expansion.coeffs.items()
     }
 
 
 def _oracle_hbar_x(num, den, max_x, depth):
-    """The route laurent_expand_hbar_x replaces: x-adic coefficients first,
-    each then expanded at h = infinity.  Exponents below the cut are
-    dropped (at alpha = 0 the h-expansions are exact)."""
+    """The route the x-truncated expansion replaces: x-adic coefficients
+    first, each then expanded at h = infinity.  Exponents below the cut
+    are dropped (at alpha = 0 the h-expansions are exact)."""
     out = {}
     for e, v in x_coefficients(RatFunc(num, den), max_x).items():
-        for ex, c in laurent_expand_hbar(v, depth).coeffs.items():
+        for ex, c in laurent_expand_hbar(v.num, v.den, depth).coeffs.items():
             if ex >= 1 - depth:
-                out.setdefault(ex, {})[e] = c
+                out.setdefault(ex, {})[e] = c.const_value()
     return out
 
 
@@ -272,22 +373,35 @@ def test_hbar_x_expansion_matches_x_first_route(n, a, alpha, D):
     low = False
     for d in range(1, D + 1):
         num, den = Y.num_parts[(d,)], Y.dens[(d,)]
-        mine = _hbar_x_table(laurent_expand_hbar_x(num, den, mx, depth))
+        mine = _hbar_x_table(laurent_expand_hbar(num, den, depth, mx))
         assert mine == _oracle_hbar_x(num, den, mx, depth), d
         low = low or bool(mine.get(0) or mine.get(-1))
+        # term for term, depth marker included, the previous x-truncated kernel
+        for cut in (1, depth, 6):
+            got = laurent_expand_hbar(num, den, cut, mx)
+            assert got.depth == cut, (d, cut)
+            assert got.coeffs == _polynomial_laurent_expand_hbar_x(num, den, mx, cut), (d, cut)
     # |a| <= n - 2 is Fano: the h^0 and h^-1 terms vanish; otherwise they do not
     assert low == (sum(a) > n - 2)
 
 
 def test_hbar_x_expansion_edge_cases():
-    assert laurent_expand_hbar_x(SparsePoly.zero(V), (x1 + h) * (x2 + h), 2, 3) == {}
-    with pytest.raises(ValueError):
-        laurent_expand_hbar_x(one, x1 * h + one, 2, 3)
-    with pytest.raises(ValueError):
-        laurent_expand_hbar_x(one, SparsePoly.zero(V), 2, 3)
     # 1/(h + x1) = h^-1 - x1 h^-2 + x1^2 h^-3 - ..., cut at x-degree 1
-    got = laurent_expand_hbar_x(one, h + x1, 1, 4)
-    assert got == {-1: one, -2: -x1}
+    got = laurent_expand_hbar(one, h + x1, 4, 1)
+    assert got.coeffs == {-1: one, -2: -x1} and got.depth == 4
+    # an h-monomial denominator: every term, exact, whatever the depth,
+    # and the x-degree cut still applies
+    got = laurent_expand_hbar(h**3 + x1 + 3 * one + x2**2, 2 * h * h, 1, 1)
+    assert got.depth is None
+    assert got.coeffs == {1: one * Fraction(1, 2), -2: (x1 + 3 * one) * Fraction(1, 2)}
+    # a zero numerator is the exact zero
+    for den in ((x1 + h) * (x2 + h), 2 * h * h):
+        got = laurent_expand_hbar(SparsePoly.zero(V), den, 3)
+        assert got == LaurentExpansion.zero(None) and got.depth is None
+    # the top h-coefficient must be a nonzero constant
+    for den in (x1 * h + one, SparsePoly.zero(V), SparsePoly.zero(("x1",)), x1 + one):
+        with pytest.raises(ValueError):
+            laurent_expand_hbar(one, den, 3)
 
 
 def test_qseries_basic():

@@ -223,11 +223,13 @@ def test_residue_internal():
 
 def _residue_internal_by_sums(Y1, Y2, eta_poly, alphas, n, D, Nz, depth):
     """The previous route of residue_internal_check: each (z, q)-coefficient
-    summed as one RatFunc integrand and expanded at h = infinity with
-    laurent_expand_hbar; the differential oracle for the per-coefficient
-    expansion."""
+    summed as one RatFunc integrand and expanded at h = infinity with the
+    previous general kernel, which takes any denominator (the integrand's
+    top h-coefficient depends on x); the differential oracle for the
+    per-coefficient expansion."""
+    from test_series import _ratfunc_laurent_expand_hbar as laurent_expand_hbar
+
     from qgr.residues import pole_order_at, residue_at, residue_sum_check
-    from qgr.series import laurent_expand_hbar
     from qgr.verifier import _XI
 
     h = SparsePoly.variable(("h",), "h")
@@ -316,7 +318,8 @@ def test_residue_internal_mutants_match_summed_integrand_route():
 def test_residue_internal_expands_each_coefficient_not_the_integrand(monkeypatch):
     from qgr import series, verifier
 
-    Y1, Y2, eta, al = _residue_inputs(3, (1,), 2)
+    D = 2
+    Y1, Y2, eta, al = _residue_inputs(3, (1,), D)
     calls = []
     add = RatFunc.__add__
     expand = series.laurent_expand_hbar
@@ -331,9 +334,11 @@ def test_residue_internal_expands_each_coefficient_not_the_integrand(monkeypatch
 
     monkeypatch.setattr(RatFunc, "__add__", counting_add)
     monkeypatch.setattr(series, "laurent_expand_hbar", counting_expand)
-    monkeypatch.setattr(verifier, "laurent_expand_hbar", counting_expand, raising=False)
-    assert residue_internal_check(Y1, Y2, eta, al, 3, 2, 2, 7)["ok"]
-    assert calls == []
+    monkeypatch.setattr(verifier, "laurent_expand_hbar", counting_expand)
+    assert residue_internal_check(Y1, Y2, eta, al, 3, D, 2, 7)["ok"]
+    # no integrand sums; one expansion per substituted coefficient:
+    # 2 kept variables x 2 series x (D + 1) q-degrees
+    assert calls == ["expand"] * (2 * 2 * (D + 1))
 
 
 def _zmul(A, B, Dq, Nz):

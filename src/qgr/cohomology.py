@@ -167,34 +167,18 @@ class CohClass:
         return self.coeffs.get(tuple(lam), Fraction(0))
 
 
-def schur_expand(p: SparsePoly) -> dict[Partition, Fraction]:
-    """Expand a symmetric polynomial in two-row Schur polynomials (no box)."""
+def schur_reduce(p: SparsePoly, n: int) -> CohClass:
+    """Class of a symmetric polynomial in H*(Gr(2,n)): its Schur
+    coordinates, read degree by degree, without s_lam for lam1 >= n-1."""
     if not p.is_symmetric_x():
         raise ValueError("polynomial is not symmetric in x1, x2")
-    work = p.embed(order_vars(set(p.vars) | {"x1", "x2"}))
-    extra = [v for v in work.vars if v not in XV]
-    if any(work.degree_in(v) > 0 for v in extra):
+    if not set(p.used_vars()) <= set(XV):
         raise ValueError("polynomial uses variables besides x1, x2")
-    work = SparsePoly(
-        XV,
-        {
-            (e[work.vars.index("x1")], e[work.vars.index("x2")]): c
-            for e, c in work.terms.items()
-        },
-    )
-    out: dict[Partition, Fraction] = {}
-    while not work.is_zero():
-        e, c = work.leading()
-        lam = (max(e), min(e))
-        out[lam] = out.get(lam, Fraction(0)) + c
-        work = work - schur_poly(lam) * c
-    return {k: v for k, v in out.items() if v}
-
-
-def schur_reduce(p: SparsePoly, n: int) -> CohClass:
-    """Class of a symmetric polynomial in H*(Gr(2,n)): drop s_lam, lam1 >= n-1."""
-    full = schur_expand(p)
-    return CohClass({lam: c for lam, c in full.items() if lam[0] <= n - 2})
+    graded: dict[int, dict] = {}
+    for e, c in p.embed(order_vars(set(p.vars) | set(XV))).decompose_x().items():
+        graded.setdefault(sum(e), {})[e] = c.const_value()
+    return CohClass({lam: c for r, vals in graded.items()
+                     for lam, c in graded_to_schur(vals, r).items() if lam[0] <= n - 2})
 
 
 def graded_to_schur(values_by_exp: dict[tuple[int, int], object], r: int) -> dict[Partition, object]:

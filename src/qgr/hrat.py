@@ -18,16 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .residues import _deflate_once
-from .rings import RatFunc, SparsePoly, poly_from_coeffs
+from .rings import RatFunc, SparsePoly, _deflate_once, _trim, poly_from_coeffs
 
 _ZERO = Fraction(0)
-
-
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
 
 
 def _ints(c: list, roots=()) -> tuple[list, int]:

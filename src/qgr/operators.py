@@ -32,8 +32,8 @@ from .cohomology import (
 )
 from .hrat import HRat
 from .hyper import CISpec, HyperSeries, V3, bar_assemble, bar_evaluated, build_K, k_series_evaluated
-from .rings import RatFunc, SparsePoly
-from .series import LaurentExpansion, QSeries, laurent_expand_hbar, x_coefficients
+from .rings import RatFunc, SparsePoly, _univariate_terms
+from .series import LaurentExpansion, QSeries, _expand_parts, x_coefficients
 
 
 def _x(name):
@@ -52,10 +52,10 @@ def _shift_weights(t: tuple[int, int], d: tuple[int, int]):
 
 
 def _h_expand(f: RatFunc, depth: int) -> LaurentExpansion:
-    """f, a rational function of h alone, expanded at h = infinity with
-    Fraction values (exact when its denominator is a monomial in h)."""
-    le = laurent_expand_hbar(f.num, f.den, depth)
-    return LaurentExpansion({e: v.const_value() for e, v in le.coeffs.items()}, le.depth)
+    """f, a rational function of h alone, expanded at h = infinity from its
+    Fraction coefficients (exact when its denominator is a monomial in h);
+    no step forms a polynomial product."""
+    return _expand_parts(_univariate_terms(f.num, "h"), _univariate_terms(f.den, "h"), depth)
 
 
 def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:

@@ -465,23 +465,28 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (used by RatFunc reduction and the residue module)
+# univariate helpers (RatFunc reduction, HRat, the residue module and the
+# h-expansions of the operator layer)
 # ---------------------------------------------------------------------------
+
+
+def _univariate_terms(p: SparsePoly, name: str) -> dict[int, Fraction]:
+    """{exponent: nonzero coefficient} of a polynomial that only uses `name`."""
+    used = p.used_vars()
+    if used and used != (name,):
+        raise ValueError(f"polynomial is not univariate in {name}: uses {used}")
+    if name not in p.vars:
+        return {0: c for c in p.terms.values()}
+    i = p.vars.index(name)
+    return {e[i]: c for e, c in p.terms.items()}
 
 
 def univariate_coeffs(p: SparsePoly, name: str) -> list[Fraction]:
     """Ascending coefficient list of a polynomial that only uses `name`."""
-    used = p.used_vars()
-    if used and used != (name,):
-        raise ValueError(f"polynomial is not univariate in {name}: uses {used}")
-    n = p.degree_in(name) if name in p.vars else 0
-    coeffs = [_ZERO] * (max(n, 0) + 1)
-    if name in p.vars:
-        i = p.vars.index(name)
-        for e, c in p.terms.items():
-            coeffs[e[i]] += c
-    elif p.terms:
-        coeffs[0] = p.const_value()
+    terms = _univariate_terms(p, name)
+    coeffs = [_ZERO] * (max(terms, default=0) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
     return coeffs
 
 
@@ -490,38 +495,63 @@ def poly_from_coeffs(coeffs, name: str) -> SparsePoly:
     return SparsePoly(vars, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c != 0})
 
 
+def _trim(c: list) -> list:
+    """Drop trailing zeros in place; return the list."""
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
 def _uni_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
+    """Remainder of a modulo b, for b with no trailing zero."""
+    a = _trim(list(a))
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
+    while len(a) - 1 >= db:
         q = a[-1] / lb
         shift = len(a) - 1 - db
         for i, bc in enumerate(b):
             a[shift + i] -= q * bc
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
+        _trim(a)
     return a
 
 
 def univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd of ascending coefficient lists (Euclid over Q)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
+    a = _trim([Fraction(c) for c in a])
+    b = _trim([Fraction(c) for c in b])
     while b:
         a, b = b, _uni_mod(a, b)
     if not a:
         return []
     lead = a[-1]
     return [c / lead for c in a]
+
+
+def _divmod_linear(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Synthetic division of ascending-coeff a by (z - z0): (quotient, a(z0))."""
+    q = [_ZERO] * (len(a) - 1)
+    r = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        q[i] = r
+        r = a[i] + z0 * r
+    return q, r
+
+
+def _deflate_once(a: list[Fraction], z0: Fraction):
+    """Synthetic division of ascending-coeff a by (z - z0); None unless exact."""
+    if len(a) < 2:
+        return None
+    q, r = _divmod_linear(a, z0)
+    return q if r == 0 else None
+
+
+def _deflate(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], int]:
+    """Divide a by (z - z0) as often as possible; return (quotient, multiplicity)."""
+    mult = 0
+    while (q := _deflate_once(a, z0)) is not None:
+        a, mult = q, mult + 1
+    return a, mult
 
 
 class RatFunc:

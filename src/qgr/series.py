@@ -6,11 +6,18 @@ A Laurent expansion stores finitely many positive powers of h and
 negative powers down to h^(-depth+1); ``depth=None`` marks an exact
 (untruncated) Laurent polynomial.  Series coefficients are duck-typed:
 Fraction, SparsePoly, RatFunc and HRat all work.
+
+Every expansion of a rational function in one variable (h, or the
+variable of a residue) runs one inverse-series recurrence,
+`_expand_parts`: `laurent_expand_hbar` on x-polynomial parts, and
+`operators._h_expand` and the residues at finite points and at infinity
+on Fraction parts.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -134,6 +141,38 @@ class LaurentExpansion:
         return f"LaurentExpansion({{{items}}}, depth={self.depth})"
 
 
+def _expand_parts(num: Mapping[int, object], den: Mapping[int, object], depth: int,
+                  mul: Callable = operator.mul, one=_ONE) -> LaurentExpansion:
+    """num/den at h = infinity, for part maps {h-exponent: nonzero value}
+    over any integer exponents: the one inverse-series recurrence of this
+    package.
+
+    The top part c of den must be a Fraction; `one` is the unit of the
+    value ring and `mul` its product.  Then 1/den = h^(-N) sum_j w_j h^(-j)
+    with w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}.  If den has one
+    part every term is returned and the result is exact (depth None), as
+    it is for num = {}; otherwise the terms down to h^(1-depth) are.  With
+    parts {-i: a_i}, the expansion at h = 1/t = infinity is the power
+    series of a(t)/b(t) at t = 0.
+    """
+    if not num:
+        return LaurentExpansion.zero(None)
+    M, N = max(num), max(den)
+    inv = 1 / den[N]
+    w = [one * inv]
+    if len(den) == 1:
+        return LaurentExpansion({k - N: mul(v, w[0]) for k, v in num.items()}, None)
+    zero = one * 0
+    u = [(N - k, v * inv) for k, v in den.items() if k != N]
+    b = [(M - k, v) for k, v in num.items()]
+    out = {}
+    for j in range(M - N + depth):
+        if j:
+            w.append(-sum((mul(ut, w[j - t]) for t, ut in u if t <= j), zero))
+        out[M - N - j] = sum((mul(bs, w[j - s]) for s, bs in b if s <= j), zero)
+    return LaurentExpansion(out, depth)
+
+
 def laurent_expand_hbar(
     num: SparsePoly, den: SparsePoly, depth: int, max_x_degree: int | None = None
 ) -> LaurentExpansion:
@@ -148,7 +187,6 @@ def laurent_expand_hbar(
     None); otherwise the terms down to h^(1-depth) are.  Coefficients are
     polynomials in the remaining variables.
     """
-    num_parts = num.decompose_by("h") if "h" in num.vars else {0: num}
     den_parts = den.decompose_by("h") if "h" in den.vars else {0: den}
     N = max(den_parts, default=0)
     lead = den_parts.get(N)
@@ -156,26 +194,10 @@ def laurent_expand_hbar(
         raise ValueError("top h-coefficient of the denominator is not a nonzero constant")
     if num.is_zero():
         return LaurentExpansion.zero(None)
-    inv = 1 / lead.const_value()
-    w = [SparsePoly.const(den.vars, inv)]
-    if len(den_parts) == 1:
-        return LaurentExpansion({k - N: p.mul_trunc(w[0], max_x_degree) for k, p in num_parts.items()}, None)
-    M = max(num_parts)
-    u = {t: den_parts[N - t] * inv for t in range(1, N + 1) if N - t in den_parts}
-    out: dict[int, SparsePoly] = {}
-    for j in range(M - N + depth):
-        if j:
-            s = SparsePoly.zero(den.vars)
-            for t, ut in u.items():
-                if t <= j:
-                    s = s + ut.mul_trunc(w[j - t], max_x_degree)
-            w.append(-s)
-        c = SparsePoly.zero(num.vars)
-        for k in range(max(0, j - M), j + 1):
-            if M - (j - k) in num_parts:
-                c = c + num_parts[M - (j - k)].mul_trunc(w[k], max_x_degree)
-        out[M - N - j] = c
-    return LaurentExpansion(out, depth)
+    den_parts[N] = lead.const_value()
+    num_parts = num.decompose_by("h") if "h" in num.vars else {0: num}
+    return _expand_parts(num_parts, den_parts, depth, lambda a, b: a.mul_trunc(b, max_x_degree),
+                         SparsePoly.const(den.vars, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -444,3 +444,25 @@ def test_pipeline_shares_x_inverse(monkeypatch):
     build_pipeline("dot", 4, CISpec((2,)), None, 2)
     misses = _x_inverse.cache_info().misses
     assert misses == len(set(seen)) < len(seen), (misses, len(set(seen)), len(seen))
+
+
+def test_h_expansion_makes_no_polynomial_product(monkeypatch):
+    # functions of h alone expand on Fraction coefficient lists: no step of
+    # the recurrence goes through the SparsePoly product kernel
+    from qgr import rings
+
+    K = build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
+    vals = [v for key in K.num_parts for v in x_coefficients(K.coeff(key), 2).values()]
+    calls = []
+    kernel = rings._mul_terms
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(rings, "_mul_terms", counted)
+    got = [operators._h_expand(v, 6) for v in vals]
+    assert not calls
+    # the inputs run the recurrence: truncated expansions, Fraction values
+    assert sum(le.depth == 6 for le in got) > 10
+    assert all(type(c) is Fraction for le in got for c in le.coeffs.values())

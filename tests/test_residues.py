@@ -140,6 +140,32 @@ def _pole_order_oracle(num, den, z0):
     return 0 if k is None else max(m - k, 0)
 
 
+def _residue_at_infinity_oracle(num, den):
+    """The previous residue_at_infinity, verbatim on coefficient lists:
+    -Res_{w=0} w^-2 f(1/w) through a reversal and its own series inverse."""
+    if not num or all(c == 0 for c in num):
+        return Fraction(0)
+    dn, dd = len(num) - 1, len(den) - 1
+    s = dd - dn - 2
+    if s >= 0:
+        return Fraction(0)
+    revn = num[::-1]
+    revd = den[::-1]
+    order = -1 - s
+    dinv = [Fraction(1) / revd[0]]
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for t in range(1, k + 1):
+            if t < len(revd):
+                acc += revd[t] * dinv[k - t]
+        dinv.append(-acc / revd[0])
+    coeff = Fraction(0)
+    for i in range(order + 1):
+        if i < len(revn):
+            coeff += revn[i] * dinv[order - i]
+    return -coeff
+
+
 def _rooted(rng, roots, unsplit):
     """A random constant times prod (z - r)^mult over `roots`, times
     z^2 + c (no rational root) when `unsplit`."""
@@ -154,7 +180,7 @@ def _rooted(rng, roots, unsplit):
 def test_local_expansions_match_taylor_shift_route():
     rng = random.Random(14)
     points = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 2)]
-    cases = 0
+    cases = at_inf = 0
     for _ in range(400):
         den_roots = [(r, rng.randint(1, 3)) for r in rng.sample(points, rng.randint(1, 3))]
         unsplit = rng.random() < 0.5
@@ -168,6 +194,12 @@ def test_local_expansions_match_taylor_shift_route():
             num = SparsePoly(Z, {(i,): Fraction(rng.randint(-4, 4)) for i in range(rng.randint(1, 6))})
         f = RatFunc(num, den)
         nc, dc = univariate_coeffs(f.num, "z"), univariate_coeffs(f.den, "z")
+        assert residue_at_infinity(f) == _residue_at_infinity_oracle(nc, dc)
+        # a numerator of degree >= deg den - 1 (polynomial part, nonzero residue at infinity)
+        g = f * RatFunc(z ** rng.randint(0, 4))
+        gn, gd = univariate_coeffs(g.num, "z"), univariate_coeffs(g.den, "z")
+        assert residue_at_infinity(g) == _residue_at_infinity_oracle(gn, gd)
+        at_inf += _residue_at_infinity_oracle(gn, gd) != 0
         for z0 in points + [Fraction(5)]:  # 5 is never a root
             assert residue_at(f, z0) == _residue_oracle(nc, dc, z0)
             assert pole_order_at(f, z0) == _pole_order_oracle(nc, dc, z0)
@@ -178,4 +210,4 @@ def test_local_expansions_match_taylor_shift_route():
         assert ok and all(r.residue == _residue_oracle(nc, dc, r.pole_location)
                           and r.order == _pole_order_oracle(nc, dc, r.pole_location)
                           for r in reports if r.pole_location != INFINITY)
-    assert cases == 2400
+    assert cases == 2400 and at_inf > 100

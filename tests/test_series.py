@@ -305,7 +305,10 @@ def _polynomial_laurent_expand_hbar_x(
 
 def test_expansion_matches_ratfunc_kernel_on_functions_of_h():
     # random num/den in h alone, a third of them with an h-monomial
-    # denominator (exact expansions), depths on both sides of deg num - deg den
+    # denominator (exact expansions), depths on both sides of deg num - deg den;
+    # both the polynomial route and the Fraction route of operators._h_expand
+    from qgr.operators import _h_expand
+
     rng = random.Random(41)
     hv = ("h",)
 
@@ -324,6 +327,9 @@ def test_expansion_matches_ratfunc_kernel_on_functions_of_h():
         want = _ratfunc_laurent_expand_hbar(RatFunc(num, den), depth)
         assert mine.depth == want.depth, (num, den, depth)
         assert {e: v.const_value() for e, v in mine.coeffs.items()} == want.coeffs, (num, den, depth)
+        fr = _h_expand(RatFunc(num, den), depth)
+        assert fr.depth == want.depth and fr.coeffs == want.coeffs, (num, den, depth)
+        assert all(type(v) is Fraction for v in fr.coeffs.values())
         exact += mine.depth is None and not num.is_zero()
     assert 50 < exact < 300
 

@@ -9,7 +9,6 @@ rationals.
 
 from .cohomology import (
     CohClass,
-    GrContext,
     ab_integrate,
     box_partitions,
     default_generic_alpha,

@@ -19,12 +19,12 @@ from fractions import Fraction
 
 from .cohomology import (
     GenericityError,
-    GrContext,
     box_partitions,
     schur_poly,
     default_generic_alpha,
     diagonal,
     equivariant_diagonal,
+    fixed_points,
     genericity_check,
     localization_data,
     pairing,
@@ -58,6 +58,11 @@ from .verifier import build_phi, check_mpc, check_recursive, check_recursive_2q,
 
 class UsageError(ValueError):
     pass
+
+
+# The series kinds and verify suites that read the torus weights.
+_ALPHA_KINDS = ("dot-bar", "ddot-bar")
+_ALPHA_SUITES = ("recursivity", "mpc", "fano-vanishing", "residue-internal", "all")
 
 
 @dataclass
@@ -171,7 +176,7 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
     if kind in ("dot-closed", "ddot-closed"):
         Y = build_Y_closed(kind.split("-")[0], n, a, D)
         payload = _series_entries(Y.series())
-    elif kind in ("dot-bar", "ddot-bar"):
+    elif kind in _ALPHA_KINDS:
         al = cfg.resolve_alpha()
         Y = bar_assemble(build_K(kind.split("-")[0], n, a, al, D))
         payload = _series_entries(Y.series())
@@ -219,10 +224,6 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
     return _emit(cfg, payload), code
 
 
-def _all_pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
 def _y_evals(kind, n, a, al, D, pairs, mutate=None):
     """Fixed-point evaluations at `pairs`; `mutate` is injected at (1, 2) only.
     build_phi reads only the pairs i < j, each standing for both orderings,
@@ -237,7 +238,7 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
     results = []
     for kind in ("dot", "ddot"):
-        evals = _y_evals(kind, n, a, al, D, _all_pairs(n), mutate=cfg.mutate if kind == "dot" else None)
+        evals = _y_evals(kind, n, a, al, D, fixed_points(n), mutate=cfg.mutate if kind == "dot" else None)
         rep = check_recursive(
             evals, lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, al, a), al, D, n
         )
@@ -282,7 +283,7 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
 
 def _suite_mpc(cfg: RunConfig, al) -> list[dict]:
     n, a, D, Nz = cfg.n, cfg.ci(), cfg.qdeg, cfg.zdeg
-    pairs = [(i, j) for (i, j) in _all_pairs(n) if i < j]  # the pairs build_phi reads
+    pairs = [(i, j) for i, j in fixed_points(n) if i < j]  # the pairs build_phi reads
     Fd = _y_evals("dot", n, a, al, D, pairs, mutate=cfg.mutate)
     Fdd = _y_evals("ddot", n, a, al, D, pairs)
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
@@ -389,8 +390,7 @@ def _suite_residue_internal(cfg: RunConfig, al) -> list[dict]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     suite = cfg.suite or "all"
-    needs_alpha = suite in ("recursivity", "mpc", "fano-vanishing", "residue-internal", "all")
-    al = cfg.fixed_point_alpha() if needs_alpha else None
+    al = cfg.fixed_point_alpha() if suite in _ALPHA_SUITES else None
     results = []
     if suite in ("recursivity", "all"):
         results.extend(_suite_recursivity(cfg, al))
@@ -414,22 +414,21 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
     n = cfg.n
-    ctx = GrContext(n)
     parts = box_partitions(n)
     basis = [{"degree": sum(lam), "partition": list(lam), "poly": schur_poly(lam).to_string()} for lam in parts]
     pmat = [
-        [_frac_str(pairing(CohClass({lam: Fraction(1)}), CohClass({mu: Fraction(1)}), ctx)) for mu in parts]
+        [_frac_str(pairing(CohClass({lam: Fraction(1)}), CohClass({mu: Fraction(1)}), n)) for mu in parts]
         for lam in parts
     ]
     diag = [
         {"left": list(lam), "right": list(mu), "coeff": _frac_str(c)}
-        for (lam, mu), c in sorted(diagonal(ctx).items())
+        for (lam, mu), c in sorted(diagonal(n).items())
     ]
     payload = {"basis": basis, "pairing_matrix": pmat, "diagonal": diag}
     if cfg.equivariant:
-        ectx = GrContext(n, alpha=cfg.fixed_point_alpha())
+        al = cfg.fixed_point_alpha()
         table = []
-        for f in localization_data(ectx):
+        for f in localization_data(al):
             table.append({
                 "i": f.i, "j": f.j,
                 "phi": f.phi.to_string(),
@@ -439,7 +438,7 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
         payload["fixed_points"] = table
         payload["equivariant_diagonal"] = [
             {"left": list(lam), "right": list(mu), "coeff": _frac_str(g)}
-            for (lam, mu), g in sorted(equivariant_diagonal(ectx).items())
+            for (lam, mu), g in sorted(equivariant_diagonal(al).items())
         ]
     return _emit(cfg, payload), 0
 
@@ -602,6 +601,16 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         d, d1 = cfg.mutate
         if not 0 <= d1 <= d <= cfg.qdeg:
             raise UsageError(f"mutate {d}:{d1} must satisfy 0 <= d1 <= d <= qdeg = {cfg.qdeg}")
+    reads_alpha = {
+        "series": (cfg.kind or "dot-closed") in _ALPHA_KINDS,
+        "verify": (cfg.suite or "all") in _ALPHA_SUITES,
+        "cohomology": cfg.equivariant,
+    }.get(cfg.command, False)
+    if cfg.alpha_mode != "zero" and not reads_alpha:
+        raise UsageError("alpha is read only by the dot-bar and ddot-bar kinds, the recursivity, mpc, "
+                         "fano-vanishing, residue-internal and all suites, and cohomology --equivariant")
+    if (cfg.k is not None or cfg.j is not None) and cfg.kind not in ("y-gamma", "ydd-gamma"):
+        raise UsageError("k and j are read only by the y-gamma and ydd-gamma kinds")
     try:
         cfg.ci()
     except ValueError as e:

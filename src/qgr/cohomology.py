@@ -2,6 +2,10 @@
 two-row partitions in the 2x(n-2) box, ideal reduction, Poincare pairing,
 diagonal classes, fixed-point data and Atiyah-Bott integration.
 
+The non-equivariant functions take n; the equivariant ones take the
+torus weights alphas = (a_1, ..., a_n), Fractions assumed pairwise
+distinct, and enumerate the fixed points through fixed_points(n).
+
 Basis convention: the degree-k classes are the Schur polynomials s_lam
 with |lam| = k and lam inside the box, indexed j = 0, 1, ... by
 descending first row.  Duality pairs lam with its box complement
@@ -12,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .rings import RatFunc, SparsePoly, order_vars
+from .rings import SparsePoly, order_vars
 from .series import _vzero
 
 XV = ("x1", "x2")
@@ -24,40 +27,6 @@ Partition = tuple  # (a, b) with a >= b >= 0
 
 class GenericityError(ValueError):
     """Supplied torus weights hit a resonance of an in-scope denominator."""
-
-
-@dataclass(frozen=True)
-class GrContext:
-    """Gr(2,n) with an optional torus-weight specialization.
-
-    ``alpha=None`` selects the non-equivariant theory (all weights zero);
-    ``symbolic=True`` keeps the weights as polynomial variables a1..an.
-    """
-
-    n: int
-    alpha: tuple[Fraction, ...] | None = None
-    symbolic: bool = False
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need n >= 3")
-        if self.alpha is not None:
-            if len(self.alpha) != self.n:
-                raise ValueError("alpha must list n weights")
-            if len(set(self.alpha)) != self.n:
-                raise GenericityError("repeated alpha values")
-
-    @property
-    def avars(self) -> tuple[str, ...]:
-        return tuple(f"a{i}" for i in range(1, self.n + 1))
-
-    def alpha_value(self, i: int):
-        """Weight alpha_i (1-based): Fraction, variable, or 0."""
-        if self.symbolic:
-            return SparsePoly.variable(self.avars, f"a{i}")
-        if self.alpha is None:
-            return Fraction(0)
-        return self.alpha[i - 1]
 
 
 def default_generic_alpha(n: int) -> tuple[Fraction, ...]:
@@ -216,19 +185,19 @@ def graded_to_schur(values_by_exp: dict[tuple[int, int], object], r: int) -> dic
 # ---------------------------------------------------------------------------
 
 
-def pairing(a: CohClass, b: CohClass, ctx: GrContext):
-    """Integral over Gr of a*b via complementary-partition duality."""
+def pairing(a: CohClass, b: CohClass, n: int):
+    """Integral over Gr(2,n) of a*b via complementary-partition duality."""
     total = Fraction(0)
     for lam, c in a.coeffs.items():
-        mu = complement(lam, ctx.n)
+        mu = complement(lam, n)
         if mu in b.coeffs:
             total = total + c * b.coeffs[mu]
     return total
 
 
-def diagonal(ctx: GrContext) -> dict[tuple[Partition, Partition], Fraction]:
+def diagonal(n: int) -> dict[tuple[Partition, Partition], Fraction]:
     """Poincare dual of the diagonal: sum of s_lam (x) s_{lam^c}."""
-    return {(lam, complement(lam, ctx.n)): Fraction(1) for lam in box_partitions(ctx.n)}
+    return {(lam, complement(lam, n)): Fraction(1) for lam in box_partitions(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,77 +205,56 @@ def diagonal(ctx: GrContext) -> dict[tuple[Partition, Partition], Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def fixed_points(n: int) -> list[tuple[int, int]]:
+    """The torus-fixed points p_ij of Gr(2,n) as ordered pairs (i, j),
+    i != j, 1-based, in lexicographic order; each point appears twice."""
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
 @dataclass(frozen=True)
 class FixedPointData:
     i: int
     j: int
     phi: SparsePoly
-    euler_normal: object  # Fraction or SparsePoly in the alpha variables
-    det_euler: object
+    euler_normal: Fraction
+    det_euler: Fraction
 
 
-def euler_tangent(ctx: GrContext, i: int, j: int):
+def euler_tangent(alphas, i: int, j: int) -> Fraction:
     """e(T_Gr) restricted to p_ij: prod_{k not in {i,j}} (a_i-a_k)(a_j-a_k)."""
-    ai, aj = ctx.alpha_value(i), ctx.alpha_value(j)
-    out = None
-    for k in range(1, ctx.n + 1):
-        if k in (i, j):
-            continue
-        ak = ctx.alpha_value(k)
-        f = (ai - ak) * (aj - ak)
-        out = f if out is None else out * f
-    return out if out is not None else Fraction(1)
-
-
-def localization_data(ctx: GrContext) -> list[FixedPointData]:
-    if ctx.alpha is None and not ctx.symbolic:
-        raise ValueError("localization needs equivariant weights")
-    vars = order_vars(XV + (ctx.avars if ctx.symbolic else ()))
-    x1 = SparsePoly.variable(vars, "x1")
-    x2 = SparsePoly.variable(vars, "x2")
-    out = []
-    for i in range(1, ctx.n + 1):
-        for j in range(1, ctx.n + 1):
-            if i == j:
-                continue
-            phi = SparsePoly.const(vars, 1)
-            for k in range(1, ctx.n + 1):
-                if k in (i, j):
-                    continue
-                ak = ctx.alpha_value(k)
-                phi = phi * (x1 - ak) * (x2 - ak)
-            out.append(
-                FixedPointData(
-                    i=i,
-                    j=j,
-                    phi=phi,
-                    euler_normal=euler_tangent(ctx, i, j),
-                    det_euler=ctx.alpha_value(i) + ctx.alpha_value(j),
-                )
-            )
+    ai, aj = alphas[i - 1], alphas[j - 1]
+    out = Fraction(1)
+    for k, ak in enumerate(alphas, 1):
+        if k not in (i, j):
+            out *= (ai - ak) * (aj - ak)
     return out
 
 
-def restrict_fixed_point(eta: SparsePoly, i: int, j: int, ctx: GrContext):
+def localization_data(alphas) -> list[FixedPointData]:
+    """Per fixed point: the class phi_ij = prod_{k not in {i,j}} (x1-a_k)(x2-a_k),
+    which restricts to e(T)|_p at p_ij and p_ji and to 0 elsewhere, with
+    e(T)|_p and a_i + a_j."""
+    x1 = SparsePoly.variable(XV, "x1")
+    x2 = SparsePoly.variable(XV, "x2")
+    out = []
+    for i, j in fixed_points(len(alphas)):
+        phi = SparsePoly.const(XV, 1)
+        for k, ak in enumerate(alphas, 1):
+            if k not in (i, j):
+                phi = phi * (x1 - ak) * (x2 - ak)
+        out.append(FixedPointData(i, j, phi, euler_tangent(alphas, i, j), alphas[i - 1] + alphas[j - 1]))
+    return out
+
+
+def restrict_fixed_point(eta: SparsePoly, alphas, i: int, j: int) -> Fraction:
     """eta(x1=alpha_i, x2=alpha_j)."""
-    ai, aj = ctx.alpha_value(i), ctx.alpha_value(j)
-    if ctx.symbolic:
-        return eta.substitute({"x1": ai, "x2": aj})
-    return eta.eval_all({"x1": ai, "x2": aj, **{f"a{m}": ctx.alpha[m - 1] if ctx.alpha else 0 for m in range(1, ctx.n + 1)}})
+    return eta.eval_all({"x1": alphas[i - 1], "x2": alphas[j - 1]})
 
 
-def ab_integrate(eta: SparsePoly, ctx: GrContext):
+def ab_integrate(eta: SparsePoly, alphas) -> Fraction:
     """Atiyah-Bott: (1/2) sum over ordered pairs of eta|_p / e(T)|_p."""
-    if ctx.alpha is None:
-        raise ValueError("ab_integrate needs concrete generic alpha")
-    total = Fraction(0)
-    for i in range(1, ctx.n + 1):
-        for j in range(1, ctx.n + 1):
-            if i == j:
-                continue
-            val = restrict_fixed_point(eta, i, j, ctx)
-            total += Fraction(val) / euler_tangent(ctx, i, j)
-    return total / 2
+    return sum(restrict_fixed_point(eta, alphas, i, j) / euler_tangent(alphas, i, j)
+               for i, j in fixed_points(len(alphas))) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +266,6 @@ def _mat_solve(M, B):
     """Solve M X = B by Gauss-Jordan over an exact field (Fraction/RatFunc)."""
     n = len(M)
     A = [list(row) + list(brow) for row, brow in zip(M, B)]
-    w = len(A[0])
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -340,36 +287,22 @@ def _mat_solve(M, B):
     return [row[n:] for row in A]
 
 
-def equivariant_diagonal(ctx: GrContext) -> dict[tuple[Partition, Partition], object]:
-    """The tensor restricting to delta_{p,p'} e(T)|_p on fixed-point pairs."""
-    n = ctx.n
+def equivariant_diagonal(alphas) -> dict[tuple[Partition, Partition], Fraction]:
+    """The tensor g restricting to delta_{p,p'} e(T)|_p on fixed-point pairs.
+
+    With M[p][lam] = s_lam|_p over the fixed points p_ij, i < j (one per
+    box partition), g = M^-1 diag(e(T)|_p) M^-T, read off one inverse.
+    """
+    n = len(alphas)
     parts = box_partitions(n)
-    pairs = list(combinations(range(1, n + 1), 2))
-    if len(pairs) != len(parts):  # pragma: no cover - combinatorial identity
-        raise AssertionError("basis/fixed-point count mismatch")
-
-    def lift(v):
-        if ctx.symbolic:
-            return RatFunc(v) if isinstance(v, SparsePoly) else RatFunc.from_scalar(v, ctx.avars)
-        return Fraction(v)
-
-    M = []
-    for (i, j) in pairs:
-        row = []
-        for lam in parts:
-            row.append(lift(restrict_fixed_point(schur_poly(lam), i, j, ctx)))
-        M.append(row)
-    E = [[lift(euler_tangent(ctx, i, j)) if a == b else lift(0) for b in range(len(pairs))]
-         for a, (i, j) in enumerate(pairs)]
-    # G = M^{-1} E (M^T)^{-1}: solve M Y = E, then M G^T = Y^T
-    Y = _mat_solve(M, E)
-    YT = [[Y[r][c] for r in range(len(Y))] for c in range(len(Y[0]))]
-    GT = _mat_solve(M, YT)
-    G = [[GT[r][c] for r in range(len(GT))] for c in range(len(GT[0]))]
+    pairs = [(i, j) for i, j in fixed_points(n) if i < j]
+    M = [[restrict_fixed_point(schur_poly(lam), alphas, i, j) for lam in parts] for i, j in pairs]
+    Minv = _mat_solve(M, [[Fraction(int(a == b)) for b in range(len(pairs))] for a in range(len(pairs))])
+    euler = [euler_tangent(alphas, i, j) for i, j in pairs]
     out = {}
     for a, lam in enumerate(parts):
         for b, mu in enumerate(parts):
-            v = G[a][b]
-            if not _vzero(v):
+            v = sum(Minv[a][p] * e * Minv[b][p] for p, e in enumerate(euler))
+            if v:
                 out[(lam, mu)] = v
     return out

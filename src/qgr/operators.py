@@ -22,10 +22,12 @@ from fractions import Fraction
 from math import comb
 
 from .cohomology import (
-    GrContext,
     box_partitions,
     complement,
     diagonal,
+    equivariant_diagonal,
+    euler_tangent,
+    fixed_points,
     graded_to_schur,
     partitions_of_degree,
     schur_poly,
@@ -581,7 +583,7 @@ def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> di
         tensor: dict = {}
         for key, le1, le2 in _complementary_terms(pipe_dot, pipe_ddot, d):
             tensor[key] = tensor.get(key, LaurentExpansion.zero(None)) + le1 * _laurent_flip_h(le2)
-        want = diagonal(GrContext(n)) if d == 0 else {}
+        want = diagonal(n) if d == 0 else {}
         keys = set(tensor) | set(want)
         for key in keys:
             got = tensor.get(key, LaurentExpansion.zero(None))
@@ -591,21 +593,23 @@ def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> di
     return {"ok": not failures, "failures": failures}
 
 
-def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline,
-                                    tensor, ctx) -> dict:
+def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> dict:
     """Fixed-point form of the double-series consequence: for ordered
     fixed-point pairs (p1, p2),
 
       sum_{lam,mu} g_{lam,mu} Y_{gamma_lam}|_{p1}(h, q) Y''_{gamma_mu}|_{p2}(-h, q)
 
     equals the equivariant diagonal restriction at q^0 and vanishes at
-    every positive q-degree.  Exact HRat arithmetic.
+    every positive q-degree, g being the equivariant diagonal at the
+    pipelines' weights, which must be given and equal.  Exact HRat
+    arithmetic.
     """
-    from .cohomology import euler_tangent
-
-    n = pipe_dot.n
+    al = pipe_dot.alphas
+    if al is None or pipe_ddot.alphas != al:
+        raise ValueError("equivariant orthogonality needs both pipelines at the same torus weights")
+    tensor = equivariant_diagonal(al)
     D = min(pipe_dot.D, pipe_ddot.D)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    pairs = fixed_points(pipe_dot.n)
     ev1 = {p: y_gamma_evaluated(pipe_dot, *p) for p in pairs}
     ev2 = {p: y_gamma_evaluated(pipe_ddot, *p) for p in pairs}
     failures = []
@@ -621,7 +625,7 @@ def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPip
                         acc = term if acc is None else acc + term
                 want = Fraction(0)
                 if d == 0 and set(p1) == set(p2):
-                    want = euler_tangent(ctx, *p1)
+                    want = euler_tangent(al, *p1)
                 if not acc == want:
                     failures.append({"pairs": (p1, p2), "q": d})
     return {"ok": not failures, "failures": failures}

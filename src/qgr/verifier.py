@@ -5,7 +5,8 @@ mechanics behind the polynomiality argument.
 
 All checks run at concrete generic torus weights, on series supplied as
 fixed-point evaluations (maps (i, j) -> truncated q-series whose values
-are rational functions in h, as HRat).
+are rational functions in h, as HRat).  The localization weight e(T)|_p
+of each fixed point comes from cohomology.euler_tangent.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
+from .cohomology import euler_tangent, fixed_points
 from .hrat import HRat
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
@@ -138,19 +140,9 @@ class PhiSeries:
     payload: QSeries  # keys (q-degree, z-degree); HRat values
 
 
-def pair_weight(alphas, i: int, j: int) -> Fraction:
-    """prod_{k not in {i,j}} (alpha_i - alpha_k)(alpha_j - alpha_k)."""
-    out = Fraction(1)
-    for k in range(1, len(alphas) + 1):
-        if k in (i, j):
-            continue
-        out *= (alphas[i - 1] - alphas[k - 1]) * (alphas[j - 1] - alphas[k - 1])
-    return out
-
-
 def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int) -> PhiSeries:
     """The half-sum over ordered fixed-point pairs of
-    eta e^{(a_i+a_j) z} / (pairing weight) * F(a_i, a_j, h, q e^{hz}) F'(a_i, a_j, -h, q):
+    eta e^{(a_i+a_j) z} / e(T)|_{p_ij} * F(a_i, a_j, h, q e^{hz}) F'(a_i, a_j, -h, q):
     its q^d z^p coefficients for d <= min(D, F.trunc_q, F'.trunc_q), p <= Nz.
 
     The (i, j) and (j, i) terms are equal for the x-symmetric series in
@@ -161,18 +153,18 @@ def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int) -> Phi
     q^{d2} coefficient of F'(-h) enters q^{d1+d2} z^p with the weight
     sum_{p1 <= p} (d1 h)^{p1} / p1! * c^{p-p1} / (p-p1)!.  Terms are summed
     per pair, on that pair's roots; each pair's sums are then scaled by
-    eta / (pairing weight) and added into the total once per key, where
+    eta / e(T)|_{p_ij} and added into the total once per key, where
     adding every term into the total would merge the root sets of
     different pairs at every step.
     """
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = [(i, j) for i, j in fixed_points(n) if i < j]
     Dq = min([D] + [E[ij].trunc_q for ij in pairs for E in (F_evals, Fp_evals)])
     total: dict[tuple[int, int], HRat] = {}
     for i, j in pairs:
         ev = eta_fn(i, j)
         if ev == 0:
             raise ValueError(f"eta vanishes at the fixed point ({i},{j})")
-        pref = Fraction(ev) / pair_weight(alphas, i, j)
+        pref = Fraction(ev) / euler_tangent(alphas, i, j)
         cz = [Fraction(alphas[i - 1] + alphas[j - 1]) ** m / factorial(m) for m in range(Nz + 1)]
         Fp = [(d2, HRat.convert(v).flip_h()) for (d2,), v in Fp_evals[(i, j)].coeffs.items()]
         acc: dict[tuple[int, int], HRat] = {}

@@ -12,7 +12,6 @@ from qgr.cli import run as cli_run
 from qgr.cohomology import (
     CohClass,
     GenericityError,
-    GrContext,
     ab_integrate,
     box_partitions,
     complement,
@@ -83,14 +82,13 @@ def test_criterion_1_ring_pairing():
     ok = True
     rng = random.Random(20260809)
     for n in range(3, 7):
-        ctx = GrContext(n)
         parts = box_partitions(n)
         for lam in parts:
             for mu in parts:
                 want = Fraction(1) if mu == complement(lam, n) else Fraction(0)
-                got = pairing(CohClass({lam: Fraction(1)}), CohClass({mu: Fraction(1)}), ctx)
+                got = pairing(CohClass({lam: Fraction(1)}), CohClass({mu: Fraction(1)}), n)
                 ok = ok and got == want
-        ectx = GrContext(n, alpha=default_generic_alpha(n))
+        al = default_generic_alpha(n)
         deg = 2 * (n - 2)
         for _ in range(10):
             eta = SparsePoly.zero(XV)
@@ -101,7 +99,7 @@ def test_criterion_1_ring_pairing():
                 c = Fraction(rng.randint(-9, 9))
                 terms = {(a_, b_): c, (b_, a_): c} if a_ != b_ else {(a_, a_): c}
                 eta = eta + SparsePoly(XV, terms)
-            via_ab = ab_integrate(eta, ectx)
+            via_ab = ab_integrate(eta, al)
             via_pairing = schur_reduce(eta, n).get((n - 2, n - 2))
             ok = ok and via_ab == via_pairing
     elapsed = time.time() - t0

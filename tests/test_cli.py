@@ -225,12 +225,24 @@ def test_bad_inputs_are_usage_errors(tmp_path, capsys, monkeypatch):
     assert run(["cohomology", "--n", "3", "--output", str(tmp_path / "no-dir" / "out.json")]) == 2
     assert run(["series", "--kind", "dot-bar", "--n", "3", "--a", "1", "--alpha", "x,y,z"]) == 2
     assert run(["series", "--kind", "dot-bar", "--n", "3", "--a", "1", "--alpha", "1/0,2,3"]) == 2
+    # weights or a basis class that no part of the run reads
+    for argv in (
+        ["double-j", "--n", "3", "--a", "", "--qdeg", "1", "--alpha", "7,49,343"],
+        ["verify", "--suite", "orthogonality", "--n", "3", "--qdeg", "1", "--alpha", "generic"],
+        ["verify", "--suite", "operator-norms", "--n", "3", "--qdeg", "1", "--alpha", "7,49,343"],
+        ["series", "--kind", "dot-closed", "--n", "3", "--qdeg", "1", "--alpha", "generic"],
+        ["series", "--n", "3", "--qdeg", "1", "--alpha", "7,49,343"],
+        ["cohomology", "--n", "3", "--alpha", "7,49,343"],
+        ["series", "--kind", "dot-bar", "--n", "3", "--qdeg", "1", "--k", "1", "--j", "0"],
+        ["series", "--kind", "dot-closed", "--n", "3", "--qdeg", "1", "--j", "0"],
+    ):
+        assert run(argv) == 2, argv
     for depth in ("deep", "0", "-2"):
         monkeypatch.setenv("QGR_DEPTH", depth)
         assert run(["verify", "--suite", "residue-internal", "--n", "3", "--qdeg", "1", "--zdeg", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error: ") == 7 and "internal error" not in captured.err
+    assert captured.err.count("error: ") == 15 and "internal error" not in captured.err
 
 
 def test_structure_residual_names_failing_entry(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from qgr.cohomology import (
     CohClass,
     GenericityError,
-    GrContext,
+    _mat_solve,
     ab_integrate,
     box_partitions,
     complement,
@@ -14,6 +16,7 @@ from qgr.cohomology import (
     diagonal,
     equivariant_diagonal,
     euler_tangent,
+    fixed_points,
     genericity_check,
     graded_to_schur,
     localization_data,
@@ -23,7 +26,7 @@ from qgr.cohomology import (
     schur_poly,
     schur_reduce,
 )
-from qgr.rings import SparsePoly
+from qgr.rings import RatFunc, SparsePoly
 
 XV = ("x1", "x2")
 x1 = SparsePoly.variable(XV, "x1")
@@ -90,21 +93,19 @@ def test_schur_reduce_is_ring_map():
 
 def test_pairing_antidiagonal():
     for n in range(3, 7):
-        ctx = GrContext(n)
         parts = box_partitions(n)
         for lam in parts:
             for mu in parts:
                 a = CohClass({lam: Fraction(1)})
                 b = CohClass({mu: Fraction(1)})
                 expect = Fraction(1) if mu == complement(lam, n) else Fraction(0)
-                assert pairing(a, b, ctx) == expect
+                assert pairing(a, b, n) == expect
 
 
 def test_pairing_examples():
-    ctx = GrContext(3)
-    assert pairing(CohClass({(0, 0): Fraction(1)}), CohClass({(1, 1): Fraction(1)}), ctx) == 1
-    assert pairing(CohClass({(1, 0): Fraction(1)}), CohClass({(1, 0): Fraction(1)}), ctx) == 1
-    assert pairing(CohClass({(0, 0): Fraction(1)}), CohClass({(1, 0): Fraction(1)}), ctx) == 0
+    assert pairing(CohClass({(0, 0): Fraction(1)}), CohClass({(1, 1): Fraction(1)}), 3) == 1
+    assert pairing(CohClass({(1, 0): Fraction(1)}), CohClass({(1, 0): Fraction(1)}), 3) == 1
+    assert pairing(CohClass({(0, 0): Fraction(1)}), CohClass({(1, 0): Fraction(1)}), 3) == 0
 
 
 def test_pairing_against_localization_oracle():
@@ -118,19 +119,17 @@ def test_pairing_against_localization_oracle():
                 genericity_check(alpha, 0)
             except GenericityError:
                 continue
-            ctx = GrContext(n, alpha=alpha)
             for lam in parts:
                 for mu in parts:
                     if sum(lam) + sum(mu) != 2 * (n - 2):
                         continue
-                    val = ab_integrate(schur_poly(lam) * schur_poly(mu), ctx)
+                    val = ab_integrate(schur_poly(lam) * schur_poly(mu), alpha)
                     expect = Fraction(1) if mu == complement(lam, n) else Fraction(0)
                     assert val == expect
 
 
 def test_diagonal_n3():
-    ctx = GrContext(3)
-    d = diagonal(ctx)
+    d = diagonal(3)
     assert d == {
         ((0, 0), (1, 1)): Fraction(1),
         ((1, 0), (1, 0)): Fraction(1),
@@ -138,15 +137,21 @@ def test_diagonal_n3():
     }
     # total bidegree of every term is 2(n-2)
     for n in range(3, 7):
-        for (lam, mu) in diagonal(GrContext(n)):
+        for (lam, mu) in diagonal(n):
             assert sum(lam) + sum(mu) == 2 * (n - 2)
-    assert len(diagonal(GrContext(4))) == 6
+    assert len(diagonal(4)) == 6
+
+
+def test_fixed_points_are_the_ordered_pairs():
+    assert fixed_points(3) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+    for n in range(3, 7):
+        assert len(fixed_points(n)) == n * (n - 1)
 
 
 def test_localization_data_n3():
-    ctx = GrContext(3, alpha=default_generic_alpha(3))
-    data = {(f.i, f.j): f for f in localization_data(ctx)}
-    a = ctx.alpha
+    a = default_generic_alpha(3)
+    data = {(f.i, f.j): f for f in localization_data(a)}
+    assert list(data) == fixed_points(3)
     f12 = data[(1, 2)]
     # phi_12 = (x1 - a3)(x2 - a3)
     expect = (x1 - SparsePoly.const(XV, a[2])) * (x2 - SparsePoly.const(XV, a[2]))
@@ -155,7 +160,7 @@ def test_localization_data_n3():
     assert f12.det_euler == a[0] + a[1]
     # phi restricts to euler at p_12 and p_21, zero elsewhere
     for (i, j), f in data.items():
-        val = restrict_fixed_point(f12.phi, i, j, ctx)
+        val = restrict_fixed_point(f12.phi, a, i, j)
         if {i, j} == {1, 2}:
             assert val == f12.euler_normal
         else:
@@ -163,29 +168,35 @@ def test_localization_data_n3():
 
 
 def test_restrict_examples():
-    ctx = GrContext(3, alpha=default_generic_alpha(3))
-    a = ctx.alpha
-    assert restrict_fixed_point(x1 + x2, 1, 2, ctx) == a[0] + a[1]
+    a = default_generic_alpha(3)
+    assert restrict_fixed_point(x1 + x2, a, 1, 2) == a[0] + a[1]
+    assert restrict_fixed_point(x1 * x1, a, 3, 1) == a[2] ** 2
+
+
+def test_euler_tangent_examples():
+    a = default_generic_alpha(4)
+    assert euler_tangent(a, 1, 2) == (a[0] - a[2]) * (a[1] - a[2]) * (a[0] - a[3]) * (a[1] - a[3])
+    assert euler_tangent(a, 2, 1) == euler_tangent(a, 1, 2)
+    assert isinstance(euler_tangent((1, 2, 3), 1, 2), Fraction)
 
 
 def test_ab_integrate_examples():
-    ctx = GrContext(3, alpha=default_generic_alpha(3))
-    data = {(f.i, f.j): f for f in localization_data(ctx)}
-    assert ab_integrate(data[(1, 2)].phi, ctx) == 1
-    assert ab_integrate(SparsePoly.const(XV, 1), ctx) == 0
+    a3 = default_generic_alpha(3)
+    data = {(f.i, f.j): f for f in localization_data(a3)}
+    assert ab_integrate(data[(1, 2)].phi, a3) == 1
+    assert ab_integrate(SparsePoly.const(XV, 1), a3) == 0
     # degree-2(n-2) random symmetric polynomial matches the pairing route
     rng = random.Random(4)
     for n in (3, 4, 5):
-        ctx = GrContext(n, alpha=default_generic_alpha(n))
+        al = default_generic_alpha(n)
         for _ in range(3):
             eta = sym_rand(rng, 2 * (n - 2))
-            via_ab = ab_integrate(eta, ctx)
+            via_ab = ab_integrate(eta, al)
             red = schur_reduce(eta, n)
             via_pairing = red.get((n - 2, n - 2))
             assert via_ab == via_pairing
             # independence of the generic draw
-            ctx2 = GrContext(n, alpha=tuple(Fraction(11**m) for m in range(1, n + 1)))
-            assert ab_integrate(eta, ctx2) == via_ab
+            assert ab_integrate(eta, tuple(Fraction(11**m) for m in range(1, n + 1))) == via_ab
 
 
 def test_graded_to_schur():
@@ -197,21 +208,51 @@ def test_graded_to_schur():
 
 def test_equivariant_diagonal_concrete():
     for n in (3, 4):
-        ctx = GrContext(n, alpha=default_generic_alpha(n))
-        tensor = equivariant_diagonal(ctx)
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        for p1 in pairs:
-            for p2 in pairs:
+        al = default_generic_alpha(n)
+        tensor = equivariant_diagonal(al)
+        for p1 in fixed_points(n):
+            for p2 in fixed_points(n):
                 got = sum(
                     g
-                    * restrict_fixed_point(schur_poly(lam), *p1, ctx)
-                    * restrict_fixed_point(schur_poly(mu), *p2, ctx)
+                    * restrict_fixed_point(schur_poly(lam), al, *p1)
+                    * restrict_fixed_point(schur_poly(mu), al, *p2)
                     for (lam, mu), g in tensor.items()
                 )
                 if set(p1) == set(p2):
-                    assert got == euler_tangent(ctx, *p1)
+                    assert got == euler_tangent(al, *p1)
                 else:
                     assert got == 0
+
+
+def _two_solve(M, E):
+    """G = M^-1 E (M^T)^-1: solve M Y = E, then M G^T = Y^T."""
+    Y = _mat_solve(M, E)
+    YT = [[Y[r][c] for r in range(len(Y))] for c in range(len(Y[0]))]
+    GT = _mat_solve(M, YT)
+    return [[GT[r][c] for r in range(len(GT))] for c in range(len(GT[0]))]
+
+
+def _two_solve_diagonal(alphas):
+    """The equivariant diagonal by two solves and two transposes, the route
+    the one-inverse form replaced."""
+    n = len(alphas)
+    parts = box_partitions(n)
+    pairs = list(combinations(range(1, n + 1), 2))
+    M = [[restrict_fixed_point(schur_poly(lam), alphas, i, j) for lam in parts] for (i, j) in pairs]
+    E = [[euler_tangent(alphas, i, j) if a == b else Fraction(0) for b in range(len(pairs))]
+         for a, (i, j) in enumerate(pairs)]
+    G = _two_solve(M, E)
+    return {(lam, mu): G[a][b] for a, lam in enumerate(parts) for b, mu in enumerate(parts) if G[a][b]}
+
+
+def test_equivariant_diagonal_matches_two_solve_route():
+    for n in range(3, 7):
+        for al in (default_generic_alpha(n), tuple(Fraction(11**m) for m in range(1, n + 1))):
+            want = _two_solve_diagonal(al)
+            got = equivariant_diagonal(al)
+            assert set(got) == set(want), n
+            for key, v in want.items():
+                assert got[key] == v, (n, key)
 
 
 def _homogeneous_degree(p):
@@ -223,21 +264,39 @@ def _homogeneous_degree(p):
 
 
 def test_equivariant_diagonal_symbolic_limit():
-    ctx = GrContext(3, symbolic=True)
-    tensor = equivariant_diagonal(ctx)
-    at_zero = {}
-    zeros = {f"a{i}": Fraction(0) for i in range(1, 4)}
-    for (lam, mu), g in tensor.items():
-        # entries are honest polynomials in alpha, homogeneous of the
-        # complementary degree 2(n-2) - |lam| - |mu|
-        q = g.num.divide_exact(g.den)
-        assert q is not None, f"entry ({lam},{mu}) is not polynomial in alpha"
-        dq = _homogeneous_degree(q)
-        assert dq == 2 - sum(lam) - sum(mu) or q.is_zero()
-        v = q.eval_all(zeros)
-        if v:
-            at_zero[(lam, mu)] = v
-    assert at_zero == diagonal(GrContext(3))
+    # oracle over RatFunc in the weight variables a1..a3: the restriction
+    # matrix M[p][lam] = s_lam(a_i, a_j), solved for g = M^-1 E M^-T
+    n = 3
+    avars = tuple(f"a{m}" for m in range(1, n + 1))
+    a = [SparsePoly.variable(avars, v) for v in avars]
+    parts = box_partitions(n)
+    pairs = list(combinations(range(1, n + 1), 2))
+    M = [[RatFunc(schur_poly(lam).substitute({"x1": a[i - 1], "x2": a[j - 1]})) for lam in parts]
+         for (i, j) in pairs]
+    euler = [prod(((a[i - 1] - ak) * (a[j - 1] - ak) for k, ak in enumerate(a, 1) if k not in (i, j)),
+                  start=SparsePoly.const(avars, 1)) for (i, j) in pairs]
+    E = [[RatFunc(e) if r == c else RatFunc.from_scalar(0, avars) for c in range(len(pairs))]
+         for r, e in enumerate(euler)]
+    G = _two_solve(M, E)
+    generic = default_generic_alpha(n)
+    numeric = equivariant_diagonal(generic)
+    at_zero, at_generic = {}, {}
+    for r, lam in enumerate(parts):
+        for c, mu in enumerate(parts):
+            g = G[r][c]
+            # entries are honest polynomials in alpha, homogeneous of the
+            # complementary degree 2(n-2) - |lam| - |mu|
+            q = g.num.divide_exact(g.den)
+            assert q is not None, f"entry ({lam},{mu}) is not polynomial in alpha"
+            assert q.is_zero() or _homogeneous_degree(q) == 2 * (n - 2) - sum(lam) - sum(mu)
+            v0 = q.eval_all({v: 0 for v in avars})
+            if v0:
+                at_zero[(lam, mu)] = v0
+            vg = q.eval_all(dict(zip(avars, generic)))
+            if vg:
+                at_generic[(lam, mu)] = vg
+    assert at_zero == diagonal(n)
+    assert at_generic == numeric
 
 
 def test_genericity_check_rejects():

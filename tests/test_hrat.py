@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from qgr.cohomology import euler_tangent
 from qgr.hrat import HRat
 from qgr.hyper import (
     AMatrixSpec,
@@ -20,7 +21,7 @@ from qgr.hyper import (
     y_series_evaluated,
 )
 from qgr.rings import RatFunc, SparsePoly
-from qgr.verifier import build_phi, pair_weight
+from qgr.verifier import build_phi
 
 HV = ("h",)
 h = SparsePoly.variable(HV, "h")
@@ -147,7 +148,7 @@ def _phi_half_sum(F, Fp, eta, al, n, Nz, Dq):
         for j in range(1, n + 1):
             if i == j:
                 continue
-            pref = Fraction(eta(i, j)) / pair_weight(al, i, j) / 2
+            pref = Fraction(eta(i, j)) / euler_tangent(al, i, j) / 2
             c = al[i - 1] + al[j - 1]
             for d1 in range(Dq + 1):
                 for d2 in range(Dq + 1 - d1):

@@ -1,6 +1,7 @@
-"""Import layering: the arithmetic substrate (rings, series) and the
-fixed-point value type (hrat) sit below the verifier side of the package
-and must not import from it."""
+"""Import layering: the arithmetic substrate (rings, series), the
+fixed-point value type (hrat) and the cohomology and fixed-point data
+(cohomology) sit below the verifier side of the package and must not
+import from it."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgr"
-LOWER = ("rings", "series", "hrat")
+LOWER = ("rings", "series", "hrat", "cohomology")
 UPPER = {"residues", "verifier", "operators", "cli"}
 
 

@@ -5,11 +5,9 @@ import pytest
 
 from qgr import operators
 from qgr.cohomology import (
-    GrContext,
     box_partitions,
     default_generic_alpha,
     diagonal,
-    equivariant_diagonal,
     partitions_of_degree,
     schur_poly,
 )
@@ -302,7 +300,7 @@ def test_double_J_q0_is_diagonal():
     pd = build_pipeline("dot", n, CISpec((1,)), None, 1)
     pdd = build_pipeline("ddot", n, CISpec((1,)), None, 1)
     table = assemble_double_J(pd, pdd)
-    want = diagonal(GrContext(n))
+    want = diagonal(n)
     got0 = table[0]
     for (lam, mu), entry in got0.items():
         w = want.get((lam, mu), Fraction(0))
@@ -313,10 +311,9 @@ def test_double_J_q0_is_diagonal():
 
 
 def _equivariant_orthogonality(n, a, al, D):
-    ctx = GrContext(n, alpha=al)
     pd = build_pipeline("dot", n, a, al, D)
     pdd = build_pipeline("ddot", n, a, al, D)
-    return equivariant_orthogonality_check(pd, pdd, equivariant_diagonal(ctx), ctx)
+    return equivariant_orthogonality_check(pd, pdd)
 
 
 def test_equivariant_double_series_two_seeds():
@@ -328,6 +325,17 @@ def test_equivariant_double_series_two_seeds():
             al = tuple(Fraction(base**m) for m in range(1, n + 1))
             rep = _equivariant_orthogonality(n, a, al, D)
             assert rep["ok"], (a, base, rep["failures"][:2])
+
+
+def test_equivariant_orthogonality_needs_equal_weights():
+    n, a = 3, CISpec(())
+    al7 = default_generic_alpha(n)
+    al11 = tuple(Fraction(11**m) for m in range(1, n + 1))
+    for w1, w2 in ((None, None), (al7, None), (None, al7), (al7, al11)):
+        pd = build_pipeline("dot", n, a, w1, 1)
+        pdd = build_pipeline("ddot", n, a, w2, 1)
+        with pytest.raises(ValueError):
+            equivariant_orthogonality_check(pd, pdd)
 
 
 @pytest.mark.xfail(strict=True, reason=(

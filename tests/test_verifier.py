@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from qgr.cohomology import default_generic_alpha
+from qgr.cohomology import default_generic_alpha, euler_tangent
 from qgr.hrat import HRat
 from qgr.hyper import (
     AMatrixSpec,
@@ -23,7 +23,6 @@ from qgr.verifier import (
     check_mpc,
     check_recursive,
     check_recursive_2q,
-    pair_weight,
     residue_internal_check,
 )
 
@@ -359,7 +358,7 @@ def _phi_z_tracked(F_evals, Fp_evals, eta_fn, al, Nz, D, pairs):
     Dq = min([D] + [E[ij].trunc_q for ij in pairs for E in (F_evals, Fp_evals)])
     total = {}
     for i, j in pairs:
-        pref = Fraction(eta_fn(i, j)) / pair_weight(al, i, j)
+        pref = Fraction(eta_fn(i, j)) / euler_tangent(al, i, j)
         T1 = {(d, p): HRat.convert(v) * HRat.poly((0,) * p + (Fraction(d**p, factorial(p)),))
               for (d,), v in F_evals[(i, j)].coeffs.items() for p in range(Nz + 1) if d or not p}
         T2 = {(d, 0): HRat.convert(v).flip_h() for (d,), v in Fp_evals[(i, j)].coeffs.items()}

@@ -252,12 +252,7 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
             ],
         })
     # two-variable mode on the ladder series with independent weight families
-    spec = AMatrixSpec(
-        n=n,
-        rows=tuple((ak, ak) for ak in a.a),
-        alpha1=al,
-        alpha2=tuple(Fraction(11**m) for m in range(1, n + 1)),
-    )
+    spec = AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=tuple(Fraction(11**m) for m in range(1, n + 1)))
     D2 = min(D, 2)
     for kind in ("dot", "ddot"):
         evals2 = {
@@ -601,6 +596,8 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         d, d1 = cfg.mutate
         if not 0 <= d1 <= d <= cfg.qdeg:
             raise UsageError(f"mutate {d}:{d1} must satisfy 0 <= d1 <= d <= qdeg = {cfg.qdeg}")
+    if "zdeg" in vals and (cfg.command != "verify" or (cfg.suite or "all") not in ("mpc", "residue-internal", "all")):
+        raise UsageError("zdeg is read only by the mpc, residue-internal and all suites")
     reads_alpha = {
         "series": (cfg.kind or "dot-closed") in _ALPHA_KINDS,
         "verify": (cfg.suite or "all") in _ALPHA_SUITES,

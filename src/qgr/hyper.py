@@ -46,6 +46,11 @@ class CISpec:
     def product(self) -> int:
         return prod(self.a) if self.a else 1
 
+    @property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        """The equal two-slot weight rows (a_k, a_k)."""
+        return tuple((ak, ak) for ak in self.a)
+
     def validate(self, n: int) -> None:
         if self.total > n:
             raise ValueError(f"|a| = {self.total} exceeds n = {n}")
@@ -190,7 +195,7 @@ def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = N
     a.validate(n)
     spec = AMatrixSpec(
         n=n,
-        rows=tuple((ak, ak) for ak in a.a),
+        rows=a.rows,
         alpha1=tuple(alphas) if alphas is not None else None,
         alpha2=tuple(alphas) if alphas is not None else None,
     )
@@ -251,7 +256,7 @@ def build_Y_closed(kind: str, n: int, a: CISpec, D: int, xtrunc: int | None = No
     h = _xvar("h")
     nums = {}
     for d in range(D + 1):
-        A_d = amatrix_numerator(kind, tuple((ak, ak) for ak in a.a), d, 0, xtrunc)
+        A_d = amatrix_numerator(kind, a.rows, d, 0, xtrunc)
         total = SparsePoly.zero(V3)
         for d1 in range(d, (d - 1) // 2, -1):
             d2 = d - d1
@@ -331,8 +336,7 @@ def a_series_evaluated(kind: str, spec: AMatrixSpec, i1: int, i2: int, D: int,
 
 def k_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: int,
                        mutate: tuple[int, int] | None = None) -> QSeries:
-    spec = AMatrixSpec(n=n, rows=tuple((ak, ak) for ak in a.a),
-                       alpha1=tuple(alphas), alpha2=tuple(alphas))
+    spec = AMatrixSpec(n=n, rows=a.rows, alpha1=tuple(alphas), alpha2=tuple(alphas))
     return a_series_evaluated(kind, spec, i, j, D, mutate)
 
 
@@ -387,7 +391,7 @@ def c_coeff(kind: str, slot: int, i: int, j: int, k: int, d: int, alphas, a: CIS
     ladder coefficient is `scr_coeff` with equal rows and one weight family.
     """
     al = tuple(Fraction(v) for v in alphas)
-    spec = AMatrixSpec(n=len(al), rows=tuple((ak, ak) for ak in a.a), alpha1=al, alpha2=al)
+    spec = AMatrixSpec(n=len(al), rows=a.rows, alpha1=al, alpha2=al)
     if slot == 2:
         factor = (al[i - 1] - al[k - 1]) / (al[i - 1] - al[j - 1])
     else:

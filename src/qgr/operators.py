@@ -1,9 +1,14 @@
 """Operator calculus on the ladder series: the shift operators, Schur
 polynomials in them, the bar-transformed operator family, the invertible
-degree-k endomorphism with its Neumann inverse, extraction of the
-operator-expansion tables, the triangular solve for the structure
-coefficients, and assembly of the basis-weighted series and the double
-series (with the diagonal-orthogonality consequence).
+degree-k endomorphisms, extraction of the operator-expansion tables, the
+structure coefficients, and assembly of the basis-weighted series and the
+double series (with the diagonal-orthogonality consequence).
+
+Every linear system over Q[[q]] here (the family's level blocks, the
+degree-k endomorphisms, the structure-coefficient equations) has the
+identity as its q^0 part.  One Neumann iteration, `_neumann_solve`, solves
+them all, and a `_mat_mul` product certifies the J inverses and the
+structure coefficients.
 
 The class map is: expand in x about 0, Schur-reduce each graded piece into
 the box basis, then Laurent-expand the coefficients in h^-1; the degree-k
@@ -17,6 +22,7 @@ is the same linear combination of those class tables.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -252,40 +258,27 @@ def _mat_identity(size: int, D: int, arity: int = 1):
 
 
 def _mat_mul(A, B):
-    size = len(A)
-    cols = len(B[0])
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(cols):
-            acc = None
-            for t in range(len(B)):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    # a product with an empty factor adds nothing, so it is skipped
+    return [[functools.reduce(operator.add, (a * b for a, b in zip(row[1:], col[1:]) if a.coeffs and b.coeffs),
+                              row[0] * col[0]) for col in zip(*B)] for row in A]
 
 
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_neg(A):
-    return [[-a for a in row] for row in A]
+def _neumann_solve(M, B, D: int):
+    """X with M X = B, for a square scalar-series matrix M whose q^0 part
+    is the identity: from X = B, repeat X <- B + (I - M) X.  I - M is O(q),
+    so each step fixes one more q-degree and D steps are exact."""
+    N = [[-m for m in row] for row in M]
+    for i, row in enumerate(N):
+        row[i] = row[i] + QSeries.one(row[i].q_arity, D)
+    X = B
+    for _ in range(D):
+        X = [[b + nx for b, nx in zip(rb, rnx)] for rb, rnx in zip(B, _mat_mul(N, X))]
+    return X
 
 
 def neumann_inverse(M, D: int, arity: int = 1):
     """Inverse of a scalar-series matrix with identity q^0 part."""
-    size = len(M)
-    I = _mat_identity(size, D, arity)
-    N = _mat_add(I, _mat_neg(M))  # N = I - M, O(q)
-    inv = I
-    power = I
-    for _ in range(D):
-        power = _mat_mul(power, N)
-        inv = _mat_add(inv, power)
-    return inv
+    return _neumann_solve(M, _mat_identity(len(M), D, arity), D)
 
 
 # ---------------------------------------------------------------------------
@@ -425,74 +418,39 @@ def _assembled(pipe: GammaPipeline, calD: dict, h) -> dict:
     return {lam: assemble_Y_gamma(pipe, calD, k, jidx, h) for k, jidx, lam in _basis(pipe.n, pipe.kmax)}
 
 
-def _opexp_entry(pipe: GammaPipeline, s: int, jidx: int, m: int, r1: int, j1: int) -> QSeries:
-    """C^{(r1,j1)}_{s,j,m} as a scalar series (zero when absent)."""
-    return pipe.opexp[(s, jidx)].get((m, (r1, j1)), QSeries(1, pipe.D))
+def _structure_system(pipe: GammaPipeline, k: int, iidx: int):
+    """The defining equations of the structure coefficients of (k, i) as
+    (keys, A, e) with A C = e.
+
+    The unknowns C~^{(t)}_{k,i;s,j}, t <= k and s <= k - t, are keyed
+    (t, (s, j)); the equations use the same index set, keyed
+    (r, (r1, j1)).  A[(r,(r1,j1))][(t,(s,j))] is C^{(r1,j1)}_{s,j,r+r1-t}
+    for t <= r and 0 otherwise, and e is 1 at the equation (0, (k, i)).
+    The expansion tables' q^0 delta, checked by build_pipeline, makes the
+    q^0 part of A the identity.
+    """
+    keys = [(t, (s, j)) for t in range(k + 1) for s in range(k - t + 1)
+            for j in range(len(partitions_of_degree(pipe.n, s)))]
+    zero = QSeries(1, pipe.D)
+    A = [[pipe.opexp[(s, j)].get((r + r1 - t, (r1, j1)), zero) if t <= r else zero for t, (s, j) in keys]
+         for r, (r1, j1) in keys]
+    e = [[QSeries.one(1, pipe.D) if key == (0, (k, iidx)) else zero] for key in keys]
+    return keys, A, e
 
 
 def _solve_structure(pipe: GammaPipeline, k: int, iidx: int) -> dict:
-    """Back-substitute the defining equations, ascending in q-degree.
-
-    Unknowns C~^{(t)}_{k,i;s,j} for t <= k, s <= k - t; equation (r, r1, j1)
-    isolates the unknown with (t, s, j) = (r, r1, j1) at the top q-order.
-    """
-    D = pipe.D
-    n = pipe.n
-    unknowns: dict = {}
-    for t in range(k + 1):
-        for s in range(k - t + 1):
-            for jidx in range(len(partitions_of_degree(n, s))):
-                unknowns[(t, (s, jidx))] = {}
-    for Dq in range(D + 1):
-        for r in range(k + 1):
-            for r1 in range(k - r + 1):
-                for j1 in range(len(partitions_of_degree(n, r1))):
-                    rhs = Fraction(1) if (j1 == iidx and r1 == k and r == 0 and Dq == 0) else Fraction(0)
-                    acc = Fraction(0)
-                    for t in range(r + 1):
-                        for s in range(k - t + 1):
-                            for jidx in range(len(partitions_of_degree(n, s))):
-                                cterm = _opexp_entry(pipe, s, jidx, r + r1 - t, r1, j1)
-                                known = unknowns[(t, (s, jidx))]
-                                for D1 in range(Dq + 1):
-                                    if (t, (s, jidx), D1) == (r, (r1, j1), Dq):
-                                        continue
-                                    v1 = known.get(D1)
-                                    if not v1:
-                                        continue
-                                    v2 = cterm.get((Dq - D1,))
-                                    if v2:
-                                        acc += v1 * v2
-                    unknowns[(r, (r1, j1))][Dq] = rhs - acc
-    return {
-        key: QSeries(1, D, {(d,): v for d, v in vals.items() if v})
-        for key, vals in unknowns.items()
-    }
+    """The structure coefficients of (k, i): (t, (s, j)) -> the scalar
+    series C~^{(t)}_{k,i;s,j}, from the Neumann solve of A C = e."""
+    keys, A, e = _structure_system(pipe, k, iidx)
+    return {key: row[0] for key, row in zip(keys, _neumann_solve(A, e, pipe.D))}
 
 
 def _eqtic_residual_is_zero(pipe: GammaPipeline, k: int, iidx: int) -> bool:
-    """Re-evaluate every defining equation after the solve."""
-    n = pipe.n
-    D = pipe.D
+    """Re-evaluate the defining equations A C = e on the stored solution
+    pipe.structC[(k, i)]."""
+    keys, A, e = _structure_system(pipe, k, iidx)
     C = pipe.structC[(k, iidx)]
-    for r in range(k + 1):
-        for r1 in range(k - r + 1):
-            for j1 in range(len(partitions_of_degree(n, r1))):
-                acc = QSeries(1, D)
-                for t in range(r + 1):
-                    for s in range(k - t + 1):
-                        for jidx in range(len(partitions_of_degree(n, s))):
-                            acc = acc + C[(t, (s, jidx))] * _opexp_entry(
-                                pipe, s, jidx, r + r1 - t, r1, j1
-                            )
-                want = (
-                    QSeries.one(1, D)
-                    if (j1 == iidx and r1 == k and r == 0)
-                    else QSeries(1, D)
-                )
-                if not acc == want:
-                    return False
-    return True
+    return _mat_mul(A, [[C[key]] for key in keys]) == e
 
 
 def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h) -> QSeries:

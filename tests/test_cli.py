@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -235,6 +236,10 @@ def test_bad_inputs_are_usage_errors(tmp_path, capsys, monkeypatch):
         ["cohomology", "--n", "3", "--alpha", "7,49,343"],
         ["series", "--kind", "dot-bar", "--n", "3", "--qdeg", "1", "--k", "1", "--j", "0"],
         ["series", "--kind", "dot-closed", "--n", "3", "--qdeg", "1", "--j", "0"],
+        # a z-degree that only the mpc, residue-internal and all suites read
+        ["double-j", "--n", "3", "--a", "", "--qdeg", "1", "--zdeg", "5"],
+        ["verify", "--suite", "recursivity", "--n", "3", "--qdeg", "1", "--zdeg", "7"],
+        ["series", "--n", "3", "--qdeg", "1", "--config", _write_cfg(tmp_path, "zdeg=2\n")],
     ):
         assert run(argv) == 2, argv
     for depth in ("deep", "0", "-2"):
@@ -242,7 +247,7 @@ def test_bad_inputs_are_usage_errors(tmp_path, capsys, monkeypatch):
         assert run(["verify", "--suite", "residue-internal", "--n", "3", "--qdeg", "1", "--zdeg", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("error: ") == 15 and "internal error" not in captured.err
+    assert captured.err.count("error: ") == 18 and "internal error" not in captured.err
 
 
 def test_structure_residual_names_failing_entry(capsys, monkeypatch):
@@ -278,6 +283,28 @@ def test_structure_t0_delta_names_failing_entry(capsys, monkeypatch):
     for kind in ("dot", "ddot"):
         rec = by_check[f"structure-t0-delta-{kind}"]
         assert rec["pass"] is False and rec["failures"] == [{"k": 2, "i": 0, "s": 2, "j": 0}]
+
+
+def test_structure_residual_catches_perturbed_solution(capsys, monkeypatch):
+    import qgr.operators
+
+    solve = qgr.operators._solve_structure
+
+    def q1_added_at_2_0(pipe, k, iidx):
+        table = solve(pipe, k, iidx)
+        if (k, iidx) == (2, 0):
+            table[(1, (1, 0))] = table[(1, (1, 0))] + QSeries(1, pipe.D, {(1,): Fraction(1)})
+        return table
+
+    monkeypatch.setattr(qgr.operators, "_solve_structure", q1_added_at_2_0)
+    code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
+    assert code == 1
+    by_check = {r["check"]: r for r in doc["payload"]}
+    for kind in ("dot", "ddot"):
+        rec = by_check[f"structure-residual-{kind}"]
+        assert rec["pass"] is False and rec["failures"] == [{"k": 2, "i": 0}]
+    # the t = 0 rows are untouched, so only the two residuals fail
+    assert {c for c, r in by_check.items() if not r["pass"]} == {"structure-residual-dot", "structure-residual-ddot"}
 
 
 def test_internal_fault_exit_3(capsys, monkeypatch):

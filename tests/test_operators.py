@@ -252,6 +252,111 @@ def test_pipeline_certificates(n, a):
                 assert ser == want
 
 
+# The routes the single Neumann solve replaced, kept verbatim as oracles:
+# the power sum I + N + ... + N^D with N = I - M, and the back-substitution
+# of the structure equations ascending in q-degree.
+
+
+def _ref_mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _ref_mat_neg(A):
+    return [[-a for a in row] for row in A]
+
+
+def _ref_neumann_inverse(M, D: int, arity: int = 1):
+    """Inverse of a scalar-series matrix with identity q^0 part."""
+    size = len(M)
+    I = operators._mat_identity(size, D, arity)
+    N = _ref_mat_add(I, _ref_mat_neg(M))  # N = I - M, O(q)
+    inv = I
+    power = I
+    for _ in range(D):
+        power = operators._mat_mul(power, N)
+        inv = _ref_mat_add(inv, power)
+    return inv
+
+
+def _ref_opexp_entry(pipe, s: int, jidx: int, m: int, r1: int, j1: int) -> QSeries:
+    """C^{(r1,j1)}_{s,j,m} as a scalar series (zero when absent)."""
+    return pipe.opexp[(s, jidx)].get((m, (r1, j1)), QSeries(1, pipe.D))
+
+
+def _ref_solve_structure(pipe, k: int, iidx: int) -> dict:
+    """Back-substitute the defining equations, ascending in q-degree.
+
+    Unknowns C~^{(t)}_{k,i;s,j} for t <= k, s <= k - t; equation (r, r1, j1)
+    isolates the unknown with (t, s, j) = (r, r1, j1) at the top q-order.
+    """
+    D = pipe.D
+    n = pipe.n
+    unknowns: dict = {}
+    for t in range(k + 1):
+        for s in range(k - t + 1):
+            for jidx in range(len(partitions_of_degree(n, s))):
+                unknowns[(t, (s, jidx))] = {}
+    for Dq in range(D + 1):
+        for r in range(k + 1):
+            for r1 in range(k - r + 1):
+                for j1 in range(len(partitions_of_degree(n, r1))):
+                    rhs = Fraction(1) if (j1 == iidx and r1 == k and r == 0 and Dq == 0) else Fraction(0)
+                    acc = Fraction(0)
+                    for t in range(r + 1):
+                        for s in range(k - t + 1):
+                            for jidx in range(len(partitions_of_degree(n, s))):
+                                cterm = _ref_opexp_entry(pipe, s, jidx, r + r1 - t, r1, j1)
+                                known = unknowns[(t, (s, jidx))]
+                                for D1 in range(Dq + 1):
+                                    if (t, (s, jidx), D1) == (r, (r1, j1), Dq):
+                                        continue
+                                    v1 = known.get(D1)
+                                    if not v1:
+                                        continue
+                                    v2 = cterm.get((Dq - D1,))
+                                    if v2:
+                                        acc += v1 * v2
+                    unknowns[(r, (r1, j1))][Dq] = rhs - acc
+    return {
+        key: QSeries(1, D, {(d,): v for d, v in vals.items() if v})
+        for key, vals in unknowns.items()
+    }
+
+
+@pytest.mark.parametrize("n,a,D", [
+    (3, (), 3), (3, (1,), 3), (3, (3,), 3), (4, (2,), 3), (4, (4,), 2), (5, (2,), 2),
+])
+def test_neumann_solve_matches_replaced_routes(n, a, D, monkeypatch):
+    for kind in ("dot", "ddot"):
+        calls = []
+
+        def recording_inverse(M, D, arity=1):
+            inv = neumann_inverse(M, D, arity)
+            calls.append((M, D, arity, inv))
+            return inv
+
+        monkeypatch.setattr(operators, "neumann_inverse", recording_inverse)
+        pipe = build_pipeline(kind, n, CISpec(a), None, D)
+        monkeypatch.undo()
+        # the family's level blocks (arity 2), then one J per degree (arity 1)
+        blocks = [c for c in calls if c[2] == 2]
+        jcalls = [c for c in calls if c[2] == 1]
+        assert len(blocks) == pipe.kmax + 1 and len(jcalls) == pipe.kmax + 1
+        for M, Dm, arity, inv in blocks:
+            assert inv == _ref_neumann_inverse(M, Dm, arity), (kind, len(M))
+        if sum(a) == n and kind == "dot":  # the blocks are not the identity here
+            M, Dm, arity, inv = blocks[-1]
+            assert inv != operators._mat_identity(len(M), Dm, arity)
+        for k, (M, Dm, arity, inv) in enumerate(jcalls):
+            assert pipe.Jinv[k] is inv
+            assert inv == _ref_neumann_inverse(M, Dm, arity), (kind, k)
+        for (k, i), table in pipe.structC.items():
+            want = _ref_solve_structure(pipe, k, i)
+            assert table.keys() == want.keys(), (kind, k, i)
+            for key, ser in want.items():
+                assert table[key] == ser, (kind, k, i, key)
+
+
 def test_opexp_q0_delta_and_homogeneity_filter():
     n, a = 3, CISpec((1,))
     pipe = build_pipeline("dot", n, a, None, 2)

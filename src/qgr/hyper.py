@@ -6,8 +6,11 @@ coefficient tables.
 
 A ladder series keeps one numerator per q-key over the product of its two
 ladder denominator chains; the RatFunc coefficient is formed when it is
-read.  Pairs of summands are combined before any division by (x1 - x2),
-so coefficients are genuine rational functions regular on x1 = x2.
+read.  A two-variable series builds each numerator once per tuple of row
+degrees and lets every key with that tuple share it, and the bar
+transform multiplies each shared numerator once per degree.  Summands are
+combined before any division by (x1 - x2), so coefficients are genuine
+rational functions regular on x1 = x2.
 """
 
 from __future__ import annotations
@@ -183,10 +186,16 @@ def build_A(kind: str, spec: AMatrixSpec, D: int, xtrunc: int | None = None) -> 
     the weight-row numerator product over the slot-wise ladder denominators."""
     c1 = DenChain.build(spec.n, spec.alpha1, "x1", D, xtrunc)
     c2 = DenChain.build(spec.n, spec.alpha2, "x2", D, xtrunc)
-    nums = {
-        (d1, d - d1): amatrix_numerator(kind, spec.rows, d1, d - d1, xtrunc)
-        for d in range(D + 1) for d1 in range(d + 1)
-    }
+    # the numerator depends on the key only through its row degrees, so
+    # keys with equal row degrees share one numerator object
+    by_degrees: dict = {}
+    nums = {}
+    for d in range(D + 1):
+        for d1 in range(d + 1):
+            m = tuple(a1 * d1 + a2 * (d - d1) for a1, a2 in spec.rows)
+            if m not in by_degrees:
+                by_degrees[m] = amatrix_numerator(kind, spec.rows, d1, d - d1, xtrunc)
+            nums[(d1, d - d1)] = by_degrees[m]
     return HyperSeries(n=spec.n, D=D, den_chains=(c1, c2), num_parts=nums, xtrunc=xtrunc)
 
 
@@ -205,41 +214,67 @@ def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = N
 def bar_assemble(F: HyperSeries) -> HyperSeries:
     """q1 = q2 = -q substitution plus the antisymmetrized derivative term.
 
-    The summed derivative numerator must be exactly divisible by
-    (x1 - x2); failure signals an asymmetric input.
+    Within degree d the keys are grouped by numerator object (build_A
+    shares one per row-degree tuple).  A group of one key adds its product
+    num * C, C = cof1(d1 -> d) cof2(d2 -> d), to the summed numerator and
+    (d1 - d2) times it to the summed derivative numerator.  A larger group
+    sums S0 = sum C and S1 = sum (d1 - d2) C first; when S1 divides by
+    (x1 - x2), as it does for mirrored chains, the group contributes
+    num * (S0 + h S1/(x1 - x2)) with one product per degree, and otherwise
+    num * S0 and num * S1 join the sums.  The summed derivative numerator
+    must be exactly divisible by (x1 - x2); failure signals an asymmetric
+    input.
     """
     if F.q_arity != 2:
         raise ValueError("bar transform needs a two-variable series")
     D = F.D
+    xt = F.xtrunc
     x1mx2 = _xvar("x1") - _xvar("x2")
     h = _xvar("h")
     c1, c2 = F.den_chains
     nums = {}
     for d in range(D + 1):
+        groups: dict = {}  # id(numerator) -> (numerator, [d1, ...])
+        for d1 in range(d + 1):
+            num = F.num_parts.get((d1, d - d1))
+            if num is not None:
+                groups.setdefault(id(num), (num, []))[1].append(d1)
         N0 = SparsePoly.zero(V3)
         N1 = SparsePoly.zero(V3)
-        for d1 in range(d + 1):
-            d2 = d - d1
-            num = F.num_parts.get((d1, d2))
-            if num is None:
+        Q = SparsePoly.zero(V3)
+        for num, d1s in groups.values():
+            S0 = SparsePoly.zero(V3)
+            S1 = SparsePoly.zero(V3)
+            for d1 in d1s:
+                C = c1.cofactor(d1, d).mul_trunc(c2.cofactor(d - d1, d), xt)
+                S0 = S0 + C
+                S1 = S1 + C * (2 * d1 - d)
+            if len(d1s) == 1:  # num * S1 is (d1 - d2) t
+                t = num.mul_trunc(S0, xt)
+                N0 = N0 + t
+                N1 = N1 + t * (2 * d1 - d)
                 continue
-            cof = c1.cofactor(d1, d).mul_trunc(c2.cofactor(d2, d), F.xtrunc)
-            t = num.mul_trunc(cof, F.xtrunc)
-            N0 = N0 + t
-            if d1 != d2:
-                N1 = N1 + t * (d1 - d2)
-        if N1.is_zero():
-            Q = SparsePoly.zero(V3)
-        else:
-            Q = N1.divide_exact(x1mx2)
-            if Q is None:
+            Q1 = S1.divide_exact(x1mx2)
+            if Q1 is None:  # not antisymmetric alone: the summed remainder decides
+                N0 = N0 + num.mul_trunc(S0, xt)
+                N1 = N1 + num.mul_trunc(S1, xt)
+            elif xt is None:
+                N0 = N0 + num * (S0 + h * Q1)
+            else:
+                # the quotient keeps one x-order less, as the summed one does
+                N0 = N0 + num.mul_trunc(S0, xt)
+                Q = Q + num.mul_trunc(Q1, xt - 1)
+        if not N1.is_zero():
+            Q1 = N1.divide_exact(x1mx2)
+            if Q1 is None:
                 raise ValueError("derivative numerator not divisible by x1 - x2 (asymmetric input)")
+            Q = Q + Q1
         sign = -1 if d % 2 else 1
-        nums[(d,)] = (N0 + h.mul_trunc(Q, F.xtrunc)) * sign
+        nums[(d,)] = (N0 + h.mul_trunc(Q, xt)) * sign
     # dividing by x1 - x2 costs one order of x-precision
     return HyperSeries(
         n=F.n, D=D, den_chains=F.den_chains, num_parts=nums,
-        xtrunc=None if F.xtrunc is None else F.xtrunc - 1,
+        xtrunc=None if xt is None else xt - 1,
     )
 
 

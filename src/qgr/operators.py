@@ -304,6 +304,7 @@ class GammaPipeline:
     Jinv: dict = field(default_factory=dict)  # k -> inverse of the degree-k endomorphism matrix
     J_certified: dict = field(default_factory=dict)
     opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
+    structA: dict = field(default_factory=dict)  # k -> (keys, A), see _structure_matrix
     structC: dict = field(default_factory=dict)  # (k, i) -> {(t,(s,j)) -> scalar QSeries}
     eqtic_residual_zero: dict = field(default_factory=dict)
     classes: dict = field(default_factory=dict)  # lam -> {d -> {(r,j) -> Laurent}}
@@ -385,7 +386,9 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
                 if table.get((s, (r, jidx)), zero).get((0,)) != want:
                     raise ArithmeticError(f"expansion table q^0 delta failed at {(k, iidx, s, r, jidx)}")
         pipe.opexp[(k, iidx)] = table
-    # structure coefficients and their defining residual
+    # structure coefficients and their defining residual; the equations'
+    # matrix depends on the degree alone
+    pipe.structA = {k: _structure_matrix(pipe, k) for k in range(kmax + 1)}
     for k, iidx, _ in _basis(n, kmax):
         pipe.structC[(k, iidx)] = _solve_structure(pipe, k, iidx)
         pipe.eqtic_residual_zero[(k, iidx)] = _eqtic_residual_is_zero(pipe, k, iidx)
@@ -418,22 +421,30 @@ def _assembled(pipe: GammaPipeline, calD: dict, h) -> dict:
     return {lam: assemble_Y_gamma(pipe, calD, k, jidx, h) for k, jidx, lam in _basis(pipe.n, pipe.kmax)}
 
 
-def _structure_system(pipe: GammaPipeline, k: int, iidx: int):
-    """The defining equations of the structure coefficients of (k, i) as
-    (keys, A, e) with A C = e.
+def _structure_matrix(pipe: GammaPipeline, k: int):
+    """The defining equations of the structure coefficients of degree k
+    as (keys, A); the class (k, i) solves A C = e with e one-hot at the
+    equation (0, (k, i)).
 
     The unknowns C~^{(t)}_{k,i;s,j}, t <= k and s <= k - t, are keyed
     (t, (s, j)); the equations use the same index set, keyed
     (r, (r1, j1)).  A[(r,(r1,j1))][(t,(s,j))] is C^{(r1,j1)}_{s,j,r+r1-t}
-    for t <= r and 0 otherwise, and e is 1 at the equation (0, (k, i)).
-    The expansion tables' q^0 delta, checked by build_pipeline, makes the
-    q^0 part of A the identity.
+    for t <= r and 0 otherwise.  The expansion tables' q^0 delta, checked
+    by build_pipeline, makes the q^0 part of A the identity.
     """
     keys = [(t, (s, j)) for t in range(k + 1) for s in range(k - t + 1)
             for j in range(len(partitions_of_degree(pipe.n, s)))]
     zero = QSeries(1, pipe.D)
     A = [[pipe.opexp[(s, j)].get((r + r1 - t, (r1, j1)), zero) if t <= r else zero for t, (s, j) in keys]
          for r, (r1, j1) in keys]
+    return keys, A
+
+
+def _structure_system(pipe: GammaPipeline, k: int, iidx: int):
+    """(keys, A, e) with A C = e for the class (k, i): the degree-k
+    matrix pipe.structA[k] and e one-hot at the equation (0, (k, i))."""
+    keys, A = pipe.structA[k]
+    zero = QSeries(1, pipe.D)
     e = [[QSeries.one(1, pipe.D) if key == (0, (k, iidx)) else zero] for key in keys]
     return keys, A, e
 

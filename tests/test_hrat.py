@@ -141,6 +141,17 @@ def test_evaluated_route_matches_trivariate(n, a, mutate):
                     assert ev.get((d,)) == want, (kind, i, j, d)
 
 
+
+@pytest.mark.parametrize("kind", ["dot", "ddot"])
+@pytest.mark.parametrize("d, d1", [(2, 2), (3, 1), (1, 1)])
+def test_bar_assemble_refuses_mutated_series(kind, d, d1):
+    # at d >= 2 the other keys of the degree still share one numerator; at
+    # d = 1 both keys are groups of one
+    K = build_K(kind, 3, CISpec((1,)), POOL[3], D)
+    with pytest.raises(ValueError, match="asymmetric"):
+        bar_assemble(_mutated(K, d1, d - d1))
+
+
 def _phi_half_sum(F, Fp, eta, al, n, Nz, Dq):
     """The literal half-sum of build_phi over ordered pairs, in RatFunc."""
     total = {}

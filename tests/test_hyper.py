@@ -7,6 +7,8 @@ from qgr.cohomology import default_generic_alpha
 from qgr.hyper import (
     AMatrixSpec,
     CISpec,
+    DenChain,
+    HyperSeries,
     amatrix_numerator,
     bar_assemble,
     build_A,
@@ -18,6 +20,7 @@ from qgr.hyper import (
     scr_coeff,
     y_series_evaluated,
 )
+from qgr.operators import build_pipeline
 from qgr.rings import RatFunc, SparsePoly
 from qgr.series import QSeries
 
@@ -263,3 +266,130 @@ def test_normalization_I_frozen_values():
     assert vals111 == [1, 1, 1, 1]
     vals44 = [normalization_I("dot", 4, CISpec((4,)), 2).get((d,)) for d in range(3)]
     assert vals44 == [1, 48, 15120]
+
+
+# ---------------------------------------------------------------------------
+# differential test: shared numerators against one numerator and one
+# product per key
+# ---------------------------------------------------------------------------
+
+
+def _ref_build_A(kind, spec, D, xtrunc=None):
+    """Reference: one numerator built per q-key."""
+    c1 = DenChain.build(spec.n, spec.alpha1, "x1", D, xtrunc)
+    c2 = DenChain.build(spec.n, spec.alpha2, "x2", D, xtrunc)
+    nums = {
+        (d1, d - d1): amatrix_numerator(kind, spec.rows, d1, d - d1, xtrunc)
+        for d in range(D + 1) for d1 in range(d + 1)
+    }
+    return HyperSeries(n=spec.n, D=D, den_chains=(c1, c2), num_parts=nums, xtrunc=xtrunc)
+
+
+def _ref_bar_assemble(F):
+    """Reference: one numerator-cofactor product per q-key, and one
+    division of the summed derivative numerator per degree."""
+    if F.q_arity != 2:
+        raise ValueError("bar transform needs a two-variable series")
+    D = F.D
+    x1mx2 = x1 - x2
+    c1, c2 = F.den_chains
+    nums = {}
+    for d in range(D + 1):
+        N0 = SparsePoly.zero(V3)
+        N1 = SparsePoly.zero(V3)
+        for d1 in range(d + 1):
+            d2 = d - d1
+            num = F.num_parts.get((d1, d2))
+            if num is None:
+                continue
+            cof = c1.cofactor(d1, d).mul_trunc(c2.cofactor(d2, d), F.xtrunc)
+            t = num.mul_trunc(cof, F.xtrunc)
+            N0 = N0 + t
+            if d1 != d2:
+                N1 = N1 + t * (d1 - d2)
+        if N1.is_zero():
+            Q = SparsePoly.zero(V3)
+        else:
+            Q = N1.divide_exact(x1mx2)
+            if Q is None:
+                raise ValueError("derivative numerator not divisible by x1 - x2 (asymmetric input)")
+        sign = -1 if d % 2 else 1
+        nums[(d,)] = (N0 + h.mul_trunc(Q, F.xtrunc)) * sign
+    return HyperSeries(
+        n=F.n, D=D, den_chains=F.den_chains, num_parts=nums,
+        xtrunc=None if F.xtrunc is None else F.xtrunc - 1,
+    )
+
+
+def _assert_same_parts(got, want):
+    assert got.xtrunc == want.xtrunc
+    assert list(got.num_parts) == list(want.num_parts)
+    for key, num in want.num_parts.items():
+        assert got.num_parts[key] == num, key
+
+
+@pytest.mark.parametrize("n, a, D", [(5, (2, 3), 4), (4, (), 3), (3, (1, 1, 1), 3)])
+@pytest.mark.parametrize("generic", [False, True])
+def test_shared_numerators_match_per_key_route(n, a, D, generic):
+    al = default_generic_alpha(n) if generic else None
+    spec = AMatrixSpec(n=n, rows=CISpec(a).rows, alpha1=al, alpha2=al)
+    for kind in ("dot", "ddot"):
+        for xtrunc in (None, 2 * (n - 2) + 1):
+            K = build_K(kind, n, CISpec(a), al, D, xtrunc)
+            ref = _ref_build_A(kind, spec, D, xtrunc)
+            _assert_same_parts(K, ref)
+            _assert_same_parts(bar_assemble(K), _ref_bar_assemble(ref))
+
+
+def test_bar_of_operator_combos_matches_per_key_route(monkeypatch):
+    import qgr.operators
+
+    inputs = []
+    real = qgr.operators.bar_assemble
+
+    def recorded(F):
+        inputs.append(F)
+        return real(F)
+
+    monkeypatch.setattr(qgr.operators, "bar_assemble", recorded)
+    build_pipeline("dot", 4, CISpec((2,)), None, 2)
+    assert len(inputs) == 6
+    for F in inputs:
+        _assert_same_parts(bar_assemble(F), _ref_bar_assemble(F))
+
+
+def test_build_A_builds_each_numerator_once(monkeypatch):
+    import qgr.hyper
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return amatrix_numerator(*args)
+
+    monkeypatch.setattr(qgr.hyper, "amatrix_numerator", counted)
+    for kind in ("dot", "ddot"):
+        for D in (0, 2, 4):
+            calls.clear()
+            K = build_K(kind, 5, CISpec((2, 3)), None, D)
+            assert len(calls) == D + 1
+            for d in range(D + 1):
+                assert len({id(K.num_parts[(d1, d - d1)]) for d1 in range(d + 1)}) == 1
+        # unequal rows: row degree 2 d1 + d2 is distinct within each degree
+        rows = ((2, 1),)
+        A = build_A(kind, AMatrixSpec(n=3, rows=rows), 3)
+        for (d1, d2), num in A.num_parts.items():
+            assert num == amatrix_numerator(kind, rows, d1, d2), (d1, d2)
+            assert all(num is not A.num_parts[(e1, d1 + d2 - e1)] for e1 in range(d1 + d2 + 1) if e1 != d1)
+
+
+def test_split_group_matches_per_key_route():
+    # a numerator copied into a new object leaves its degree in two groups,
+    # neither antisymmetric alone; the summed remainder still divides
+    for xtrunc in (None, 5):
+        K = build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 3, xtrunc)
+        nums = dict(K.num_parts)
+        nums[(2, 1)] = SparsePoly(V3, nums[(2, 1)].terms)
+        split = dataclasses.replace(K, num_parts=nums)
+        _assert_same_parts(bar_assemble(split), _ref_bar_assemble(split))
+        _assert_same_parts(bar_assemble(split), bar_assemble(K))

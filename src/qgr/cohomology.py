@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rings import SparsePoly, order_vars
 from .series import _vzero
@@ -41,23 +42,34 @@ def genericity_check(alpha, max_degree: int) -> None:
     (eta nonvanishing for the polynomiality checks).
     """
     n = len(alpha)
-    if len(set(alpha)) != n:
+    # every test is homogeneous and linear in alpha, so it runs exactly on
+    # the weights scaled to integers by the lcm of their denominators
+    alpha = [Fraction(a) for a in alpha]
+    scale = lcm(*(a.denominator for a in alpha))
+    w = [(a * scale).numerator for a in alpha]
+    if len(set(w)) != n:
         raise GenericityError("alpha values must be pairwise distinct")
     for i in range(n):
         for j in range(n):
-            if alpha[i] + alpha[j] == 0:
+            if w[i] + w[j] == 0:
                 raise GenericityError("alpha_i + alpha_j vanishes")
     for d in range(1, max_degree + 1):
+        # the resonance alpha_j - alpha_m + (l/d)(alpha_k - alpha_j) = 0
+        # reads d w_j + l (w_k - w_j) = d w_m
+        dw = [d * v for v in w]
+        targets = set(dw)
         for l in range(1, d + 1):
             for j in range(n):
                 for k in range(n):
                     if k == j:
                         continue
-                    step = Fraction(l, d) * (alpha[k] - alpha[j])
+                    v = dw[j] + l * (w[k] - w[j])
+                    if v not in targets:
+                        continue
                     for m in range(n):
                         if l == d and m == k:
                             continue
-                        if alpha[j] - alpha[m] + step == 0:
+                        if dw[m] == v:
                             raise GenericityError(
                                 f"resonance at d={d}, l={l}, (j,k,m)=({j+1},{k+1},{m+1})"
                             )

@@ -7,8 +7,13 @@ double series (with the diagonal-orthogonality consequence).
 Every linear system over Q[[q]] here (the family's level blocks, the
 degree-k endomorphisms, the structure-coefficient equations) has the
 identity as its q^0 part.  One Neumann iteration, `_neumann_solve`, solves
-them all, and a `_mat_mul` product certifies the J inverses and the
-structure coefficients.
+them all, and a matrix product certifies the J inverses and the structure
+coefficients.  That scalar layer holds each series as a flat list over its
+graded triangle of q-exponents (`_Triangle`), with a value an int while it
+is integral and a Fraction otherwise, so zero-weight pipelines run in int
+arithmetic; QSeries of Fraction are formed only for the tables other code
+reads: the family, the J inverses, the expansion tables and the structure
+coefficients.
 
 The class map is: expand in x about 0, Schur-reduce each graded piece into
 the box basis, then Laurent-expand the coefficients in h^-1; the degree-k
@@ -22,10 +27,9 @@ is the same linear combination of those class tables.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .cohomology import (
     box_partitions,
@@ -41,7 +45,7 @@ from .cohomology import (
 from .hrat import HRat
 from .hyper import CISpec, HyperSeries, V3, bar_assemble, bar_evaluated, build_K, k_series_evaluated
 from .rings import RatFunc, SparsePoly, _univariate_terms
-from .series import LaurentExpansion, QSeries, _expand_parts, x_coefficients
+from .series import LaurentExpansion, QSeries, _expand_parts, _graded_keys, x_coefficients
 
 
 def _x(name):
@@ -107,6 +111,97 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# scalar series as flat lists
+#
+# A value enters as an int when it is integral and stays a Fraction
+# otherwise; Python's numeric tower keeps mixed arithmetic exact, so
+# generic weights take the same code as zero weights.
+# ---------------------------------------------------------------------------
+
+
+def _exact(v):
+    """v as an int when it is integral; otherwise v itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
+class _Triangle:
+    """List arithmetic for scalar series in `arity` q-variables truncated
+    at total degree D: slot i holds the coefficient of q^keys[i]."""
+
+    def __init__(self, arity: int, D: int):
+        self.arity, self.D = arity, D
+        self.keys = _graded_keys(arity, D)
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self.size = len(self.keys)
+        # pairs[i]: (j, k) for every slot j with keys[i] + keys[j] = keys[k]
+        self.pairs = [
+            [(j, self.index[tuple(a + b for a, b in zip(ki, kj))])
+             for j, kj in enumerate(self.keys) if sum(ki) + sum(kj) <= D]
+            for ki in self.keys
+        ]
+
+    def one(self) -> list:
+        return [1] + [0] * (self.size - 1)
+
+    def identity(self, size: int) -> list:
+        return [[self.one() if i == j else [0] * self.size for j in range(size)] for i in range(size)]
+
+    def mul_into(self, acc: list, x: list, y: list) -> None:
+        """acc += x y, in place."""
+        for xi, pairs in zip(x, self.pairs):
+            if xi:
+                for j, k in pairs:
+                    yj = y[j]
+                    if yj:
+                        acc[k] += xi * yj
+
+    def mat_mul(self, A, B, C=None) -> list:
+        """A B (+ C) for matrices of series lists; zero entries of A are
+        skipped."""
+        rows = [[(l, a) for l, a in enumerate(row) if any(a)] for row in A]
+        out = []
+        for i, row in enumerate(rows):
+            out.append([])
+            for j in range(len(B[0])):
+                acc = list(C[i][j]) if C is not None else [0] * self.size
+                for l, a in row:
+                    self.mul_into(acc, a, B[l][j])
+                out[i].append(acc)
+        return out
+
+    def from_series(self, ser: QSeries) -> list:
+        return [_exact(ser.coeffs[key]) if key in ser.coeffs else 0 for key in self.keys]
+
+    def series(self, x: list) -> QSeries:
+        return QSeries(self.arity, self.D, {key: Fraction(v) for key, v in zip(self.keys, x) if v})
+
+
+@functools.cache
+def _triangle(arity: int, D: int) -> _Triangle:
+    return _Triangle(arity, D)
+
+
+def _neumann_solve(M, B, tri: _Triangle):
+    """X with M X = B, for a square matrix M of series lists whose q^0 part
+    is the identity: from X = B, repeat X <- B + (I - M) X.  I - M is O(q),
+    so each step fixes one more q-degree and D steps are exact."""
+    N = [[[-v for v in m] for m in row] for row in M]
+    for i, row in enumerate(N):
+        row[i][0] += 1
+    X = B
+    for _ in range(tri.D):
+        X = tri.mat_mul(N, X, B)
+    return X
+
+
+def neumann_inverse(M, D: int, arity: int = 1):
+    """Inverse of a matrix of scalar QSeries with identity q^0 part."""
+    tri = _triangle(arity, D)
+    inv = _neumann_solve([[tri.from_series(m) for m in row] for row in M], tri.identity(len(M)), tri)
+    return [[tri.series(x) for x in row] for row in inv]
+
+
+# ---------------------------------------------------------------------------
 # normalized operator family
 #
 # The bare shift operators satisfy the table normalizations only while
@@ -125,71 +220,92 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_rows(acc: dict, row: dict, c) -> None:
-    """acc += c * row for rows {t: scalar series} over the bare operators."""
-    for t, u in row.items():
-        acc[t] = acc[t] + c * u if t in acc else c * u
-
-
 def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
     """The normalized operators for K as the matrix U over the bare ones:
     p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero entries omitted."""
-    D = K.D
+    tri = _triangle(2, K.D)
     # kappa[d][s]: the x^s h^{-|s|} coefficient of the q^d coefficient of K
-    kappa = {key: {s: _h_expand(v, s[0] + s[1] + 1).coeffs.get(-s[0] - s[1], Fraction(0))
-                   for s, v in x_coefficients(K.coeff(key), pmax).items()} for key in K.num_parts}
+    kappa = {key: {s: _h_expand(v, s[0] + s[1] + 1).coeffs.get(-s[0] - s[1], 0)
+                   for s, v in x_coefficients(K.coeff(key), pmax).items()}
+             for key in K.num_parts}
+    # the tables hold den times their series, den a common denominator of
+    # kappa: integers at zero weights; `entry` divides den back out
+    den = lcm(*(v.denominator for kd in kappa.values() for v in kd.values()))
+    scaled = [(tri.index[key], {s: _exact(v * den) for s, v in kd.items()}) for key, kd in kappa.items()]
 
     @functools.cache
-    def table(t, r) -> QSeries:
-        # the scalar series multiplying x^r h^{|t|-|r|} in frakD_t K; it is
-        # also the (level, r) entry of h^{level-|t|} frakD_t at every level.
-        # The weight of frakD_t on K_d is homogeneous in (x, h), so its term
-        # w_a x^a h^{|t|-|a|} reads the x^{r-a} coefficient of K_d at
-        # h^{-|r-a|}: the entry is sum_a w_a kappa[d][r - a].
-        return QSeries(2, D, {
-            key: sum((w * kd.get((r[0] - a[0], r[1] - a[1]), 0) for a, w in _shift_weights(t, key)), Fraction(0))
-            for key, kd in kappa.items()
-        })
+    def weighted_kappa(t) -> list:
+        # (slot of d, den kappa[d], weights of frakD_t on q^d) for every d
+        return [(i, kd, tuple(_shift_weights(t, tri.keys[i]))) for i, kd in scaled]
 
-    def entry(row: dict, r) -> QSeries:
-        acc = QSeries(2, D)
+    @functools.cache
+    def table(t, r) -> list:
+        # den times the scalar series multiplying x^r h^{|t|-|r|} in
+        # frakD_t K; that series is also the (level, r) entry of
+        # h^{level-|t|} frakD_t at every level.  The weight of frakD_t on
+        # K_d is homogeneous in (x, h), so its term w_a x^a h^{|t|-|a|}
+        # reads the x^{r-a} coefficient of K_d at h^{-|r-a|}: the entry is
+        # sum_a w_a kappa[d][r - a].
+        out = [0] * tri.size
+        for i, kd, weights in weighted_kappa(t):
+            out[i] = _exact(sum(w * kd.get((r[0] - a[0], r[1] - a[1]), 0) for a, w in weights))
+        return out
+
+    def entry(row: dict, r) -> list:
+        acc = [0] * tri.size
         for t, u in row.items():
-            acc = acc + u * table(t, r)
-        return acc
+            tri.mul_into(acc, u, table(t, r))
+        return acc if den == 1 else [_exact(Fraction(v, den)) for v in acc]
+
+    def add_rows(acc: dict, row: dict, c) -> None:
+        # acc += c * row for rows {t: scalar series} over the bare operators
+        for t, u in row.items():
+            if t not in acc:
+                acc[t] = [0] * tri.size
+            tri.mul_into(acc[t], c, u)
 
     fam: dict = {}
     for L in range(pmax + 1):
         ps = [(p1, L - p1) for p1 in range(L + 1)]
         work = {}
         for p in ps:
-            G = {p: QSeries.one(2, D)}
+            G = {p: tri.one()}
             # kill diagonal-slot entries below this level
             for Lr in range(L):
                 for r in [(r1, Lr - r1) for r1 in range(Lr + 1)]:
                     c = entry(G, r)
-                    if c.coeffs:
-                        _add_rows(G, fam[r], -c)
+                    if any(c):
+                        add_rows(G, fam[r], [-v for v in c])
             work[p] = G
         # recombine through the inverse of the level's diagonal block
         block = [[entry(work[pc], pr) for pc in ps] for pr in ps]
         for idx in range(len(ps)):
-            if block[idx][idx].get((0, 0)) != 1:
+            if block[idx][idx][0] != 1:
                 raise ArithmeticError("operator block lost its unit constant term")
-        binv = neumann_inverse(block, D, arity=2)
+        binv = _neumann_solve(block, tri.identity(len(ps)), tri)
         for icol, p in enumerate(ps):
             acc: dict = {}
             for irow, r in enumerate(ps):
-                _add_rows(acc, work[r], binv[irow][icol])
-            fam[p] = {t: u for t, u in acc.items() if u.coeffs}
-    return fam
+                add_rows(acc, work[r], binv[irow][icol])
+            fam[p] = {t: u for t, u in acc.items() if any(u)}
+    return {p: {t: tri.series(u) for t, u in row.items()} for p, row in fam.items()}
 
 
 def _schur_row(lam, fam: dict) -> dict:
     """Row over the bare operators of gamma_lam in the normalized ones."""
     row: dict = {}
     for e, c in schur_poly(lam).terms.items():
-        _add_rows(row, fam[e], c)
+        for t, u in fam[e].items():
+            row[t] = row[t] + c * u if t in row else c * u
     return row
+
+
+def _powers(base, k: int) -> list:
+    """[base^0, ..., base^k], each power one product from the last."""
+    out = [base**0]
+    for _ in range(k):
+        out.append(out[-1] * base)
+    return out
 
 
 def _row_weights(row: dict, level: int, D: int, x1, x2, h):
@@ -198,16 +314,21 @@ def _row_weights(row: dict, level: int, D: int, x1, x2, h):
 
         w = sum_t row[t][d - e] (x1 + e1 h)^t1 (x2 + e2 h)^t2 h^{level-|t|},
 
-    computed in the type of x1, x2 and h."""
+    computed in the type of x1, x2 and h from one table of powers per
+    factor, and only for the t that reach some q^d."""
+    hpow = _powers(h, level)
     for e in [(e1, tot - e1) for tot in range(D + 1) for e1 in range(tot + 1)]:
-        shifted = {
-            t: (x1 + h * e[0]) ** t[0] * (x2 + h * e[1]) ** t[1] * h ** (level - t[0] - t[1])
-            for t in row
-        }
+        reach = D - e[0] - e[1]
+        live = [t for t, u in row.items() if any(k1 + k2 <= reach for k1, k2 in u.coeffs)]
+        if not live:
+            continue
+        pow1 = _powers(x1 + h * e[0], max(t[0] for t in live))
+        pow2 = _powers(x2 + h * e[1], max(t[1] for t in live))
+        shifted = {t: pow1[t[0]] * pow2[t[1]] * hpow[level - t[0] - t[1]] for t in live}
         for d in [(d1, d2) for d1 in range(e[0], D + 1) for d2 in range(e[1], D + 1 - d1)]:
             w = None
-            for t, u in row.items():
-                c = u.get((d[0] - e[0], d[1] - e[1]))
+            for t in live:
+                c = row[t].get((d[0] - e[0], d[1] - e[1]))
                 if c:
                     w = shifted[t] * c if w is None else w + shifted[t] * c
             if w is not None:
@@ -243,42 +364,6 @@ def class_extract(ser: QSeries, n: int, kmax: int, depth: int) -> dict:
                     jidx = partitions_of_degree(n, r).index(lam)
                     out.setdefault((r, jidx), {})[key] = _h_expand(v, depth)
     return {rj: QSeries(1, ser.trunc_q, comp) for rj, comp in sorted(out.items())}
-
-
-# ---------------------------------------------------------------------------
-# scalar-series matrices
-# ---------------------------------------------------------------------------
-
-
-def _mat_identity(size: int, D: int, arity: int = 1):
-    return [
-        [QSeries.one(arity, D) if i == j else QSeries(arity, D) for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def _mat_mul(A, B):
-    # a product with an empty factor adds nothing, so it is skipped
-    return [[functools.reduce(operator.add, (a * b for a, b in zip(row[1:], col[1:]) if a.coeffs and b.coeffs),
-                              row[0] * col[0]) for col in zip(*B)] for row in A]
-
-
-def _neumann_solve(M, B, D: int):
-    """X with M X = B, for a square scalar-series matrix M whose q^0 part
-    is the identity: from X = B, repeat X <- B + (I - M) X.  I - M is O(q),
-    so each step fixes one more q-degree and D steps are exact."""
-    N = [[-m for m in row] for row in M]
-    for i, row in enumerate(N):
-        row[i] = row[i] + QSeries.one(row[i].q_arity, D)
-    X = B
-    for _ in range(D):
-        X = [[b + nx for b, nx in zip(rb, rnx)] for rb, rnx in zip(B, _mat_mul(N, X))]
-    return X
-
-
-def neumann_inverse(M, D: int, arity: int = 1):
-    """Inverse of a scalar-series matrix with identity q^0 part."""
-    return _neumann_solve(M, _mat_identity(len(M), D, arity), D)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +413,9 @@ class GammaPipeline:
         return _assembled(self, self.calD, RatFunc(_x("h")))
 
 
-def _h_coeff(ser: QSeries, e: int) -> QSeries:
-    """The scalar series of h^e coefficients of a series of expansions."""
-    return QSeries(1, ser.trunc_q, {key: le.coeffs.get(e, Fraction(0)) for key, le in ser.coeffs.items()})
+def _h_coeff(ser: QSeries, e: int, tri: _Triangle) -> list:
+    """The h^e coefficients of a one-q series of expansions, as a list."""
+    return [_exact(ser.coeffs[key].coeffs.get(e, 0)) if key in ser.coeffs else 0 for key in tri.keys]
 
 
 def _basis(n: int, kmax: int):
@@ -356,39 +441,45 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     bar_cls = {lam: class_extract(pipe.barD[lam].series(), n, kmax, pipe.depth + kmax) for lam in parts}
     comps = [(r, j) for r, j, _ in _basis(n, kmax)]
     zero = QSeries(1, D)
-    # degree-k endomorphism matrices and Neumann inverses
+    tri = _triangle(1, D)
+    # degree-k endomorphism matrices and Neumann inverses; the certificate
+    # multiplies the stored inverse back
     for k in range(kmax + 1):
         basis_k = partitions_of_degree(n, k)
         size = len(basis_k)
-        M = [[_h_coeff(bar_cls[lam].get((k, i), zero), 0) for lam in basis_k] for i in range(size)]
-        if any(M[i][j].get((0,)) != (1 if i == j else 0) for i in range(size) for j in range(size)):
+        M = [[_h_coeff(bar_cls[lam].get((k, i), zero), 0, tri) for lam in basis_k] for i in range(size)]
+        if any(M[i][j][0] != (1 if i == j else 0) for i in range(size) for j in range(size)):
             raise ArithmeticError(f"degree-{k} endomorphism q^0 part is not the identity")
-        Minv = neumann_inverse(M, D)
-        pipe.Jinv[k] = Minv
-        ident = _mat_identity(size, D)
-        pipe.J_certified[k] = (_mat_mul(M, Minv) == ident) and (_mat_mul(Minv, M) == ident)
+        pipe.Jinv[k] = neumann_inverse([[tri.series(m) for m in row] for row in M], D)
+        Minv = [[tri.from_series(x) for x in row] for row in pipe.Jinv[k]]
+        ident = tri.identity(size)
+        pipe.J_certified[k] = tri.mat_mul(M, Minv) == ident and tri.mat_mul(Minv, M) == ident
         if not pipe.J_certified[k]:  # pragma: no cover - Neumann inverse is exact
             raise ArithmeticError(f"inverse certificate failed at degree {k}")
     # classes of the normalized operator series, per component
     calD_cls = {rj: _normalized(pipe, {lam: bar_cls[lam].get(rj, zero) for lam in parts}) for rj in comps}
-    # expansion tables
+    # expansion tables, as lists for the structure equations
+    tables = {}
+    absent = [0] * tri.size
     for k, iidx, _ in _basis(n, kmax):
         table = {}
         for rj in comps:
+            ser = calD_cls[rj][(k, iidx)]
             for s in range(kmax + 1):
-                ser_c = _h_coeff(calD_cls[rj][(k, iidx)], k - s)
-                if ser_c.coeffs:
-                    table[(s, rj)] = ser_c
+                x = _h_coeff(ser, k - s, tri)
+                if any(x):
+                    table[(s, rj)] = x
         # the q^0 table is the triple delta; an absent entry reads as 0
         for s in range(kmax + 1):
             for r, jidx in comps:
-                want = Fraction(1) if (jidx == iidx and r == k and s == r) else Fraction(0)
-                if table.get((s, (r, jidx)), zero).get((0,)) != want:
+                want = 1 if (jidx == iidx and r == k and s == r) else 0
+                if table.get((s, (r, jidx)), absent)[0] != want:
                     raise ArithmeticError(f"expansion table q^0 delta failed at {(k, iidx, s, r, jidx)}")
-        pipe.opexp[(k, iidx)] = table
+        tables[(k, iidx)] = table
+        pipe.opexp[(k, iidx)] = {key: tri.series(x) for key, x in table.items()}
     # structure coefficients and their defining residual; the equations'
     # matrix depends on the degree alone
-    pipe.structA = {k: _structure_matrix(pipe, k) for k in range(kmax + 1)}
+    pipe.structA = {k: _structure_matrix(n, k, tables, tri) for k in range(kmax + 1)}
     for k, iidx, _ in _basis(n, kmax):
         pipe.structC[(k, iidx)] = _solve_structure(pipe, k, iidx)
         pipe.eqtic_residual_zero[(k, iidx)] = _eqtic_residual_is_zero(pipe, k, iidx)
@@ -421,10 +512,10 @@ def _assembled(pipe: GammaPipeline, calD: dict, h) -> dict:
     return {lam: assemble_Y_gamma(pipe, calD, k, jidx, h) for k, jidx, lam in _basis(pipe.n, pipe.kmax)}
 
 
-def _structure_matrix(pipe: GammaPipeline, k: int):
+def _structure_matrix(n: int, k: int, tables: dict, tri: _Triangle):
     """The defining equations of the structure coefficients of degree k
-    as (keys, A); the class (k, i) solves A C = e with e one-hot at the
-    equation (0, (k, i)).
+    as (keys, A), from the expansion tables as series lists; the class
+    (k, i) solves A C = e with e one-hot at the equation (0, (k, i)).
 
     The unknowns C~^{(t)}_{k,i;s,j}, t <= k and s <= k - t, are keyed
     (t, (s, j)); the equations use the same index set, keyed
@@ -433,9 +524,9 @@ def _structure_matrix(pipe: GammaPipeline, k: int):
     by build_pipeline, makes the q^0 part of A the identity.
     """
     keys = [(t, (s, j)) for t in range(k + 1) for s in range(k - t + 1)
-            for j in range(len(partitions_of_degree(pipe.n, s)))]
-    zero = QSeries(1, pipe.D)
-    A = [[pipe.opexp[(s, j)].get((r + r1 - t, (r1, j1)), zero) if t <= r else zero for t, (s, j) in keys]
+            for j in range(len(partitions_of_degree(n, s)))]
+    zero = [0] * tri.size
+    A = [[tables[(s, j)].get((r + r1 - t, (r1, j1)), zero) if t <= r else zero for t, (s, j) in keys]
          for r, (r1, j1) in keys]
     return keys, A
 
@@ -444,8 +535,8 @@ def _structure_system(pipe: GammaPipeline, k: int, iidx: int):
     """(keys, A, e) with A C = e for the class (k, i): the degree-k
     matrix pipe.structA[k] and e one-hot at the equation (0, (k, i))."""
     keys, A = pipe.structA[k]
-    zero = QSeries(1, pipe.D)
-    e = [[QSeries.one(1, pipe.D) if key == (0, (k, iidx)) else zero] for key in keys]
+    tri = _triangle(1, pipe.D)
+    e = [[tri.one() if key == (0, (k, iidx)) else [0] * tri.size] for key in keys]
     return keys, A, e
 
 
@@ -453,15 +544,17 @@ def _solve_structure(pipe: GammaPipeline, k: int, iidx: int) -> dict:
     """The structure coefficients of (k, i): (t, (s, j)) -> the scalar
     series C~^{(t)}_{k,i;s,j}, from the Neumann solve of A C = e."""
     keys, A, e = _structure_system(pipe, k, iidx)
-    return {key: row[0] for key, row in zip(keys, _neumann_solve(A, e, pipe.D))}
+    tri = _triangle(1, pipe.D)
+    return {key: tri.series(row[0]) for key, row in zip(keys, _neumann_solve(A, e, tri))}
 
 
 def _eqtic_residual_is_zero(pipe: GammaPipeline, k: int, iidx: int) -> bool:
     """Re-evaluate the defining equations A C = e on the stored solution
     pipe.structC[(k, i)]."""
     keys, A, e = _structure_system(pipe, k, iidx)
+    tri = _triangle(1, pipe.D)
     C = pipe.structC[(k, iidx)]
-    return _mat_mul(A, [[C[key]] for key in keys]) == e
+    return tri.mat_mul(A, [[tri.from_series(C[key])] for key in keys]) == e
 
 
 def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h) -> QSeries:

@@ -29,7 +29,7 @@ _ONE = Fraction(1)
 
 
 def _vzero(v) -> bool:
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return v == 0
     return v.is_zero()
 

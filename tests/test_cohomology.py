@@ -303,3 +303,69 @@ def test_genericity_check_rejects():
     with pytest.raises(GenericityError):
         genericity_check((Fraction(1), Fraction(2), Fraction(3)), 2)  # d=2 resonance
     genericity_check(default_generic_alpha(4), 3)
+
+
+def _ref_genericity_check(alpha, max_degree: int) -> None:
+    """The Fraction-arithmetic check the integer one replaced, verbatim."""
+    n = len(alpha)
+    if len(set(alpha)) != n:
+        raise GenericityError("alpha values must be pairwise distinct")
+    for i in range(n):
+        for j in range(n):
+            if alpha[i] + alpha[j] == 0:
+                raise GenericityError("alpha_i + alpha_j vanishes")
+    for d in range(1, max_degree + 1):
+        for l in range(1, d + 1):
+            for j in range(n):
+                for k in range(n):
+                    if k == j:
+                        continue
+                    step = Fraction(l, d) * (alpha[k] - alpha[j])
+                    for m in range(n):
+                        if l == d and m == k:
+                            continue
+                        if alpha[j] - alpha[m] + step == 0:
+                            raise GenericityError(
+                                f"resonance at d={d}, l={l}, (j,k,m)=({j+1},{k+1},{m+1})"
+                            )
+
+
+def _genericity_verdict(check, alpha, max_degree):
+    try:
+        check(alpha, max_degree)
+    except GenericityError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_genericity_check_matches_fraction_route():
+    # same verdict and message as the Fraction route: non-integral,
+    # negative, duplicated, alpha_i = -alpha_j and resonant weights
+    rng = random.Random(20)
+    draws = []
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        den = rng.choice((1, 1, 2, 3, 6, 35))
+        draws.append(tuple(Fraction(rng.randint(-12, 12), den) for _ in range(n)))
+    for _ in range(40):
+        al = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(rng.randint(2, 5))]
+        al[-1] = al[0] if rng.random() < 0.5 else -al[0]
+        draws.append(tuple(al))
+    for d in (2, 3, 4, 5):
+        for l in range(1, d):
+            # alpha_m = alpha_j + (l/d)(alpha_k - alpha_j) at j, k, m = 1, 2, 3
+            a, b = Fraction(rng.randint(1, 9), 7), Fraction(rng.randint(10, 19), 5)
+            draws.append((a, b, a + Fraction(l, d) * (b - a), Fraction(101, 3)))
+    draws += [(1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2)), default_generic_alpha(5), ()]
+    verdicts = []
+    for al in draws:
+        for max_degree in range(6):
+            want = _genericity_verdict(_ref_genericity_check, al, max_degree)
+            assert _genericity_verdict(genericity_check, al, max_degree) == want, (al, max_degree)
+            verdicts.append(want)
+    # every kind of verdict is reached, resonances at several (d, l); a
+    # resonance at l/d is one at (d-l)/d with j, k swapped, so l <= d/2
+    resonances = {v.split(", (")[0] for v in verdicts if v and v.startswith("resonance")}
+    assert None in verdicts and "alpha_i + alpha_j vanishes" in verdicts
+    assert "alpha values must be pairwise distinct" in verdicts
+    assert {f"resonance at d={d}, l=1" for d in (2, 3, 4, 5)} | {"resonance at d=5, l=2"} <= resonances

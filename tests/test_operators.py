@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -253,8 +255,21 @@ def test_pipeline_certificates(n, a):
 
 
 # The routes the single Neumann solve replaced, kept verbatim as oracles:
-# the power sum I + N + ... + N^D with N = I - M, and the back-substitution
-# of the structure equations ascending in q-degree.
+# the power sum I + N + ... + N^D with N = I - M over QSeries, and the
+# back-substitution of the structure equations ascending in q-degree.
+
+
+def _ref_mat_identity(size: int, D: int, arity: int = 1):
+    return [
+        [QSeries.one(arity, D) if i == j else QSeries(arity, D) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _ref_mat_mul(A, B):
+    # a product with an empty factor adds nothing, so it is skipped
+    return [[functools.reduce(operator.add, (a * b for a, b in zip(row[1:], col[1:]) if a.coeffs and b.coeffs),
+                              row[0] * col[0]) for col in zip(*B)] for row in A]
 
 
 def _ref_mat_add(A, B):
@@ -268,12 +283,12 @@ def _ref_mat_neg(A):
 def _ref_neumann_inverse(M, D: int, arity: int = 1):
     """Inverse of a scalar-series matrix with identity q^0 part."""
     size = len(M)
-    I = operators._mat_identity(size, D, arity)
+    I = _ref_mat_identity(size, D, arity)
     N = _ref_mat_add(I, _ref_mat_neg(M))  # N = I - M, O(q)
     inv = I
     power = I
     for _ in range(D):
-        power = operators._mat_mul(power, N)
+        power = _ref_mat_mul(power, N)
         inv = _ref_mat_add(inv, power)
     return inv
 
@@ -328,33 +343,59 @@ def _ref_solve_structure(pipe, k: int, iidx: int) -> dict:
 ])
 def test_neumann_solve_matches_replaced_routes(n, a, D, monkeypatch):
     for kind in ("dot", "ddot"):
-        calls = []
+        solves, inverses = [], []
+
+        def recording_solve(M, B, tri):
+            X = solve(M, B, tri)
+            solves.append((M, B, tri, X))
+            return X
 
         def recording_inverse(M, D, arity=1):
             inv = neumann_inverse(M, D, arity)
-            calls.append((M, D, arity, inv))
+            inverses.append((M, D, arity, inv))
             return inv
 
+        solve = operators._neumann_solve
+        monkeypatch.setattr(operators, "_neumann_solve", recording_solve)
         monkeypatch.setattr(operators, "neumann_inverse", recording_inverse)
         pipe = build_pipeline(kind, n, CISpec(a), None, D)
         monkeypatch.undo()
-        # the family's level blocks (arity 2), then one J per degree (arity 1)
-        blocks = [c for c in calls if c[2] == 2]
-        jcalls = [c for c in calls if c[2] == 1]
-        assert len(blocks) == pipe.kmax + 1 and len(jcalls) == pipe.kmax + 1
-        for M, Dm, arity, inv in blocks:
-            assert inv == _ref_neumann_inverse(M, Dm, arity), (kind, len(M))
+        # the family's level blocks are the two-variable solves, against the
+        # identity; then one J inverse per degree
+        blocks = [(M, B, tri, X) for M, B, tri, X in solves if tri.arity == 2]
+        assert len(blocks) == pipe.kmax + 1 and len(inverses) == pipe.kmax + 1
+        for M, B, tri, X in blocks:
+            assert B == tri.identity(len(M)) and tri.D == D
+            Mq = [[tri.series(m) for m in row] for row in M]
+            assert [[tri.series(x) for x in row] for row in X] == _ref_neumann_inverse(Mq, D, 2), (kind, len(M))
         if sum(a) == n and kind == "dot":  # the blocks are not the identity here
-            M, Dm, arity, inv = blocks[-1]
-            assert inv != operators._mat_identity(len(M), Dm, arity)
-        for k, (M, Dm, arity, inv) in enumerate(jcalls):
-            assert pipe.Jinv[k] is inv
+            M, B, tri, X = blocks[-1]
+            assert X != B
+        for k, (M, Dm, arity, inv) in enumerate(inverses):
+            assert pipe.Jinv[k] is inv and (Dm, arity) == (D, 1)
             assert inv == _ref_neumann_inverse(M, Dm, arity), (kind, k)
         for (k, i), table in pipe.structC.items():
             want = _ref_solve_structure(pipe, k, i)
             assert table.keys() == want.keys(), (kind, k, i)
             for key, ser in want.items():
                 assert table[key] == ser, (kind, k, i, key)
+
+
+@pytest.mark.parametrize("n,a,alphas", [
+    (3, (3,), None), (4, (2,), None), (3, (3,), "generic"), (3, (1, 1, 1), "generic"),
+])
+def test_pipeline_tables_hold_fractions(n, a, alphas):
+    # the scalar layer runs on ints where values are integral; every table
+    # other code reads still holds Fraction values
+    al = default_generic_alpha(n) if alphas else None
+    pipe = build_pipeline("dot", n, CISpec(a), al, 2)
+    values = [v for row in pipe.family.values() for u in row.values() for v in u.coeffs.values()]
+    values += [v for M in pipe.Jinv.values() for row in M for u in row for v in u.coeffs.values()]
+    values += [v for tab in (*pipe.opexp.values(), *pipe.structC.values())
+               for u in tab.values() for v in u.coeffs.values()]
+    assert len(values) > 50 and all(type(v) is Fraction for v in values)
+    if alphas:
+        assert any(v.denominator != 1 for v in values)
 
 
 def test_opexp_q0_delta_and_homogeneity_filter():

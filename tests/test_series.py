@@ -439,3 +439,15 @@ def test_substitute_q_neg():
     assert w.get((1,)) == 0
     assert w.get((2,)) == 0
 
+
+
+def test_int_values_are_exact_ring_values():
+    # plain ints are exact ring values: they build series, and a sum that
+    # cancels to the int 0 drops its term
+    ser = QSeries(1, 2, {(0,): 1, (1,): 0, (2,): -3})
+    assert ser.coeffs == {(0,): 1, (2,): -3}
+    assert ser == QSeries(1, 2, {(0,): Fraction(1), (2,): Fraction(-3)})
+    assert (ser + QSeries(1, 2, {(2,): 3})).coeffs == {(0,): 1}
+    le = LaurentExpansion({0: 1, -1: 2}, None) + LaurentExpansion({0: -1}, None)
+    assert le.coeffs == {-1: 2}
+    assert LaurentExpansion({0: 1, 1: 0}, 3) == LaurentExpansion.scalar(1, 3)

@@ -296,8 +296,8 @@ def _suite_mpc(cfg: RunConfig, al) -> list[dict]:
     return results
 
 
-def _suite_operator_norms(cfg: RunConfig) -> list[dict]:
-    n, a, D = cfg.n, cfg.ci(), cfg.qdeg
+def _suite_operator_norms(cfg: RunConfig, pipes: tuple) -> list[dict]:
+    n, D = cfg.n, cfg.qdeg
     results = []
     rows = (((1, 1),) if n == 3 else ((2, 1),))
     for akind in ("dot", "ddot"):
@@ -312,8 +312,7 @@ def _suite_operator_norms(cfg: RunConfig) -> list[dict]:
                     for o in rep["offenders"][:5]
                 ],
             })
-    for kind in ("dot", "ddot"):
-        pipe = build_pipeline(kind, n, a, None, D)
+    for kind, pipe in zip(("dot", "ddot"), pipes):
         # build_pipeline raises on a failed certificate, so this one can only pass
         results.append({"check": f"inverse-certificates-{kind}", "pass": all(pipe.J_certified.values()), "failures": []})
         residual_failures = [{"k": k, "i": i} for (k, i), ok in pipe.eqtic_residual_zero.items() if not ok]
@@ -355,10 +354,7 @@ def _suite_fano(cfg: RunConfig, al) -> list[dict]:
     return [{"check": "fano-vanishing", "pass": not failures, "failures": failures}]
 
 
-def _suite_orthogonality(cfg: RunConfig) -> list[dict]:
-    n, a, D = cfg.n, cfg.ci(), cfg.qdeg
-    pd = build_pipeline("dot", n, a, None, D)
-    pdd = build_pipeline("ddot", n, a, None, D)
+def _suite_orthogonality(pd, pdd) -> list[dict]:
     rep = orthogonality_check(pd, pdd)
     return [{
         "check": "diagonal-orthogonality",
@@ -383,22 +379,28 @@ def _suite_residue_internal(cfg: RunConfig, al) -> list[dict]:
     }]
 
 
+def _pipeline_pair(cfg: RunConfig) -> tuple:
+    """The zero-weight dot and ddot pipelines of the configuration."""
+    return tuple(build_pipeline(kind, cfg.n, cfg.ci(), None, cfg.qdeg) for kind in ("dot", "ddot"))
+
+
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     suite = cfg.suite or "all"
     al = cfg.fixed_point_alpha() if suite in _ALPHA_SUITES else None
+    pipes = _pipeline_pair(cfg) if suite in ("operator-norms", "orthogonality", "all") else None
     results = []
     if suite in ("recursivity", "all"):
         results.extend(_suite_recursivity(cfg, al))
     if suite in ("mpc", "all"):
         results.extend(_suite_mpc(cfg, al))
     if suite in ("operator-norms", "all"):
-        results.extend(_suite_operator_norms(cfg))
+        results.extend(_suite_operator_norms(cfg, pipes))
     if suite in ("fano-vanishing",):
         results.extend(_suite_fano(cfg, al))
     if suite == "all" and cfg.ci().total <= cfg.n - 2:
         results.extend(_suite_fano(cfg, al))
     if suite in ("orthogonality", "all"):
-        results.extend(_suite_orthogonality(cfg))
+        results.extend(_suite_orthogonality(*pipes))
     if suite in ("residue-internal", "all"):
         results.extend(_suite_residue_internal(cfg, al))
     if not results:
@@ -439,9 +441,7 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_double_j(cfg: RunConfig) -> tuple[dict, int]:
-    n, a, D = cfg.n, cfg.ci(), cfg.qdeg
-    pd = build_pipeline("dot", n, a, None, D)
-    pdd = build_pipeline("ddot", n, a, None, D)
+    pd, pdd = _pipeline_pair(cfg)
     table = assemble_double_J(pd, pdd)
     rep = orthogonality_check(pd, pdd)
     payload = []

@@ -8,12 +8,14 @@ Every linear system over Q[[q]] here (the family's level blocks, the
 degree-k endomorphisms, the structure-coefficient equations) has the
 identity as its q^0 part.  One Neumann iteration, `_neumann_solve`, solves
 them all, and a matrix product certifies the J inverses and the structure
-coefficients.  That scalar layer holds each series as a flat list over its
-graded triangle of q-exponents (`_Triangle`), with a value an int while it
-is integral and a Fraction otherwise, so zero-weight pipelines run in int
-arithmetic; QSeries of Fraction are formed only for the tables other code
-reads: the family, the J inverses, the expansion tables and the structure
-coefficients.
+coefficients.  The structure equations of one degree share their matrix,
+so every class of that degree is solved and certified at once, one
+right-hand column per class.  That scalar layer holds each series as a
+flat list over its graded triangle of q-exponents (`_Triangle`), with a
+value an int while it is integral and a Fraction otherwise, so zero-weight
+pipelines run in int arithmetic; QSeries of Fraction are formed only for
+the tables other code reads: the family, the J inverses, the expansion
+tables and the structure coefficients.
 
 The class map is: expand in x about 0, Schur-reduce each graded piece into
 the box basis, then Laurent-expand the coefficients in h^-1; the degree-k
@@ -22,6 +24,10 @@ linear, and the normalized operator series and the basis-weighted series
 are Q[[q]]-combinations, with h-power weights, of the bar-transformed
 operator series.  So it runs once per bar series, and every later table
 is the same linear combination of those class tables.
+
+Diagonal orthogonality is the double-series numerator at (h1, h2) =
+(h, -h): `orthogonality_check` reads it off the table of
+`assemble_double_J`.
 """
 
 from __future__ import annotations
@@ -389,7 +395,6 @@ class GammaPipeline:
     Jinv: dict = field(default_factory=dict)  # k -> inverse of the degree-k endomorphism matrix
     J_certified: dict = field(default_factory=dict)
     opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
-    structA: dict = field(default_factory=dict)  # k -> (keys, A), see _structure_matrix
     structC: dict = field(default_factory=dict)  # (k, i) -> {(t,(s,j)) -> scalar QSeries}
     eqtic_residual_zero: dict = field(default_factory=dict)
     classes: dict = field(default_factory=dict)  # lam -> {d -> {(r,j) -> Laurent}}
@@ -477,12 +482,14 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
                     raise ArithmeticError(f"expansion table q^0 delta failed at {(k, iidx, s, r, jidx)}")
         tables[(k, iidx)] = table
         pipe.opexp[(k, iidx)] = {key: tri.series(x) for key, x in table.items()}
-    # structure coefficients and their defining residual; the equations'
-    # matrix depends on the degree alone
-    pipe.structA = {k: _structure_matrix(n, k, tables, tri) for k in range(kmax + 1)}
-    for k, iidx, _ in _basis(n, kmax):
-        pipe.structC[(k, iidx)] = _solve_structure(pipe, k, iidx)
-        pipe.eqtic_residual_zero[(k, iidx)] = _eqtic_residual_is_zero(pipe, k, iidx)
+    # structure coefficients: one solve and one certificate per degree,
+    # split into the per-class tables
+    for k in range(kmax + 1):
+        system = _structure_equations(n, k, tables, tri)
+        for iidx, table in enumerate(_solve_structure(pipe, k, system)):
+            pipe.structC[(k, iidx)] = table
+        for iidx, ok in enumerate(_eqtic_residuals(pipe, k, system)):
+            pipe.eqtic_residual_zero[(k, iidx)] = ok
     # classes of the assembled series, cut back to the pipeline depth
     y_cls = {rj: _assembled(pipe, cls, LaurentExpansion({1: Fraction(1)}, None)) for rj, cls in calD_cls.items()}
     for lam in parts:
@@ -512,10 +519,11 @@ def _assembled(pipe: GammaPipeline, calD: dict, h) -> dict:
     return {lam: assemble_Y_gamma(pipe, calD, k, jidx, h) for k, jidx, lam in _basis(pipe.n, pipe.kmax)}
 
 
-def _structure_matrix(n: int, k: int, tables: dict, tri: _Triangle):
+def _structure_equations(n: int, k: int, tables: dict, tri: _Triangle):
     """The defining equations of the structure coefficients of degree k
-    as (keys, A), from the expansion tables as series lists; the class
-    (k, i) solves A C = e with e one-hot at the equation (0, (k, i)).
+    as (keys, A, E), from the expansion tables as series lists: the
+    classes (k, i) solve A C = E together, column i of E one-hot at the
+    equation (0, (k, i)).
 
     The unknowns C~^{(t)}_{k,i;s,j}, t <= k and s <= k - t, are keyed
     (t, (s, j)); the equations use the same index set, keyed
@@ -528,33 +536,29 @@ def _structure_matrix(n: int, k: int, tables: dict, tri: _Triangle):
     zero = [0] * tri.size
     A = [[tables[(s, j)].get((r + r1 - t, (r1, j1)), zero) if t <= r else zero for t, (s, j) in keys]
          for r, (r1, j1) in keys]
-    return keys, A
+    E = [[tri.one() if key == (0, (k, iidx)) else zero for iidx in range(len(partitions_of_degree(n, k)))]
+         for key in keys]
+    return keys, A, E
 
 
-def _structure_system(pipe: GammaPipeline, k: int, iidx: int):
-    """(keys, A, e) with A C = e for the class (k, i): the degree-k
-    matrix pipe.structA[k] and e one-hot at the equation (0, (k, i))."""
-    keys, A = pipe.structA[k]
+def _solve_structure(pipe: GammaPipeline, k: int, system) -> list:
+    """The structure coefficients of every class (k, i), indexed by i:
+    (t, (s, j)) -> the scalar series C~^{(t)}_{k,i;s,j}, from one Neumann
+    solve of the degree-k system A C = E."""
+    keys, A, E = system
     tri = _triangle(1, pipe.D)
-    e = [[tri.one() if key == (0, (k, iidx)) else [0] * tri.size] for key in keys]
-    return keys, A, e
+    C = _neumann_solve(A, E, tri)
+    return [{key: tri.series(row[iidx]) for key, row in zip(keys, C)} for iidx in range(len(E[0]))]
 
 
-def _solve_structure(pipe: GammaPipeline, k: int, iidx: int) -> dict:
-    """The structure coefficients of (k, i): (t, (s, j)) -> the scalar
-    series C~^{(t)}_{k,i;s,j}, from the Neumann solve of A C = e."""
-    keys, A, e = _structure_system(pipe, k, iidx)
+def _eqtic_residuals(pipe: GammaPipeline, k: int, system) -> list:
+    """Re-evaluate the degree-k equations A C = E on the stored solutions
+    pipe.structC[(k, i)]: for each i, whether column i holds."""
+    keys, A, E = system
     tri = _triangle(1, pipe.D)
-    return {key: tri.series(row[0]) for key, row in zip(keys, _neumann_solve(A, e, tri))}
-
-
-def _eqtic_residual_is_zero(pipe: GammaPipeline, k: int, iidx: int) -> bool:
-    """Re-evaluate the defining equations A C = e on the stored solution
-    pipe.structC[(k, i)]."""
-    keys, A, e = _structure_system(pipe, k, iidx)
-    tri = _triangle(1, pipe.D)
-    C = pipe.structC[(k, iidx)]
-    return tri.mat_mul(A, [[tri.from_series(C[key])] for key in keys]) == e
+    tables = [pipe.structC[(k, iidx)] for iidx in range(len(E[0]))]
+    R = tri.mat_mul(A, [[tri.from_series(table[key]) for table in tables] for key in keys])
+    return [all(r[iidx] == e[iidx] for r, e in zip(R, E)) for iidx in range(len(tables))]
 
 
 def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h) -> QSeries:
@@ -613,44 +617,24 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_flip_h(le: LaurentExpansion) -> LaurentExpansion:
-    return LaurentExpansion({e: (v if e % 2 == 0 else -v) for e, v in le.coeffs.items()}, le.depth)
-
-
-def _complementary_terms(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline, d: int):
-    """Yield ((lam1, lam2), le1, le2) for every complementary class pair
-    (lam, mu), split d = d1 + d2 and pair of basis components: le1 is the
-    component lam1 of the first series' class at q^d1, le2 the component
-    lam2 of the second's at q^d2."""
-    n = pipe_dot.n
-    for lam in box_partitions(n):
-        mu = complement(lam, n)
-        for d1 in range(d + 1):
-            c1 = pipe_dot.classes[lam][d1]
-            c2 = pipe_ddot.classes[mu][d - d1]
-            for (r1, j1), le1 in c1.items():
-                lam1 = partitions_of_degree(n, r1)[j1]
-                for (r2, j2), le2 in c2.items():
-                    yield (lam1, partitions_of_degree(n, r2)[j2]), le1, le2
-
-
 def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> dict:
-    """The bilinear combination over complementary basis pairs, with the
-    second factor at -h, reduced in H* (x) H*: it must equal the diagonal
-    tensor at q^0 and vanish at every positive q-degree."""
-    n = pipe_dot.n
-    D = min(pipe_dot.D, pipe_ddot.D)
+    """The double-series numerator at (h1, h2) = (h, -h), reduced in
+    H* (x) H*: it must equal the diagonal tensor at q^0 and vanish at every
+    positive q-degree.  Each entry of `assemble_double_J` is summed as
+    sum v h^e1 (-h)^e2, which needs the exact classes of zero weights."""
+    if pipe_dot.alphas is not None or pipe_ddot.alphas is not None:
+        raise ValueError("orthogonality_check needs zero-weight pipelines; "
+                         "equivariant_orthogonality_check takes weights")
     failures = []
-    for d in range(D + 1):
-        tensor: dict = {}
-        for key, le1, le2 in _complementary_terms(pipe_dot, pipe_ddot, d):
-            tensor[key] = tensor.get(key, LaurentExpansion.zero(None)) + le1 * _laurent_flip_h(le2)
-        want = diagonal(n) if d == 0 else {}
-        keys = set(tensor) | set(want)
-        for key in keys:
-            got = tensor.get(key, LaurentExpansion.zero(None))
-            expect = LaurentExpansion.scalar(want.get(key, Fraction(0)))
-            if not got.eq_mod_common_depth(expect):
+    for d, entries in assemble_double_J(pipe_dot, pipe_ddot).items():
+        want = diagonal(pipe_dot.n) if d == 0 else {}
+        for key in sorted(entries.keys() | want.keys()):
+            at_h = {}
+            for (e1, e2), v in entries.get(key, {}).items():
+                at_h[e1 + e2] = at_h.get(e1 + e2, 0) + (-v if e2 % 2 else v)
+            got = LaurentExpansion(at_h, None)
+            expect = LaurentExpansion.scalar(want.get(key, 0))
+            if got != expect:
                 failures.append({"q": d, "entry": key, "got": got, "want": expect})
     return {"ok": not failures, "failures": failures}
 
@@ -697,21 +681,27 @@ def assemble_double_J(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> dict
     """Tensor table of the double series numerator: for each q-degree and
     basis pair, the exact two-variable Laurent polynomial in (h1, h2).
 
-    The double series is this numerator divided by (h1 + h2); its q^0
-    term is the diagonal tensor.
+    An entry (lam1, lam2) at q^d sums, over every complementary class pair
+    (lam, mu) and split d = d1 + d2, the product of the component lam1 of
+    the first series' class of lam at q^d1 with the component lam2 of the
+    second's class of mu at q^d2.  The double series is this numerator
+    divided by (h1 + h2); its q^0 term is the diagonal tensor.
     """
-    D = min(pipe_dot.D, pipe_ddot.D)
+    n = pipe_dot.n
     out: dict = {}
-    for d in range(D + 1):
+    for d in range(min(pipe_dot.D, pipe_ddot.D) + 1):
         tensor: dict = {}
-        for key, le1, le2 in _complementary_terms(pipe_dot, pipe_ddot, d):
-            cur = tensor.setdefault(key, {})
-            for e1, v1 in le1.coeffs.items():
-                for e2, v2 in le2.coeffs.items():
-                    cur[(e1, e2)] = cur.get((e1, e2), Fraction(0)) + Fraction(v1) * Fraction(v2)
-        tensor = {
-            key: {e: v for e, v in entry.items() if v}
-            for key, entry in tensor.items()
-        }
+        for lam in box_partitions(n):
+            mu = complement(lam, n)
+            for d1 in range(d + 1):
+                c2 = pipe_ddot.classes[mu][d - d1]
+                for (r1, j1), le1 in pipe_dot.classes[lam][d1].items():
+                    lam1 = partitions_of_degree(n, r1)[j1]
+                    for (r2, j2), le2 in c2.items():
+                        cur = tensor.setdefault((lam1, partitions_of_degree(n, r2)[j2]), {})
+                        for e1, v1 in le1.coeffs.items():
+                            for e2, v2 in le2.coeffs.items():
+                                cur[(e1, e2)] = cur.get((e1, e2), Fraction(0)) + Fraction(v1) * Fraction(v2)
+        tensor = {key: {e: v for e, v in entry.items() if v} for key, entry in tensor.items()}
         out[d] = {key: entry for key, entry in tensor.items() if entry}
     return out

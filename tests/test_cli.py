@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qgr.cli import run
-from qgr.hyper import build_Y_closed
-from qgr.series import QSeries
+from qgr.cli import _suite_orthogonality, run
+from qgr.hyper import CISpec, build_Y_closed
+from qgr.operators import build_pipeline
+from qgr.series import LaurentExpansion, QSeries
 
 
 def run_json(capsys, argv):
@@ -253,10 +254,12 @@ def test_bad_inputs_are_usage_errors(tmp_path, capsys, monkeypatch):
 def test_structure_residual_names_failing_entry(capsys, monkeypatch):
     import qgr.operators
 
-    def residual_fails_at_2_0(pipe, k, iidx):
-        return (k, iidx) != (2, 0)
+    residuals = qgr.operators._eqtic_residuals
 
-    monkeypatch.setattr(qgr.operators, "_eqtic_residual_is_zero", residual_fails_at_2_0)
+    def residual_fails_at_2_0(pipe, k, system):
+        return [ok and (k, iidx) != (2, 0) for iidx, ok in enumerate(residuals(pipe, k, system))]
+
+    monkeypatch.setattr(qgr.operators, "_eqtic_residuals", residual_fails_at_2_0)
     code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
     assert code == 1
     by_check = {r["check"]: r for r in doc["payload"]}
@@ -270,11 +273,11 @@ def test_structure_t0_delta_names_failing_entry(capsys, monkeypatch):
 
     solve = qgr.operators._solve_structure
 
-    def t0_entry_zero_at_2_0(pipe, k, iidx):
-        table = solve(pipe, k, iidx)
-        if (k, iidx) == (2, 0):
-            table[(0, (2, 0))] = QSeries(1, pipe.D)
-        return table
+    def t0_entry_zero_at_2_0(pipe, k, system):
+        tables = solve(pipe, k, system)
+        if k == 2:
+            tables[0][(0, (2, 0))] = QSeries(1, pipe.D)
+        return tables
 
     monkeypatch.setattr(qgr.operators, "_solve_structure", t0_entry_zero_at_2_0)
     code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
@@ -290,11 +293,11 @@ def test_structure_residual_catches_perturbed_solution(capsys, monkeypatch):
 
     solve = qgr.operators._solve_structure
 
-    def q1_added_at_2_0(pipe, k, iidx):
-        table = solve(pipe, k, iidx)
-        if (k, iidx) == (2, 0):
-            table[(1, (1, 0))] = table[(1, (1, 0))] + QSeries(1, pipe.D, {(1,): Fraction(1)})
-        return table
+    def q1_added_at_2_0(pipe, k, system):
+        tables = solve(pipe, k, system)
+        if k == 2:
+            tables[0][(1, (1, 0))] = tables[0][(1, (1, 0))] + QSeries(1, pipe.D, {(1,): Fraction(1)})
+        return tables
 
     monkeypatch.setattr(qgr.operators, "_solve_structure", q1_added_at_2_0)
     code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
@@ -305,6 +308,44 @@ def test_structure_residual_catches_perturbed_solution(capsys, monkeypatch):
         assert rec["pass"] is False and rec["failures"] == [{"k": 2, "i": 0}]
     # the t = 0 rows are untouched, so only the two residuals fail
     assert {c for c, r in by_check.items() if not r["pass"]} == {"structure-residual-dot", "structure-residual-ddot"}
+
+
+def test_orthogonality_suite_names_failing_entries():
+    # a perturbed class of the dot pipeline fails the suite at the entries
+    # the library check names (see test_orthogonality_names_failing_entries)
+    pd = build_pipeline("dot", 3, CISpec((1,)), None, 2)
+    pdd = build_pipeline("ddot", 3, CISpec((1,)), None, 2)
+    cls = pd.classes[(1, 0)][1]
+    cls[(0, 0)] = LaurentExpansion({-1: cls[(0, 0)].coeffs[-1] + 1}, None)
+    [rec] = _suite_orthogonality(pd, pdd)
+    assert rec["check"] == "diagonal-orthogonality" and rec["pass"] is False
+    assert rec["failures"] == [
+        {"q": 1, "entry": [[0, 0], [1, 0]]},
+        {"q": 2, "entry": [[0, 0], [1, 0]]},
+        {"q": 2, "entry": [[0, 0], [1, 1]]},
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1"],
+    ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "1"],
+    ["verify", "--suite", "orthogonality", "--n", "3", "--a", "1", "--qdeg", "1"],
+    ["double-j", "--n", "3", "--a", "1", "--qdeg", "1"],
+])
+def test_one_pipeline_pair_per_command(capsys, monkeypatch, argv):
+    import qgr.cli
+
+    kinds = []
+    build = qgr.cli.build_pipeline
+
+    def counted(kind, *args):
+        kinds.append(kind)
+        return build(kind, *args)
+
+    monkeypatch.setattr(qgr.cli, "build_pipeline", counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert sorted(kinds) == ["ddot", "dot"], argv
 
 
 def test_internal_fault_exit_3(capsys, monkeypatch):

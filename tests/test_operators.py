@@ -441,6 +441,33 @@ def test_orthogonality_n3(a):
     assert rep["ok"], rep["failures"][:2]
 
 
+def test_orthogonality_names_failing_entries():
+    # one h-coefficient of one class component raised by 1: the check
+    # fails exactly at the entries that component reaches
+    pd = build_pipeline("dot", 3, CISpec((1,)), None, 2)
+    pdd = build_pipeline("ddot", 3, CISpec((1,)), None, 2)
+    assert orthogonality_check(pd, pdd)["ok"]
+    cls = pd.classes[(1, 0)][1]
+    cls[(0, 0)] = LaurentExpansion({-1: cls[(0, 0)].coeffs[-1] + 1}, None)
+    rep = orthogonality_check(pd, pdd)
+    assert not rep["ok"]
+    got = sorted((f["q"], f["entry"], f["got"], f["want"]) for f in rep["failures"])
+    zero = LaurentExpansion.zero(None)
+    assert got == [
+        (1, ((0, 0), (1, 0)), LaurentExpansion({-1: 1}, None), zero),
+        (2, ((0, 0), (1, 0)), LaurentExpansion({-3: 1}, None), zero),
+        (2, ((0, 0), (1, 1)), LaurentExpansion({-4: 2}, None), zero),
+    ]
+
+
+def test_orthogonality_check_rejects_weights():
+    al = default_generic_alpha(3)
+    pd = build_pipeline("dot", 3, CISpec((1,)), al, 1)
+    pdd = build_pipeline("ddot", 3, CISpec((1,)), al, 1)
+    with pytest.raises(ValueError, match="equivariant_orthogonality_check"):
+        orthogonality_check(pd, pdd)
+
+
 def test_double_J_q0_is_diagonal():
     n = 3
     pd = build_pipeline("dot", n, CISpec((1,)), None, 1)
@@ -533,7 +560,7 @@ def _coefficient_classes(pipe, ser) -> dict:
 
 
 @pytest.mark.parametrize("n,a,alphas", [
-    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None),
+    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None), (5, (5,), None),
     (3, (1, 1, 1), "generic"), (3, (2,), "generic"),
 ])
 def test_classes_match_coefficientwise_extraction(n, a, alphas):

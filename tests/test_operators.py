@@ -560,8 +560,8 @@ def _coefficient_classes(pipe, ser) -> dict:
 
 
 @pytest.mark.parametrize("n,a,alphas", [
-    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None), (5, (5,), None),
-    (3, (1, 1, 1), "generic"), (3, (2,), "generic"),
+    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None),
+    (3, (1, 1, 1), "generic"), (3, (2,), "generic"), (5, (5,), None),
 ])
 def test_classes_match_coefficientwise_extraction(n, a, alphas):
     # the pipeline extracts classes from the bar series only and gets the

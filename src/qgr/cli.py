@@ -443,7 +443,7 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_double_j(cfg: RunConfig) -> tuple[dict, int]:
     pd, pdd = _pipeline_pair(cfg)
     table = assemble_double_J(pd, pdd)
-    rep = orthogonality_check(pd, pdd)
+    rep = orthogonality_check(pd, pdd, table)
     payload = []
     for d in sorted(table):
         entries = []

@@ -11,18 +11,23 @@ degrees and lets every key with that tuple share it, and the bar
 transform multiplies each shared numerator once per degree.  Summands are
 combined before any division by (x1 - x2), so coefficients are genuine
 rational functions regular on x1 = x2.
+
+At zero weights a ladder series can also be held as its h = 1 image,
+`LadderImage`, on the flat lists of `series._Triangle`; the operator
+pipeline runs on that form.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import prod
+from math import comb, prod
+from typing import NamedTuple
 
 from .hrat import HRat
 from .rings import RatFunc, SparsePoly
-from .series import QSeries
+from .series import QSeries, _graded_keys, _Triangle, _triangle
 
 V3 = ("x1", "x2", "h")
 
@@ -276,6 +281,157 @@ def bar_assemble(F: HyperSeries) -> HyperSeries:
         n=F.n, D=D, den_chains=F.den_chains, num_parts=nums,
         xtrunc=None if xt is None else xt - 1,
     )
+
+
+# ---------------------------------------------------------------------------
+# zero-weight ladder series at h = 1
+#
+# At zero weights every ladder numerator and factor is homogeneous in
+# (x1, x2, h), and so is every product, operator weight and bar term made
+# from them.  Such a polynomial loses nothing at h = 1 once its degree is
+# kept: its value at x^e restores the term x^e h^(deg - |e|).  Its image is
+# a flat list over the x-triangle `_triangle(2, xtrunc)`, so the products
+# run on `_Triangle.mul_into`, in ints while values are integral.
+# ---------------------------------------------------------------------------
+
+
+class _Image(NamedTuple):
+    """A polynomial homogeneous of degree `deg` in (x1, x2, h) at h = 1:
+    vals[i] is its coefficient of x^keys[i] over an x-triangle."""
+
+    deg: int
+    vals: list
+
+
+def _linear(tri: _Triangle, c0: int, c1: int, c2: int) -> _Image:
+    """c0 h + c1 x1 + c2 x2."""
+    vals = [0] * tri.size
+    vals[0], vals[tri.index[(1, 0)]], vals[tri.index[(0, 1)]] = c0, c1, c2
+    return _Image(1, vals)
+
+
+def _times(tri: _Triangle, p: _Image, f: _Image) -> _Image:
+    return _Image(p.deg + f.deg, tri.mul(p.vals, f.vals))
+
+
+def _div_x1_minus_x2(vals: list, D: int) -> list:
+    """P / (x1 - x2) for P on the x-triangle of total degree <= D, one
+    order less: in degree k, with p_i the coefficient of x1^i x2^(k-i)
+    (slot k(k+1)/2 + i in graded order), the quotient's coefficients are
+    q_i = q_(i-1) - p_i, and the division is exact when q_(k-1) = p_k."""
+    out = [0] * len(vals)
+    exact = not vals[0]
+    for k in range(1, D + 1):
+        base, q = k * (k + 1) // 2, 0
+        for i in range(k):
+            q -= vals[base + i]
+            out[base - k + i] = q
+        exact = exact and q == vals[base + k]
+    if not exact:
+        raise ValueError("derivative numerator not divisible by x1 - x2 (asymmetric input)")
+    return out
+
+
+@dataclass
+class LadderImage:
+    """A zero-weight ladder series held as its h = 1 image over the
+    x-triangle `tri`, laid out as a HyperSeries: q-key -> numerator image
+    over the ladder products of the chains (a one-q key (d,) over B[d] of
+    both, a two-q key (d1, d2) over B[d1] B[d2]), x-truncated at `xtrunc`.
+    The series of one ladder share its tables: the cofactors
+    (slot, d, m) -> prod_{d < l <= m} factor_l of the slot, the two-q
+    numerators lifted over B[m] B[m], (e, m) -> num_e cof(0, e1, m)
+    cof(1, e2, m), and the x-adic inverses of the denominators, formed
+    when first read."""
+
+    n: int
+    D: int
+    tri: _Triangle
+    xtrunc: int
+    num_parts: dict
+    cofactors: dict
+    lifted: dict
+    inverses: dict = field(default_factory=dict)
+
+    @classmethod
+    def ladder(cls, kind: str, n: int, a: CISpec, D: int, xtrunc: int) -> "LadderImage":
+        """The image of build_K(kind, n, a, None, D, xtrunc): the factor l of
+        a slot is (x + l h)^n - x^n, and every key of degree d shares the
+        numerator prod_k prod_l (a_k x1 + a_k x2 + l h), l over the kind's
+        range for a_k d."""
+        a.validate(n)
+        tri = _triangle(2, xtrunc)
+        one = _Image(0, tri.one())
+        cof = {}
+        for slot in (0, 1):
+            # (x + l h)^n - x^n = sum_{k < n} C(n, k) l^(n-k) x^k h^(n-k)
+            factors = [_Image(n, [0] * tri.size) for _ in range(D + 1)]
+            for l in range(1, D + 1):
+                for k in range(min(n - 1, xtrunc) + 1):
+                    factors[l].vals[tri.index[(k, 0) if slot == 0 else (0, k)]] = comb(n, k) * l ** (n - k)
+            for d in range(D + 1):
+                cof[(slot, d, d)] = one
+                for m in range(d + 1, D + 1):
+                    cof[(slot, d, m)] = _times(tri, cof[(slot, d, m - 1)], factors[m])
+        by_degree = [one]
+        for d in range(1, D + 1):
+            num = one
+            for ak in a.a:
+                for l in _num_l_range(kind, ak * d):
+                    num = _times(tri, num, _linear(tri, l, ak, ak))
+            by_degree.append(num)
+        nums = {key: by_degree[sum(key)] for key in _graded_keys(2, D)}
+        lifted = {(e, m): _times(tri, _times(tri, num, cof[(0, e[0], m)]), cof[(1, e[1], m)])
+                  for e, num in nums.items() for m in range(sum(e), D + 1)}
+        return cls(n, D, tri, xtrunc, nums, cof, lifted)
+
+    def bar(self, weights: dict, level: int) -> "LadderImage":
+        """The bar transform of the two-q series sum_(e, d) num_e w_(e,d)
+        q^d over B[d1] B[d2], with the weights of degree `level` summed
+        per source e and bar degree m = |d|: weights[(e, m)] =
+        (sum w, sum (d1 - d2) w).  The transform lifts each term to
+        B[m] B[m] by cof1(d1 -> m) cof2(d2 -> m), which makes it
+        lifted[(e, m)] w, so the q^m numerator is
+        (-1)^m (N0 + h N1 / (x1 - x2)) with Ni = sum_e lifted[(e, m)] Wi,
+        every term of one degree in (x1, x2, h).  The quotient keeps one
+        x-order less, as in bar_assemble."""
+        tri = self.tri
+        nums = {}
+        for m in range(self.D + 1):
+            N0, N1, degs = [0] * tri.size, [0] * tri.size, set()
+            for (e, me), (W0, W1) in weights.items():
+                if me == m:
+                    lifted = self.lifted[(e, m)]
+                    degs.add(lifted.deg + level)
+                    tri.mul_into(N0, W0, lifted.vals)
+                    tri.mul_into(N1, W1, lifted.vals)
+            if len(degs) > 1:
+                raise ArithmeticError(f"bar terms of q^{m} differ in degree: {sorted(degs)}")
+            sign = -1 if m % 2 else 1
+            nums[(m,)] = _Image(degs.pop() if degs else 0,
+                                [sign * (u + v) for u, v in zip(N0, _div_x1_minus_x2(N1, tri.D))])
+        return replace(self, num_parts=nums, xtrunc=self.xtrunc - 1)
+
+    def x_expansion(self, key, order: int) -> tuple[int, list, int]:
+        """(deg, X, g): the coefficient at `key`, homogeneous of degree deg,
+        is X / g to total x-degree `order` at h = 1, X over the slots of
+        `_triangle(2, order)`."""
+        b1, b2 = self.cofactors[(0, 0, key[0])], self.cofactors[(1, 0, key[-1])]
+        tk = _triangle(2, order)
+        at = (key[0], key[-1], order)
+        if at not in self.inverses:
+            self.inverses[at] = tk.inverse(self.tri.mul(b1.vals, b2.vals)[:tk.size])
+        N, g = self.inverses[at]
+        num = self.num_parts[key]
+        return num.deg - b1.deg - b2.deg, tk.mul(num.vals[:tk.size], N), g
+
+    def restore(self, den_chains) -> HyperSeries:
+        """The HyperSeries this is the image of, over its trivariate chains:
+        h^(deg - |e|) put back on every term."""
+        keys = self.tri.keys
+        return HyperSeries(n=self.n, D=self.D, den_chains=den_chains, xtrunc=self.xtrunc, num_parts={
+            key: SparsePoly(V3, {(e1, e2, num.deg - e1 - e2): v for (e1, e2), v in zip(keys, num.vals) if v})
+            for key, num in self.num_parts.items()})
 
 
 def build_Y_closed(kind: str, n: int, a: CISpec, D: int, xtrunc: int | None = None) -> HyperSeries:

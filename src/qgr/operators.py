@@ -25,6 +25,18 @@ are Q[[q]]-combinations, with h-power weights, of the bar-transformed
 operator series.  So it runs once per bar series, and every later table
 is the same linear combination of those class tables.
 
+At zero weights every ladder numerator and factor, operator weight and bar
+term is homogeneous in (x1, x2, h), so a pipeline holds the ladder series
+as its h = 1 image (`hyper.LadderImage`): one flat list per q-key over the
+x-triangle of total degree <= kmax + 1, with the degree that restores
+h^(deg - |e|) on the term at x^e.  The family, the bar transform and the
+class map run on these lists with the `_Triangle` tables; the class map
+multiplies each bar numerator by one x-adic inverse of its denominator,
+whose constant term is a nonzero integer, Schur-reduces, and emits each
+component as one exact term c h^(deg - r).  `barD`, `calD` and `ygamma`
+restore h when read.  At generic weights the same steps run on the
+trivariate HyperSeries, through x_coefficients and h-expansion.
+
 Diagonal orthogonality is the double-series numerator at (h1, h2) =
 (h, -h): `orthogonality_check` reads it off the table of
 `assemble_double_J`.
@@ -49,24 +61,19 @@ from .cohomology import (
     schur_poly,
 )
 from .hrat import HRat
-from .hyper import CISpec, HyperSeries, V3, bar_assemble, bar_evaluated, build_K, k_series_evaluated
+from .hyper import (CISpec, HyperSeries, LadderImage, V3, bar_assemble, bar_evaluated, build_K,
+                    k_series_evaluated)
 from .rings import RatFunc, SparsePoly, _univariate_terms
-from .series import LaurentExpansion, QSeries, _expand_parts, _graded_keys, x_coefficients
+from .series import LaurentExpansion, QSeries, _exact, _expand_parts, _Triangle, _triangle, x_coefficients
 
 
-def _x(name):
-    return SparsePoly.variable(V3, name)
-
-
-def _shift_weights(t: tuple[int, int], d: tuple[int, int]):
-    """Yield (a, w_a) for the nonzero terms of the shift operator's weight
+@functools.cache
+def _shift_weights(t: tuple[int, int], d: tuple[int, int]) -> tuple:
+    """The pairs (a, w_a) for the nonzero terms of the shift operator's weight
     (x1 + d1 h)^t1 (x2 + d2 h)^t2 = sum_a w_a x^a h^{|t|-|a|} on q^(d1,d2),
     w_a = C(t1,a1) C(t2,a2) d1^(t1-a1) d2^(t2-a2)."""
-    for a1 in range(t[0] + 1):
-        for a2 in range(t[1] + 1):
-            w = comb(t[0], a1) * comb(t[1], a2) * d[0] ** (t[0] - a1) * d[1] ** (t[1] - a2)
-            if w:
-                yield (a1, a2), w
+    return tuple(((a1, a2), w) for a1 in range(t[0] + 1) for a2 in range(t[1] + 1)
+                 if (w := comb(t[0], a1) * comb(t[1], a2) * d[0] ** (t[0] - a1) * d[1] ** (t[1] - a2)))
 
 
 def _h_expand(f: RatFunc, depth: int) -> LaurentExpansion:
@@ -117,74 +124,8 @@ def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scalar series as flat lists
-#
-# A value enters as an int when it is integral and stays a Fraction
-# otherwise; Python's numeric tower keeps mixed arithmetic exact, so
-# generic weights take the same code as zero weights.
+# linear systems over Q[[q]] with identity q^0 part
 # ---------------------------------------------------------------------------
-
-
-def _exact(v):
-    """v as an int when it is integral; otherwise v itself."""
-    return v.numerator if v.denominator == 1 else v
-
-
-class _Triangle:
-    """List arithmetic for scalar series in `arity` q-variables truncated
-    at total degree D: slot i holds the coefficient of q^keys[i]."""
-
-    def __init__(self, arity: int, D: int):
-        self.arity, self.D = arity, D
-        self.keys = _graded_keys(arity, D)
-        self.index = {key: i for i, key in enumerate(self.keys)}
-        self.size = len(self.keys)
-        # pairs[i]: (j, k) for every slot j with keys[i] + keys[j] = keys[k]
-        self.pairs = [
-            [(j, self.index[tuple(a + b for a, b in zip(ki, kj))])
-             for j, kj in enumerate(self.keys) if sum(ki) + sum(kj) <= D]
-            for ki in self.keys
-        ]
-
-    def one(self) -> list:
-        return [1] + [0] * (self.size - 1)
-
-    def identity(self, size: int) -> list:
-        return [[self.one() if i == j else [0] * self.size for j in range(size)] for i in range(size)]
-
-    def mul_into(self, acc: list, x: list, y: list) -> None:
-        """acc += x y, in place."""
-        for xi, pairs in zip(x, self.pairs):
-            if xi:
-                for j, k in pairs:
-                    yj = y[j]
-                    if yj:
-                        acc[k] += xi * yj
-
-    def mat_mul(self, A, B, C=None) -> list:
-        """A B (+ C) for matrices of series lists; zero entries of A are
-        skipped."""
-        rows = [[(l, a) for l, a in enumerate(row) if any(a)] for row in A]
-        out = []
-        for i, row in enumerate(rows):
-            out.append([])
-            for j in range(len(B[0])):
-                acc = list(C[i][j]) if C is not None else [0] * self.size
-                for l, a in row:
-                    self.mul_into(acc, a, B[l][j])
-                out[i].append(acc)
-        return out
-
-    def from_series(self, ser: QSeries) -> list:
-        return [_exact(ser.coeffs[key]) if key in ser.coeffs else 0 for key in self.keys]
-
-    def series(self, x: list) -> QSeries:
-        return QSeries(self.arity, self.D, {key: Fraction(v) for key, v in zip(self.keys, x) if v})
-
-
-@functools.cache
-def _triangle(arity: int, D: int) -> _Triangle:
-    return _Triangle(arity, D)
 
 
 def _neumann_solve(M, B, tri: _Triangle):
@@ -226,14 +167,24 @@ def neumann_inverse(M, D: int, arity: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
-    """The normalized operators for K as the matrix U over the bare ones:
-    p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero entries omitted."""
+def frakD_family_normalized(K: HyperSeries | LadderImage, pmax: int) -> dict:
+    """The normalized operators for K, a ladder series or its h = 1 image,
+    as the matrix U over the bare ones: p -> {t: U[p][t]} for
+    |t| <= |p| <= pmax, zero entries omitted."""
     tri = _triangle(2, K.D)
     # kappa[d][s]: the x^s h^{-|s|} coefficient of the q^d coefficient of K
-    kappa = {key: {s: _h_expand(v, s[0] + s[1] + 1).coeffs.get(-s[0] - s[1], 0)
-                   for s, v in x_coefficients(K.coeff(key), pmax).items()}
-             for key in K.num_parts}
+    if isinstance(K, LadderImage):
+        # x^s comes with h^(deg - |s|), so kappa[d] is the h = 1 expansion
+        # where K_d has degree 0 (every d when |a| = n, only d = 0 else)
+        kappa = {}
+        for key in K.num_parts:
+            deg, X, g = K.x_expansion(key, pmax)
+            if deg == 0:
+                kappa[key] = {s: Fraction(v, g) for s, v in zip(_triangle(2, pmax).keys, X) if v}
+    else:
+        kappa = {key: {s: _h_expand(v, s[0] + s[1] + 1).coeffs.get(-s[0] - s[1], 0)
+                       for s, v in x_coefficients(K.coeff(key), pmax).items()}
+                 for key in K.num_parts}
     # the tables hold den times their series, den a common denominator of
     # kappa: integers at zero weights; `entry` divides den back out
     den = lcm(*(v.denominator for kd in kappa.values() for v in kd.values()))
@@ -242,7 +193,7 @@ def frakD_family_normalized(K: HyperSeries, pmax: int) -> dict:
     @functools.cache
     def weighted_kappa(t) -> list:
         # (slot of d, den kappa[d], weights of frakD_t on q^d) for every d
-        return [(i, kd, tuple(_shift_weights(t, tri.keys[i]))) for i, kd in scaled]
+        return [(i, kd, _shift_weights(t, tri.keys[i])) for i, kd in scaled]
 
     @functools.cache
     def table(t, r) -> list:
@@ -306,47 +257,41 @@ def _schur_row(lam, fam: dict) -> dict:
     return row
 
 
-def _powers(base, k: int) -> list:
-    """[base^0, ..., base^k], each power one product from the last."""
-    out = [base**0]
-    for _ in range(k):
-        out.append(out[-1] * base)
-    return out
-
-
-def _row_weights(row: dict, level: int, D: int, x1, x2, h):
+def _row_weights(row: dict, level: int, D: int):
     """Yield (e, d, w) for every step q^e -> q^d of the operator
     sum_t row[t] h^{level-|t|} frakD_t with a nonzero weight
 
-        w = sum_t row[t][d - e] (x1 + e1 h)^t1 (x2 + e2 h)^t2 h^{level-|t|},
+        sum_t row[t][d - e] (x1 + e1 h)^t1 (x2 + e2 h)^t2 h^{level-|t|}
+            = sum_a w[a] x^a h^{level-|a|},
 
-    computed in the type of x1, x2 and h from one table of powers per
-    factor, and only for the t that reach some q^d."""
-    hpow = _powers(h, level)
+    w mapping a to its exact coefficient, an int where integral.  The
+    weight is homogeneous of degree `level`, so w is also its x-expansion
+    at h = 1, where x + e h becomes x + e."""
     for e in [(e1, tot - e1) for tot in range(D + 1) for e1 in range(tot + 1)]:
-        reach = D - e[0] - e[1]
-        live = [t for t, u in row.items() if any(k1 + k2 <= reach for k1, k2 in u.coeffs)]
-        if not live:
-            continue
-        pow1 = _powers(x1 + h * e[0], max(t[0] for t in live))
-        pow2 = _powers(x2 + h * e[1], max(t[1] for t in live))
-        shifted = {t: pow1[t[0]] * pow2[t[1]] * hpow[level - t[0] - t[1]] for t in live}
         for d in [(d1, d2) for d1 in range(e[0], D + 1) for d2 in range(e[1], D + 1 - d1)]:
-            w = None
-            for t in live:
-                c = row[t].get((d[0] - e[0], d[1] - e[1]))
+            w: dict = {}
+            for t, u in row.items():
+                c = u.coeffs.get((d[0] - e[0], d[1] - e[1]))
                 if c:
-                    w = shifted[t] * c if w is None else w + shifted[t] * c
-            if w is not None:
+                    c = _exact(c)
+                    for a, s in _shift_weights(t, e):
+                        w[a] = w.get(a, 0) + c * s
+            w = {a: _exact(v) for a, v in w.items() if v}
+            if w:
                 yield e, d, w
 
 
-def build_barD_normalized(lam, K: HyperSeries, fam: dict) -> HyperSeries:
-    """Bar transform of the Schur combination of normalized operators."""
+def build_barD_normalized(lam, K: HyperSeries | LadderImage, fam: dict) -> HyperSeries | LadderImage:
+    """Bar transform of the Schur combination of normalized operators, on
+    a ladder series or, at zero weights, on its h = 1 image."""
+    level = lam[0] + lam[1]
+    steps = _row_weights(_schur_row(lam, fam), level, K.D)
+    if isinstance(K, LadderImage):
+        return _bar_image(K, level, steps)
     c1, c2 = K.den_chains
     combo: dict = {}
-    steps = _row_weights(_schur_row(lam, fam), lam[0] + lam[1], K.D, _x("x1"), _x("x2"), _x("h"))
     for e, d, w in steps:
+        w = SparsePoly(V3, {(a[0], a[1], level - a[0] - a[1]): v for a, v in w.items()})
         cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
         term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
         combo[d] = combo[d] + term if d in combo else term
@@ -354,22 +299,50 @@ def build_barD_normalized(lam, K: HyperSeries, fam: dict) -> HyperSeries:
     return bar_assemble(F)
 
 
-def class_extract(ser: QSeries, n: int, kmax: int, depth: int) -> dict:
+def _bar_image(K: LadderImage, level: int, steps) -> LadderImage:
+    """The Schur combination and its bar transform on h = 1 images: the
+    weights of the steps from q^e into bar degree m are summed first, as
+    W0 = sum w and W1 = sum (d1 - d2) w over the targets d with |d| = m."""
+    tri = K.tri
+    sums: dict = {}
+    for e, d, w in steps:
+        W0, W1 = sums.setdefault((e, d[0] + d[1]), ([0] * tri.size, [0] * tri.size))
+        for a, v in w.items():
+            W0[tri.index[a]] += v
+            W1[tri.index[a]] += (d[0] - d[1]) * v
+    return K.bar(sums, level)
+
+
+def class_extract(F: HyperSeries | LadderImage, n: int, kmax: int, depth: int) -> dict:
     """The class map on a one-q series: x-expand every coefficient,
     Schur-reduce each graded piece into the box basis, and Laurent-expand
-    the h-coefficients.  Returns (r, jindex) -> QSeries of expansions."""
+    the h-coefficients to `depth`.  On the h = 1 image of a zero-weight
+    series, a coefficient homogeneous of degree deg has x-degree-r part
+    c(x) h^(deg-r), so each expansion is that one exact term.  Returns
+    (r, jindex) -> QSeries of expansions."""
     out: dict = {}
-    for key, f in ser.coeffs.items():
-        xc = x_coefficients(f, kmax)
-        for r in range(kmax + 1):
-            vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
-            if not vals:
-                continue
-            for lam, v in graded_to_schur(vals, r).items():
-                if lam[0] <= n - 2:
-                    jidx = partitions_of_degree(n, r).index(lam)
-                    out.setdefault((r, jidx), {})[key] = _h_expand(v, depth)
-    return {rj: QSeries(1, ser.trunc_q, comp) for rj, comp in sorted(out.items())}
+    if isinstance(F, LadderImage):
+        keys = _triangle(2, kmax).keys
+        for key in F.num_parts:
+            deg, X, g = F.x_expansion(key, kmax)
+            _schur_classes(out, key, {e: v for e, v in zip(keys, X) if v}, n, kmax,
+                           lambda v, r: LaurentExpansion({deg - r: Fraction(v, g)}, None))
+    else:
+        for key, f in F.series().coeffs.items():
+            _schur_classes(out, key, x_coefficients(f, kmax), n, kmax, lambda v, r: _h_expand(v, depth))
+    return {rj: QSeries(1, F.D, comp) for rj, comp in sorted(out.items())}
+
+
+def _schur_classes(out: dict, key, xc: dict, n: int, kmax: int, expand) -> None:
+    """out[(r, j)][key] = expand(v, r) for the Schur components v inside
+    the box of each graded piece of the x-expansion xc."""
+    for r in range(kmax + 1):
+        vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
+        if not vals:
+            continue
+        for lam, v in graded_to_schur(vals, r).items():
+            if lam[0] <= n - 2:
+                out.setdefault((r, partitions_of_degree(n, r).index(lam)), {})[key] = expand(v, r)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +355,16 @@ class GammaPipeline:
     """Everything derived from one ladder series: the operator family, the
     inverses of the degree-k endomorphisms, the expansion tables, structure
     coefficients, and the classes of the assembled basis-weighted series.
-    The series themselves, `calD` and `ygamma`, are formed when read."""
+    The series themselves, `barD`, `calD` and `ygamma`, are formed when
+    read; at zero weights `bars` holds the h = 1 images they restore."""
 
     kind: str
     n: int
     a: CISpec
     alphas: tuple | None
     D: int
-    K: HyperSeries = None
     family: dict = field(default_factory=dict)  # p -> {t: U[p][t]}, see frakD_family_normalized
-    barD: dict = field(default_factory=dict)  # lam -> HyperSeries (1q)
+    bars: dict = field(default_factory=dict)  # lam -> the bar series, HyperSeries or LadderImage (1q)
     Jinv: dict = field(default_factory=dict)  # k -> inverse of the degree-k endomorphism matrix
     J_certified: dict = field(default_factory=dict)
     opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
@@ -408,6 +381,17 @@ class GammaPipeline:
         return self.n * self.D + self.kmax + 2
 
     @functools.cached_property
+    def K(self) -> HyperSeries:
+        """The two-variable ladder series, trivariate."""
+        return build_K(self.kind, self.n, self.a, self.alphas, self.D, xtrunc=self.kmax + 1)
+
+    @functools.cached_property
+    def barD(self) -> dict:
+        """lam -> the bar series as a HyperSeries (1q)."""
+        return {lam: bar.restore(self.K.den_chains) if isinstance(bar, LadderImage) else bar
+                for lam, bar in self.bars.items()}
+
+    @functools.cached_property
     def calD(self) -> dict:
         """(k, i) -> the normalized operator series, a QSeries of RatFunc."""
         return _normalized(self, {lam: bar.series() for lam, bar in self.barD.items()})
@@ -415,7 +399,7 @@ class GammaPipeline:
     @functools.cached_property
     def ygamma(self) -> dict:
         """lam -> the basis-weighted series, a QSeries of RatFunc."""
-        return _assembled(self, self.calD, RatFunc(_x("h")))
+        return _assembled(self, self.calD, RatFunc(SparsePoly.variable(V3, "h")))
 
 
 def _h_coeff(ser: QSeries, e: int, tri: _Triangle) -> list:
@@ -436,14 +420,16 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     pipe = GammaPipeline(kind=kind, n=n, a=a,
                          alphas=tuple(alphas) if alphas is not None else None, D=D)
     kmax = pipe.kmax
-    pipe.K = build_K(kind, n, a, alphas, D, xtrunc=kmax + 1)
+    # at zero weights the family, the bar series and their classes run on
+    # the h = 1 image of the ladder series
+    K = pipe.K if alphas is not None else LadderImage.ladder(kind, n, a, D, kmax + 1)
     parts = box_partitions(n)
-    pipe.family = frakD_family_normalized(pipe.K, kmax)
+    pipe.family = frakD_family_normalized(K, kmax)
     for lam in parts:
-        pipe.barD[lam] = build_barD_normalized(lam, pipe.K, pipe.family)
+        pipe.bars[lam] = build_barD_normalized(lam, K, pipe.family)
     # the class map is linear, so it runs once per bar series; kmax extra
     # orders cover the h^(k-t-s) weights of the assembly
-    bar_cls = {lam: class_extract(pipe.barD[lam].series(), n, kmax, pipe.depth + kmax) for lam in parts}
+    bar_cls = {lam: class_extract(pipe.bars[lam], n, kmax, pipe.depth + kmax) for lam in parts}
     comps = [(r, j) for r, j, _ in _basis(n, kmax)]
     zero = QSeries(1, D)
     tri = _triangle(1, D)
@@ -601,15 +587,18 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
         raise ValueError("fixed-point evaluation needs concrete weights")
     xi, xj = pipe.alphas[i - 1], pipe.alphas[j - 1]
     K = k_series_evaluated(pipe.kind, pipe.n, pipe.a, pipe.alphas, i, j, pipe.D)
-    x1, x2, h = HRat.poly((xi,)), HRat.poly((xj,)), HRat.poly((0, 1))
     barD = {}
     for lam in box_partitions(pipe.n):
         combo: dict = {}
-        for e, d, w in _row_weights(_schur_row(lam, pipe.family), lam[0] + lam[1], pipe.D, x1, x2, h):
-            term = K.get(e) * w
+        level = lam[0] + lam[1]
+        for e, d, w in _row_weights(_schur_row(lam, pipe.family), level, pipe.D):
+            at_point = [0] * (level + 1)  # ascending in h
+            for a, v in w.items():
+                at_point[level - a[0] - a[1]] += v * xi ** a[0] * xj ** a[1]
+            term = K.get(e) * HRat.poly(at_point)
             combo[d] = combo[d] + term if d in combo else term
         barD[lam] = bar_evaluated(QSeries(2, pipe.D, combo), xi - xj)
-    return _assembled(pipe, _normalized(pipe, barD), h)
+    return _assembled(pipe, _normalized(pipe, barD), HRat.poly((0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +606,19 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline) -> dict:
+def orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPipeline, table: dict | None = None) -> dict:
     """The double-series numerator at (h1, h2) = (h, -h), reduced in
     H* (x) H*: it must equal the diagonal tensor at q^0 and vanish at every
-    positive q-degree.  Each entry of `assemble_double_J` is summed as
-    sum v h^e1 (-h)^e2, which needs the exact classes of zero weights."""
+    positive q-degree.  Each entry of `assemble_double_J` (the pair's
+    `table`, built here when not given) is summed as sum v h^e1 (-h)^e2,
+    which needs the exact classes of zero weights."""
     if pipe_dot.alphas is not None or pipe_ddot.alphas is not None:
         raise ValueError("orthogonality_check needs zero-weight pipelines; "
                          "equivariant_orthogonality_check takes weights")
+    if table is None:
+        table = assemble_double_J(pipe_dot, pipe_ddot)
     failures = []
-    for d, entries in assemble_double_J(pipe_dot, pipe_ddot).items():
+    for d, entries in table.items():
         want = diagonal(pipe_dot.n) if d == 0 else {}
         for key in sorted(entries.keys() | want.keys()):
             at_h = {}

@@ -1,6 +1,8 @@
 """Truncated series: Laurent expansions in h^-1, truncated power series in
-one or two q variables, and x-adic expansion of rational functions
-around x = 0.
+one or two q variables, x-adic expansion of rational functions around
+x = 0, and flat-list arithmetic for series in two variables truncated in
+total degree (`_Triangle`: q-series of the operator layer, and h = 1
+images of ladder numerators over x-triangles).
 
 A Laurent expansion stores finitely many positive powers of h and
 negative powers down to h^(-depth+1); ``depth=None`` marks an exact
@@ -411,3 +413,97 @@ def _graded_keys(arity: int, trunc_q: int):
     if arity == 2:
         return [(d1, d - d1) for d in range(trunc_q + 1) for d1 in range(d + 1)]
     raise ValueError("q arity must be 1 or 2")
+
+
+# ---------------------------------------------------------------------------
+# scalar series as flat lists
+#
+# A series in one or two variables truncated at total degree D is a list
+# over its graded triangle of exponents.  A value enters as an int when it
+# is integral and stays a Fraction
+# otherwise; Python's numeric tower keeps mixed arithmetic exact, so
+# generic weights take the same code as zero weights.
+# ---------------------------------------------------------------------------
+
+
+def _exact(v):
+    """v as an int when it is integral; otherwise v itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
+class _Triangle:
+    """List arithmetic for scalar series in `arity` variables truncated at
+    total degree D: slot i holds the coefficient of the monomial with
+    exponents keys[i]."""
+
+    def __init__(self, arity: int, D: int):
+        self.arity, self.D = arity, D
+        self.keys = _graded_keys(arity, D)
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self.size = len(self.keys)
+        # pairs[i]: (j, k) for every slot j with keys[i] + keys[j] = keys[k]
+        self.pairs = [
+            [(j, self.index[tuple(a + b for a, b in zip(ki, kj))])
+             for j, kj in enumerate(self.keys) if sum(ki) + sum(kj) <= D]
+            for ki in self.keys
+        ]
+
+    def one(self) -> list:
+        return [1] + [0] * (self.size - 1)
+
+    def mul(self, x: list, y: list) -> list:
+        acc = [0] * self.size
+        self.mul_into(acc, x, y)
+        return acc
+
+    def inverse(self, x: list) -> tuple[list, int]:
+        """(N, g) with N / g the inverse of the series x, whose constant
+        term c is a nonzero int, and g = c^(D+1): the coefficient at slot k
+        has denominator dividing c^(deg k + 1), so N is integral when x is.
+        One recurrence, c N[k] = -sum_{i != 0} x[i] N[k - i]."""
+        c = x[0]
+        N, acc = [0] * self.size, [0] * self.size
+        for k, pairs in enumerate(self.pairs):
+            v = N[k] = c**self.D if k == 0 else _exact(Fraction(-acc[k], c))
+            if v:
+                for i, m in pairs:
+                    if i and x[i]:
+                        acc[m] += x[i] * v
+        return N, c ** (self.D + 1)
+
+    def identity(self, size: int) -> list:
+        return [[self.one() if i == j else [0] * self.size for j in range(size)] for i in range(size)]
+
+    def mul_into(self, acc: list, x: list, y: list) -> None:
+        """acc += x y, in place."""
+        for xi, pairs in zip(x, self.pairs):
+            if xi:
+                for j, k in pairs:
+                    yj = y[j]
+                    if yj:
+                        acc[k] += xi * yj
+
+    def mat_mul(self, A, B, C=None) -> list:
+        """A B (+ C) for matrices of series lists; zero entries of A are
+        skipped."""
+        rows = [[(l, a) for l, a in enumerate(row) if any(a)] for row in A]
+        out = []
+        for i, row in enumerate(rows):
+            out.append([])
+            for j in range(len(B[0])):
+                acc = list(C[i][j]) if C is not None else [0] * self.size
+                for l, a in row:
+                    self.mul_into(acc, a, B[l][j])
+                out[i].append(acc)
+        return out
+
+    def from_series(self, ser: QSeries) -> list:
+        return [_exact(ser.coeffs[key]) if key in ser.coeffs else 0 for key in self.keys]
+
+    def series(self, x: list) -> QSeries:
+        return QSeries(self.arity, self.D, {key: Fraction(v) for key, v in zip(self.keys, x) if v})
+
+
+@functools.cache
+def _triangle(arity: int, D: int) -> _Triangle:
+    return _Triangle(arity, D)

@@ -348,6 +348,26 @@ def test_one_pipeline_pair_per_command(capsys, monkeypatch, argv):
     assert sorted(kinds) == ["ddot", "dot"], argv
 
 
+def test_double_j_builds_its_table_once(capsys, monkeypatch):
+    # the orthogonality verdict of double-j reads the table of the payload;
+    # the check is counted wherever it looks the assembly up
+    import qgr.cli
+    import qgr.operators
+
+    calls = []
+    assemble = qgr.operators.assemble_double_J
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(qgr.cli, "assemble_double_J", counted)
+    monkeypatch.setattr(qgr.operators, "assemble_double_J", counted)
+    assert run(["double-j", "--n", "3", "--a", "1", "--qdeg", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["orthogonality"] is True
+    assert len(calls) == 1
+
+
 def test_internal_fault_exit_3(capsys, monkeypatch):
     import qgr.cli
 

@@ -342,6 +342,8 @@ def test_shared_numerators_match_per_key_route(n, a, D, generic):
 
 
 def test_bar_of_operator_combos_matches_per_key_route(monkeypatch):
+    # the trivariate bar transform of operator combinations; at zero
+    # weights the pipeline transforms h = 1 images instead
     import qgr.operators
 
     inputs = []
@@ -352,7 +354,7 @@ def test_bar_of_operator_combos_matches_per_key_route(monkeypatch):
         return real(F)
 
     monkeypatch.setattr(qgr.operators, "bar_assemble", recorded)
-    build_pipeline("dot", 4, CISpec((2,)), None, 2)
+    build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
     assert len(inputs) == 6
     for F in inputs:
         _assert_same_parts(bar_assemble(F), _ref_bar_assemble(F))

@@ -10,10 +10,11 @@ from qgr.cohomology import (
     box_partitions,
     default_generic_alpha,
     diagonal,
+    graded_to_schur,
     partitions_of_degree,
     schur_poly,
 )
-from qgr.hyper import AMatrixSpec, CISpec, bar_assemble, build_A, build_K
+from qgr.hyper import AMatrixSpec, CISpec, HyperSeries, LadderImage, bar_assemble, build_A, build_K
 from qgr.operators import (
     _normalized,
     _shift_weights,
@@ -549,12 +550,119 @@ def test_y_gamma_evaluated_matches_trivariate():
                 assert ev[lam].get((0,)) == schur_poly(lam).eval_all(pt)
 
 
+# The trivariate route of the zero-weight pipeline, kept verbatim as an
+# oracle for the h = 1 route: operator weights as powers of trivariate
+# polynomials, the bar transform of their products with the ladder
+# numerators, and the class map through x_coefficients and h-expansion.
+
+
+def _ref_powers(base, k: int) -> list:
+    """[base^0, ..., base^k], each power one product from the last."""
+    out = [base**0]
+    for _ in range(k):
+        out.append(out[-1] * base)
+    return out
+
+
+def _ref_row_weights(row: dict, level: int, D: int, x1, x2, h):
+    """Yield (e, d, w) for every step q^e -> q^d of the operator
+    sum_t row[t] h^{level-|t|} frakD_t with a nonzero weight
+
+        w = sum_t row[t][d - e] (x1 + e1 h)^t1 (x2 + e2 h)^t2 h^{level-|t|},
+
+    computed in the type of x1, x2 and h from one table of powers per
+    factor, and only for the t that reach some q^d."""
+    hpow = _ref_powers(h, level)
+    for e in [(e1, tot - e1) for tot in range(D + 1) for e1 in range(tot + 1)]:
+        reach = D - e[0] - e[1]
+        live = [t for t, u in row.items() if any(k1 + k2 <= reach for k1, k2 in u.coeffs)]
+        if not live:
+            continue
+        pow1 = _ref_powers(x1 + h * e[0], max(t[0] for t in live))
+        pow2 = _ref_powers(x2 + h * e[1], max(t[1] for t in live))
+        shifted = {t: pow1[t[0]] * pow2[t[1]] * hpow[level - t[0] - t[1]] for t in live}
+        for d in [(d1, d2) for d1 in range(e[0], D + 1) for d2 in range(e[1], D + 1 - d1)]:
+            w = None
+            for t in live:
+                c = row[t].get((d[0] - e[0], d[1] - e[1]))
+                if c:
+                    w = shifted[t] * c if w is None else w + shifted[t] * c
+            if w is not None:
+                yield e, d, w
+
+
+def _ref_build_barD_normalized(lam, K, fam: dict):
+    """Bar transform of the Schur combination of normalized operators."""
+    c1, c2 = K.den_chains
+    combo: dict = {}
+    steps = _ref_row_weights(operators._schur_row(lam, fam), lam[0] + lam[1], K.D, x1, x2, h)
+    for e, d, w in steps:
+        cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
+        term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
+        combo[d] = combo[d] + term if d in combo else term
+    F = HyperSeries(n=K.n, D=K.D, den_chains=K.den_chains, num_parts=combo, xtrunc=K.xtrunc)
+    return bar_assemble(F)
+
+
+def _ref_class_extract(ser: QSeries, n: int, kmax: int, depth: int) -> dict:
+    """The class map on a one-q series: x-expand every coefficient,
+    Schur-reduce each graded piece into the box basis, and Laurent-expand
+    the h-coefficients.  Returns (r, jindex) -> QSeries of expansions."""
+    out: dict = {}
+    for key, f in ser.coeffs.items():
+        xc = x_coefficients(f, kmax)
+        for r in range(kmax + 1):
+            vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
+            if not vals:
+                continue
+            for lam, v in graded_to_schur(vals, r).items():
+                if lam[0] <= n - 2:
+                    jidx = partitions_of_degree(n, r).index(lam)
+                    out.setdefault((r, jidx), {})[key] = operators._h_expand(v, depth)
+    return {rj: QSeries(1, ser.trunc_q, comp) for rj, comp in sorted(out.items())}
+
+
+@pytest.mark.parametrize("n,a,D", [(3, (), 3), (3, (3,), 3), (4, (2,), 2), (5, (5,), 2), (6, (3, 3), 2)])
+def test_h1_route_matches_trivariate_route(n, a, D, monkeypatch):
+    # the zero-weight pipeline on h = 1 images against the same pipeline
+    # with the trivariate family, bar transform and class map: family, bar
+    # class tables, restored bar numerators and every table downstream
+    fractional = False
+    for kind in ("dot", "ddot"):
+        pipe = build_pipeline(kind, n, CISpec(a), None, D)
+        monkeypatch.setattr(LadderImage, "ladder",
+                            lambda kind, n, a, D, xtrunc: build_K(kind, n, a, None, D, xtrunc))
+        monkeypatch.setattr(operators, "build_barD_normalized", _ref_build_barD_normalized)
+        monkeypatch.setattr(operators, "class_extract",
+                            lambda F, n, kmax, depth: _ref_class_extract(F.series(), n, kmax, depth))
+        ref = build_pipeline(kind, n, CISpec(a), None, D)
+        monkeypatch.undo()
+        assert all(isinstance(bar, LadderImage) for bar in pipe.bars.values())
+        ladder = LadderImage.ladder(kind, n, CISpec(a), D, pipe.kmax + 1)
+        assert ladder.restore(ref.K.den_chains).num_parts == ref.K.num_parts, kind
+        assert pipe.family == ref.family, kind
+        depth = pipe.depth + pipe.kmax
+        for lam in box_partitions(n):
+            got = class_extract(pipe.bars[lam], n, pipe.kmax, depth)
+            want = _ref_class_extract(ref.bars[lam].series(), n, pipe.kmax, depth)
+            assert {rj: ser.coeffs for rj, ser in got.items()} == {rj: ser.coeffs for rj, ser in want.items()}
+            bar = pipe.barD[lam]
+            assert bar.num_parts == ref.bars[lam].num_parts and bar.xtrunc == ref.bars[lam].xtrunc, (kind, lam)
+        assert pipe.classes == ref.classes, kind
+        assert (pipe.opexp, pipe.structC, pipe.Jinv) == (ref.opexp, ref.structC, ref.Jinv), kind
+        fractional |= any(v.denominator != 1 for tab in pipe.opexp.values()
+                          for ser in tab.values() for v in ser.coeffs.values())
+    # (5, (5,)) has non-integral expansion tables, so the int-while-integral
+    # rule meets Fractions there
+    assert fractional or (n, a) != (5, (5,))
+
+
 def _coefficient_classes(pipe, ser) -> dict:
     """d -> {(r, j) -> expansion}: the class map run on each single
     q-coefficient of a series of RatFunc, at the pipeline depth."""
     out = {d: {} for d in range(pipe.D + 1)}
     for (d,), v in ser.coeffs.items():
-        for rj, cls in class_extract(QSeries(1, pipe.D, {(d,): v}), pipe.n, pipe.kmax, pipe.depth).items():
+        for rj, cls in _ref_class_extract(QSeries(1, pipe.D, {(d,): v}), pipe.n, pipe.kmax, pipe.depth).items():
             out[d][rj] = cls.get((d,))
     return out
 
@@ -610,7 +718,8 @@ def test_pipeline_shares_x_inverse(monkeypatch):
     # Regression guard by count: the pipeline expands the bar series of
     # every box class over the same few ladder denominators, so each
     # (denominator, order) inverse must be computed once and then reused.
-    # Without the memo every call is a miss.
+    # Without the memo every call is a miss.  At zero weights the pipeline
+    # expands h = 1 images instead and never calls x_coefficients.
     import qgr.operators
     from qgr.series import _x_inverse
 
@@ -621,8 +730,10 @@ def test_pipeline_shares_x_inverse(monkeypatch):
         return x_coefficients(f, max_x_degree)
 
     monkeypatch.setattr(qgr.operators, "x_coefficients", counted)
-    _x_inverse.cache_clear()
     build_pipeline("dot", 4, CISpec((2,)), None, 2)
+    assert seen == []
+    _x_inverse.cache_clear()
+    build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
     misses = _x_inverse.cache_info().misses
     assert misses == len(set(seen)) < len(seen), (misses, len(set(seen)), len(seen))
 

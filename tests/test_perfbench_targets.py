@@ -114,14 +114,24 @@ def test_golden_cases_call_every_trace_target():
 
 
 # The symbolic benchmark jobs that draw no input, and the drawn y-gamma
-# jobs at one class each: the golden digests stop at n = 3, so these are
-# the tier-1 view of the n = 4 operator pipeline.
+# and ydd-gamma jobs at every class they draw from: the golden digests stop
+# at n = 3, so these are the tier-1 view of the n = 4 operator pipeline.
 _SYMBOLIC_N4 = (
     ["double-j", "--n", "4", "--a", "2", "--qdeg", "3"],
     ["double-j", "--n", "4", "--a", "4", "--qdeg", "2"],
     ["verify", "--suite", "operator-norms", "--n", "4", "--a", "2", "--qdeg", "2"],
     ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "2", "--j", "1"],
     ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "3", "--j", "0"],
+    ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "0", "--j", "0"],
+    ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "1", "--j", "0"],
+    ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "2", "--j", "0"],
+    ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "3", "--j", "0"],
+    ["series", "--kind", "y-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "4", "--j", "0"],
+    ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "0", "--j", "0"],
+    ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "1", "--j", "0"],
+    ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "2", "--j", "0"],
+    ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "2", "--j", "1"],
+    ["series", "--kind", "ydd-gamma", "--n", "4", "--a", "4", "--qdeg", "2", "--k", "4", "--j", "0"],
 )
 
 # closedform benchmark jobs at one drawn input each: they divide in

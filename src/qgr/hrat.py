@@ -1,14 +1,17 @@
 """Rational functions of h alone with a factored denominator: the values
 of every series evaluated at a torus fixed point.
 
-A value is num(h) / prod_r (h - r)^m, stored as the dense ascending
-Fraction coefficients of num and the monic denominator as a
-{root: multiplicity} map.  At a fixed point every denominator splits over
-0 and the recursion points (alpha_k - alpha_j)/d, so a sum goes through
-the lcm of the two root multisets and a product merges them, with no
-polynomial gcd.  Common factors are cancelled lazily, by synthetic
-division at the stored roots, only where a value is tested, evaluated at
-one of its roots, or printed.
+A value is N(h) / (g prod_r (h - r)^m): the dense ascending int
+coefficients of N, one int g > 0 with gcd(g, N) = 1, and the roots
+r = p/q of the monic denominator as reduced int pairs (p, q), q > 0,
+mapped to their multiplicities.  At a fixed point every denominator
+splits over 0 and the recursion points (alpha_k - alpha_j)/d, so a sum
+goes through the lcm of the two root multisets and a product merges them,
+with no polynomial gcd.  Lifting by a root multiplies N by q h - p and g
+by q, so all arithmetic runs on ints; a Fraction is built only where a
+value leaves the type.  Common factors are cancelled lazily, by exact
+integer deflation at the stored roots, only where a value is tested,
+evaluated at one of its roots, or printed.
 
 Values are immutable after construction.
 """
@@ -18,84 +21,85 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rings import RatFunc, SparsePoly, _deflate_once, _trim, poly_from_coeffs
-
-_ZERO = Fraction(0)
+from .rings import RatFunc, SparsePoly, poly_from_coeffs
 
 
-def _ints(c: list, roots=()) -> tuple[list, int]:
-    """Integer coefficients and their common denominator for
-    c(h) * prod (h - r)^m over the (r, m) pairs; h - p/q = (q h - p)/q."""
-    den = math.lcm(*(x.denominator for x in c))
-    ints = [x.numerator * (den // x.denominator) for x in c]
-    for r, m in roots:
-        p, q = r.numerator, r.denominator
+def _lift(c: list, g: int, roots) -> tuple[list, int]:
+    """c/g times prod (h - p/q)^m over the ((p, q), m) pairs, as
+    (c prod (q h - p)^m, g prod q^m)."""
+    for (p, q), m in roots:
         for _ in range(m):
-            out = [-p * ints[0]]
-            out.extend(q * ints[i - 1] - p * ints[i] for i in range(1, len(ints)))
-            out.append(q * ints[-1])
-            ints = out
-        den *= q**m
-    return ints, den
+            c = [-p * c[0], *[q * x - p * y for x, y in zip(c, c[1:])], q * c[-1]]
+        g *= q**m
+    return c, g
 
 
-def _fractions(ints: list, den: int) -> list:
-    return _trim([Fraction(x, den) for x in ints])
+def _reduced(c: list, g: int, roots: dict) -> "HRat":
+    """c/g over `roots`, c a fresh list, with its trailing zeros and common factor removed."""
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return HRat([], 1, {})
+    k = math.gcd(g, *c)
+    if k > 1:
+        c, g = [x // k for x in c], g // k
+    return HRat(c, g, roots)
 
 
-def _conv(a: list, b: list) -> list:
-    """Product of two nonzero coefficient lists."""
-    (ia, da), (ib, db) = _ints(a), _ints(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(ia):
-        if x:
-            for j, y in enumerate(ib):
-                out[i + j] += x * y
-    return _fractions(out, da * db)
+def _deflate(c: list, p: int, q: int):
+    """c / (q h - p), or None unless exact: by Gauss's lemma the quotient by
+    a factor is integral, so a nonzero remainder at any step means none."""
+    if len(c) < 2:
+        return None
+    out, r = [0] * (len(c) - 1), c[-1]
+    for i in range(len(c) - 2, -1, -1):
+        out[i], rem = divmod(r, q)
+        if rem:
+            return None
+        r = c[i] + p * out[i]
+    return None if r else out
 
 
 class HRat:
-    """num(h) / prod_r (h - r)^m over Q; see the module docstring.
+    """N(h) / (g prod (h - p/q)^m) over Q, as in the module docstring:
+    `coeffs` holds N with no trailing zero (empty for zero, which has g = 1
+    and no roots), `denom` holds g, and `roots` maps each (p, q) to m."""
 
-    `coeffs` is the ascending coefficient list of num with no trailing
-    zero (empty for the zero value, which has no roots); `roots` maps each
-    denominator root to its multiplicity.
-    """
+    __slots__ = ("coeffs", "denom", "roots")
 
-    __slots__ = ("coeffs", "roots")
-
-    def __init__(self, coeffs: list, roots: dict):
-        self.coeffs = coeffs
+    def __init__(self, coeffs: list, denom: int, roots: dict):
+        self.coeffs, self.denom = coeffs, denom
         self.roots = roots if coeffs else {}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def poly(cls, coeffs) -> "HRat":
-        """The polynomial with these ascending coefficients."""
-        return cls(_trim([Fraction(c) for c in coeffs]), {})
+        """The polynomial with these ascending int or Fraction coefficients."""
+        g = math.lcm(*(c.denominator for c in coeffs))
+        return _reduced([c.numerator * (g // c.denominator) for c in coeffs], g, {})
 
     @classmethod
     def pole(cls, r, c=1) -> "HRat":
         """c / (h - r)."""
-        return cls(_trim([Fraction(c)]), {Fraction(r): 1})
+        v = cls.poly((c,))
+        return cls(v.coeffs, v.denom, {r.as_integer_ratio(): 1})
 
     @classmethod
     def convert(cls, v) -> "HRat":
         """An HRat as itself, a Fraction or int as a constant HRat."""
-        if isinstance(v, HRat):
-            return v
-        return cls.poly((v,))
+        return v if isinstance(v, HRat) else cls.poly((v,))
 
-    # -- views (read-only SparsePoly over ("h",), as stored) ----------
+    # -- views: N/g and the monic denominator as SparsePoly over ("h",) --
 
     @property
     def num(self) -> SparsePoly:
-        return poly_from_coeffs(self.coeffs, "h")
+        return poly_from_coeffs([Fraction(x, self.denom) for x in self.coeffs], "h")
 
     @property
     def den(self) -> SparsePoly:
-        return poly_from_coeffs(_fractions(*_ints([Fraction(1)], self.roots.items())), "h")
+        c, g = _lift([1], 1, self.roots.items())
+        return poly_from_coeffs([Fraction(x, g) for x in c], "h")
 
     # -- queries ------------------------------------------------------
 
@@ -114,7 +118,7 @@ class HRat:
     # -- arithmetic ---------------------------------------------------
 
     def __neg__(self) -> "HRat":
-        return HRat([-c for c in self.coeffs], self.roots)
+        return HRat([-x for x in self.coeffs], self.denom, self.roots)
 
     def __add__(self, other) -> "HRat":
         if isinstance(other, (int, Fraction)):
@@ -126,9 +130,9 @@ class HRat:
         if not self.coeffs:
             return other
         ra, rb = self.roots, other.roots
-        roots, extra_a, extra_b = ra, [], []
+        (ia, ga), (ib, gb), roots = (self.coeffs, self.denom), (other.coeffs, other.denom), ra
         if ra != rb:
-            roots = dict(ra)
+            roots, extra_a, extra_b = dict(ra), [], []
             for r, m in rb.items():
                 ma = ra.get(r, 0)
                 if m > ma:
@@ -137,15 +141,15 @@ class HRat:
                 elif ma > m:
                     extra_b.append((r, ma - m))
             extra_b.extend((r, m) for r, m in ra.items() if r not in rb)
-        (ia, da), (ib, db) = _ints(self.coeffs, extra_a), _ints(other.coeffs, extra_b)
-        den = math.lcm(da, db)
-        sa, sb = den // da, den // db
+            (ia, ga), (ib, gb) = _lift(ia, ga, extra_a), _lift(ib, gb, extra_b)
+        g = math.lcm(ga, gb)
+        sa, sb = g // ga, g // gb
         if len(ia) < len(ib):
             ia, ib, sa, sb = ib, ia, sb, sa
         out = [x * sa for x in ia]
         for i, y in enumerate(ib):
             out[i] += y * sb
-        return HRat(_fractions(out, den), roots)
+        return _reduced(out, g, roots)
 
     __radd__ = __add__
 
@@ -157,17 +161,21 @@ class HRat:
 
     def __mul__(self, other) -> "HRat":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return HRat([], {})
-            return HRat([c * other for c in self.coeffs], self.roots)
+            return _reduced([x * other.numerator for x in self.coeffs], self.denom * other.denominator, self.roots)
         if not isinstance(other, HRat):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return HRat([], {})
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return HRat([], 1, {})
         roots = dict(self.roots)
         for r, m in other.roots.items():
             roots[r] = roots.get(r, 0) + m
-        return HRat(_conv(self.coeffs, other.coeffs), roots)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _reduced(out, self.denom * other.denom, roots)
 
     __rmul__ = __mul__
 
@@ -180,38 +188,40 @@ class HRat:
     def flip_h(self) -> "HRat":
         """h -> -h: negate the roots; (-h - r)^m contributes (-1)^m."""
         sign = -1 if sum(self.roots.values()) % 2 else 1
-        c = [v * (-sign if i % 2 else sign) for i, v in enumerate(self.coeffs)]
-        return HRat(c, {-r: m for r, m in self.roots.items()})
+        c = [x * (-sign if i % 2 else sign) for i, x in enumerate(self.coeffs)]
+        return HRat(c, self.denom, {(-p, q): m for (p, q), m in self.roots.items()})
 
     # -- cancellation, evaluation, printing ---------------------------
 
     def cancel(self) -> "HRat":
-        """Divide out every factor (h - r) shared by num and the denominator."""
-        c = self.coeffs
-        roots = {}
-        for r, m in self.roots.items():
+        """Divide out every factor (h - p/q) shared by N and the
+        denominator: N = (q h - p) Q makes N / (h - p/q) = q Q."""
+        c, s, roots = self.coeffs, 1, {}
+        for (p, q), m in self.roots.items():
             k = 0
-            while k < m:
-                q = _deflate_once(c, r)
-                if q is None:
-                    break
-                c, k = q, k + 1
+            while k < m and (quot := _deflate(c, p, q)) is not None:
+                c, s, k = quot, s * q, k + 1
             if k < m:
-                roots[r] = m - k
-        return HRat(c, roots)
+                roots[(p, q)] = m - k
+        if c is self.coeffs:
+            return self
+        return _reduced([x * s for x in c], self.denom, roots)
 
     def at(self, w) -> Fraction:
         """The value at h = w; ZeroDivisionError if w is a pole."""
-        v = self.cancel() if w in self.roots else self
-        if w in v.roots:
+        pw, qw = w.numerator, w.denominator
+        v = self.cancel() if (pw, qw) in self.roots else self
+        if (pw, qw) in v.roots:
             raise ZeroDivisionError(f"pole at h={w}")
-        num = _ZERO
-        for c in reversed(v.coeffs):
-            num = num * w + c
-        den = Fraction(1)
-        for r, m in v.roots.items():
-            den *= (w - r) ** m
-        return num / den
+        # Horner leaves top = N(w) qw^deg and qk = qw^(deg + 1); w - p/q = (pw q - p qw) / (qw q)
+        top, qk = 0, 1
+        for x in reversed(v.coeffs):
+            top, qk = top * pw + x * qk, qk * qw
+        bot = v.denom * qk
+        for (p, q), m in v.roots.items():
+            top *= (qw * q) ** m
+            bot *= (pw * q - p * qw) ** m
+        return Fraction(top * qw, bot)
 
     def to_ratfunc(self) -> RatFunc:
         """The cancelled value as a gcd-reduced RatFunc: the printed form."""

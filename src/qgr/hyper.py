@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import NamedTuple
 
 from .hrat import HRat
@@ -76,6 +76,13 @@ class AMatrixSpec:
     def alpha(self, slot: int) -> tuple[Fraction, ...]:
         al = self.alpha1 if slot == 1 else self.alpha2
         return al if al is not None else (Fraction(0),) * self.n
+
+    @functools.cached_property
+    def int_alphas(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(L, L alpha1, L alpha2), L the least common denominator of the weights."""
+        a1, a2 = self.alpha(1), self.alpha(2)
+        L = lcm(*(Fraction(v).denominator for v in a1 + a2))
+        return L, tuple(int(v * L) for v in a1), tuple(int(v * L) for v in a2)
 
 
 def _xvar(name: str) -> SparsePoly:
@@ -491,14 +498,14 @@ def _inverse_ladder(alphas, i: int, D: int) -> list[HRat]:
     """1 / (ladder product B[d]) at x = alpha_i for d <= D: there the
     factor l is l^n prod_j (h - (alpha_j - alpha_i)/l), the j = i root
     being 0."""
-    out = [HRat.poly((1,))]
+    out, roots, g = [HRat.poly((1,))], {}, 1
     for l in range(1, D + 1):
-        prev = out[-1]
-        roots = dict(prev.roots)
+        roots = dict(roots)
         for aj in alphas:
-            r = Fraction(aj - alphas[i - 1], l)
+            r = Fraction(aj - alphas[i - 1], l).as_integer_ratio()
             roots[r] = roots.get(r, 0) + 1
-        out.append(HRat([prev.coeffs[0] / l ** len(alphas)], roots))
+        g *= l ** len(alphas)
+        out.append(HRat([1], g, roots))
     return out
 
 
@@ -550,29 +557,34 @@ def y_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: 
 
 
 def scr_coeff(kind: str, slot: int, i1: int, i2: int, k: int, d: int, spec: AMatrixSpec) -> Fraction:
-    """Two-variable ladder recursion coefficient for the given slot."""
-    a1 = spec.alpha(1)
-    a2 = spec.alpha(2)
-    al_s = a1 if slot == 1 else a2
-    i_s = i1 if slot == 1 else i2
+    """Two-variable ladder recursion coefficient for the given slot.  On
+    the int weights of `spec.int_alphas` every factor is an int over d L,
+    so the products run on ints and one Fraction is built."""
+    L, a1, a2 = spec.int_alphas
+    al_s, i_s = (a1, i1) if slot == 1 else (a2, i2)
     if k == i_s:
         raise ValueError("k must differ from the moving index")
-    step_base = al_s[k - 1] - al_s[i_s - 1]
-    num = Fraction(1)
-    for r, (ar1, ar2) in enumerate(spec.rows):
-        ars = (ar1, ar2)[slot - 1]
-        base = ar1 * a1[i1 - 1] + ar2 * a2[i2 - 1]
-        for l in _num_l_range(kind, ars * d):
-            num *= base + Fraction(l, d) * step_base
-    den = Fraction(d)
+    step = al_s[k - 1] - al_s[i_s - 1]
+    num = 1
+    for row in spec.rows:
+        base = d * (row[0] * a1[i1 - 1] + row[1] * a2[i2 - 1])
+        for l in _num_l_range(kind, row[slot - 1] * d):
+            num *= base + l * step
+    den = d
     for l in range(1, d + 1):
         for m in range(1, spec.n + 1):
-            if (l, m) == (d, k):
-                continue
-            den *= al_s[i_s - 1] - al_s[m - 1] + Fraction(l, d) * step_base
+            if (l, m) != (d, k):
+                den *= d * (al_s[i_s - 1] - al_s[m - 1]) + l * step
     if den == 0:
         raise ZeroDivisionError("recursion-coefficient denominator vanishes (non-generic alpha)")
-    return num / den
+    # d n - 1 denominator factors against d sum_r a_(r;slot) numerator factors
+    e = d * (spec.n - sum(row[slot - 1] for row in spec.rows)) - 1
+    return Fraction(num * (d * L) ** max(e, 0), den * (d * L) ** max(-e, 0))
+
+
+@functools.lru_cache(maxsize=16)
+def _equal_rows(alphas: tuple, rows: tuple) -> AMatrixSpec:
+    return AMatrixSpec(n=len(alphas), rows=rows, alpha1=alphas, alpha2=alphas)
 
 
 def c_coeff(kind: str, slot: int, i: int, j: int, k: int, d: int, alphas, a: CISpec) -> Fraction:
@@ -581,10 +593,7 @@ def c_coeff(kind: str, slot: int, i: int, j: int, k: int, d: int, alphas, a: CIS
     slot 2: the pole family moving j -> k; slot 1: moving i -> k.  The
     ladder coefficient is `scr_coeff` with equal rows and one weight family.
     """
-    al = tuple(Fraction(v) for v in alphas)
-    spec = AMatrixSpec(n=len(al), rows=a.rows, alpha1=al, alpha2=al)
-    if slot == 2:
-        factor = (al[i - 1] - al[k - 1]) / (al[i - 1] - al[j - 1])
-    else:
-        factor = (al[k - 1] - al[j - 1]) / (al[i - 1] - al[j - 1])
-    return Fraction(-1) ** d * factor * scr_coeff(kind, slot, i, j, k, d, spec)
+    spec = _equal_rows(tuple(alphas), a.rows)
+    al = spec.int_alphas[1]
+    factor = al[i - 1] - al[k - 1] if slot == 2 else al[k - 1] - al[j - 1]
+    return Fraction((-1) ** d * factor, al[i - 1] - al[j - 1]) * scr_coeff(kind, slot, i, j, k, d, spec)

@@ -538,19 +538,11 @@ def _divmod_linear(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], Fra
     return q, r
 
 
-def _deflate_once(a: list[Fraction], z0: Fraction):
-    """Synthetic division of ascending-coeff a by (z - z0); None unless exact."""
-    if len(a) < 2:
-        return None
-    q, r = _divmod_linear(a, z0)
-    return q if r == 0 else None
-
-
 def _deflate(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], int]:
     """Divide a by (z - z0) as often as possible; return (quotient, multiplicity)."""
     mult = 0
-    while (q := _deflate_once(a, z0)) is not None:
-        a, mult = q, mult + 1
+    while len(a) > 1 and (qr := _divmod_linear(a, z0))[1] == 0:
+        a, mult = qr[0], mult + 1
     return a, mult
 
 
@@ -629,12 +621,12 @@ class RatFunc:
         a, b = self, other
         if a.den == b.den:
             return RatFunc(a.num + b.num, a.den)
-        # opportunistic common denominator when one divides the other
-        q = b.den.divide_exact(a.den)
-        if q is not None:
+        # opportunistic common denominator when one divides the other; only
+        # a denominator of no smaller total degree can be the dividend
+        da, db = (max(map(sum, p.terms)) for p in (a.den, b.den))
+        if db >= da and (q := b.den.divide_exact(a.den)) is not None:
             return RatFunc(a.num * q + b.num, b.den)
-        q = a.den.divide_exact(b.den)
-        if q is not None:
+        if da >= db and (q := a.den.divide_exact(b.den)) is not None:
             return RatFunc(a.num + b.num * q, a.den)
         return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
 

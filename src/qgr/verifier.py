@@ -40,7 +40,8 @@ class RecursivityReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(e.ok for e in self.entries)
+        """Every entry passed, and there is at least one."""
+        return bool(self.entries) and all(e.ok for e in self.entries)
 
     def failures(self):
         return [e for e in self.entries if not e.ok]
@@ -66,7 +67,7 @@ def _check_entry(evals, pair, key, terms, diverge_note: str = "") -> Recursivity
     for w, s in residues.items():
         poles = poles + HRat.pole(w, s)
     R = (HRat.convert(evals[pair].get(key)) - poles).cancel()
-    ok = set(R.roots) <= {0}
+    ok = set(R.roots) <= {(0, 1)}
     note = "" if ok else f"remainder has non-monomial denominator {R.to_ratfunc().den.to_string()}"
     return RecursivityEntry(pair, key, R, ok, note)
 
@@ -138,6 +139,7 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
 @dataclass
 class PhiSeries:
     payload: QSeries  # keys (q-degree, z-degree); HRat values
+    n_pairs: int  # the fixed-point pairs summed; a zero pairing still counts
 
 
 def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int) -> PhiSeries:
@@ -183,19 +185,20 @@ def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int) -> Phi
         for key, s in acc.items():
             s = s * pref
             total[key] = s if key not in total else total[key] + s
-    return PhiSeries(QSeries(2, D + Nz, total))
+    return PhiSeries(QSeries(2, D + Nz, total), len(pairs))
 
 
 def check_mpc(phi: PhiSeries):
-    """True iff every (q, z)-coefficient is a polynomial in h: no root of
-    its denominator is left after cancellation.  Offenders are reported as
-    gcd-reduced RatFunc values."""
+    """True iff the pairing summed at least one fixed point and every
+    (q, z)-coefficient is a polynomial in h: no root of its denominator is
+    left after cancellation.  Offenders are reported as gcd-reduced RatFunc
+    values."""
     offenders = []
     for key, v in phi.payload.terms():
         v = v.cancel()
         if v.roots:
             offenders.append((key, v.to_ratfunc()))
-    return (not offenders), offenders
+    return phi.n_pairs > 0 and not offenders, offenders
 
 
 def audit_uniqueness_hypotheses(F_evals, Fp_evals, coeff_fn, eta_fn, alphas,

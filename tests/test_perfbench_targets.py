@@ -153,3 +153,27 @@ def test_symbolic_and_closedform_documents_match_reference():
     for argv in _SYMBOLIC_N4 + _CLOSEDFORM:
         code, text, error = worker.run_job(qgr, argv)
         assert worker.grade(reference, argv, code, text, error) == "", argv
+
+
+# fixedpoint benchmark jobs, each template at one weight drawn from its
+# pool, the two fault-injected ones (reference verdict fail) included
+_FIXEDPOINT = (
+    ["verify", "--suite", "recursivity", "--n", "3", "--a", "1,1,1", "--qdeg", "3", "--alpha", "13,20,23"],
+    ["verify", "--suite", "mpc", "--n", "3", "--a", "1,1,1", "--qdeg", "3", "--zdeg", "3", "--alpha", "4,6,32"],
+    ["verify", "--suite", "recursivity", "--n", "4", "--a", "2", "--qdeg", "3", "--alpha", "4,10,17,33"],
+    ["verify", "--suite", "mpc", "--n", "4", "--a", "2", "--qdeg", "2", "--zdeg", "2", "--alpha", "4,10,17,33"],
+    ["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "3", "--alpha", "7,19,30"],
+    ["verify", "--suite", "recursivity", "--n", "3", "--a", "", "--qdeg", "3", "--mutate", "1:1", "--alpha", "13,20,23"],
+    ["verify", "--suite", "mpc", "--n", "3", "--a", "", "--qdeg", "3", "--mutate", "1:1", "--alpha", "14,31,35"],
+)
+
+
+def test_fixedpoint_documents_match_reference():
+    import qgr.cli
+
+    worker = _load("worker")
+    with open(PERFBENCH / "reference.json") as f:
+        reference = json.load(f)["jobs"]
+    for argv in _FIXEDPOINT:
+        code, text, error = worker.run_job(qgr, argv)
+        assert worker.grade(reference, argv, code, text, error) == "", argv

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -266,7 +267,13 @@ def test_divide_exact_matches_scan_on_pipeline_inputs(monkeypatch, capsys):
 
     monkeypatch.setattr(SparsePoly, "divide_exact", recording)
     series._x_inverse.cache_clear()
-    bar_assemble(build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2))
+    K = build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
+    bar_assemble(K)
+    # a fault-injected summand: its derivative numerators do not divide
+    nums = dict(K.num_parts)
+    nums[(2, 0)] = -nums[(2, 0)]
+    with pytest.raises(ValueError, match="asymmetric"):
+        bar_assemble(replace(K, num_parts=nums))
     build_Y_closed("ddot", 4, CISpec((1,)), 2)
     cli.run(["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1"])
     cli.run(["series", "--kind", "y-gamma", "--n", "3", "--a", "1", "--qdeg", "1", "--k", "1", "--j", "0"])

@@ -18,6 +18,7 @@ from qgr.hyper import (
 from qgr.rings import RatFunc, SparsePoly
 from qgr.series import QSeries
 from qgr.verifier import (
+    PhiSeries,
     audit_uniqueness_hypotheses,
     build_phi,
     check_mpc,
@@ -454,3 +455,25 @@ def test_audit_uniqueness_with_operator_weighted_series():
     coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a)
     audit = audit_uniqueness_hypotheses(Fd, Dg, coeff, eta, al, n, 2)
     assert audit["all"], audit["detail"]
+
+
+def test_checks_that_checked_nothing_fail():
+    # no suite may pass vacuously: no recursivity entry, no fixed point in
+    # the pairing
+    al = default_generic_alpha(3)
+    assert not check_recursive({}, lambda *args: Fraction(0), al, 2, 3).all_pass
+    assert not check_recursive_2q({}, lambda *args: Fraction(0), al, al, 2, 3).all_pass
+    assert check_mpc(PhiSeries(QSeries(2, 2, {}), 0)) == (False, [])
+    assert check_mpc(build_phi({}, {}, lambda i, j: 1, al[:1], 1, 2, 2)) == (False, [])
+
+
+def test_zero_pairing_passes():
+    # on (4, (2,)) the pairing vanishes through q^2 z^2: every coefficient
+    # is the zero polynomial, which is a pass, not an empty check
+    n, a, D, Nz = 4, CISpec((2,)), 2, 2
+    al = tuple(map(Fraction, (4, 10, 17, 33)))
+    Fd = {p: y_series_evaluated("dot", n, a, al, *p, D) for p in all_pairs(n)}
+    eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
+    phi = build_phi(Fd, Fd, eta, al, n, Nz, D)
+    assert not phi.payload.coeffs and phi.n_pairs == 6
+    assert check_mpc(phi) == (True, [])

@@ -494,10 +494,11 @@ def normalization_I(kind: str, n: int, a: CISpec, D: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_ladder(alphas, i: int, D: int) -> list[HRat]:
+@functools.lru_cache(maxsize=64)
+def _inverse_ladder(alphas: tuple, i: int, D: int) -> tuple[HRat, ...]:
     """1 / (ladder product B[d]) at x = alpha_i for d <= D: there the
     factor l is l^n prod_j (h - (alpha_j - alpha_i)/l), the j = i root
-    being 0."""
+    being 0.  HRat values are immutable, so one tuple serves every call."""
     out, roots, g = [HRat.poly((1,))], {}, 1
     for l in range(1, D + 1):
         roots = dict(roots)
@@ -506,36 +507,38 @@ def _inverse_ladder(alphas, i: int, D: int) -> list[HRat]:
             roots[r] = roots.get(r, 0) + 1
         g *= l ** len(alphas)
         out.append(HRat([1], g, roots))
-    return out
+    return tuple(out)
 
 
 def a_series_evaluated(kind: str, spec: AMatrixSpec, i1: int, i2: int, D: int,
                        mutate: tuple[int, int] | None = None) -> QSeries:
     """The two-variable series evaluated at (x1, x2) = (alpha_{1;i1}, alpha_{2;i2}).
 
-    Values are HRat (rational in h).  `mutate=(d, d1)` flips the sign of
-    the single (d1, d-d1) summand (fault injection for the detection suites).
+    Values are HRat (rational in h).  As in build_A, the keys with one
+    tuple of row degrees share one numerator product.  `mutate=(d, d1)`
+    flips the sign of the single (d1, d-d1) summand (fault injection for
+    the detection suites).
     """
     x1v, x2v = spec.alpha(1)[i1 - 1], spec.alpha(2)[i2 - 1]
     inv1 = _inverse_ladder(spec.alpha(1), i1, D)
     inv2 = _inverse_ladder(spec.alpha(2), i2, D)
-    coeffs = {}
-    for d in range(D + 1):
-        for d1 in range(d + 1):
-            d2 = d - d1
-            num = HRat.poly((-1 if mutate == (d, d1) else 1,))
-            for (a1, a2) in spec.rows:
-                c = a1 * x1v + a2 * x2v
-                for l in _num_l_range(kind, a1 * d1 + a2 * d2):
-                    num = num * HRat.poly((c, l))
-            coeffs[(d1, d2)] = num * inv1[d1] * inv2[d2]
+    nums, coeffs = {}, {}
+    for d1, d2 in _graded_keys(2, D):
+        m = tuple(a1 * d1 + a2 * d2 for a1, a2 in spec.rows)
+        if m not in nums:
+            num = HRat.poly((1,))
+            for (a1, a2), mr in zip(spec.rows, m):
+                for l in _num_l_range(kind, mr):
+                    num = num * HRat.poly((a1 * x1v + a2 * x2v, l))
+            nums[m] = num
+        num = -nums[m] if mutate == (d1 + d2, d1) else nums[m]
+        coeffs[(d1, d2)] = num * inv1[d1] * inv2[d2]
     return QSeries(2, D, coeffs)
 
 
 def k_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: int,
                        mutate: tuple[int, int] | None = None) -> QSeries:
-    spec = AMatrixSpec(n=n, rows=a.rows, alpha1=tuple(alphas), alpha2=tuple(alphas))
-    return a_series_evaluated(kind, spec, i, j, D, mutate)
+    return a_series_evaluated(kind, _equal_rows(tuple(alphas), a.rows), i, j, D, mutate)
 
 
 def bar_evaluated(K2q: QSeries, diff: Fraction) -> QSeries:

@@ -103,6 +103,9 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_const(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 

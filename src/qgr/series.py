@@ -1,27 +1,23 @@
 """Truncated series: Laurent expansions in h^-1, truncated power series in
 one or two q variables, x-adic expansion of rational functions around
-x = 0, and flat-list arithmetic for series in two variables truncated in
-total degree (`_Triangle`: q-series of the operator layer, and h = 1
-images of ladder numerators over x-triangles).
+x = 0, and flat-list arithmetic for truncated series (`_Triangle`).
 
 A Laurent expansion stores finitely many positive powers of h and
 negative powers down to h^(-depth+1); ``depth=None`` marks an exact
 (untruncated) Laurent polynomial.  Series coefficients are duck-typed:
 Fraction, SparsePoly, RatFunc and HRat all work.
 
-Every expansion of a rational function in one variable (h, or the
-variable of a residue) runs one inverse-series recurrence,
-`_expand_parts`: `laurent_expand_hbar` on x-polynomial parts, and
-`operators._h_expand` and the residues at finite points and at infinity
-on Fraction parts.
+Every truncated expansion runs one inverse-series recurrence,
+`_Triangle.inverse`, with `_Triangle.mul` as its product: in 1/h at
+h = infinity (`_expand_parts`, for `laurent_expand_hbar`, the residues
+and `operators._h_expand`), in x at x = 0 (`x_coefficients`,
+`hyper.LadderImage.x_expansion`) and in q (`QSeries.inverse_unit`).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .rings import RatFunc, SparsePoly
@@ -143,36 +139,35 @@ class LaurentExpansion:
         return f"LaurentExpansion({{{items}}}, depth={self.depth})"
 
 
-def _expand_parts(num: Mapping[int, object], den: Mapping[int, object], depth: int,
-                  mul: Callable = operator.mul, one=_ONE) -> LaurentExpansion:
+def _expand_parts(num: Mapping[int, object], den: Mapping[int, object], depth: int) -> LaurentExpansion:
     """num/den at h = infinity, for part maps {h-exponent: nonzero value}
-    over any integer exponents: the one inverse-series recurrence of this
-    package.
+    over any integer exponents, the top part c of den a Fraction.
 
-    The top part c of den must be a Fraction; `one` is the unit of the
-    value ring and `mul` its product.  Then 1/den = h^(-N) sum_j w_j h^(-j)
-    with w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}.  If den has one
-    part every term is returned and the result is exact (depth None), as
-    it is for num = {}; otherwise the terms down to h^(1-depth) are.  With
-    parts {-i: a_i}, the expansion at h = 1/t = infinity is the power
-    series of a(t)/b(t) at t = 0.
+    With M, N the top exponents and s = 1/h, num/den = h^(M-N) b(s)/u(s)
+    for b_j = num_(M-j)/c and u_t = den_(N-t)/c, so u_0 = 1, and the terms
+    down to h^(1-depth) are b/u to order D = M - N + depth - 1, on
+    `_triangle(1, D)`.  If den has one part every term is returned and
+    the result is exact (depth None), as it is for num = {}.  With parts
+    {-i: a_i}, the expansion at h = 1/t = infinity is the power series of
+    a(t)/b(t) at t = 0.
     """
     if not num:
         return LaurentExpansion.zero(None)
     M, N = max(num), max(den)
-    inv = 1 / den[N]
-    w = [one * inv]
+    inv = _ONE / den[N]
     if len(den) == 1:
-        return LaurentExpansion({k - N: mul(v, w[0]) for k, v in num.items()}, None)
-    zero = one * 0
-    u = [(N - k, v * inv) for k, v in den.items() if k != N]
-    b = [(M - k, v) for k, v in num.items()]
-    out = {}
-    for j in range(M - N + depth):
-        if j:
-            w.append(-sum((mul(ut, w[j - t]) for t, ut in u if t <= j), zero))
-        out[M - N - j] = sum((mul(bs, w[j - s]) for s, bs in b if s <= j), zero)
-    return LaurentExpansion(out, depth)
+        return LaurentExpansion({k - N: v * inv for k, v in num.items()}, None)
+    D = M - N + depth - 1
+    if D < 0:
+        return LaurentExpansion.zero(depth)
+    tri = _triangle(1, D)
+    b, u = [0] * tri.size, [0] * tri.size
+    for parts, top, out in ((num, M, b), (den, N, u)):
+        for k, v in parts.items():
+            if top - k <= D:
+                out[top - k] = v * inv
+    w, _ = tri.inverse(u)
+    return LaurentExpansion({M - N - j: v for j, v in enumerate(tri.mul(b, w))}, depth)
 
 
 def laurent_expand_hbar(
@@ -180,11 +175,11 @@ def laurent_expand_hbar(
 ) -> LaurentExpansion:
     """Expand num/den at h = infinity with polynomial coefficients.
 
-    The top h-coefficient c of den must be a nonzero constant (true of
+    The top h-coefficient of den must be a nonzero constant (true of
     every ladder product and of every x-adic coefficient of one), or
-    ValueError is raised.  Then 1/den = h^(-N) sum_j w_j h^(-j) with
-    w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}, each product
-    truncated at total x-degree max_x_degree (None: not truncated).  If
+    ValueError is raised.  The h-parts expand by `_expand_parts`, and
+    each term is then cut at total x-degree max_x_degree (None: not
+    cut); the cut commutes with the products, whose x-degrees add.  If
     den is c h^N every term is returned and the result is exact (depth
     None); otherwise the terms down to h^(1-depth) are.  Coefficients are
     polynomials in the remaining variables.
@@ -197,9 +192,11 @@ def laurent_expand_hbar(
     if num.is_zero():
         return LaurentExpansion.zero(None)
     den_parts[N] = lead.const_value()
-    num_parts = num.decompose_by("h") if "h" in num.vars else {0: num}
-    return _expand_parts(num_parts, den_parts, depth, lambda a, b: a.mul_trunc(b, max_x_degree),
-                         SparsePoly.const(den.vars, 1))
+    out = _expand_parts(num.decompose_by("h") if "h" in num.vars else {0: num}, den_parts, depth)
+    if max_x_degree is None:
+        return out
+    one = SparsePoly.const(den.vars, 1)
+    return LaurentExpansion({e: v.mul_trunc(one, max_x_degree) for e, v in out.coeffs.items()}, out.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -208,37 +205,18 @@ def laurent_expand_hbar(
 
 
 @functools.lru_cache(maxsize=256)
-def _x_inverse(den: SparsePoly, M: int) -> tuple[Mapping[tuple[int, int], SparsePoly], SparsePoly]:
-    """Truncated x-adic inverse of den, cleared of denominators.
-
-    Returns (N, g0^(M+1)) with g0 = den(x=0) and, for every x-monomial of
-    total degree <= M in graded order, N[e] = (coefficient of x^e in
-    1/den) * g0^(M+1), a polynomial.  The symbolic pipeline expands many
-    numerators over few ladder denominators, so the table is computed once
-    per (den, M) and shared; it is read-only.
-    """
-    den_parts = den.decompose_x()
-    zero = (0, 0)
-    g0 = den_parts.get(zero)
-    if g0 is None or g0.is_zero():
+def _x_inverse(den: SparsePoly, M: int) -> tuple[tuple, SparsePoly]:
+    """Truncated x-adic inverse of den, cleared of denominators: (N, g)
+    from `_triangle(2, M).inverse` on the x-parts of den, g = den(x=0)^(M+1).
+    The symbolic pipeline expands many numerators over few ladder
+    denominators, so the inverse is computed once per (den, M) and shared;
+    it is read-only."""
+    parts = den.decompose_x()
+    if (0, 0) not in parts:
         raise ValueError("denominator vanishes at x=0; expansion point invalid")
-    N: dict[tuple[int, int], SparsePoly] = {zero: g0**M}
-    for d in range(1, M + 1):
-        for e in [(e1, d - e1) for e1 in range(d + 1)]:
-            s = None
-            for ep, dp in den_parts.items():
-                if ep == zero or ep[0] > e[0] or ep[1] > e[1]:
-                    continue
-                term = dp * N[(e[0] - ep[0], e[1] - ep[1])]
-                s = term if s is None else s + term
-            if s is None:
-                N[e] = SparsePoly.zero(g0.vars)
-                continue
-            q = (-s).divide_exact(g0)
-            if q is None:  # pragma: no cover - recurrence guarantees divisibility
-                raise ArithmeticError("inverse-series recurrence failed to divide")
-            N[e] = q
-    return MappingProxyType(N), g0 ** (M + 1)
+    tri = _triangle(2, M)
+    N, g = tri.inverse([parts.get(key, 0) for key in tri.keys])
+    return tuple(N), g
 
 
 def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFunc]:
@@ -246,21 +224,13 @@ def x_coefficients(f: RatFunc, max_x_degree: int) -> dict[tuple[int, int], RatFu
 
     Requires den(x=0) != 0 as a polynomial in the remaining variables.
     Values are RatFunc over the remaining variables with denominator a
-    power of den(x=0).
+    power of den(x=0): the x-parts of the numerator times `_x_inverse`.
     """
-    N, gM1 = _x_inverse(f.den, max_x_degree)
-    num_parts = f.num.decompose_x()
-    out: dict[tuple[int, int], RatFunc] = {}
-    for e in N:
-        s = None
-        for ep, np_ in num_parts.items():
-            if ep[0] > e[0] or ep[1] > e[1]:
-                continue
-            term = np_ * N[(e[0] - ep[0], e[1] - ep[1])]
-            s = term if s is None else s + term
-        if s is not None and not s.is_zero():
-            out[e] = RatFunc(s, gM1)
-    return out
+    tri = _triangle(2, max_x_degree)
+    N, g = _x_inverse(f.den, max_x_degree)
+    parts = f.num.decompose_x()
+    X = tri.mul([parts.get(key, 0) for key in tri.keys], N)
+    return {key: RatFunc(v, g) for key, v in zip(tri.keys, X) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +314,10 @@ class QSeries:
     __rmul__ = scale
 
     def inverse_unit(self) -> "QSeries":
-        """Inverse of a series whose constant term is invertible."""
-        key0 = (0,) * self.q_arity
-        c0 = self.coeffs.get(key0)
-        if c0 is None:
-            raise ZeroDivisionError("series has no constant term")
-        inv0 = Fraction(1) / c0 if isinstance(c0, Fraction) else RatFunc.from_scalar(1) / c0
-        # graded recursion: c0 * inv[k] = delta_{k,0} - sum_{0 < k' <= k} c[k'] inv[k-k']
-        inv = {key0: inv0}
-        for k in _graded_keys(self.q_arity, self.trunc_q)[1:]:
-            s = None
-            for kp, cp in self.coeffs.items():
-                if kp == key0 or any(a > b for a, b in zip(kp, k)):
-                    continue
-                rest = tuple(b - a for a, b in zip(kp, k))
-                if rest not in inv:
-                    continue
-                term = cp * inv[rest]
-                s = term if s is None else s + term
-            if s is None:
-                continue
-            inv[k] = -(inv0 * s)
-        return self._like(inv)
+        """Inverse of a series of rationals whose constant term is nonzero."""
+        tri = _triangle(self.q_arity, self.trunc_q)
+        N, g = tri.inverse(tri.from_series(self))
+        return tri.series([Fraction(v, g) for v in N])
 
     def substitute_q_neg(self, weight: Callable[[tuple], object] | None = None) -> "QSeries":
         """Collapse (q1, q2) -> (-q, -q), optionally weighting each (d1, d2) term.
@@ -416,13 +368,14 @@ def _graded_keys(arity: int, trunc_q: int):
 
 
 # ---------------------------------------------------------------------------
-# scalar series as flat lists
+# series as flat lists
 #
 # A series in one or two variables truncated at total degree D is a list
-# over its graded triangle of exponents.  A value enters as an int when it
-# is integral and stays a Fraction
-# otherwise; Python's numeric tower keeps mixed arithmetic exact, so
-# generic weights take the same code as zero weights.
+# over its graded triangle of exponents.  A rational value enters as an int
+# when it is integral and stays a Fraction otherwise; Python's numeric tower
+# keeps mixed arithmetic exact, so generic weights take the same code as
+# zero weights.  Values may also be polynomials (SparsePoly), whose zero is
+# skipped like the int 0.
 # ---------------------------------------------------------------------------
 
 
@@ -431,10 +384,22 @@ def _exact(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def _quotient(a, c):
+    """a / c in the recurrence: exact division by a polynomial c (else
+    ArithmeticError), or a rational, an int when integral."""
+    if isinstance(c, SparsePoly):
+        q = a.divide_exact(c)
+        if q is None:
+            raise ArithmeticError("inverse-series recurrence failed to divide")
+        return q
+    return _exact(Fraction(a, c))
+
+
 class _Triangle:
-    """List arithmetic for scalar series in `arity` variables truncated at
-    total degree D: slot i holds the coefficient of the monomial with
-    exponents keys[i]."""
+    """List arithmetic for series in `arity` variables truncated at total
+    degree D: slot i holds the coefficient of the monomial with exponents
+    keys[i].  `inverse` is the package's one inverse-series recurrence
+    and `mul` its product."""
 
     def __init__(self, arity: int, D: int):
         self.arity, self.D = arity, D
@@ -456,16 +421,22 @@ class _Triangle:
         self.mul_into(acc, x, y)
         return acc
 
-    def inverse(self, x: list) -> tuple[list, int]:
+    def inverse(self, x: list) -> tuple[list, object]:
         """(N, g) with N / g the inverse of the series x, whose constant
-        term c is a nonzero int, and g = c^(D+1): the coefficient at slot k
-        has denominator dividing c^(deg k + 1), so N is integral when x is.
-        One recurrence, c N[k] = -sum_{i != 0} x[i] N[k - i]."""
+        term c is nonzero, and g = c^(D+1): the coefficient at slot k has
+        denominator dividing c^(deg k + 1), so N is integral (polynomial)
+        when x is.  One recurrence, c N[k] = -sum_{i != 0} x[i] N[k - i],
+        with no division when c = 1 (see `_quotient` otherwise)."""
         c = x[0]
+        if not c:
+            raise ZeroDivisionError("series has no constant term")
+        unit = c == 1
         N, acc = [0] * self.size, [0] * self.size
+        N[0] = c**self.D
         for k, pairs in enumerate(self.pairs):
-            v = N[k] = c**self.D if k == 0 else _exact(Fraction(-acc[k], c))
-            if v:
+            if acc[k]:
+                N[k] = -acc[k] if unit else _quotient(-acc[k], c)
+            if v := N[k]:
                 for i, m in pairs:
                     if i and x[i]:
                         acc[m] += x[i] * v

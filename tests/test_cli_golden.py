@@ -10,6 +10,10 @@ covered, with cheap n = 3 inputs.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +83,22 @@ def test_document_digest(argv, code, digest):
         got = run(argv)
     assert got == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_module_entry_point():
+    # `python -m qgr` runs `__main__` and `cli.main`, which the in-process
+    # cases above never reach: a document and its exit status, and a usage
+    # error (exit 2, nothing on stdout)
+    argv = ["cohomology", "--n", "4"]
+    code, digest = next((c, d) for a, c, d in GOLDEN if a == argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def qgr(*args):
+        return subprocess.run([sys.executable, "-m", "qgr", *args], env=env, capture_output=True, timeout=120)
+
+    done = qgr(*argv)
+    assert done.returncode == code
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+    bad = qgr("series", "--kind", "dot-closed", "--n", "2")
+    assert bad.returncode == 2 and bad.stdout == b"" and b"error: " in bad.stderr

@@ -1,5 +1,9 @@
+import functools
+import operator
 import random
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import pytest
 
@@ -7,6 +11,9 @@ from qgr.rings import RatFunc, SparsePoly
 from qgr.series import (
     LaurentExpansion,
     QSeries,
+    _expand_parts,
+    _graded_keys,
+    _quotient,
     _vzero,
     _x_inverse,
     laurent_expand_hbar,
@@ -166,7 +173,9 @@ def test_shared_x_inverse_against_naive_oracle():
         (x1 + 2 * h) ** 2 - x1 * x1 + x2 * h,
         h - one + x1 * x2,
     ]
-    dens = [base[0], base[1], base[0], base[2], -3 * base[1], base[2], base[0], base[1]]
+    # The last has no x-parts at all: den(x=0) = 2h^2 + 3 is the whole
+    # denominator, so every entry of the inverse beyond x^0 is zero.
+    dens = [base[0], base[1], base[0], base[2], -3 * base[1], base[2], base[0], base[1], 2 * h * h + 3 * one]
     zero = RatFunc.from_scalar(0, V)
     _x_inverse.cache_clear()
     for i, den in enumerate(dens):
@@ -180,6 +189,9 @@ def test_shared_x_inverse_against_naive_oracle():
         f = RatFunc(num, den)
         oracle = _naive_x_expansion(f, 3)
         for M in range(4):
+            N, g = _x_inverse(f.den, M)
+            Np, gp = _previous_x_inverse(f.den, M)
+            assert g == gp and dict(zip(_graded_keys(2, M), N)) == dict(Np), (i, M)
             xc = x_coefficients(f, M)
             for e1 in range(M + 1):
                 for e2 in range(M + 1 - e1):
@@ -426,6 +438,21 @@ def test_qseries_inverse_with_values():
     prod = s * inv
     for d in range(5):
         assert prod.get((d,)) == (1 if d == 0 else 0)
+    # non-unit rational constant terms in one and two q variables, against
+    # the previous recursion: values, Fraction type and key order
+    for s in (
+        s,
+        QSeries(1, 4, {(0,): Fraction(3, 2), (1,): Fraction(-1, 3), (3,): Fraction(5)}),
+        QSeries(2, 3, {(0, 0): Fraction(-2), (1, 0): Fraction(1, 2), (0, 1): Fraction(3), (1, 1): Fraction(-7, 5)}),
+        QSeries(2, 2, {(0, 0): Fraction(4), (0, 2): Fraction(1)}),
+    ):
+        inv, want = s.inverse_unit(), _previous_inverse_unit(s)
+        assert list(inv.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(v) is Fraction for v in inv.coeffs.values())
+        assert (inv.q_arity, inv.trunc_q) == (s.q_arity, s.trunc_q)
+        assert s * inv == QSeries.one(s.q_arity, s.trunc_q)
+    with pytest.raises(ZeroDivisionError):
+        QSeries(2, 2, {(1, 0): Fraction(1)}).inverse_unit()
 
 
 def test_substitute_q_neg():
@@ -451,3 +478,160 @@ def test_int_values_are_exact_ring_values():
     le = LaurentExpansion({0: 1, -1: 2}, None) + LaurentExpansion({0: -1}, None)
     assert le.coeffs == {-1: 2}
     assert LaurentExpansion({0: 1, 1: 0}, 3) == LaurentExpansion.scalar(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# The three inverse-series recurrences that `series._Triangle.inverse`
+# replaced, verbatim: the expansion at h = infinity over part maps with a
+# product hook, the x-adic inverse, and the graded q-series inverse.
+# Oracles for the differential tests.
+# ---------------------------------------------------------------------------
+
+
+def _previous_expand_parts(num: Mapping[int, object], den: Mapping[int, object], depth: int,
+                           mul: Callable = operator.mul, one=_ONE) -> LaurentExpansion:
+    """num/den at h = infinity, for part maps {h-exponent: nonzero value}
+    over any integer exponents: the one inverse-series recurrence of this
+    package.
+
+    The top part c of den must be a Fraction; `one` is the unit of the
+    value ring and `mul` its product.  Then 1/den = h^(-N) sum_j w_j h^(-j)
+    with w_0 = 1/c and w_j = -sum_t (den_{N-t}/c) w_{j-t}.  If den has one
+    part every term is returned and the result is exact (depth None), as
+    it is for num = {}; otherwise the terms down to h^(1-depth) are.  With
+    parts {-i: a_i}, the expansion at h = 1/t = infinity is the power
+    series of a(t)/b(t) at t = 0.
+    """
+    if not num:
+        return LaurentExpansion.zero(None)
+    M, N = max(num), max(den)
+    inv = 1 / den[N]
+    w = [one * inv]
+    if len(den) == 1:
+        return LaurentExpansion({k - N: mul(v, w[0]) for k, v in num.items()}, None)
+    zero = one * 0
+    u = [(N - k, v * inv) for k, v in den.items() if k != N]
+    b = [(M - k, v) for k, v in num.items()]
+    out = {}
+    for j in range(M - N + depth):
+        if j:
+            w.append(-sum((mul(ut, w[j - t]) for t, ut in u if t <= j), zero))
+        out[M - N - j] = sum((mul(bs, w[j - s]) for s, bs in b if s <= j), zero)
+    return LaurentExpansion(out, depth)
+
+
+@functools.lru_cache(maxsize=256)
+def _previous_x_inverse(den: SparsePoly, M: int) -> tuple[Mapping[tuple[int, int], SparsePoly], SparsePoly]:
+    """Truncated x-adic inverse of den, cleared of denominators.
+
+    Returns (N, g0^(M+1)) with g0 = den(x=0) and, for every x-monomial of
+    total degree <= M in graded order, N[e] = (coefficient of x^e in
+    1/den) * g0^(M+1), a polynomial.  The symbolic pipeline expands many
+    numerators over few ladder denominators, so the table is computed once
+    per (den, M) and shared; it is read-only.
+    """
+    den_parts = den.decompose_x()
+    zero = (0, 0)
+    g0 = den_parts.get(zero)
+    if g0 is None or g0.is_zero():
+        raise ValueError("denominator vanishes at x=0; expansion point invalid")
+    N: dict[tuple[int, int], SparsePoly] = {zero: g0**M}
+    for d in range(1, M + 1):
+        for e in [(e1, d - e1) for e1 in range(d + 1)]:
+            s = None
+            for ep, dp in den_parts.items():
+                if ep == zero or ep[0] > e[0] or ep[1] > e[1]:
+                    continue
+                term = dp * N[(e[0] - ep[0], e[1] - ep[1])]
+                s = term if s is None else s + term
+            if s is None:
+                N[e] = SparsePoly.zero(g0.vars)
+                continue
+            q = (-s).divide_exact(g0)
+            if q is None:  # pragma: no cover - recurrence guarantees divisibility
+                raise ArithmeticError("inverse-series recurrence failed to divide")
+            N[e] = q
+    return MappingProxyType(N), g0 ** (M + 1)
+
+
+def _previous_inverse_unit(self) -> "QSeries":
+    """Inverse of a series whose constant term is invertible."""
+    key0 = (0,) * self.q_arity
+    c0 = self.coeffs.get(key0)
+    if c0 is None:
+        raise ZeroDivisionError("series has no constant term")
+    inv0 = Fraction(1) / c0 if isinstance(c0, Fraction) else RatFunc.from_scalar(1) / c0
+    # graded recursion: c0 * inv[k] = delta_{k,0} - sum_{0 < k' <= k} c[k'] inv[k-k']
+    inv = {key0: inv0}
+    for k in _graded_keys(self.q_arity, self.trunc_q)[1:]:
+        s = None
+        for kp, cp in self.coeffs.items():
+            if kp == key0 or any(a > b for a, b in zip(kp, k)):
+                continue
+            rest = tuple(b - a for a, b in zip(kp, k))
+            if rest not in inv:
+                continue
+            term = cp * inv[rest]
+            s = term if s is None else s + term
+        if s is None:
+            continue
+        inv[k] = -(inv0 * s)
+    return self._like(inv)
+
+
+def test_expand_parts_matches_previous_kernel():
+    # Fraction part maps over negative and positive exponents; a quarter
+    # have a one-part (exact) denominator, and the depths reach both sides
+    # of M - N + depth = 0, where nothing is left above the cut
+    rng = random.Random(53)
+
+    def parts(k):
+        return {e: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for e in rng.sample(range(-3, 4), k)}
+
+    seen = set()
+    for trial in range(400):
+        num, den = parts(rng.randint(0, 3)), parts(1 if trial % 4 == 0 else rng.randint(1, 4))
+        depth = rng.randint(1, 6)
+        got, want = _expand_parts(num, den, depth), _previous_expand_parts(num, den, depth)
+        assert got.depth == want.depth and got.coeffs == want.coeffs, (num, den, depth)
+        assert all(type(v) is Fraction for v in got.coeffs.values())
+        if num:
+            M, N = max(num), max(den)
+            seen.add("exact" if len(den) == 1 else "empty" if M - N + depth <= 0 else "series")
+            seen.update(["negative"] if min(num) < 0 and min(den) < 0 else [])
+    assert seen == {"exact", "empty", "series", "negative"}
+
+
+def test_hbar_x_expansion_matches_previous_kernel():
+    # x-polynomial parts: the previous kernel cut every product at total
+    # x-degree `cut`; the kernel now cuts its outputs
+    rng = random.Random(61)
+
+    def rand_poly(hdeg):
+        return SparsePoly(V, {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, hdeg)): Fraction(rng.randint(-3, 3))
+                              for _ in range(4)})
+
+    for trial in range(80):
+        N = rng.randint(0, 3)
+        den = SparsePoly(V, {(0, 0, N): Fraction(rng.choice([1, -2, 3]), rng.randint(1, 3))})
+        if trial % 4 and N:
+            den = den + rand_poly(N - 1)
+        num, cut, depth = rand_poly(3), rng.choice([None, 0, 1, 2, 3]), rng.randint(1, 5)
+        den_parts = den.decompose_by("h")
+        den_parts[N] = den_parts[N].const_value()
+        want = _previous_expand_parts(num.decompose_by("h"), den_parts, depth,
+                                    lambda a, b: a.mul_trunc(b, cut), SparsePoly.const(V, 1))
+        got = laurent_expand_hbar(num, den, depth, cut)
+        assert got.depth == want.depth and got.coeffs == want.coeffs, (num, den, depth, cut)
+
+
+def test_inverse_quotient_is_exact_or_raises():
+    # a polynomial constant term divides exactly or not at all; a rational
+    # one gives an int where the quotient is integral
+    assert _quotient(h * h + h, h) == h + one
+    with pytest.raises(ArithmeticError):
+        _quotient(h + one, h)
+    assert type(_quotient(6, 3)) is int and _quotient(6, 3) == 2
+    assert _quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    # zero polynomials are skipped like the int 0
+    assert not SparsePoly.zero(V) and x1 and not x1 - x1

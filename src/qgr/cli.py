@@ -131,7 +131,7 @@ def _frac_str(v) -> str:
 
 
 def _coeff_str(v) -> str:
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return _frac_str(v)
     if isinstance(v, (RatFunc, SparsePoly)):
         return v.to_string()

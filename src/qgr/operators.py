@@ -63,8 +63,8 @@ from .cohomology import (
 from .hrat import HRat
 from .hyper import (CISpec, HyperSeries, LadderImage, V3, bar_assemble, bar_evaluated, build_K,
                     k_series_evaluated)
-from .rings import RatFunc, SparsePoly, _univariate_terms
-from .series import LaurentExpansion, QSeries, _exact, _expand_parts, _Triangle, _triangle, x_coefficients
+from .rings import RatFunc, SparsePoly, _exact, _univariate_terms
+from .series import LaurentExpansion, QSeries, _expand_parts, _Triangle, _triangle, x_coefficients
 
 
 @functools.cache
@@ -78,7 +78,7 @@ def _shift_weights(t: tuple[int, int], d: tuple[int, int]) -> tuple:
 
 def _h_expand(f: RatFunc, depth: int) -> LaurentExpansion:
     """f, a rational function of h alone, expanded at h = infinity from its
-    Fraction coefficients (exact when its denominator is a monomial in h);
+    coefficients (exact when its denominator is a monomial in h);
     no step forms a polynomial product."""
     return _expand_parts(_univariate_terms(f.num, "h"), _univariate_terms(f.den, "h"), depth)
 

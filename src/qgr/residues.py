@@ -39,7 +39,7 @@ class NonSplitDenominatorError(ValueError):
     """A denominator factor has no root among the supplied candidates."""
 
 
-def _coeff_lists(f: RatFunc, var: str) -> tuple[list[Fraction], list[Fraction]]:
+def _coeff_lists(f: RatFunc, var: str) -> tuple[list[int], list[int]]:
     return univariate_coeffs(f.num, var), univariate_coeffs(f.den, var)
 
 

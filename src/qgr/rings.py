@@ -1,9 +1,11 @@
 """Exact arithmetic substrate: sparse multivariate polynomials over Q and
 normalized rational functions.
 
-A polynomial is a mapping from exponent tuples to Fraction coefficients;
-zero coefficients are never stored.  The monomial order is graded
-lexicographic for the variable order
+A polynomial is a mapping from exponent tuples to rational coefficients;
+zero coefficients are never stored.  A coefficient is held as an int while
+it is integral and as a Fraction otherwise (`_exact`), so products and
+sums of polynomials with integral coefficients run in int arithmetic.
+The monomial order is graded lexicographic for the variable order
 
     x1 < x2 < h < z < a1 < a2 < ... < (auxiliary names, alphabetically)
 
@@ -30,7 +32,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _FIXED_RANK = {"x1": 0, "x2": 1, "h": 2, "z": 3}
 _XNAMES = ("x1", "x2")
@@ -60,6 +61,11 @@ def monomial_key(exp: tuple[int, ...]):
     return (sum(exp), exp[::-1])
 
 
+def _exact(v):
+    """v as an int when it is integral; otherwise v itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _descending(exp: tuple[int, ...]):
     """Heap entry: ascending entries are descending `monomial_key` order."""
     deg, rev = monomial_key(exp)
@@ -67,16 +73,17 @@ def _descending(exp: tuple[int, ...]):
 
 
 class SparsePoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial over Q: each coefficient an int when
+    integral, else a Fraction."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction], _clean: bool = False):
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int | Fraction], _clean: bool = False):
         self.vars = tuple(vars)
         if _clean:
             self.terms = dict(terms)
         else:
-            self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+            self.terms = {e: _exact(Fraction(c)) for e, c in terms.items() if c != 0}
 
     # -- constructors -------------------------------------------------
 
@@ -86,7 +93,7 @@ class SparsePoly:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], c) -> "SparsePoly":
-        c = Fraction(c)
+        c = _exact(Fraction(c))
         if c == 0:
             return cls(vars, {}, _clean=True)
         return cls(vars, {(0,) * len(vars): c}, _clean=True)
@@ -96,7 +103,7 @@ class SparsePoly:
         idx = vars.index(name)
         e = [0] * len(vars)
         e[idx] = 1
-        return cls(vars, {tuple(e): _ONE}, _clean=True)
+        return cls(vars, {tuple(e): 1}, _clean=True)
 
     # -- basic queries -------------------------------------------------
 
@@ -115,7 +122,7 @@ class SparsePoly:
         [(e, c)] = self.terms.items()
         if sum(e) != 0:
             raise ValueError("not a constant polynomial")
-        return c
+        return Fraction(c)
 
     def degree_in(self, name: str) -> int:
         if not self.terms:
@@ -131,7 +138,7 @@ class SparsePoly:
                     used.add(self.vars[i])
         return order_vars(used)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Largest (exponent, coefficient) under the canonical order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -162,9 +169,9 @@ class SparsePoly:
         a, b = _unify(self, other)
         out = dict(a.terms)
         for e, c in b.terms.items():
-            v = out.get(e, _ZERO) + c
+            v = out.get(e, 0) + c
             if v:
-                out[e] = v
+                out[e] = _exact(v)
             else:
                 out.pop(e, None)
         return SparsePoly(a.vars, out, _clean=True)
@@ -179,10 +186,10 @@ class SparsePoly:
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(Fraction(other))
             if c == 0:
                 return SparsePoly.zero(self.vars)
-            return SparsePoly(self.vars, {e: v * c for e, v in self.terms.items()}, _clean=True)
+            return SparsePoly(self.vars, {e: _exact(v * c) for e, v in self.terms.items()}, _clean=True)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         a, b = _unify(self, other)
@@ -246,13 +253,13 @@ class SparsePoly:
             else:
                 scalars[self.vars.index(name)] = Fraction(val)
         # scalar values fold into the coefficients, term by term
-        folded: dict[tuple[int, ...], Fraction] = {}
+        folded: dict[tuple[int, ...], object] = {}
         for e, c in self.terms.items():
             for i, v in scalars.items():
                 if e[i]:
                     c = c * v ** e[i]
                     e = e[:i] + (0,) + e[i + 1:]
-            folded[e] = folded.get(e, _ZERO) + c
+            folded[e] = folded.get(e, 0) + c
         target_vars = order_vars(set(self.vars).union(*(v.vars for v in values.values())))
         base = SparsePoly(self.vars, folded)
         if not values:
@@ -302,6 +309,7 @@ class SparsePoly:
                 pos.append(None)
             else:
                 pos.append(newvars.index(v))
+        # a dropped variable has exponent 0 throughout, so no two terms meet
         out = {}
         m = len(newvars)
         for e, c in self.terms.items():
@@ -309,8 +317,8 @@ class SparsePoly:
             for i, p in enumerate(e):
                 if p:
                     e2[pos[i]] = p
-            out[tuple(e2)] = out.get(tuple(e2), _ZERO) + c
-        return SparsePoly(newvars, out)
+            out[tuple(e2)] = c
+        return SparsePoly(newvars, out, _clean=True)
 
     def swap_x(self) -> "SparsePoly":
         """Exchange x1 and x2, which rank first in any space holding them."""
@@ -338,7 +346,7 @@ class SparsePoly:
         rem = dict(a.terms)
         heap = [_descending(e) for e in rem]
         heapq.heapify(heap)
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], object] = {}
         while heap:
             e = heapq.heappop(heap)[-1]
             c = rem.pop(e)
@@ -347,14 +355,17 @@ class SparsePoly:
             qe = tuple(ei - di for ei, di in zip(e, dl_e))
             if any(q < 0 for q in qe):
                 return None
-            qc = c / dl_c
+            # an int when dl_c divides c, a Fraction otherwise
+            qc, r = divmod(c, dl_c)
+            if r:
+                qc = Fraction(c, dl_c)
             quot[qe] = qc
             for de, dc in dterms:
                 ke = tuple(q + di for q, di in zip(qe, de))
                 v = rem.get(ke)
                 if v is None:
                     heapq.heappush(heap, _descending(ke))
-                    v = _ZERO
+                    v = 0
                 rem[ke] = v - qc * dc
         return SparsePoly(a.vars, quot, _clean=True)
 
@@ -415,7 +426,9 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
     truncated product the longer operand is sorted by x-degree, and each row
     of the shorter one stops at the first term over the bound, found by
     bisection.  A one-term factor only shifts exponents, so no two of its
-    products collide and that case needs no packing.
+    products collide and that case needs no packing.  Int coefficients
+    multiply and add as ints; a sum or product involving a Fraction may come
+    out integral and goes through `_exact`.
     """
     if not ta or not tb:
         return SparsePoly.zero(vars)
@@ -430,17 +443,14 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
         for eb, cb in tb.items():
             e = tuple(map(operator.add, ea, eb))
             if max_xdeg is None or sum([e[i] for i in xidx]) <= max_xdeg:
-                out[e] = ca * cb
+                out[e] = _exact(ca * cb)
         return SparsePoly(vars, out, _clean=True)
     top = max(map(operator.add, map(max, cols_a), map(max, cols_b)), default=0)
     width = top.bit_length() + 1
     shifts = range(0, width * len(vars), width)
-    int_mode = all(c.denominator == 1 for c in ta.values()) and all(
-        c.denominator == 1 for c in tb.values()
-    )
 
     def packed(items):
-        return [(sum(map(operator.lshift, e, shifts)), c.numerator if int_mode else c) for e, c in items]
+        return [(sum(map(operator.lshift, e, shifts)), c) for e, c in items]
 
     def xdeg(e):
         return sum([e[i] for i in xidx])
@@ -461,9 +471,7 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     mask = (1 << width) - 1
-    clean = {
-        tuple([k >> s & mask for s in shifts]): Fraction(v) if int_mode else v for k, v in out.items() if v
-    }
+    clean = {tuple([k >> s & mask for s in shifts]): _exact(v) for k, v in out.items() if v}
     return SparsePoly(vars, clean, _clean=True)
 
 
@@ -473,8 +481,9 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-def _univariate_terms(p: SparsePoly, name: str) -> dict[int, Fraction]:
-    """{exponent: nonzero coefficient} of a polynomial that only uses `name`."""
+def _univariate_terms(p: SparsePoly, name: str) -> dict[int, object]:
+    """{exponent: nonzero coefficient, an int when integral} of a polynomial
+    that only uses `name`."""
     used = p.used_vars()
     if used and used != (name,):
         raise ValueError(f"polynomial is not univariate in {name}: uses {used}")
@@ -484,10 +493,11 @@ def _univariate_terms(p: SparsePoly, name: str) -> dict[int, Fraction]:
     return {e[i]: c for e, c in p.terms.items()}
 
 
-def univariate_coeffs(p: SparsePoly, name: str) -> list[Fraction]:
-    """Ascending coefficient list of a polynomial that only uses `name`."""
+def univariate_coeffs(p: SparsePoly, name: str) -> list:
+    """Ascending coefficient list, ints where integral, of a polynomial
+    that only uses `name`."""
     terms = _univariate_terms(p, name)
-    coeffs = [_ZERO] * (max(terms, default=0) + 1)
+    coeffs = [0] * (max(terms, default=0) + 1)
     for k, c in terms.items():
         coeffs[k] = c
     return coeffs
@@ -495,7 +505,7 @@ def univariate_coeffs(p: SparsePoly, name: str) -> list[Fraction]:
 
 def poly_from_coeffs(coeffs, name: str) -> SparsePoly:
     vars = (name,)
-    return SparsePoly(vars, {(i,): Fraction(c) for i, c in enumerate(coeffs) if c != 0})
+    return SparsePoly(vars, {(i,): c for i, c in enumerate(coeffs) if c != 0})
 
 
 def _trim(c: list) -> list:
@@ -531,7 +541,7 @@ def univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [c / lead for c in a]
 
 
-def _divmod_linear(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], Fraction]:
+def _divmod_linear(a: list[int | Fraction], z0: Fraction) -> tuple[list[int | Fraction], Fraction]:
     """Synthetic division of ascending-coeff a by (z - z0): (quotient, a(z0))."""
     q = [_ZERO] * (len(a) - 1)
     r = a[-1]
@@ -541,7 +551,7 @@ def _divmod_linear(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], Fra
     return q, r
 
 
-def _deflate(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], int]:
+def _deflate(a: list[int | Fraction], z0: Fraction) -> tuple[list[int | Fraction], int]:
     """Divide a by (z - z0) as often as possible; return (quotient, multiplicity)."""
     mult = 0
     while len(a) > 1 and (qr := _divmod_linear(a, z0))[1] == 0:
@@ -552,7 +562,7 @@ def _deflate(a: list[Fraction], z0: Fraction) -> tuple[list[Fraction], int]:
 class RatFunc:
     """Normalized quotient of two sparse polynomials.
 
-    Invariants: den != 0; num and den have integer coefficients with joint
+    Invariants: den != 0; num and den have int coefficients with joint
     integer content 1; the leading coefficient of den under the canonical
     order is positive.  Equality compares numerators over equal
     denominators and is decided by cross-multiplication otherwise, so it
@@ -736,16 +746,14 @@ def _cancel(num: SparsePoly, den: SparsePoly):
 
 
 def _normalize_pair(num: SparsePoly, den: SparsePoly):
+    """Scale to int coefficients of joint content 1, leading den term > 0."""
     dn = math.lcm(num.content_denominator(), den.content_denominator())
     if dn != 1:
-        num = num * Fraction(dn)
-        den = den * Fraction(dn)
+        num = num * dn
+        den = den * dn
     g = math.gcd(num.integer_content(), den.integer_content())
-    if g > 1:
-        inv = Fraction(1, g)
-        num = num * inv
-        den = den * inv
     if den.leading()[1] < 0:
-        num = -num
-        den = -den
+        g = -g
+    if g != 1:
+        num, den = (SparsePoly(p.vars, {e: c // g for e, c in p.terms.items()}, _clean=True) for p in (num, den))
     return num, den

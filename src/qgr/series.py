@@ -20,7 +20,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .rings import RatFunc, SparsePoly
+from .rings import RatFunc, SparsePoly, _exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -372,16 +372,12 @@ def _graded_keys(arity: int, trunc_q: int):
 #
 # A series in one or two variables truncated at total degree D is a list
 # over its graded triangle of exponents.  A rational value enters as an int
-# when it is integral and stays a Fraction otherwise; Python's numeric tower
+# when it is integral and stays a Fraction otherwise (`rings._exact`, the
+# rule SparsePoly coefficients follow too); Python's numeric tower
 # keeps mixed arithmetic exact, so generic weights take the same code as
 # zero weights.  Values may also be polynomials (SparsePoly), whose zero is
 # skipped like the int 0.
 # ---------------------------------------------------------------------------
-
-
-def _exact(v):
-    """v as an int when it is integral; otherwise v itself."""
-    return v.numerator if v.denominator == 1 else v
 
 
 def _quotient(a, c):

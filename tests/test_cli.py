@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgr.cli import _suite_orthogonality, run
+from qgr.cli import _coeff_str, _suite_orthogonality, run
 from qgr.hyper import CISpec, build_Y_closed
 from qgr.operators import build_pipeline
 from qgr.series import LaurentExpansion, QSeries
@@ -386,3 +386,11 @@ def test_internal_fault_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(qgr.cli, "check_recursive", value_fault)
     assert run(["verify", "--suite", "recursivity", "--n", "3", "--qdeg", "1"]) == 3
     assert capsys.readouterr().err.startswith("internal error: ValueError: ")
+
+
+def test_int_coefficients_print_as_the_equal_fraction():
+    assert _coeff_str(3) == _coeff_str(Fraction(3)) == "3"
+    assert _coeff_str(-7) == _coeff_str(Fraction(-7)) == "-7"
+    assert _coeff_str(Fraction(1, 3)) == "1/3"
+    with pytest.raises(TypeError):
+        _coeff_str(0.5)

@@ -1,11 +1,15 @@
+import bisect
+import heapq
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgr.rings import RatFunc, SparsePoly, monomial_key, order_vars
+from qgr import rings
+from qgr.rings import RatFunc, SparsePoly, _descending, _unify, monomial_key, order_vars
 
 V = ("x1", "x2", "h")
 
@@ -203,7 +207,7 @@ def _divide_by_scan(a, d):
         qe = tuple(ei - di for ei, di in zip(e, dl_e))
         if any(q < 0 for q in qe):
             return None
-        qc = rem[e] / dl_c
+        qc = Fraction(rem[e]) / dl_c
         quot[qe] = quot.get(qe, Fraction(0)) + qc
         for de, dc in d.terms.items():
             ke = tuple(q + di for q, di in zip(qe, de))
@@ -398,3 +402,239 @@ def test_mul_in_empty_variable_space():
     p = SparsePoly((), {(): 3}) * SparsePoly((), {(): 5})
     assert p.vars == () and p.terms == {(): 15}
     assert SparsePoly((), {(): 3}).mul_trunc(SparsePoly((), {(): 5}), 0).terms == {(): 15}
+
+
+# -- int-while-integral coefficients --------------------------------------
+
+
+def _stored_exactly(p):
+    """Every coefficient an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values())
+
+
+def _int_pair(f):
+    return all(type(c) is int for p in (f.num, f.den) for c in p.terms.values())
+
+
+_scalars = st.one_of(st.integers(-4, 4), _small_rationals, st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _divisors, _scalars)
+def test_coefficients_are_int_while_integral(a, b, d, s):
+    half = Fraction(1, 2)
+    quotients = [(a * d).divide_exact(d), (a * d + b).divide_exact(d), (2 * a + b).divide_exact(d * half)]
+    polys = [
+        a, b, a + b, a - b, -a, a + s, a - s, s - a, a * s, s * a, a * b, (a * half) * (b * 2),
+        a.mul_trunc(b, 2), a.mul_trunc(b, None), a**2, SparsePoly.const(V, s),
+        a.substitute({"x1": s, "h": b}), a.substitute({"x2": half}), a.substitute({"h": d * half}),
+        a.embed(("x1", "x2", "h", "z")), a.swap_x(),
+    ] + [q for q in quotients if q is not None]
+    for p in polys:
+        assert _stored_exactly(p), p.terms
+    f, g = RatFunc(a, d), RatFunc(b * half + 1, d * s if s else d)
+    fracs = [f, g, -f, f + g, f - g, f * g, f * s, f / RatFunc(d), f**2, RatFunc.from_scalar(s, V),
+             f.substitute({"x1": half}), f.swap_x(), RatFunc(a * half, d * Fraction(2, 3))]
+    if not a.is_zero():
+        fracs += [g / f, f**-1]
+    for r in fracs:
+        assert _int_pair(r), r
+
+
+def test_mixed_products_and_quotients_store_integral_values_as_ints():
+    a = x1 * Fraction(1, 2) + x2
+    b = 2 * x1 + h
+    p = a * b
+    assert p.terms == {(2, 0, 0): 1, (1, 0, 1): Fraction(1, 2), (1, 1, 0): 2, (0, 1, 1): 1}
+    assert _stored_exactly(p) and _stored_exactly(a.mul_trunc(b, 2))
+    assert _stored_exactly((x1 * Fraction(1, 3)) * 3)
+    q = (6 * x1 + 2 * h).divide_exact(SparsePoly.const(V, 2))
+    assert q.terms == {(1, 0, 0): 3, (0, 0, 1): 1} and _stored_exactly(q)
+    q = (3 * x1 + 2 * h).divide_exact(SparsePoly.const(V, 2))
+    assert q.terms == {(1, 0, 0): Fraction(3, 2), (0, 0, 1): 1} and _stored_exactly(q)
+    assert type(SparsePoly.const(V, Fraction(4, 2)).terms[(0, 0, 0)]) is int
+    # the constant value stays a Fraction: 1 / it is exact
+    assert type(SparsePoly.const(V, 3).const_value()) is Fraction
+    assert type(RatFunc.from_scalar(3, V).const_value()) is Fraction
+
+
+# -- the Fraction-coefficient kernels, verbatim: differential oracles for the
+# int-while-integral _mul_terms, divide_exact and _normalize_pair ----------
+
+
+def _mul_terms_fraction(vars, ta, tb, max_xdeg, xidx):
+    if not ta or not tb:
+        return SparsePoly.zero(vars)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    cols_a, cols_b = list(zip(*ta)), list(zip(*tb))
+    if min(map(min, cols_a + cols_b), default=0) < 0:
+        raise ValueError("negative exponent in a polynomial product")
+    if len(ta) == 1:
+        [(ea, ca)] = ta.items()
+        out = {}
+        for eb, cb in tb.items():
+            e = tuple(map(operator.add, ea, eb))
+            if max_xdeg is None or sum([e[i] for i in xidx]) <= max_xdeg:
+                out[e] = ca * cb
+        return SparsePoly(vars, out, _clean=True)
+    top = max(map(operator.add, map(max, cols_a), map(max, cols_b)), default=0)
+    width = top.bit_length() + 1
+    shifts = range(0, width * len(vars), width)
+    int_mode = all(c.denominator == 1 for c in ta.values()) and all(
+        c.denominator == 1 for c in tb.values()
+    )
+
+    def packed(items):
+        return [(sum(map(operator.lshift, e, shifts)), c.numerator if int_mode else c) for e, c in items]
+
+    def xdeg(e):
+        return sum([e[i] for i in xidx])
+
+    ia = packed(ta.items())
+    if max_xdeg is None:
+        ib = packed(tb.items())
+        rows = ((ka, ca, ib) for ka, ca in ia)
+    else:
+        sb = sorted(tb.items(), key=lambda t: xdeg(t[0]))
+        degs = [xdeg(e) for e, _ in sb]
+        ib = packed(sb)
+        rows = ((ka, ca, ib[: bisect.bisect_right(degs, max_xdeg - xdeg(e))]) for e, (ka, ca) in zip(ta, ia))
+    out = {}
+    get = out.get
+    for ka, ca, row in rows:
+        for kb, cb in row:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    mask = (1 << width) - 1
+    clean = {
+        tuple([k >> s & mask for s in shifts]): Fraction(v) if int_mode else v for k, v in out.items() if v
+    }
+    return SparsePoly(vars, clean, _clean=True)
+
+
+def _divide_exact_fraction(self, divisor):
+    a, d = _unify(self, divisor)
+    if d.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    dl_e, dl_c = d.leading()
+    dterms = [(e, c) for e, c in d.terms.items() if e != dl_e]
+    rem = dict(a.terms)
+    heap = [_descending(e) for e in rem]
+    heapq.heapify(heap)
+    quot: dict[tuple[int, ...], Fraction] = {}
+    while heap:
+        e = heapq.heappop(heap)[-1]
+        c = rem.pop(e)
+        if not c:
+            continue
+        qe = tuple(ei - di for ei, di in zip(e, dl_e))
+        if any(q < 0 for q in qe):
+            return None
+        qc = c / dl_c
+        quot[qe] = qc
+        for de, dc in dterms:
+            ke = tuple(q + di for q, di in zip(qe, de))
+            v = rem.get(ke)
+            if v is None:
+                heapq.heappush(heap, _descending(ke))
+                v = Fraction(0)
+            rem[ke] = v - qc * dc
+    return SparsePoly(a.vars, quot, _clean=True)
+
+
+def _normalize_pair_fraction(num, den):
+    dn = math.lcm(num.content_denominator(), den.content_denominator())
+    if dn != 1:
+        num = num * Fraction(dn)
+        den = den * Fraction(dn)
+    g = math.gcd(num.integer_content(), den.integer_content())
+    if g > 1:
+        inv = Fraction(1, g)
+        num = num * inv
+        den = den * inv
+    if den.leading()[1] < 0:
+        num = -num
+        den = -den
+    return num, den
+
+
+def _fraction_terms(terms):
+    """The same terms in the Fraction-coefficient representation."""
+    return {e: Fraction(c) for e, c in terms.items()}
+
+
+def _as_fraction_poly(p):
+    return SparsePoly(p.vars, _fraction_terms(p.terms), _clean=True)
+
+
+def _same_values(got, want):
+    return (got is None) == (want is None) and (got is None or _same_product(got, want))
+
+
+def _check_against_fraction_kernels(mul_calls, div_calls, norm_calls):
+    for vars, ta, tb, max_xdeg, xidx, got in mul_calls:
+        want = _mul_terms_fraction(vars, _fraction_terms(ta), _fraction_terms(tb), max_xdeg, xidx)
+        assert _same_product(got, want) and _stored_exactly(got), (vars, ta, tb, max_xdeg)
+    for a, d, got in div_calls:
+        want = _divide_exact_fraction(_as_fraction_poly(a), _as_fraction_poly(d))
+        assert _same_values(got, want) and (got is None or _stored_exactly(got)), (a, d)
+    for num, den, got in norm_calls:
+        want = _normalize_pair_fraction(_as_fraction_poly(num), _as_fraction_poly(den))
+        assert all(map(_same_product, got, want)), (num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spaced_polys(), _spaced_polys(), st.sampled_from([None, 0, 1, 2, 4]))
+def test_int_kernels_match_fraction_kernels(a, b, max_xdeg):
+    vs = order_vars(set(a.vars) | set(b.vars))
+    a, b = a.embed(vs), b.embed(vs)
+    xidx = tuple(i for i, v in enumerate(vs) if v in ("x1", "x2"))
+    mul_calls = [(vs, a.terms, b.terms, max_xdeg, xidx, a.mul_trunc(b, max_xdeg))]
+    div_calls = [(p, d, p.divide_exact(d)) for p, d in ((a * b, b), (a * b + a, b), (a, b), (b, a)) if d]
+    norm_calls = [(p, d, rings._normalize_pair(p, d)) for p, d in ((a, b), (a * Fraction(-2, 3), b * 3)) if d]
+    _check_against_fraction_kernels(mul_calls, div_calls, norm_calls)
+
+
+def test_int_kernels_match_fraction_kernels_on_pipeline_inputs(monkeypatch, capsys):
+    from qgr import cli, series
+    from qgr.cohomology import default_generic_alpha
+    from qgr.hyper import CISpec, bar_assemble, build_K
+
+    mul_calls, div_calls, norm_calls = [], [], []
+    kernel, divide, normalize = rings._mul_terms, SparsePoly.divide_exact, rings._normalize_pair
+
+    def recording_mul(*args):
+        got = kernel(*args)
+        mul_calls.append((*args, got))
+        return got
+
+    def recording_divide(a, d):
+        got = divide(a, d)
+        div_calls.append((a, d, got))
+        return got
+
+    def recording_normalize(num, den):
+        got = normalize(num, den)
+        norm_calls.append((num, den, got))
+        return got
+
+    monkeypatch.setattr(rings, "_mul_terms", recording_mul)
+    monkeypatch.setattr(SparsePoly, "divide_exact", recording_divide)
+    monkeypatch.setattr(rings, "_normalize_pair", recording_normalize)
+    series._x_inverse.cache_clear()
+    bar_assemble(build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2))
+    cli.run(["series", "--kind", "dot-dual", "--n", "4", "--a", "2", "--qdeg", "2"])
+    cli.run(["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1"])
+    cli.run(["series", "--kind", "y-gamma", "--n", "3", "--a", "1", "--qdeg", "1", "--k", "1", "--j", "0"])
+    capsys.readouterr()
+
+    def has_fraction(*terms):
+        return any(type(c) is Fraction for t in terms for c in t.values())
+
+    # the recorded inputs hold integral and non-integral coefficients
+    assert any(has_fraction(ta, tb) for _, ta, tb, *_ in mul_calls)
+    assert any(not has_fraction(ta, tb) for _, ta, tb, *_ in mul_calls)
+    assert any(has_fraction(n.terms, d.terms) for n, d, _ in norm_calls)
+    assert div_calls and any(q is not None for *_, q in div_calls)
+    _check_against_fraction_kernels(mul_calls, div_calls, norm_calls)

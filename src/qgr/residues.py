@@ -6,14 +6,15 @@ locations: every denominator in scope factors into explicit linear
 factors, so the check deflates the denominator at the candidates and
 refuses to proceed if their multiplicities fall short of its degree.
 
-Both residues read one term of an expansion at h = infinity
-(`series._expand_parts`, which runs the package's one inverse-series
-recurrence, `series._Triangle.inverse`): at a finite point, of the
-Taylor heads at that point in the local variable; at infinity, of the
-coefficients themselves.  Deflation by synthetic division comes from the
-univariate helpers of `rings`.  The sum check extracts the coefficient
-lists once and reads order and residue at each candidate from one
-deflation of the denominator there.
+Coefficient lists are ints while integral (`rings.univariate_coeffs`),
+and an integral candidate is passed on as an int, so synthetic division
+by (z - z0) (the univariate helpers of `rings`) stays in int arithmetic.
+At a finite point the denominator is deflated once; the first m Taylor
+coefficients there of the numerator and of the deflated denominator give
+both the pole order and the residue, the latter as one term of their
+expansion at h = infinity (`series._expand_parts`).  At infinity the
+residue is read off the remainder of num modulo den.  The sum check
+extracts the coefficient lists once.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rings import RatFunc, _deflate, _divmod_linear, univariate_coeffs
+from .rings import RatFunc, _deflate, _divmod_linear, _exact, _trim, univariate_coeffs
 from .series import _expand_parts
 
 INFINITY = "inf"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -43,40 +45,59 @@ def _coeff_lists(f: RatFunc, var: str) -> tuple[list[int], list[int]]:
     return univariate_coeffs(f.num, var), univariate_coeffs(f.den, var)
 
 
-def _taylor_head(a: list[Fraction], z0: Fraction, m: int) -> list[Fraction]:
+def _taylor_head(a: list, z0: int | Fraction, m: int) -> list:
     """The first m coefficients of a(z + z0): the input's own at z0 = 0,
     else the successive remainders of division by (z - z0)."""
     if z0 == 0:
-        return (a + [Fraction(0)] * m)[:m]
-    out: list[Fraction] = []
+        return (a + [0] * m)[:m]
+    out = []
     for _ in range(m):
         if not a:
-            out.append(Fraction(0))
+            out.append(0)
             continue
         a, r = _divmod_linear(a, z0)
         out.append(r)
     return out
 
 
-def _pole_at(num: list[Fraction], den: list[Fraction], z0: Fraction) -> tuple[int, int, Fraction]:
+def _pole_at(num: list, den: list, z0: int | Fraction) -> tuple[int, int, Fraction]:
     """(m, order, residue) of num/den at z0, for ascending coefficient
     lists: m the root multiplicity of den, order that of the pole (m less
     that of num, and 0 at a regular point or for num = 0), and the
-    coefficient of (z - z0)^(-1).  With den = (z - z0)^m u and u(z0) != 0,
-    the residue is the t^(m-1) coefficient of num/u in t = z - z0, for
-    which only the first m Taylor coefficients of num and of u at z0
-    enter: the h^(1-m) term of their expansion at h = 1/t = infinity."""
+    coefficient of (z - z0)^(-1).  An integral z0 is divided by as an int.
+    With den = (z - z0)^m u and u(z0) != 0, both come from the first m
+    Taylor coefficients of num and of u at z0: the order is m less the
+    index of the first nonzero one of num (none: order 0), and the residue
+    is the t^(m-1) coefficient of num/u in t = z - z0, the h^(1-m) term of
+    their expansion at h = 1/t = infinity."""
+    z0 = _exact(z0)
     u, m = _deflate(den, z0)
     if m == 0:
-        return 0, 0, Fraction(0)
-    order = max(m - _deflate(num, z0)[1], 0) if any(num) else 0
-    nsh, ush = ({-i: c for i, c in enumerate(_taylor_head(a, z0, m)) if c} for a in (num, u))
+        return 0, 0, _ZERO
+    nhead = _taylor_head(num, z0, m)
+    order = m - next((i for i, c in enumerate(nhead) if c), m)
+    nsh, ush = ({-i: c for i, c in enumerate(head) if c} for head in (nhead, _taylor_head(u, z0, m)))
     return m, order, _expand_parts(nsh, ush, m).coeff(1 - m)
 
 
-def _at_infinity(num: list[Fraction], den: list[Fraction]) -> Fraction:
-    num_parts, den_parts = ({i: c for i, c in enumerate(a) if c} for a in (num, den))
-    return -_expand_parts(num_parts, den_parts, 2).coeff(-1)
+def _at_infinity(num: list, den: list) -> Fraction:
+    """Minus the z^-1 coefficient of num/den at z = infinity.  With
+    num = quo * den + r and deg r < deg den = d, the polynomial quo has no
+    such term and r/den = (r_(d-1) / lead(den)) z^-1 + O(z^-2), so the
+    residue is -r_(d-1) / lead(den).  The remainder is taken in ints, as
+    lead(den)^k num mod den for k division steps."""
+    d, lead = len(den) - 1, den[-1]
+    r, k = _trim(list(num)), 0
+    while len(r) > d:
+        c = r.pop()
+        shift = len(r) - d
+        r = [lead * v for v in r]
+        for i in range(d):
+            r[shift + i] -= c * den[i]
+        k += 1
+    if d == 0 or len(r) < d:
+        return _ZERO
+    return -Fraction(r[d - 1]) / lead ** (k + 1)
 
 
 def residue_at(f: RatFunc, z0, var: str = "z") -> Fraction:

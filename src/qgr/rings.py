@@ -541,7 +541,7 @@ def univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [c / lead for c in a]
 
 
-def _divmod_linear(a: list[int | Fraction], z0: Fraction) -> tuple[list[int | Fraction], Fraction]:
+def _divmod_linear(a: list[int | Fraction], z0: int | Fraction) -> tuple[list[int | Fraction], int | Fraction]:
     """Synthetic division of ascending-coeff a by (z - z0): (quotient, a(z0))."""
     q = [_ZERO] * (len(a) - 1)
     r = a[-1]
@@ -551,7 +551,7 @@ def _divmod_linear(a: list[int | Fraction], z0: Fraction) -> tuple[list[int | Fr
     return q, r
 
 
-def _deflate(a: list[int | Fraction], z0: Fraction) -> tuple[list[int | Fraction], int]:
+def _deflate(a: list[int | Fraction], z0: int | Fraction) -> tuple[list[int | Fraction], int]:
     """Divide a by (z - z0) as often as possible; return (quotient, multiplicity)."""
     mult = 0
     while len(a) > 1 and (qr := _divmod_linear(a, z0))[1] == 0:

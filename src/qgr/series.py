@@ -141,21 +141,22 @@ class LaurentExpansion:
 
 def _expand_parts(num: Mapping[int, object], den: Mapping[int, object], depth: int) -> LaurentExpansion:
     """num/den at h = infinity, for part maps {h-exponent: nonzero value}
-    over any integer exponents, the top part c of den a Fraction.
+    over any integer exponents, the top part c of den an int or a Fraction.
 
     With M, N the top exponents and s = 1/h, num/den = h^(M-N) b(s)/u(s)
-    for b_j = num_(M-j)/c and u_t = den_(N-t)/c, so u_0 = 1, and the terms
+    for b_j = num_(M-j) and u_t = den_(N-t), so u_0 = c, and the terms
     down to h^(1-depth) are b/u to order D = M - N + depth - 1, on
-    `_triangle(1, D)`.  If den has one part every term is returned and
-    the result is exact (depth None), as it is for num = {}.  With parts
-    {-i: a_i}, the expansion at h = 1/t = infinity is the power series of
-    a(t)/b(t) at t = 0.
+    `_triangle(1, D)`.  Its inverse of u is W / c^(D+1), with W integral
+    when u is, so b W is divided by c^(D+1) once, at the end.  If den has
+    one part every term is returned and the result is exact (depth None),
+    as it is for num = {}.  With parts {-i: a_i}, the expansion at
+    h = 1/t = infinity is the power series of a(t)/b(t) at t = 0.
     """
     if not num:
         return LaurentExpansion.zero(None)
     M, N = max(num), max(den)
-    inv = _ONE / den[N]
     if len(den) == 1:
+        inv = _ONE / den[N]
         return LaurentExpansion({k - N: v * inv for k, v in num.items()}, None)
     D = M - N + depth - 1
     if D < 0:
@@ -165,9 +166,10 @@ def _expand_parts(num: Mapping[int, object], den: Mapping[int, object], depth: i
     for parts, top, out in ((num, M, b), (den, N, u)):
         for k, v in parts.items():
             if top - k <= D:
-                out[top - k] = v * inv
-    w, _ = tri.inverse(u)
-    return LaurentExpansion({M - N - j: v for j, v in enumerate(tri.mul(b, w))}, depth)
+                out[top - k] = v
+    w, g = tri.inverse(u)
+    inv = _ONE / g
+    return LaurentExpansion({M - N - j: v * inv for j, v in enumerate(tri.mul(b, w))}, depth)
 
 
 def laurent_expand_hbar(
@@ -191,7 +193,7 @@ def laurent_expand_hbar(
         raise ValueError("top h-coefficient of the denominator is not a nonzero constant")
     if num.is_zero():
         return LaurentExpansion.zero(None)
-    den_parts[N] = lead.const_value()
+    den_parts[N] = _exact(lead.const_value())
     out = _expand_parts(num.decompose_by("h") if "h" in num.vars else {0: num}, den_parts, depth)
     if max_x_degree is None:
         return out
@@ -382,12 +384,15 @@ def _graded_keys(arity: int, trunc_q: int):
 
 def _quotient(a, c):
     """a / c in the recurrence: exact division by a polynomial c (else
-    ArithmeticError), or a rational, an int when integral."""
+    ArithmeticError); by a rational c, a polynomial a with its coefficients
+    ints where integral, or a rational, an int when integral."""
     if isinstance(c, SparsePoly):
         q = a.divide_exact(c)
         if q is None:
             raise ArithmeticError("inverse-series recurrence failed to divide")
         return q
+    if isinstance(a, SparsePoly):
+        return a * Fraction(1, c)
     return _exact(Fraction(a, c))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
-from .cohomology import euler_tangent, fixed_points
+from .cohomology import GenericityError, euler_tangent, fixed_points
 from .hrat import HRat
 from .residues import pole_order_at, residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
@@ -241,16 +241,20 @@ def _expand_at_infinity(coeffs: list[RatFunc], depth: int) -> tuple[list[dict], 
     x-denominator L: returns ([h-exponent -> x-polynomial P], L) with
     coeffs[d] = sum_e P_e h^e / L, exact for e >= 1 - depth.
 
-    Each denominator splits as L_d * den', L_d its top h-coefficient
-    (ValueError if L_d does not divide it), so that den' has the constant
-    top coefficient 1 that laurent_expand_hbar needs; L = prod_d L_d.  A
-    top coefficient that depends on x (a pole at the kept variable's
-    origin, say) thus moves into L, where the residue checks see it."""
+    laurent_expand_hbar needs a constant top h-coefficient.  A top
+    coefficient L_d that depends on x (a pole at the kept variable's
+    origin, say) is split off as den = L_d * den' (ValueError if L_d does
+    not divide den) and moves into L = prod_d L_d, where the residue checks
+    see it; a constant one (L_d = 1) stays in den, so that an int top
+    coefficient keeps the expansion in int arithmetic until its one final
+    division."""
+    one = SparsePoly.const(coeffs[0].den.vars, 1)
     leads = []
     for c in coeffs:
         parts = c.den.decompose_by("h")
-        leads.append(parts[max(parts)])
-    L = prod(leads, start=SparsePoly.const(coeffs[0].den.vars, 1))
+        lead = parts[max(parts)]
+        leads.append(one if lead.is_const() else lead)
+    L = prod(leads, start=one)
     out = []
     for c, lead in zip(coeffs, leads):
         den = c.den.divide_exact(lead)
@@ -284,9 +288,18 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
     lin^p1/p1! (d1 h)^p2/p2!, lin = x + xi; each of its h-coefficients P_e
     gives the checked function
     P_e eta (x-xi)(xi-x) / (prod_k (x-a_k)(xi-a_k) * L1 L2).
-    Constant functions are not checked.
+    Constant functions are not checked.  In int arithmetic: each side's
+    expansions are held times one int (the lcm of their content
+    denominators), lin^p/p! and d1^p2/p2! times (Nz!)^2 xi_den^Nz, and
+    these scalars are folded into the denominator; the front factor and the
+    denominator are then cleared of denominators by one more int.  So each
+    checked function is the same rational function, of int polynomials.
     Returns a report dict; "ok" is the conjunction of all checks.
+    A weight equal to xi raises GenericityError: the held variable's
+    factor (xi - a_k) would vanish.
     """
+    if _XI in alphas:
+        raise GenericityError(f"weight {_XI} is the point at which residue-internal holds one x-variable")
     lo = 1 - depth - Nz  # the lowest product exponent that any check reads
     checks = []
     for var_kept, var_fixed in (("x2", "x1"), ("x1", "x2")):
@@ -296,7 +309,10 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
         (e1, L1), (e2, L2) = (
             _expand_at_infinity(cs, depth + Nz + tops[1 - s]) for s, cs in enumerate(subs)
         )
-        e2 = [{e: (-P if e % 2 else P) for e, P in ex.items()} for ex in e2]  # h -> -h
+        # each side over one int: its h-coefficients times the lcm c of their content denominators
+        c1, c2 = (lcm(*(P.content_denominator() for ex in es for P in ex.values())) for es in (e1, e2))
+        e1 = [{e: P * c1 for e, P in ex.items()} for ex in e1]
+        e2 = [{e: P * (-c2 if e % 2 else c2) for e, P in ex.items()} for ex in e2]  # h -> -h
         V = L1.vars
         conv = {}
         for d1 in range(D + 1):
@@ -310,18 +326,22 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
                 conv[(d1, d2)] = acc
         x = SparsePoly.variable(V, var_kept)
         xi = SparsePoly.const(V, _XI)
-        lin = x + xi
-        lin_pows = [lin**p * Fraction(1, factorial(p)) for p in range(Nz + 1)]
+        # int polynomials: lin_pows[p] = xi_den^Nz Nz! lin^p/p!, lin = x + xi; below, w scales it by Nz! d1^p2/p2!
+        lin = x * _XI.denominator + SparsePoly.const(V, _XI.numerator)
+        lin_pows = [lin**p * (factorial(Nz) * _XI.denominator ** (Nz - p) // factorial(p)) for p in range(Nz + 1)]
         front = eta_poly.substitute({var_fixed: _XI}) * (xi - x) * (x - xi)
-        pole_den = L1 * L2
+        pole_den = L1 * L2 * (c1 * c2 * factorial(Nz) ** 2 * _XI.denominator**Nz)
         for ak in alphas:
             pole_den = pole_den * (x - SparsePoly.const(V, ak)) * (_XI - ak)
+        # one int clears both of denominators
+        k = lcm(front.content_denominator(), pole_den.content_denominator())
+        front, pole_den = front * k, pole_den * k
         for (dz, qd) in [(p, d) for d in range(D + 1) for p in range(Nz + 1)]:
             # z-contributions: e^{(x1+x2)z} and the q -> q e^{hz} shift in Y1
             total: dict[int, SparsePoly] = {}
             for d1 in range(qd + 1):
                 for p2 in range(dz + 1 if d1 else 1):
-                    w = lin_pows[dz - p2] * Fraction(d1**p2, factorial(p2))
+                    w = lin_pows[dz - p2] * (d1**p2 * factorial(Nz) // factorial(p2))
                     for e, P in conv[(d1, qd - d1)].items():
                         if e + p2 >= 1 - depth:
                             t = P * w

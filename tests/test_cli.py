@@ -394,3 +394,57 @@ def test_int_coefficients_print_as_the_equal_fraction():
     assert _coeff_str(Fraction(1, 3)) == "1/3"
     with pytest.raises(TypeError):
         _coeff_str(0.5)
+
+
+def test_weight_at_the_held_point_is_a_genericity_error(capsys):
+    # residue-internal holds one x-variable at 1/3, so that weight would zero a denominator
+    argv = ["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "2", "--alpha", "1/3,5,7"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: weight 1/3 ")
+
+
+def test_general_type_inputs_are_refused(capsys):
+    assert run(["verify", "--suite", "recursivity", "--n", "3", "--a", "2,2", "--alpha", "generic"]) == 2
+    assert run(["double-j", "--n", "3", "--a", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |a| must not exceed n\n" * 2
+    with pytest.raises(ValueError):
+        CISpec((2, 2)).validate(3)
+
+
+def test_residue_internal_calls_each_residue_function_once_per_integrand(capsys, monkeypatch):
+    # patched wherever a qgr module holds the function, as the traced benchmark does
+    import sys
+
+    import qgr.cli
+    import qgr.residues
+
+    counts = {}
+    for name in ("residue_at", "pole_order_at", "residue_sum_check"):
+        orig = getattr(qgr.residues, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key == "qgr" or key.startswith("qgr."):
+                for attr, val in list(vars(module).items()):
+                    if val is orig:
+                        monkeypatch.setattr(module, attr, counted)
+    reports = []
+    check = qgr.cli.residue_internal_check
+
+    def recorded(*args):
+        reports.append(check(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(qgr.cli, "residue_internal_check", recorded)
+    assert run(["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "2"]) == 0
+    capsys.readouterr()
+    integrands = len(reports[0]["checks"])
+    assert integrands > 0
+    assert counts == {"residue_at": integrands, "pole_order_at": integrands, "residue_sum_check": integrands}

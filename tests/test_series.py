@@ -633,5 +633,9 @@ def test_inverse_quotient_is_exact_or_raises():
         _quotient(h + one, h)
     assert type(_quotient(6, 3)) is int and _quotient(6, 3) == 2
     assert _quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    # a polynomial over a rational: its coefficients, ints where integral
+    q = _quotient(h * 6 + one * 3, 3)
+    assert q == h * 2 + one and all(type(c) is int for c in q.terms.values())
+    assert _quotient(h, Fraction(2, 3)) == h * Fraction(3, 2)
     # zero polynomials are skipped like the int 0
     assert not SparsePoly.zero(V) and x1 and not x1 - x1

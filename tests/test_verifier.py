@@ -300,6 +300,27 @@ def test_residue_internal_matches_summed_integrand_route(n, a, D, Nz, depth):
     assert new == _residue_internal_by_sums(Y1, Y2, eta, al, n, D, Nz, depth)
 
 
+@pytest.mark.parametrize("n, a, D, Nz, depth", [(3, (1,), 2, 2, 7), (3, (2,), 1, 1, 4)])
+def test_residue_internal_matches_summed_integrand_route_off_the_integers(n, a, D, Nz, depth):
+    # non-integral weights and a non-constant eta with Fraction coefficients:
+    # every scalar that the int route folds into the denominator is not 1
+    al = (Fraction(1, 2), Fraction(5, 3), Fraction(7))
+    Y1 = bar_assemble(build_K("dot", n, CISpec(a), al, D))
+    Y2 = bar_assemble(build_K("ddot", n, CISpec(a), al, D))
+    XV = ("x1", "x2")
+    x1, x2 = SparsePoly.variable(XV, "x1"), SparsePoly.variable(XV, "x2")
+    eta = x1 * Fraction(2, 5) + x2 * x2 * Fraction(3, 7) + SparsePoly.const(XV, Fraction(1, 2))
+    new = residue_internal_check(Y1, Y2, eta, al, n, D, Nz, depth)
+    assert new["checks"] and new["ok"]
+    assert new == _residue_internal_by_sums(Y1, Y2, eta, al, n, D, Nz, depth)
+    # a pole at the kept variable's origin gives nonzero residues, which a
+    # scalar folded into the numerator but not the denominator would change
+    pole = _MutatedQ1(Y1, lambda c: RatFunc(c.num, c.den * SparsePoly.variable(("x1", "x2", "h"), "x1")))
+    new = residue_internal_check(pole, Y2, eta, al, n, D, Nz, depth)
+    assert any(c["residue_at_0"] != 0 for c in new["checks"])
+    assert new == _residue_internal_by_sums(pole, Y2, eta, al, n, D, Nz, depth)
+
+
 def test_residue_internal_mutants_match_summed_integrand_route():
     n, D, Nz, depth = 3, 2, 2, 7
     Y1, Y2, eta, al = _residue_inputs(n, (1,), D)

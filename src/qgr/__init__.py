@@ -8,7 +8,6 @@ rationals.
 """
 
 from .cohomology import (
-    CohClass,
     ab_integrate,
     box_partitions,
     default_generic_alpha,

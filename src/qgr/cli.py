@@ -29,7 +29,6 @@ from .cohomology import (
     localization_data,
     pairing,
     partitions_of_degree,
-    CohClass,
 )
 from .hyper import (
     AMatrixSpec,
@@ -414,7 +413,7 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
     parts = box_partitions(n)
     basis = [{"degree": sum(lam), "partition": list(lam), "poly": schur_poly(lam).to_string()} for lam in parts]
     pmat = [
-        [_frac_str(pairing(CohClass({lam: Fraction(1)}), CohClass({mu: Fraction(1)}), n)) for mu in parts]
+        [_frac_str(pairing({lam: 1}, {mu: 1}, n)) for mu in parts]
         for lam in parts
     ]
     diag = [

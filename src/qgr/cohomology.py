@@ -116,50 +116,26 @@ def schur_poly(lam: Partition) -> SparsePoly:
     return e2b * h_complete(a - b)
 
 
-@dataclass
-class CohClass:
-    """Element of H*(Gr) in the Schur basis; values are any exact ring type."""
-
-    coeffs: dict
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k)
-            nv = v if w is None else w + v
-            out[k] = nv
-        return CohClass({k: v for k, v in out.items() if not _vzero(v)})
-
-    def scale(self, c) -> "CohClass":
-        return CohClass({k: v * c for k, v in self.coeffs.items() if not _vzero(v * c)})
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            a = self.coeffs.get(k, Fraction(0))
-            b = other.coeffs.get(k, Fraction(0))
-            if not _vzero(a - b):
-                return False
-        return True
-
-    def get(self, lam: Partition):
-        return self.coeffs.get(tuple(lam), Fraction(0))
-
-
-def schur_reduce(p: SparsePoly, n: int) -> CohClass:
+def schur_reduce(p: SparsePoly, n: int) -> dict[Partition, object]:
     """Class of a symmetric polynomial in H*(Gr(2,n)): its Schur
-    coordinates, read degree by degree, without s_lam for lam1 >= n-1."""
+    coordinates inside the box, as {partition: coefficient}."""
     if not p.is_symmetric_x():
         raise ValueError("polynomial is not symmetric in x1, x2")
     if not set(p.used_vars()) <= set(XV):
         raise ValueError("polynomial uses variables besides x1, x2")
+    parts = p.embed(order_vars(set(p.vars) | set(XV))).decompose_x()
+    return box_schur({e: c.const_value() for e, c in parts.items()}, n)
+
+
+def box_schur(values_by_exp: dict[tuple[int, int], object], n: int) -> dict[Partition, object]:
+    """Schur coordinates of a symmetric form in x1, x2 given by exponent
+    values, read degree by degree (`graded_to_schur`), without s_lam for
+    lam1 >= n-1: the box classes in H*(Gr(2,n)), zeros dropped."""
     graded: dict[int, dict] = {}
-    for e, c in p.embed(order_vars(set(p.vars) | set(XV))).decompose_x().items():
-        graded.setdefault(sum(e), {})[e] = c.const_value()
-    return CohClass({lam: c for r, vals in graded.items()
-                     for lam, c in graded_to_schur(vals, r).items() if lam[0] <= n - 2})
+    for e, v in values_by_exp.items():
+        graded.setdefault(e[0] + e[1], {})[e] = v
+    return {lam: c for r, vals in graded.items()
+            for lam, c in graded_to_schur(vals, r).items() if lam[0] <= n - 2}
 
 
 def graded_to_schur(values_by_exp: dict[tuple[int, int], object], r: int) -> dict[Partition, object]:
@@ -197,13 +173,14 @@ def graded_to_schur(values_by_exp: dict[tuple[int, int], object], r: int) -> dic
 # ---------------------------------------------------------------------------
 
 
-def pairing(a: CohClass, b: CohClass, n: int):
-    """Integral over Gr(2,n) of a*b via complementary-partition duality."""
+def pairing(a: dict[Partition, object], b: dict[Partition, object], n: int):
+    """Integral over Gr(2,n) of a*b, for classes given as {partition:
+    coefficient}, via complementary-partition duality."""
     total = Fraction(0)
-    for lam, c in a.coeffs.items():
+    for lam, c in a.items():
         mu = complement(lam, n)
-        if mu in b.coeffs:
-            total = total + c * b.coeffs[mu]
+        if mu in b:
+            total = total + c * b[mu]
     return total
 
 

@@ -51,12 +51,12 @@ from math import comb, lcm
 
 from .cohomology import (
     box_partitions,
+    box_schur,
     complement,
     diagonal,
     equivariant_diagonal,
     euler_tangent,
     fixed_points,
-    graded_to_schur,
     partitions_of_degree,
     schur_poly,
 )
@@ -325,24 +325,20 @@ def class_extract(F: HyperSeries | LadderImage, n: int, kmax: int, depth: int) -
         keys = _triangle(2, kmax).keys
         for key in F.num_parts:
             deg, X, g = F.x_expansion(key, kmax)
-            _schur_classes(out, key, {e: v for e, v in zip(keys, X) if v}, n, kmax,
+            _schur_classes(out, key, {e: v for e, v in zip(keys, X) if v}, n,
                            lambda v, r: LaurentExpansion({deg - r: Fraction(v, g)}, None))
     else:
         for key, f in F.series().coeffs.items():
-            _schur_classes(out, key, x_coefficients(f, kmax), n, kmax, lambda v, r: _h_expand(v, depth))
+            _schur_classes(out, key, x_coefficients(f, kmax), n, lambda v, r: _h_expand(v, depth))
     return {rj: QSeries(1, F.D, comp) for rj, comp in sorted(out.items())}
 
 
-def _schur_classes(out: dict, key, xc: dict, n: int, kmax: int, expand) -> None:
-    """out[(r, j)][key] = expand(v, r) for the Schur components v inside
-    the box of each graded piece of the x-expansion xc."""
-    for r in range(kmax + 1):
-        vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
-        if not vals:
-            continue
-        for lam, v in graded_to_schur(vals, r).items():
-            if lam[0] <= n - 2:
-                out.setdefault((r, partitions_of_degree(n, r).index(lam)), {})[key] = expand(v, r)
+def _schur_classes(out: dict, key, xc: dict, n: int, expand) -> None:
+    """out[(r, j)][key] = expand(v, r) for the box Schur components v of
+    the x-expansion xc."""
+    for lam, v in box_schur(xc, n).items():
+        r = lam[0] + lam[1]
+        out.setdefault((r, partitions_of_degree(n, r).index(lam)), {})[key] = expand(v, r)
 
 
 # ---------------------------------------------------------------------------

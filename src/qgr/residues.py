@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rings import RatFunc, _deflate, _divmod_linear, _exact, _trim, univariate_coeffs
+from .rings import RatFunc, _deflate, _divmod_linear, _exact, _pseudo_rem, univariate_coeffs
 from .series import _expand_parts
 
 INFINITY = "inf"
@@ -85,16 +85,9 @@ def _at_infinity(num: list, den: list) -> Fraction:
     num = quo * den + r and deg r < deg den = d, the polynomial quo has no
     such term and r/den = (r_(d-1) / lead(den)) z^-1 + O(z^-2), so the
     residue is -r_(d-1) / lead(den).  The remainder is taken in ints, as
-    lead(den)^k num mod den for k division steps."""
+    the pseudo-remainder lead(den)^k num mod den (`rings._pseudo_rem`)."""
     d, lead = len(den) - 1, den[-1]
-    r, k = _trim(list(num)), 0
-    while len(r) > d:
-        c = r.pop()
-        shift = len(r) - d
-        r = [lead * v for v in r]
-        for i in range(d):
-            r[shift + i] -= c * den[i]
-        k += 1
+    r, k = _pseudo_rem(num, den)
     if d == 0 or len(r) < d:
         return _ZERO
     return -Fraction(r[d - 1]) / lead ** (k + 1)

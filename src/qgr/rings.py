@@ -7,7 +7,7 @@ it is integral and as a Fraction otherwise (`_exact`), so products and
 sums of polynomials with integral coefficients run in int arithmetic.
 The monomial order is graded lexicographic for the variable order
 
-    x1 < x2 < h < z < a1 < a2 < ... < (auxiliary names, alphabetically)
+    x1 < x2 < h < z < (auxiliary names, alphabetically)
 
 and within equal total degree the highest-ranked variable is the most
 significant.  All values are treated as immutable after construction and
@@ -27,7 +27,6 @@ import bisect
 import heapq
 import math
 import operator
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -35,17 +34,11 @@ _ZERO = Fraction(0)
 
 _FIXED_RANK = {"x1": 0, "x2": 1, "h": 2, "z": 3}
 _XNAMES = ("x1", "x2")
-_ALPHA_NAME = re.compile(r"a([0-9]+)$")
 
 
 def var_rank(name: str):
-    """Sort key realizing x1 < x2 < h < z < a1 < a2 < ... < auxiliary."""
-    if name in _FIXED_RANK:
-        return (0, _FIXED_RANK[name], "")
-    m = _ALPHA_NAME.match(name)
-    if m:
-        return (1, int(m.group(1)), "")
-    return (2, 0, name)
+    """Sort key realizing x1 < x2 < h < z < auxiliary names, alphabetically."""
+    return (_FIXED_RANK.get(name, len(_FIXED_RANK)), name)
 
 
 def order_vars(names: Iterable[str]) -> tuple[str, ...]:
@@ -515,30 +508,40 @@ def _trim(c: list) -> list:
     return c
 
 
-def _uni_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a modulo b, for b with no trailing zero."""
-    a = _trim(list(a))
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] -= q * bc
-        a.pop()
-        _trim(a)
-    return a
+def _pseudo_rem(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """Pseudo-remainder of ascending int coefficient lists, for b with no
+    trailing zero: (r, k) with lead(b)^k a = quo * b + r and deg r < deg b,
+    r trimmed, k the number of division steps.  Stays in ints."""
+    d, lead = len(b) - 1, b[-1]
+    r, k = _trim(list(a)), 0
+    while len(r) > d:
+        c = r.pop()
+        shift = len(r) - d
+        r = [lead * v for v in r]
+        for i in range(d):
+            r[shift + i] -= c * b[i]
+        _trim(r)
+        k += 1
+    return r, k
 
 
-def univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of ascending coefficient lists (Euclid over Q)."""
-    a = _trim([Fraction(c) for c in a])
-    b = _trim([Fraction(c) for c in b])
+def _primitive(c: list[int]) -> list[int]:
+    """c trimmed and divided by its content, with positive leading coefficient."""
+    c = _trim(list(c))
+    if not c:
+        return c
+    g = math.gcd(*c)
+    g = -g if c[-1] < 0 else g
+    return [v // g for v in c]
+
+
+def univariate_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, with positive leading coefficient, of ascending int
+    coefficient lists (Euclid on primitive pseudo-remainders)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _uni_mod(a, b)
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
+        a, b = b, _primitive(_pseudo_rem(a, b)[0])
+    return a
 
 
 def _divmod_linear(a: list[int | Fraction], z0: int | Fraction) -> tuple[list[int | Fraction], int | Fraction]:

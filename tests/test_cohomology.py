@@ -6,11 +6,11 @@ from math import prod
 import pytest
 
 from qgr.cohomology import (
-    CohClass,
     GenericityError,
     _mat_solve,
     ab_integrate,
     box_partitions,
+    box_schur,
     complement,
     default_generic_alpha,
     diagonal,
@@ -60,11 +60,11 @@ def test_schur_poly_values():
 def test_schur_reduce_ideal():
     # n=3: h_2 is in the ideal
     h2 = x1**2 + x1 * x2 + x2**2
-    assert schur_reduce(h2, 3) == CohClass({})
+    assert schur_reduce(h2, 3) == {}
     # (x1+x2)^2 = s_(2) + s_(1,1) -> s_(1,1) mod the ideal
     sq = (x1 + x2) ** 2
-    assert schur_reduce(sq, 3) == CohClass({(1, 1): Fraction(1)})
-    assert schur_reduce(SparsePoly.const(XV, 1), 5) == CohClass({(0, 0): Fraction(1)})
+    assert schur_reduce(sq, 3) == {(1, 1): Fraction(1)}
+    assert schur_reduce(SparsePoly.const(XV, 1), 5) == {(0, 0): Fraction(1)}
 
 
 def test_schur_reduce_rejects_asymmetric():
@@ -72,10 +72,10 @@ def test_schur_reduce_rejects_asymmetric():
         schur_reduce(x1, 3)
 
 
-def _to_poly(cls: CohClass) -> SparsePoly:
+def _to_poly(cls: dict) -> SparsePoly:
     """The class as a polynomial in x1, x2: its Schur expansion summed."""
     out = SparsePoly.zero(XV)
-    for lam, c in cls.coeffs.items():
+    for lam, c in cls.items():
         out = out + schur_poly(lam) * c
     return out
 
@@ -96,16 +96,16 @@ def test_pairing_antidiagonal():
         parts = box_partitions(n)
         for lam in parts:
             for mu in parts:
-                a = CohClass({lam: Fraction(1)})
-                b = CohClass({mu: Fraction(1)})
+                a = {lam: Fraction(1)}
+                b = {mu: Fraction(1)}
                 expect = Fraction(1) if mu == complement(lam, n) else Fraction(0)
                 assert pairing(a, b, n) == expect
 
 
 def test_pairing_examples():
-    assert pairing(CohClass({(0, 0): Fraction(1)}), CohClass({(1, 1): Fraction(1)}), 3) == 1
-    assert pairing(CohClass({(1, 0): Fraction(1)}), CohClass({(1, 0): Fraction(1)}), 3) == 1
-    assert pairing(CohClass({(0, 0): Fraction(1)}), CohClass({(1, 0): Fraction(1)}), 3) == 0
+    assert pairing({(0, 0): Fraction(1)}, {(1, 1): Fraction(1)}, 3) == 1
+    assert pairing({(1, 0): Fraction(1)}, {(1, 0): Fraction(1)}, 3) == 1
+    assert pairing({(0, 0): Fraction(1)}, {(1, 0): Fraction(1)}, 3) == 0
 
 
 def test_pairing_against_localization_oracle():
@@ -193,7 +193,7 @@ def test_ab_integrate_examples():
             eta = sym_rand(rng, 2 * (n - 2))
             via_ab = ab_integrate(eta, al)
             red = schur_reduce(eta, n)
-            via_pairing = red.get((n - 2, n - 2))
+            via_pairing = red.get((n - 2, n - 2), 0)
             assert via_ab == via_pairing
             # independence of the generic draw
             assert ab_integrate(eta, tuple(Fraction(11**m) for m in range(1, n + 1))) == via_ab
@@ -204,6 +204,52 @@ def test_graded_to_schur():
     vals = {(2, 0): Fraction(3), (0, 2): Fraction(3), (1, 1): Fraction(5)}
     out = graded_to_schur(vals, 2)
     assert out == {(2, 0): Fraction(3), (1, 1): Fraction(2)}
+
+
+def _ref_schur_classes(out: dict, key, xc: dict, n: int, kmax: int, expand) -> None:
+    """The previous per-degree loop of `operators._schur_classes`, verbatim."""
+    for r in range(kmax + 1):
+        vals = {e: v for e, v in xc.items() if e[0] + e[1] == r}
+        if not vals:
+            continue
+        for lam, v in graded_to_schur(vals, r).items():
+            if lam[0] <= n - 2:
+                out.setdefault((r, partitions_of_degree(n, r).index(lam)), {})[key] = expand(v, r)
+
+
+def _sym_form_values(rng, top: int) -> dict:
+    """Nonzero exponent values of a random symmetric form of degree <= top,
+    some degrees left out, int and Fraction values."""
+    vals = {}
+    for r in range(top + 1):
+        if rng.random() < 0.2:
+            continue
+        for b in range(r // 2 + 1):
+            c = rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5))])
+            if c:
+                vals[(r - b, b)] = vals[(b, r - b)] = c
+    return vals
+
+
+def test_box_schur_matches_per_degree_loop():
+    from qgr import operators
+
+    rng = random.Random(27)
+    for n in range(3, 7):
+        kmax = 2 * (n - 2)
+        for _ in range(40):
+            vals = _sym_form_values(rng, kmax + 2)
+            ref: dict = {}
+            _ref_schur_classes(ref, 0, vals, n, kmax, lambda v, r: (v, r))
+            got: dict = {}
+            operators._schur_classes(got, 0, vals, n, lambda v, r: (v, r))
+            assert got == ref
+            cls = box_schur(vals, n)
+            assert cls == {partitions_of_degree(n, r)[j]: comp[0][0] for (r, j), comp in ref.items()}
+            # every component above the box vanishes, so nothing of degree > kmax survives
+            assert all(lam[0] <= n - 2 and sum(lam) <= kmax for lam in cls)
+        top = {e: v for e, v in _sym_form_values(rng, kmax + 2).items() if sum(e) > kmax}
+        assert box_schur(top, n) == {}
 
 
 def test_equivariant_diagonal_concrete():

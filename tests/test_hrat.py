@@ -198,6 +198,26 @@ def test_build_phi_matches_ratfunc_half_sum():
             assert phi.get(key) == want.get(key, 0), (k1, k2, key)
 
 
+@pytest.mark.parametrize("n,a", [(3, (1,)), (4, (2,))])
+def test_cancelled_fixed_point_values_are_gcd_reduced(n, a):
+    # after cancel() the numerator and denominator share no factor, so
+    # RatFunc.reduced() leaves every printed fixed-point value as it is
+    from qgr.cohomology import default_generic_alpha, fixed_points
+    from qgr.rings import univariate_coeffs, univariate_gcd
+
+    al, seen = default_generic_alpha(n), 0
+    for kind in ("dot", "ddot"):
+        for i, j in fixed_points(n):
+            for v in y_series_evaluated(kind, n, CISpec(a), al, i, j, 2).coeffs.values():
+                c = HRat.convert(v).cancel()
+                f = RatFunc(c.num, c.den)
+                g = univariate_gcd(univariate_coeffs(f.num, "h"), univariate_coeffs(f.den, "h"))
+                assert len(g) == 1, (kind, i, j, c)
+                assert f.reduced() is f
+                seen += not f.den.is_const()
+    assert seen
+
+
 # ---------------------------------------------------------------------------
 # differential test against the Fraction-list representation it replaced
 # ---------------------------------------------------------------------------

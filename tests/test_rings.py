@@ -638,3 +638,77 @@ def test_int_kernels_match_fraction_kernels_on_pipeline_inputs(monkeypatch, caps
     assert any(has_fraction(n.terms, d.terms) for n, d, _ in norm_calls)
     assert div_calls and any(q is not None for *_, q in div_calls)
     _check_against_fraction_kernels(mul_calls, div_calls, norm_calls)
+
+
+# -- int pseudo-remainder and gcd against the previous Fraction Euclid ----
+
+
+def _ref_uni_mod(a, b):
+    """The previous `rings._uni_mod`, verbatim."""
+    a = rings._trim(list(a))
+    db, lb = len(b) - 1, b[-1]
+    while len(a) - 1 >= db:
+        q = a[-1] / lb
+        shift = len(a) - 1 - db
+        for i, bc in enumerate(b):
+            a[shift + i] -= q * bc
+        a.pop()
+        rings._trim(a)
+    return a
+
+
+def _ref_univariate_gcd(a, b):
+    """The previous `rings.univariate_gcd`, verbatim: monic, over Fraction."""
+    a = rings._trim([Fraction(c) for c in a])
+    b = rings._trim([Fraction(c) for c in b])
+    while b:
+        a, b = b, _ref_uni_mod(a, b)
+    if not a:
+        return []
+    lead = a[-1]
+    return [c / lead for c in a]
+
+
+def _list_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_int_lists = st.lists(st.integers(-30, 30), max_size=6)
+
+
+def _check_int_remainder_and_gcd(a, b):
+    b = rings._trim(list(b))
+    if b:
+        r, k = rings._pseudo_rem(a, b)
+        assert all(type(c) is int for c in r)
+        assert not r or r[-1] and len(r) < len(b)
+        # lead(b)^k a and r leave the same remainder over Q
+        scaled = [Fraction(b[-1] ** k * c) for c in a]
+        assert _ref_uni_mod(scaled, [Fraction(c) for c in b]) == rings._trim([Fraction(c) for c in r])
+    g = rings.univariate_gcd(a, b)
+    assert all(type(c) is int for c in g)
+    assert not g or g[-1] > 0
+    want = _ref_univariate_gcd(a, b)
+    assert [Fraction(c, g[-1]) for c in g] == want if g else want == []
+
+
+def test_pseudo_remainder_and_gcd_stay_int_on_the_float_case():
+    # 2z^3 + z + 1 and 3z^2 + 1: the previous `_uni_mod` gave
+    # [1, 0.33333333333333337] on these int lists
+    a, b = [1, 1, 0, 2], [1, 0, 3]
+    assert rings._pseudo_rem(a, b) == ([3, 1], 1)
+    assert rings.univariate_gcd(a, b) == [1]
+    _check_int_remainder_and_gcd(a, b)
+    _check_int_remainder_and_gcd(_list_mul(a, [-2, 3]), _list_mul(b, [-2, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_lists, _int_lists, _int_lists)
+def test_pseudo_remainder_and_gcd_are_int_and_match_fraction_euclid(f, g, c):
+    # c is a common factor, so that the gcd is often nontrivial
+    _check_int_remainder_and_gcd(f, g)
+    _check_int_remainder_and_gcd(_list_mul(f, c), _list_mul(g, c))

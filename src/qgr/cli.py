@@ -59,7 +59,10 @@ class UsageError(ValueError):
     pass
 
 
-# The series kinds and verify suites that read the torus weights.
+# The series kinds and verify suites, and those that read the torus weights.
+_KINDS = ("dot-closed", "ddot-closed", "dot-bar", "ddot-bar", "dot-dual", "ddot-dual", "i-normalization",
+          "z-normalized", "zdd-normalized", "y-gamma", "ydd-gamma")
+_SUITES = ("recursivity", "mpc", "operator-norms", "fano-vanishing", "orthogonality", "residue-internal", "all")
 _ALPHA_KINDS = ("dot-bar", "ddot-bar")
 _ALPHA_SUITES = ("recursivity", "mpc", "fano-vanishing", "residue-internal", "all")
 
@@ -200,7 +203,7 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
         I = normalization_I(base, n, a, D)
         Z = Y.series() * I.inverse_unit().map_values(lambda v: RatFunc.from_scalar(v, ("x1", "x2", "h")))
         payload = _series_entries(Z)
-    elif kind in ("y-gamma", "ydd-gamma"):
+    else:  # y-gamma, ydd-gamma
         if cfg.k is None or cfg.j is None:
             raise UsageError("y-gamma needs --k and --j")
         base = "dot" if kind == "y-gamma" else "ddot"
@@ -218,8 +221,6 @@ def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
                 f"{r},{jj}": _laurent_table(le) for (r, jj), le in sorted(cls.items())
             }
             payload.append(entry)
-    else:
-        raise UsageError(f"unknown series kind {kind!r}")
     return _emit(cfg, payload), code
 
 
@@ -336,8 +337,8 @@ def _suite_operator_norms(cfg: RunConfig, pipes: tuple) -> list[dict]:
 
 def _suite_fano(cfg: RunConfig, al) -> list[dict]:
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
-    if a.total > n - 2:
-        raise UsageError("fano-vanishing needs |a| <= n - 2")
+    if a.total > n - 2 or D < 1:  # the suite checks q^1 .. q^qdeg
+        raise UsageError("fano-vanishing needs |a| <= n - 2 and qdeg >= 1")
     K = build_K("dot", n, a, al, D, xtrunc=2 * (n - 2) + 1)
     Y = bar_assemble(K)
     mx = 2 * (n - 2)
@@ -394,16 +395,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         results.extend(_suite_mpc(cfg, al))
     if suite in ("operator-norms", "all"):
         results.extend(_suite_operator_norms(cfg, pipes))
-    if suite in ("fano-vanishing",):
-        results.extend(_suite_fano(cfg, al))
-    if suite == "all" and cfg.ci().total <= cfg.n - 2:
+    if suite == "fano-vanishing" or (suite == "all" and cfg.ci().total <= cfg.n - 2 and cfg.qdeg >= 1):
         results.extend(_suite_fano(cfg, al))
     if suite in ("orthogonality", "all"):
         results.extend(_suite_orthogonality(*pipes))
     if suite in ("residue-internal", "all"):
         results.extend(_suite_residue_internal(cfg, al))
-    if not results:
-        raise UsageError(f"unknown suite {suite!r}")
     ok = all(r["pass"] for r in results)
     return _emit(cfg, results, {"pass": ok}), (0 if ok else 1)
 
@@ -583,6 +580,9 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         equivariant=vals.get("equivariant", False),
         output=vals.get("output"),
     )
+    for what, name, known in (("series kind", cfg.kind, _KINDS), ("suite", cfg.suite, _SUITES)):
+        if name is not None and name not in known:
+            raise UsageError(f"unknown {what} {name!r}")
     if cfg.n < 3:
         raise UsageError("need n >= 3")
     if cfg.qdeg < 0:

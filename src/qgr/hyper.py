@@ -12,9 +12,9 @@ transform multiplies each shared numerator once per degree.  Summands are
 combined before any division by (x1 - x2), so coefficients are genuine
 rational functions regular on x1 = x2.
 
-At zero weights a ladder series can also be held as its h = 1 image,
-`LadderImage`, on the flat lists of `series._Triangle`; the operator
-pipeline runs on that form.
+A ladder series can also be held on the flat lists of `series._Triangle`
+as a `LadderImage`: at zero weights its h = 1 image, and at other weights
+with entries polynomial in h.  The operator pipeline runs on that form.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from .hrat import HRat
-from .rings import RatFunc, SparsePoly
+from .rings import RatFunc, SparsePoly, _univariate_terms
 from .series import QSeries, _graded_keys, _Triangle, _triangle
 
 V3 = ("x1", "x2", "h")
@@ -227,11 +227,10 @@ def bar_assemble(F: HyperSeries) -> HyperSeries:
     """q1 = q2 = -q substitution plus the antisymmetrized derivative term.
 
     Within degree d the keys are grouped by numerator object (build_A
-    shares one per row-degree tuple).  A group of one key adds its product
-    num * C, C = cof1(d1 -> d) cof2(d2 -> d), to the summed numerator and
-    (d1 - d2) times it to the summed derivative numerator.  A larger group
-    sums S0 = sum C and S1 = sum (d1 - d2) C first; when S1 divides by
-    (x1 - x2), as it does for mirrored chains, the group contributes
+    shares one per row-degree tuple, so with equal rows a degree is one
+    group).  A group sums S0 = sum C and S1 = sum (d1 - d2) C over its
+    keys, C = cof1(d1 -> d) cof2(d2 -> d); when S1 divides by (x1 - x2),
+    as it does for mirrored chains, the group contributes
     num * (S0 + h S1/(x1 - x2)) with one product per degree, and otherwise
     num * S0 and num * S1 join the sums.  The summed derivative numerator
     must be exactly divisible by (x1 - x2); failure signals an asymmetric
@@ -261,11 +260,6 @@ def bar_assemble(F: HyperSeries) -> HyperSeries:
                 C = c1.cofactor(d1, d).mul_trunc(c2.cofactor(d - d1, d), xt)
                 S0 = S0 + C
                 S1 = S1 + C * (2 * d1 - d)
-            if len(d1s) == 1:  # num * S1 is (d1 - d2) t
-                t = num.mul_trunc(S0, xt)
-                N0 = N0 + t
-                N1 = N1 + t * (2 * d1 - d)
-                continue
             Q1 = S1.divide_exact(x1mx2)
             if Q1 is None:  # not antisymmetric alone: the summed remainder decides
                 N0 = N0 + num.mul_trunc(S0, xt)
@@ -291,27 +285,27 @@ def bar_assemble(F: HyperSeries) -> HyperSeries:
 
 
 # ---------------------------------------------------------------------------
-# zero-weight ladder series at h = 1
+# ladder series over the x-triangle
 #
+# A ladder polynomial is a flat list of polynomials in h over the
+# x-triangle `_triangle(2, xtrunc)`, so products run on `_Triangle.mul_into`.
 # At zero weights every ladder numerator and factor is homogeneous in
 # (x1, x2, h), and so is every product, operator weight and bar term made
-# from them.  Such a polynomial loses nothing at h = 1 once its degree is
-# kept: its value at x^e restores the term x^e h^(deg - |e|).  Its image is
-# a flat list over the x-triangle `_triangle(2, xtrunc)`, so the products
-# run on `_Triangle.mul_into`, in ints while values are integral.
+# from them: the h = 1 value at x^e restores the term x^e h^(deg - |e|)
+# once the degree is kept, so the list holds ints while values are integral.
 # ---------------------------------------------------------------------------
 
 
 class _Image(NamedTuple):
-    """A polynomial homogeneous of degree `deg` in (x1, x2, h) at h = 1:
-    vals[i] is its coefficient of x^keys[i] over an x-triangle."""
+    """vals[i]: the coefficient of x^keys[i] over an x-triangle, at zero
+    weights its h = 1 value; `deg` is the degree at zero weights."""
 
     deg: int
     vals: list
 
 
-def _linear(tri: _Triangle, c0: int, c1: int, c2: int) -> _Image:
-    """c0 h + c1 x1 + c2 x2."""
+def _linear(tri: _Triangle, c0, c1: int, c2: int) -> _Image:
+    """c0 + c1 x1 + c2 x2, c0 a multiple of h."""
     vals = [0] * tri.size
     vals[0], vals[tri.index[(1, 0)]], vals[tri.index[(0, 1)]] = c0, c1, c2
     return _Image(1, vals)
@@ -339,43 +333,56 @@ def _div_x1_minus_x2(vals: list, D: int) -> list:
     return out
 
 
+def _cleared(vals: list) -> tuple[int, list]:
+    """(s, s vals), s the common denominator of the polynomial entries."""
+    s = lcm(*(v.content_denominator() for v in vals if isinstance(v, SparsePoly)))
+    return s, vals if s == 1 else [v * s for v in vals]
+
+
 @dataclass
 class LadderImage:
-    """A zero-weight ladder series held as its h = 1 image over the
-    x-triangle `tri`, laid out as a HyperSeries: q-key -> numerator image
-    over the ladder products of the chains (a one-q key (d,) over B[d] of
-    both, a two-q key (d1, d2) over B[d1] B[d2]), x-truncated at `xtrunc`.
-    The series of one ladder share its tables: the cofactors
-    (slot, d, m) -> prod_{d < l <= m} factor_l of the slot, the two-q
-    numerators lifted over B[m] B[m], (e, m) -> num_e cof(0, e1, m)
-    cof(1, e2, m), and the x-adic inverses of the denominators, formed
-    when first read."""
+    """A ladder series over the x-triangle `tri`, laid out as a HyperSeries:
+    q-key -> numerator image over the ladder products of the chains (a
+    one-q key (d,) over B[d] of both, a two-q key (d1, d2) over
+    B[d1] B[d2]), x-truncated at `xtrunc`.  `h` is h in the entries: the
+    int 1 at zero weights (h = 1 images), the polynomial h otherwise.  The
+    series of one ladder share its tables: the cofactors (slot, d, m) ->
+    prod_{d < l <= m} factor_l of the slot, the two-q numerators lifted
+    over B[m] B[m], (e, m) -> num_e cof(0, e1, m) cof(1, e2, m), and the
+    x-adic inverses of the denominators, formed when first read."""
 
     n: int
     D: int
     tri: _Triangle
     xtrunc: int
+    h: object
     num_parts: dict
     cofactors: dict
     lifted: dict
     inverses: dict = field(default_factory=dict)
 
     @classmethod
-    def ladder(cls, kind: str, n: int, a: CISpec, D: int, xtrunc: int) -> "LadderImage":
-        """The image of build_K(kind, n, a, None, D, xtrunc): the factor l of
-        a slot is (x + l h)^n - x^n, and every key of degree d shares the
-        numerator prod_k prod_l (a_k x1 + a_k x2 + l h), l over the kind's
-        range for a_k d."""
+    def ladder(cls, kind: str, n: int, a: CISpec, D: int, xtrunc: int, alphas=None) -> "LadderImage":
+        """The image of build_K(kind, n, a, alphas, D, xtrunc): the factor
+        l of a slot is P[l] - P[0], P[l] = prod_j (x - alpha_j + l h), and
+        every key of degree d shares the numerator
+        prod_k prod_l (a_k x1 + a_k x2 + l h), l over the kind's range for
+        a_k d."""
         a.validate(n)
         tri = _triangle(2, xtrunc)
+        h = 1 if alphas is None else SparsePoly.variable(("h",), "h")
         one = _Image(0, tri.one())
+        P = []  # coefficient lists in x
+        for l in range(D + 1):
+            P.append([1])
+            for aj in alphas or (0,) * n:
+                P[l] = [(l * h - aj) * u + v for u, v in zip(P[l] + [0], [0] + P[l])]
         cof = {}
         for slot in (0, 1):
-            # (x + l h)^n - x^n = sum_{k < n} C(n, k) l^(n-k) x^k h^(n-k)
             factors = [_Image(n, [0] * tri.size) for _ in range(D + 1)]
             for l in range(1, D + 1):
                 for k in range(min(n - 1, xtrunc) + 1):
-                    factors[l].vals[tri.index[(k, 0) if slot == 0 else (0, k)]] = comb(n, k) * l ** (n - k)
+                    factors[l].vals[tri.index[(k, 0) if slot == 0 else (0, k)]] = P[l][k] - P[0][k]
             for d in range(D + 1):
                 cof[(slot, d, d)] = one
                 for m in range(d + 1, D + 1):
@@ -385,12 +392,12 @@ class LadderImage:
             num = one
             for ak in a.a:
                 for l in _num_l_range(kind, ak * d):
-                    num = _times(tri, num, _linear(tri, l, ak, ak))
+                    num = _times(tri, num, _linear(tri, l * h, ak, ak))
             by_degree.append(num)
         nums = {key: by_degree[sum(key)] for key in _graded_keys(2, D)}
         lifted = {(e, m): _times(tri, _times(tri, num, cof[(0, e[0], m)]), cof[(1, e[1], m)])
                   for e, num in nums.items() for m in range(sum(e), D + 1)}
-        return cls(n, D, tri, xtrunc, nums, cof, lifted)
+        return cls(n, D, tri, xtrunc, h, nums, cof, lifted)
 
     def bar(self, weights: dict, level: int) -> "LadderImage":
         """The bar transform of the two-q series sum_(e, d) num_e w_(e,d)
@@ -400,7 +407,7 @@ class LadderImage:
         B[m] B[m] by cof1(d1 -> m) cof2(d2 -> m), which makes it
         lifted[(e, m)] w, so the q^m numerator is
         (-1)^m (N0 + h N1 / (x1 - x2)) with Ni = sum_e lifted[(e, m)] Wi,
-        every term of one degree in (x1, x2, h).  The quotient keeps one
+        every term of one structural degree.  The quotient keeps one
         x-order less, as in bar_assemble."""
         tri = self.tri
         nums = {}
@@ -414,30 +421,40 @@ class LadderImage:
                     tri.mul_into(N1, W1, lifted.vals)
             if len(degs) > 1:
                 raise ArithmeticError(f"bar terms of q^{m} differ in degree: {sorted(degs)}")
+            Q = _div_x1_minus_x2(N1, tri.D)
+            Q = Q if self.h == 1 else [self.h * v for v in Q]
             sign = -1 if m % 2 else 1
-            nums[(m,)] = _Image(degs.pop() if degs else 0,
-                                [sign * (u + v) for u, v in zip(N0, _div_x1_minus_x2(N1, tri.D))])
+            nums[(m,)] = _Image(degs.pop() if degs else 0, [sign * (u + v) for u, v in zip(N0, Q)])
         return replace(self, num_parts=nums, xtrunc=self.xtrunc - 1)
 
-    def x_expansion(self, key, order: int) -> tuple[int, list, int]:
-        """(deg, X, g): the coefficient at `key`, homogeneous of degree deg,
-        is X / g to total x-degree `order` at h = 1, X over the slots of
-        `_triangle(2, order)`."""
+    def x_expansion(self, key, order: int) -> tuple[int, list, object]:
+        """(deg, X, g): the coefficient at `key` is X / g to total x-degree
+        `order`, X over the slots of `_triangle(2, order)`; at zero weights
+        X / g is the h = 1 value, and x^e comes with h^(deg - |e|)."""
         b1, b2 = self.cofactors[(0, 0, key[0])], self.cofactors[(1, 0, key[-1])]
         tk = _triangle(2, order)
         at = (key[0], key[-1], order)
         if at not in self.inverses:
-            self.inverses[at] = tk.inverse(self.tri.mul(b1.vals, b2.vals)[:tk.size])
+            s, den = _cleared(self.tri.mul(b1.vals, b2.vals)[:tk.size])
+            N, g = tk.inverse(den)
+            self.inverses[at] = N, g if s == 1 else g * Fraction(1, s)
         N, g = self.inverses[at]
         num = self.num_parts[key]
-        return num.deg - b1.deg - b2.deg, tk.mul(num.vals[:tk.size], N), g
+        vals = num.vals[:tk.size]
+        if self.h != 1:  # polynomial entries: clear them too
+            s, vals = _cleared(vals)
+            g = g * s
+        return num.deg - b1.deg - b2.deg, tk.mul(vals, N), g
 
     def restore(self, den_chains) -> HyperSeries:
         """The HyperSeries this is the image of, over its trivariate chains:
-        h^(deg - |e|) put back on every term."""
-        keys = self.tri.keys
+        the h-terms of the entry at x^e, times h^(deg - |e|) at zero
+        weights, where the entry is an h = 1 value."""
+        lift = 1 if self.h == 1 else 0
         return HyperSeries(n=self.n, D=self.D, den_chains=den_chains, xtrunc=self.xtrunc, num_parts={
-            key: SparsePoly(V3, {(e1, e2, num.deg - e1 - e2): v for (e1, e2), v in zip(keys, num.vals) if v})
+            key: SparsePoly(V3, {(e1, e2, k + lift * (num.deg - e1 - e2)): c
+                                 for (e1, e2), v in zip(self.tri.keys, num.vals)
+                                 for k, c in _univariate_terms(v, "h").items()})
             for key, num in self.num_parts.items()})
 
 

@@ -25,17 +25,18 @@ are Q[[q]]-combinations, with h-power weights, of the bar-transformed
 operator series.  So it runs once per bar series, and every later table
 is the same linear combination of those class tables.
 
-At zero weights every ladder numerator and factor, operator weight and bar
-term is homogeneous in (x1, x2, h), so a pipeline holds the ladder series
-as its h = 1 image (`hyper.LadderImage`): one flat list per q-key over the
-x-triangle of total degree <= kmax + 1, with the degree that restores
-h^(deg - |e|) on the term at x^e.  The family, the bar transform and the
-class map run on these lists with the `_Triangle` tables; the class map
-multiplies each bar numerator by one x-adic inverse of its denominator,
-whose constant term is a nonzero integer, Schur-reduces, and emits each
-component as one exact term c h^(deg - r).  `barD`, `calD` and `ygamma`
-restore h when read.  At generic weights the same steps run on the
-trivariate HyperSeries, through x_coefficients and h-expansion.
+A pipeline holds the ladder series as a `hyper.LadderImage`: one flat
+list per q-key over the x-triangle of total degree <= kmax + 1.  The
+family, the bar transform and the class map run on these lists with the
+`_Triangle` tables, at every weight.  The class map multiplies each bar
+numerator by one x-adic inverse of its denominator, Schur-reduces, and
+h-expands each component (`_h_expand`).  At zero weights every ladder
+numerator and factor, operator weight and bar term is homogeneous in
+(x1, x2, h), so an entry is the int h = 1 value of a term whose degree
+restores h^(deg - |e|) at x^e: the inverse has a nonzero integer constant
+term and each component is one exact term c h^(deg - r).  At other weights
+an entry is a polynomial in h, and so is the denominator of the inverse.
+`barD`, `calD` and `ygamma` restore the trivariate series when read.
 
 Diagonal orthogonality is the double-series numerator at (h1, h2) =
 (h, -h): `orthogonality_check` reads it off the table of
@@ -61,8 +62,7 @@ from .cohomology import (
     schur_poly,
 )
 from .hrat import HRat
-from .hyper import (CISpec, HyperSeries, LadderImage, V3, bar_assemble, bar_evaluated, build_K,
-                    k_series_evaluated)
+from .hyper import CISpec, HyperSeries, LadderImage, V3, bar_evaluated, build_K, k_series_evaluated
 from .rings import RatFunc, SparsePoly, _exact, _univariate_terms
 from .series import LaurentExpansion, QSeries, _expand_parts, _Triangle, _triangle, x_coefficients
 
@@ -76,11 +76,16 @@ def _shift_weights(t: tuple[int, int], d: tuple[int, int]) -> tuple:
                  if (w := comb(t[0], a1) * comb(t[1], a2) * d[0] ** (t[0] - a1) * d[1] ** (t[1] - a2)))
 
 
-def _h_expand(f: RatFunc, depth: int) -> LaurentExpansion:
-    """f, a rational function of h alone, expanded at h = infinity from its
-    coefficients (exact when its denominator is a monomial in h);
-    no step forms a polynomial product."""
-    return _expand_parts(_univariate_terms(f.num, "h"), _univariate_terms(f.den, "h"), depth)
+def _h_expand(v, depth: int, g=1, top: int | None = None) -> LaurentExpansion:
+    """v/g at h = infinity to `depth`: the exact term (v/g) h^top when v/g
+    is the h = 1 value of a homogeneous term, else from the coefficients of
+    v and g, ints or polynomials in h (v may be a RatFunc of h, g = 1);
+    exact when g is a monomial.  No step forms a polynomial product."""
+    if top is not None:
+        return LaurentExpansion({top: Fraction(v, g)}, None)
+    if isinstance(v, RatFunc):
+        v, g = v.num, v.den
+    return _expand_parts(_univariate_terms(v, "h"), _univariate_terms(g, "h"), depth)
 
 
 def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
@@ -167,24 +172,24 @@ def neumann_inverse(M, D: int, arity: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def frakD_family_normalized(K: HyperSeries | LadderImage, pmax: int) -> dict:
-    """The normalized operators for K, a ladder series or its h = 1 image,
-    as the matrix U over the bare ones: p -> {t: U[p][t]} for
-    |t| <= |p| <= pmax, zero entries omitted."""
+def frakD_family_normalized(K: LadderImage, pmax: int) -> dict:
+    """The normalized operators for the ladder image K, as the matrix U
+    over the bare ones: p -> {t: U[p][t]} for |t| <= |p| <= pmax, zero
+    entries omitted."""
     tri = _triangle(2, K.D)
-    # kappa[d][s]: the x^s h^{-|s|} coefficient of the q^d coefficient of K
-    if isinstance(K, LadderImage):
-        # x^s comes with h^(deg - |s|), so kappa[d] is the h = 1 expansion
-        # where K_d has degree 0 (every d when |a| = n, only d = 0 else)
-        kappa = {}
-        for key in K.num_parts:
-            deg, X, g = K.x_expansion(key, pmax)
-            if deg == 0:
-                kappa[key] = {s: Fraction(v, g) for s, v in zip(_triangle(2, pmax).keys, X) if v}
-    else:
-        kappa = {key: {s: _h_expand(v, s[0] + s[1] + 1).coeffs.get(-s[0] - s[1], 0)
-                       for s, v in x_coefficients(K.coeff(key), pmax).items()}
-                 for key in K.num_parts}
+    xkeys = _triangle(2, pmax).keys
+    # kappa[d][s]: the x^s h^{-|s|} coefficient of K_d, for the d with one.
+    # At zero weights x^s comes with h^(deg - |s|), so only K_d of degree 0
+    # has one (every d when |a| = n, only d = 0 else), its h = 1 value
+    kappa = {}
+    for key in K.num_parts:
+        deg, X, g = K.x_expansion(key, pmax)
+        if K.h != 1:
+            kd = {s: c for s, v in zip(xkeys, X) if v and (c := _h_expand(v, sum(s) + 1, g).coeffs.get(-sum(s)))}
+        else:
+            kd = {s: Fraction(v, g) for s, v in zip(xkeys, X) if v} if deg == 0 else {}
+        if kd:
+            kappa[key] = kd
     # the tables hold den times their series, den a common denominator of
     # kappa: integers at zero weights; `entry` divides den back out
     den = lcm(*(v.denominator for kd in kappa.values() for v in kd.values()))
@@ -281,55 +286,36 @@ def _row_weights(row: dict, level: int, D: int):
                 yield e, d, w
 
 
-def build_barD_normalized(lam, K: HyperSeries | LadderImage, fam: dict) -> HyperSeries | LadderImage:
-    """Bar transform of the Schur combination of normalized operators, on
-    a ladder series or, at zero weights, on its h = 1 image."""
+def build_barD_normalized(lam, K: LadderImage, fam: dict) -> LadderImage:
+    """Bar transform of the Schur combination of normalized operators on
+    the ladder image K: the weights of the steps from q^e into bar degree
+    m are summed first, W0 = sum w and W1 = sum (d1 - d2) w over the
+    targets d with |d| = m, a term w_a x^a carrying h^(level - |a|)."""
     level = lam[0] + lam[1]
-    steps = _row_weights(_schur_row(lam, fam), level, K.D)
-    if isinstance(K, LadderImage):
-        return _bar_image(K, level, steps)
-    c1, c2 = K.den_chains
-    combo: dict = {}
-    for e, d, w in steps:
-        w = SparsePoly(V3, {(a[0], a[1], level - a[0] - a[1]): v for a, v in w.items()})
-        cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
-        term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
-        combo[d] = combo[d] + term if d in combo else term
-    F = HyperSeries(n=K.n, D=K.D, den_chains=K.den_chains, num_parts=combo, xtrunc=K.xtrunc)
-    return bar_assemble(F)
-
-
-def _bar_image(K: LadderImage, level: int, steps) -> LadderImage:
-    """The Schur combination and its bar transform on h = 1 images: the
-    weights of the steps from q^e into bar degree m are summed first, as
-    W0 = sum w and W1 = sum (d1 - d2) w over the targets d with |d| = m."""
     tri = K.tri
+    hpow = None if K.h == 1 else [K.h ** k for k in range(level + 1)]
     sums: dict = {}
-    for e, d, w in steps:
+    for e, d, w in _row_weights(_schur_row(lam, fam), level, K.D):
         W0, W1 = sums.setdefault((e, d[0] + d[1]), ([0] * tri.size, [0] * tri.size))
         for a, v in w.items():
+            v = v * hpow[level - a[0] - a[1]] if hpow else v
             W0[tri.index[a]] += v
             W1[tri.index[a]] += (d[0] - d[1]) * v
     return K.bar(sums, level)
 
 
-def class_extract(F: HyperSeries | LadderImage, n: int, kmax: int, depth: int) -> dict:
-    """The class map on a one-q series: x-expand every coefficient,
-    Schur-reduce each graded piece into the box basis, and Laurent-expand
-    the h-coefficients to `depth`.  On the h = 1 image of a zero-weight
-    series, a coefficient homogeneous of degree deg has x-degree-r part
-    c(x) h^(deg-r), so each expansion is that one exact term.  Returns
-    (r, jindex) -> QSeries of expansions."""
+def class_extract(F: LadderImage, n: int, kmax: int, depth: int) -> dict:
+    """The class map on a one-q ladder image: x-expand every coefficient,
+    Schur-reduce each graded piece into the box basis, and h-expand each
+    component to `depth`.  At zero weights a coefficient homogeneous of
+    degree deg has x-degree-r part c(x) h^(deg-r), so each expansion is
+    that one exact term.  Returns (r, jindex) -> QSeries of expansions."""
     out: dict = {}
-    if isinstance(F, LadderImage):
-        keys = _triangle(2, kmax).keys
-        for key in F.num_parts:
-            deg, X, g = F.x_expansion(key, kmax)
-            _schur_classes(out, key, {e: v for e, v in zip(keys, X) if v}, n,
-                           lambda v, r: LaurentExpansion({deg - r: Fraction(v, g)}, None))
-    else:
-        for key, f in F.series().coeffs.items():
-            _schur_classes(out, key, x_coefficients(f, kmax), n, lambda v, r: _h_expand(v, depth))
+    keys = _triangle(2, kmax).keys
+    for key in F.num_parts:
+        deg, X, g = F.x_expansion(key, kmax)
+        _schur_classes(out, key, {e: v for e, v in zip(keys, X) if v}, n,
+                       lambda v, r: _h_expand(v, depth, g, deg - r if F.h == 1 else None))
     return {rj: QSeries(1, F.D, comp) for rj, comp in sorted(out.items())}
 
 
@@ -352,7 +338,7 @@ class GammaPipeline:
     inverses of the degree-k endomorphisms, the expansion tables, structure
     coefficients, and the classes of the assembled basis-weighted series.
     The series themselves, `barD`, `calD` and `ygamma`, are formed when
-    read; at zero weights `bars` holds the h = 1 images they restore."""
+    read; `bars` holds the ladder images they restore."""
 
     kind: str
     n: int
@@ -360,7 +346,7 @@ class GammaPipeline:
     alphas: tuple | None
     D: int
     family: dict = field(default_factory=dict)  # p -> {t: U[p][t]}, see frakD_family_normalized
-    bars: dict = field(default_factory=dict)  # lam -> the bar series, HyperSeries or LadderImage (1q)
+    bars: dict = field(default_factory=dict)  # lam -> the bar series, a LadderImage (1q)
     Jinv: dict = field(default_factory=dict)  # k -> inverse of the degree-k endomorphism matrix
     J_certified: dict = field(default_factory=dict)
     opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
@@ -378,14 +364,13 @@ class GammaPipeline:
 
     @functools.cached_property
     def K(self) -> HyperSeries:
-        """The two-variable ladder series, trivariate."""
+        """The two-variable ladder series, trivariate (the chains of `barD`)."""
         return build_K(self.kind, self.n, self.a, self.alphas, self.D, xtrunc=self.kmax + 1)
 
     @functools.cached_property
     def barD(self) -> dict:
         """lam -> the bar series as a HyperSeries (1q)."""
-        return {lam: bar.restore(self.K.den_chains) if isinstance(bar, LadderImage) else bar
-                for lam, bar in self.bars.items()}
+        return {lam: bar.restore(self.K.den_chains) for lam, bar in self.bars.items()}
 
     @functools.cached_property
     def calD(self) -> dict:
@@ -416,9 +401,7 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
     pipe = GammaPipeline(kind=kind, n=n, a=a,
                          alphas=tuple(alphas) if alphas is not None else None, D=D)
     kmax = pipe.kmax
-    # at zero weights the family, the bar series and their classes run on
-    # the h = 1 image of the ladder series
-    K = pipe.K if alphas is not None else LadderImage.ladder(kind, n, a, D, kmax + 1)
+    K = LadderImage.ladder(kind, n, a, D, kmax + 1, pipe.alphas)
     parts = box_partitions(n)
     pipe.family = frakD_family_normalized(K, kmax)
     for lam in parts:

@@ -474,9 +474,11 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
 # ---------------------------------------------------------------------------
 
 
-def _univariate_terms(p: SparsePoly, name: str) -> dict[int, object]:
+def _univariate_terms(p: SparsePoly | int | Fraction, name: str) -> dict[int, object]:
     """{exponent: nonzero coefficient, an int when integral} of a polynomial
-    that only uses `name`."""
+    that only uses `name`, or {0: p} for a nonzero rational constant p."""
+    if not isinstance(p, SparsePoly):
+        return {0: p} if p else {}
     used = p.used_vars()
     if used and used != (name,):
         raise ValueError(f"polynomial is not univariate in {name}: uses {used}")

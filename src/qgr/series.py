@@ -210,14 +210,12 @@ def laurent_expand_hbar(
 def _x_inverse(den: SparsePoly, M: int) -> tuple[tuple, SparsePoly]:
     """Truncated x-adic inverse of den, cleared of denominators: (N, g)
     from `_triangle(2, M).inverse` on the x-parts of den, g = den(x=0)^(M+1).
-    Its users are the normalization audit of `verify --suite operator-norms`
-    and the generic-weight class map, which expands many numerators over
-    few ladder denominators; so the inverse is computed once per (den, M)
-    and shared, and it is read-only.  On a 2-CPU x86-64 host (Python
-    3.11), `build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4),
-    2)` takes 0.30 s with the cache and 0.61 s without it (best of 5); the
-    `operator-norms --n 4 --a 2 --qdeg 2` run is neutral (medians of 20
-    alternating in-process runs 0.045 s and 0.050 s)."""
+    Its one user is the normalization audit of `verify --suite
+    operator-norms`, which expands many numerators over few ladder
+    denominators; so the inverse is computed once per (den, M) and shared,
+    and it is read-only.  On a 2-CPU x86-64 host (Python 3.11),
+    `operator-norms --n 4 --a 2 --qdeg 2` takes 40-43 ms with the cache
+    and 45-49 ms without it (medians of 12 alternating in-process runs)."""
     parts = den.decompose_x()
     if (0, 0) not in parts:
         raise ValueError("denominator vanishes at x=0; expansion point invalid")

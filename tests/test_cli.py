@@ -92,6 +92,28 @@ def test_fano_vanishing_names_failing_term(capsys, monkeypatch):
     assert all(f["q"] == 1 for f in rec["failures"])
 
 
+def test_fano_vanishing_needs_a_positive_qdeg(capsys):
+    # the suite checks q^1 .. q^qdeg: at qdeg 0 it would check nothing, so
+    # naming it is a usage error and `all` leaves it out
+    assert run(["verify", "--suite", "fano-vanishing", "--n", "4", "--a", "", "--qdeg", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fano-vanishing needs |a| <= n - 2 and qdeg >= 1" in captured.err
+    argv = ["verify", "--suite", "all", "--n", "4", "--a", "", "--qdeg", "{}", "--zdeg", "0"]
+    code, doc = run_json(capsys, [v.format(0) for v in argv])
+    assert code == 0 and "fano-vanishing" not in [r["check"] for r in doc["payload"]]
+    code, doc = run_json(capsys, [v.format(1) for v in argv])
+    assert code == 0 and "fano-vanishing" in [r["check"] for r in doc["payload"]]
+
+
+def test_unknown_suite_or_kind_is_named(capsys):
+    # the name is checked before the rules on which flags a run reads
+    for argv, name in ((["verify", "--suite", "foo", "--zdeg", "2"], "unknown suite 'foo'"),
+                       (["series", "--kind", "foo", "--alpha", "generic"], "unknown series kind 'foo'")):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {name}\n", argv
+
+
 def test_verify_mutation_detected(capsys):
     code, doc = run_json(
         capsys,

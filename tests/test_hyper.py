@@ -341,23 +341,29 @@ def test_shared_numerators_match_per_key_route(n, a, D, generic):
             _assert_same_parts(bar_assemble(K), _ref_bar_assemble(ref))
 
 
-def test_bar_of_operator_combos_matches_per_key_route(monkeypatch):
-    # the trivariate bar transform of operator combinations; at zero
-    # weights the pipeline transforms h = 1 images instead
-    import qgr.operators
+def test_bar_of_operator_combos_matches_per_key_route():
+    # the trivariate bar transform of the six operator combinations of a
+    # generic pipeline, built here: every key has its own numerator, so no
+    # group is shared.  Both routes also match the pipeline's bars, which
+    # it transforms on the ladder image.
+    from qgr import operators
+    from qgr.cohomology import box_partitions
 
-    inputs = []
-    real = qgr.operators.bar_assemble
-
-    def recorded(F):
-        inputs.append(F)
-        return real(F)
-
-    monkeypatch.setattr(qgr.operators, "bar_assemble", recorded)
-    build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
-    assert len(inputs) == 6
-    for F in inputs:
+    n, a, D = 4, CISpec((2,)), 2
+    pipe = build_pipeline("dot", n, a, default_generic_alpha(n), D)
+    K = build_K("dot", n, a, default_generic_alpha(n), D, xtrunc=pipe.kmax + 1)
+    c1, c2 = K.den_chains
+    for lam in box_partitions(n):
+        level = lam[0] + lam[1]
+        combo = {}
+        for e, d, w in operators._row_weights(operators._schur_row(lam, pipe.family), level, D):
+            w = SparsePoly(V3, {(a1, a2, level - a1 - a2): v for (a1, a2), v in w.items()})
+            cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
+            term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
+            combo[d] = combo[d] + term if d in combo else term
+        F = dataclasses.replace(K, num_parts=combo)
         _assert_same_parts(bar_assemble(F), _ref_bar_assemble(F))
+        _assert_same_parts(pipe.barD[lam], _ref_bar_assemble(F))
 
 
 def test_build_A_builds_each_numerator_once(monkeypatch):

@@ -21,7 +21,6 @@ from qgr.operators import (
     assemble_Y_gamma,
     assemble_double_J,
     audit_frakD_normalizations,
-    build_barD_normalized,
     build_pipeline,
     class_extract,
     equivariant_orthogonality_check,
@@ -93,7 +92,13 @@ def test_frakD_normalization_audit_q0_delta_can_fail():
 
 
 # Reference route: apply each bare operator to the numerators, then x- and
-# h-expand every product again for each entry read.
+# h-expand every product again for each entry read.  Equal expansion calls
+# are answered from a memo, which changes no value.
+
+
+@functools.lru_cache(maxsize=1024)
+def _ref_x_coefficients(num, den, order):
+    return x_coefficients(RatFunc(num, den), order)
 
 
 def _ref_bare(K, t):
@@ -105,7 +110,7 @@ def _ref_bare(K, t):
 
 def _ref_entry(num, den, r, depth):
     """The x^r entry of num/den expanded at h = infinity."""
-    v = x_coefficients(RatFunc(num, den), r[0] + r[1]).get(r)
+    v = _ref_x_coefficients(num, den, r[0] + r[1]).get(r)
     if v is None:
         return LaurentExpansion.zero(None)
     le = laurent_expand_hbar(v.num, v.den, depth)
@@ -115,12 +120,13 @@ def _ref_entry(num, den, r, depth):
 def _ref_family(K, pmax):
     D = K.D
     tables = {}
+    bare = functools.cache(lambda t: _ref_bare(K, t))
 
     def table(t, r):
         if (t, r) not in tables:
             e0 = t[0] + t[1] - r[0] - r[1]
             out = {}
-            for key, num in _ref_bare(K, t).items():
+            for key, num in bare(t).items():
                 out[key] = _ref_entry(num, K.dens[key], r, max(2, 2 - e0)).coeffs.get(e0, Fraction(0))
             tables[(t, r)] = QSeries(2, D, out)
         return tables[(t, r)]
@@ -185,7 +191,8 @@ def test_family_and_audit_match_reference_route():
     for kind in ("dot", "ddot"):
         for n, a, al in cases:
             K = build_K(kind, n, CISpec(a), al, 2, xtrunc=2 * (n - 2) + 1)
-            assert frakD_family_normalized(K, 2 * (n - 2)) == _ref_family(K, 2 * (n - 2)), (kind, n, a, al)
+            image = LadderImage.ladder(kind, n, CISpec(a), 2, 2 * (n - 2) + 1, al)
+            assert frakD_family_normalized(image, 2 * (n - 2)) == _ref_family(K, 2 * (n - 2)), (kind, n, a, al)
     failing = 0
     for kind in ("dot", "ddot"):
         # generic weights truncate the h-expansions, so the depth matters there
@@ -204,7 +211,7 @@ def test_barD_normalized_against_bare():
     # where every weight row fits in n
     for n, a, trivial in [(3, (), True), (3, (1,), True), (4, (2,), True),
                           (3, (1, 1, 1), False), (3, (3,), False)]:
-        K = build_K("dot", n, CISpec(a), default_generic_alpha(n), 2, xtrunc=2 * (n - 2) + 1)
+        K = LadderImage.ladder("dot", n, CISpec(a), 2, 2 * (n - 2) + 1, default_generic_alpha(n))
         fam = frakD_family_normalized(K, 2 * (n - 2))
         identity = {p: {p: QSeries.one(2, 2)} for p in fam}
         assert (fam == identity) is trivial, (n, a)
@@ -526,16 +533,17 @@ def test_y_gamma_evaluated_matches_trivariate():
     # the evaluated route equals J^-1 and the structure corrections applied
     # to the normalized family on the untruncated ladder series, substituted
     # at x = (alpha_1, alpha_2); on (1,1,1) and (3,) the family is not the
-    # bare one
+    # bare one.  The family and the bar transform are the trivariate
+    # oracles below.
     n, D = 3, 2
     al = default_generic_alpha(n)
     pt = {"x1": al[0], "x2": al[1]}
     for a in (CISpec((2,)), CISpec((1, 1, 1)), CISpec((3,))):
         pipe = build_pipeline("dot", n, a, al, D)
         K = build_K("dot", n, a, al, D)
-        fam = frakD_family_normalized(K, pipe.kmax)
+        fam = _ref_family(K, pipe.kmax)
         bar = {
-            lam: build_barD_normalized(lam, K, fam).series().map_values(lambda v: v.substitute(pt))
+            lam: _ref_build_barD_normalized(lam, K, fam).series().map_values(lambda v: v.substitute(pt))
             for lam in box_partitions(n)
         }
         calD = _normalized(pipe, bar)
@@ -550,10 +558,10 @@ def test_y_gamma_evaluated_matches_trivariate():
                 assert ev[lam].get((0,)) == schur_poly(lam).eval_all(pt)
 
 
-# The trivariate route of the zero-weight pipeline, kept verbatim as an
-# oracle for the h = 1 route: operator weights as powers of trivariate
-# polynomials, the bar transform of their products with the ladder
-# numerators, and the class map through x_coefficients and h-expansion.
+# The trivariate route of the pipeline, kept verbatim as an oracle for the
+# ladder-image route: operator weights as powers of trivariate polynomials,
+# the bar transform of their products with the ladder numerators, and the
+# class map through x_coefficients and h-expansion.
 
 
 def _ref_powers(base, k: int) -> list:
@@ -622,23 +630,42 @@ def _ref_class_extract(ser: QSeries, n: int, kmax: int, depth: int) -> dict:
     return {rj: QSeries(1, ser.trunc_q, comp) for rj, comp in sorted(out.items())}
 
 
+_FRACTIONAL_ALPHA = (Fraction(1, 2), Fraction(5, 3), Fraction(7))
+
+
 @pytest.mark.parametrize("n,a,D", [(3, (), 3), (3, (3,), 3), (4, (2,), 2), (5, (5,), 2), (6, (3, 3), 2)])
 def test_h1_route_matches_trivariate_route(n, a, D, monkeypatch):
-    # the zero-weight pipeline on h = 1 images against the same pipeline
-    # with the trivariate family, bar transform and class map: family, bar
-    # class tables, restored bar numerators and every table downstream
+    _check_image_route(n, a, D, None, monkeypatch)
+
+
+@pytest.mark.parametrize("n,a,D,alphas", [
+    (3, (1, 1, 1), 2, "generic"), (3, (3,), 2, "generic"), (4, (2,), 2, "generic"), (4, (4,), 1, "generic"),
+    (3, (1,), 2, "fractional"),
+])
+def test_image_route_matches_trivariate_route_at_weights(n, a, D, alphas, monkeypatch):
+    al = default_generic_alpha(n) if alphas == "generic" else _FRACTIONAL_ALPHA
+    _check_image_route(n, a, D, al, monkeypatch)
+
+
+def _check_image_route(n, a, D, al, monkeypatch):
+    # the pipeline on ladder images against the same pipeline with the
+    # trivariate family, bar transform and class map, at zero weights (h = 1
+    # images), generic and non-integral weights (entries polynomial in h):
+    # family, bar class tables, restored bar numerators and every table
+    # downstream
     fractional = False
     for kind in ("dot", "ddot"):
-        pipe = build_pipeline(kind, n, CISpec(a), None, D)
+        pipe = build_pipeline(kind, n, CISpec(a), al, D)
         monkeypatch.setattr(LadderImage, "ladder",
-                            lambda kind, n, a, D, xtrunc: build_K(kind, n, a, None, D, xtrunc))
+                            lambda kind, n, a, D, xtrunc, alphas=None: build_K(kind, n, a, alphas, D, xtrunc))
+        monkeypatch.setattr(operators, "frakD_family_normalized", _ref_family)
         monkeypatch.setattr(operators, "build_barD_normalized", _ref_build_barD_normalized)
         monkeypatch.setattr(operators, "class_extract",
                             lambda F, n, kmax, depth: _ref_class_extract(F.series(), n, kmax, depth))
-        ref = build_pipeline(kind, n, CISpec(a), None, D)
+        ref = build_pipeline(kind, n, CISpec(a), al, D)
         monkeypatch.undo()
         assert all(isinstance(bar, LadderImage) for bar in pipe.bars.values())
-        ladder = LadderImage.ladder(kind, n, CISpec(a), D, pipe.kmax + 1)
+        ladder = LadderImage.ladder(kind, n, CISpec(a), D, pipe.kmax + 1, al)
         assert ladder.restore(ref.K.den_chains).num_parts == ref.K.num_parts, kind
         assert pipe.family == ref.family, kind
         depth = pipe.depth + pipe.kmax
@@ -718,24 +745,30 @@ def test_pipeline_shares_x_inverse(monkeypatch):
     # Regression guard by count: the pipeline expands the bar series of
     # every box class over the same few ladder denominators, so each
     # (denominator, order) inverse must be computed once and then reused.
-    # Without the memo every call is a miss.  At zero weights the pipeline
-    # expands h = 1 images instead and never calls x_coefficients.
+    # Neither pipeline calls x_coefficients: both expand ladder images, and
+    # the bars of one ladder share its table of inverses.
     import qgr.operators
-    from qgr.series import _x_inverse
 
-    seen = []
+    seen, expansions = [], []
+    x_expansion = LadderImage.x_expansion
 
     def counted(f, max_x_degree):
         seen.append((f.den, max_x_degree))
         return x_coefficients(f, max_x_degree)
 
+    def counted_expansion(self, key, order):
+        expansions.append((id(self.inverses), key[0], key[-1], order))
+        return x_expansion(self, key, order)
+
     monkeypatch.setattr(qgr.operators, "x_coefficients", counted)
+    monkeypatch.setattr(LadderImage, "x_expansion", counted_expansion)
     build_pipeline("dot", 4, CISpec((2,)), None, 2)
+    expansions.clear()
+    pipe = build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
     assert seen == []
-    _x_inverse.cache_clear()
-    build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
-    misses = _x_inverse.cache_info().misses
-    assert misses == len(set(seen)) < len(seen), (misses, len(set(seen)), len(seen))
+    [inverses] = {id(bar.inverses): bar.inverses for bar in pipe.bars.values()}.values()
+    assert {e[0] for e in expansions} == {id(inverses)}
+    assert len(inverses) == len(set(expansions)) < len(expansions), (len(inverses), len(expansions))
 
 
 def test_h_expansion_makes_no_polynomial_product(monkeypatch):

@@ -46,6 +46,23 @@ def _reduced(c: list, g: int, roots: dict) -> "HRat":
     return HRat(c, g, roots)
 
 
+def _value(c: list, g: int, roots, pw: int, qw: int) -> tuple[int, int]:
+    """c / (g prod (h - p/q)^m) over the ((p, q), m) pairs at h = pw/qw,
+    qw > 0, as an unreduced int pair (num, den), den != 0.  A root at
+    pw/qw itself is left out of the product: then this is the value there
+    of (h - pw/qw)^m times the function."""
+    # Horner leaves top = N(w) qw^deg and qk = qw^(deg + 1); w - p/q = (pw q - p qw) / (qw q)
+    top, qk = 0, 1
+    for x in reversed(c):
+        top, qk = top * pw + x * qk, qk * qw
+    bot = g * qk
+    for (p, q), m in roots:
+        if d := pw * q - p * qw:
+            top *= (qw * q) ** m
+            bot *= d**m
+    return top * qw, bot
+
+
 def _deflate(c: list, p: int, q: int):
     """c / (q h - p), or None unless exact: by Gauss's lemma the quotient by
     a factor is integral, so a nonzero remainder at any step means none."""
@@ -207,21 +224,24 @@ class HRat:
             return self
         return _reduced([x * s for x in c], self.denom, roots)
 
-    def at(self, w) -> Fraction:
-        """The value at h = w; ZeroDivisionError if w is a pole."""
-        pw, qw = w.numerator, w.denominator
+    def value_at(self, pw: int, qw: int) -> tuple[int, int]:
+        """The value at h = pw/qw (reduced, qw > 0) as an unreduced int pair
+        (num, den), den != 0; ZeroDivisionError if pw/qw is a pole."""
         v = self.cancel() if (pw, qw) in self.roots else self
         if (pw, qw) in v.roots:
-            raise ZeroDivisionError(f"pole at h={w}")
-        # Horner leaves top = N(w) qw^deg and qk = qw^(deg + 1); w - p/q = (pw q - p qw) / (qw q)
-        top, qk = 0, 1
-        for x in reversed(v.coeffs):
-            top, qk = top * pw + x * qk, qk * qw
-        bot = v.denom * qk
-        for (p, q), m in v.roots.items():
-            top *= (qw * q) ** m
-            bot *= (pw * q - p * qw) ** m
-        return Fraction(top * qw, bot)
+            raise ZeroDivisionError(f"pole at h={Fraction(pw, qw)}")
+        return _value(v.coeffs, v.denom, v.roots.items(), pw, qw)
+
+    def at(self, w) -> Fraction:
+        """The value at h = w; ZeroDivisionError if w is a pole."""
+        return Fraction(*self.value_at(w.numerator, w.denominator))
+
+    def residue(self, pw: int, qw: int) -> tuple[int, int]:
+        """The residue at a root (pw, qw) of multiplicity 1, as an unreduced
+        int pair: the value at it of (h - pw/qw) times this value,
+        N(r) / (g prod_{r' != r} (r - r')^m').  A root at which N vanishes
+        is no pole, and its residue is 0."""
+        return _value(self.coeffs, self.denom, self.roots.items(), pw, qw)
 
     def to_ratfunc(self) -> RatFunc:
         """The cancelled value as a gcd-reduced RatFunc: the printed form."""

@@ -427,10 +427,16 @@ class LadderImage:
             nums[(m,)] = _Image(degs.pop() if degs else 0, [sign * (u + v) for u, v in zip(N0, Q)])
         return replace(self, num_parts=nums, xtrunc=self.xtrunc - 1)
 
+    def degree(self, key) -> int:
+        """The structural degree of the coefficient at `key`: numerator
+        degree less denominator degree, read without expanding."""
+        return self.num_parts[key].deg - self.cofactors[(0, 0, key[0])].deg - self.cofactors[(1, 0, key[-1])].deg
+
     def x_expansion(self, key, order: int) -> tuple[int, list, object]:
         """(deg, X, g): the coefficient at `key` is X / g to total x-degree
         `order`, X over the slots of `_triangle(2, order)`; at zero weights
-        X / g is the h = 1 value, and x^e comes with h^(deg - |e|)."""
+        X / g is the h = 1 value, and x^e comes with h^(deg - |e|), deg
+        the structural degree."""
         b1, b2 = self.cofactors[(0, 0, key[0])], self.cofactors[(1, 0, key[-1])]
         tk = _triangle(2, order)
         at = (key[0], key[-1], order)
@@ -444,7 +450,7 @@ class LadderImage:
         if self.h != 1:  # polynomial entries: clear them too
             s, vals = _cleared(vals)
             g = g * s
-        return num.deg - b1.deg - b2.deg, tk.mul(vals, N), g
+        return self.degree(key), tk.mul(vals, N), g
 
     def restore(self, den_chains) -> HyperSeries:
         """The HyperSeries this is the image of, over its trivariate chains:

@@ -62,7 +62,7 @@ from .cohomology import (
     schur_poly,
 )
 from .hrat import HRat
-from .hyper import CISpec, HyperSeries, LadderImage, V3, bar_evaluated, build_K, k_series_evaluated
+from .hyper import CISpec, DenChain, HyperSeries, LadderImage, V3, bar_evaluated, k_series_evaluated
 from .rings import RatFunc, SparsePoly, _exact, _univariate_terms
 from .series import LaurentExpansion, QSeries, _expand_parts, _Triangle, _triangle, x_coefficients
 
@@ -180,14 +180,17 @@ def frakD_family_normalized(K: LadderImage, pmax: int) -> dict:
     xkeys = _triangle(2, pmax).keys
     # kappa[d][s]: the x^s h^{-|s|} coefficient of K_d, for the d with one.
     # At zero weights x^s comes with h^(deg - |s|), so only K_d of degree 0
-    # has one (every d when |a| = n, only d = 0 else), its h = 1 value
+    # has one (every d when |a| = n, only d = 0 else), its h = 1 value; the
+    # degree is structural, so the other keys are not expanded
     kappa = {}
     for key in K.num_parts:
-        deg, X, g = K.x_expansion(key, pmax)
+        if K.h == 1 and K.degree(key):
+            continue
+        _, X, g = K.x_expansion(key, pmax)
         if K.h != 1:
             kd = {s: c for s, v in zip(xkeys, X) if v and (c := _h_expand(v, sum(s) + 1, g).coeffs.get(-sum(s)))}
         else:
-            kd = {s: Fraction(v, g) for s, v in zip(xkeys, X) if v} if deg == 0 else {}
+            kd = {s: Fraction(v, g) for s, v in zip(xkeys, X) if v}
         if kd:
             kappa[key] = kd
     # the tables hold den times their series, den a common denominator of
@@ -363,14 +366,11 @@ class GammaPipeline:
         return self.n * self.D + self.kmax + 2
 
     @functools.cached_property
-    def K(self) -> HyperSeries:
-        """The two-variable ladder series, trivariate (the chains of `barD`)."""
-        return build_K(self.kind, self.n, self.a, self.alphas, self.D, xtrunc=self.kmax + 1)
-
-    @functools.cached_property
     def barD(self) -> dict:
-        """lam -> the bar series as a HyperSeries (1q)."""
-        return {lam: bar.restore(self.K.den_chains) for lam, bar in self.bars.items()}
+        """lam -> the bar series as a HyperSeries (1q), over the trivariate
+        ladder chains of the two slots, as build_K has them."""
+        chains = tuple(DenChain.build(self.n, self.alphas, x, self.D, self.kmax + 1) for x in ("x1", "x2"))
+        return {lam: bar.restore(chains) for lam, bar in self.bars.items()}
 
     @functools.cached_property
     def calD(self) -> dict:

@@ -29,7 +29,7 @@ _XI = Fraction(1, 3)  # the generic point at which residue_internal_check holds 
 class RecursivityEntry:
     pair: tuple
     degree: tuple
-    remainder: HRat | None  # cancelled; None when a lower evaluation diverged
+    remainder: HRat | None  # cancelled, of a failing entry; None if it passed or a lower evaluation diverged
     ok: bool
     note: str = ""
 
@@ -47,35 +47,67 @@ class RecursivityReport:
         return [e for e in self.entries if not e.ok]
 
 
+def _residues_match(F: HRat, sums: dict) -> bool:
+    """Every nonzero root r of F is simple with residue sums[r] (0 where r
+    has no sum), and every nonzero point with a nonzero sum is a root of F.
+    sums maps (p, q) to an unreduced int pair; residues are compared by
+    cross-multiplying."""
+    for r, m in F.roots.items():
+        if r[0]:  # the pole at h = 0 is allowed
+            if m > 1:
+                return False
+            a, b = F.residue(*r)
+            sn, sd = sums.get(r, (0, 1))
+            if a * sd != sn * b:
+                return False
+    return all(r in F.roots for r, (sn, _) in sums.items() if sn and r[0])
+
+
 def _check_entry(evals, pair, key, terms, diverge_note: str = "") -> RecursivityEntry:
-    """Subtract the pole terms c * F_lower(w) / (h - w), listed as
-    (c, lower pair, lower q-key, w), from the `key` coefficient of
-    evals[pair], summed per w into one subtraction, and test that after
-    cancellation every remaining root of the denominator is 0."""
-    residues: dict = {}
+    """Test the `key` coefficient F of evals[pair] against the pole terms
+    c * F_lower(w) / (h - w), listed as (c, lower pair, lower q-key, w),
+    summed per w: F minus their sum must cancel to a value whose
+    denominator is a power of h.  That holds exactly when every nonzero
+    pole of F is simple with residue the summed coefficient at it, and
+    every nonzero w with a nonzero summed coefficient is a pole of F, so
+    the residues are compared one pole at a time, in ints, and the summed
+    pole terms are never formed.  A simple root of the stored F needs no
+    cancelling (where its numerator vanishes the residue is 0), so F is
+    cancelled only when a nonzero root is multiple.  The remainder is
+    formed for a failing entry only, for its note."""
+    sums: dict = {}  # (p, q) of w -> the summed coefficient c * F_lower(w), an unreduced int pair
     for c, lower_pair, lower_key, w in terms:
         lower = evals.get(lower_pair)
         if lower is None:
             raise KeyError(f"missing evaluation at {lower_pair}")
+        r = (w.numerator, w.denominator)
         try:
-            val = HRat.convert(lower.get(lower_key)).at(w)
+            vn, vd = HRat.convert(lower.get(lower_key)).value_at(*r)
         except ZeroDivisionError:
             note = f"evaluation of F{lower_pair} at h={w} diverges{diverge_note}"
             return RecursivityEntry(pair, key, None, False, note)
-        residues[w] = residues.get(w, 0) + c * val
+        vn, vd = c.numerator * vn, c.denominator * vd
+        s = sums.get(r)
+        sums[r] = (vn, vd) if s is None else (s[0] * vd + vn * s[1], s[1] * vd)
+    F = HRat.convert(evals[pair].get(key))
+    if any(m > 1 for r, m in F.roots.items() if r[0]):
+        F = F.cancel()
+    if _residues_match(F, sums):
+        return RecursivityEntry(pair, key, None, True)
     poles = HRat.poly(())
-    for w, s in residues.items():
-        poles = poles + HRat.pole(w, s)
-    R = (HRat.convert(evals[pair].get(key)) - poles).cancel()
-    ok = set(R.roots) <= {(0, 1)}
-    note = "" if ok else f"remainder has non-monomial denominator {R.to_ratfunc().den.to_string()}"
-    return RecursivityEntry(pair, key, R, ok, note)
+    for (p, q), (sn, sd) in sums.items():
+        poles = poles + HRat.pole(Fraction(p, q), Fraction(sn, sd))
+    R = (F - poles).cancel()
+    note = f"remainder has non-monomial denominator {R.to_ratfunc().den.to_string()}"
+    return RecursivityEntry(pair, key, R, False, note)
 
 
 def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityReport:
-    """Single-q recursivity: for each ordered pair and degree, subtract the
-    prescribed pole terms and test that the remainder's denominator is a
-    power of h.
+    """Single-q recursivity: for each ordered pair (i, j) and degree d*,
+    every nonzero pole of the q^d* coefficient is simple and sits at a
+    recursion point w = (alpha_k - alpha_j)/d or (alpha_k - alpha_i)/d,
+    with residue the prescribed sum of c * (lower evaluation at w), and
+    every such sum that is nonzero has its pole (`_check_entry`).
 
     evals: (i, j) -> QSeries in one q with HRat values.
     coeff_fn(slot, i, j, k, d) -> Fraction; slot 2 moves j -> k, slot 1
@@ -101,8 +133,10 @@ def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityRepor
 
 
 def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> RecursivityReport:
-    """Two-variable recursivity: slot 2 poles pair with q2 powers, slot 1
-    with q1 powers; the moving index may hit the anchored one.
+    """Two-variable recursivity, the same residue test per entry
+    (`_check_entry`): slot 2 poles, at (alpha2_k - alpha2_i2)/d, pair with
+    q2 powers, slot 1 poles, at (alpha1_k - alpha1_i1)/d, with q1 powers;
+    the moving index may hit the anchored one.
 
     evals: (i1, i2) -> QSeries in (q1, q2); defined for i1 != i2.
     coeff_fn(slot, i1, i2, k, d) -> Fraction with slot in {1, 2}.

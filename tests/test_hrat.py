@@ -73,6 +73,20 @@ def test_cancel_and_evaluate_at_a_root():
         v.at(Fraction(1))
 
 
+def test_residue_at_a_simple_root():
+    # (h + 2) / ((h - 1/2) (h + 1/3)^2 h): the residue at 1/2 is
+    # (5/2) / ((5/6)^2 (1/2)) = 36/5, with the value at 3 as an int pair too
+    v = HRat.poly((2, 1)) * HRat.pole(Fraction(1, 2)) * HRat.pole(Fraction(-1, 3)) ** 2 * HRat.pole(0)
+    num, den = v.residue(1, 2)
+    assert Fraction(num, den) == Fraction(36, 5)
+    num, den = v.value_at(3, 1)
+    assert Fraction(num, den) == v.at(Fraction(3)) == Fraction(5, (Fraction(5, 2) * Fraction(10, 3) ** 2 * 3))
+    # (2h - 1) / ((h - 1/2) (h - 5)) = 2/(h - 5), stored uncancelled: the
+    # root 1/2 is no pole, residue 0
+    w = HRat.poly((-1, 2)) * HRat.pole(Fraction(1, 2)) * HRat.pole(5)
+    assert w.residue(1, 2)[0] == 0 and Fraction(*w.residue(5, 1)) == 2
+
+
 def test_sum_that_cancels_to_a_polynomial():
     # 1/(h-1) - 1/(h+1) - 2/((h-1)(h+1)) = 0 and h/(h-1) - 1/(h-1) = 1
     a = HRat.pole(1) - HRat.pole(-1) - HRat.pole(1, 2) * HRat.pole(-1)

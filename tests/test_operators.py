@@ -218,14 +218,16 @@ def test_barD_normalized_against_bare():
     # weight rows that fit in n: the normalized family is the bare one
     for a in ((), (1,)):
         pipe = build_pipeline("dot", 3, CISpec(a), None, 2)
+        K = build_K("dot", 3, CISpec(a), None, 2, xtrunc=pipe.kmax + 1)
         for lam in box_partitions(3):
-            bare = build_barD(lam, pipe.K)
+            bare = build_barD(lam, K)
             for d in range(3):
                 assert pipe.barD[lam].coeff((d,)) == bare.coeff((d,)), (a, lam, d)
     # the row (3, 3) exceeds n = 3: every bare operator needs correcting
     pipe = build_pipeline("dot", 3, CISpec((3,)), None, 2)
+    K = build_K("dot", 3, CISpec((3,)), None, 2, xtrunc=pipe.kmax + 1)
     for lam in box_partitions(3):
-        bare = build_barD(lam, pipe.K)
+        bare = build_barD(lam, K)
         assert any(pipe.barD[lam].coeff((d,)) != bare.coeff((d,)) for d in range(3)), lam
 
 
@@ -666,7 +668,8 @@ def _check_image_route(n, a, D, al, monkeypatch):
         monkeypatch.undo()
         assert all(isinstance(bar, LadderImage) for bar in pipe.bars.values())
         ladder = LadderImage.ladder(kind, n, CISpec(a), D, pipe.kmax + 1, al)
-        assert ladder.restore(ref.K.den_chains).num_parts == ref.K.num_parts, kind
+        K = build_K(kind, n, CISpec(a), al, D, xtrunc=pipe.kmax + 1)
+        assert ladder.restore(K.den_chains).num_parts == K.num_parts, kind
         assert pipe.family == ref.family, kind
         depth = pipe.depth + pipe.kmax
         for lam in box_partitions(n):

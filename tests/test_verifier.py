@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from qgr import verifier
 from qgr.cohomology import default_generic_alpha, euler_tangent
 from qgr.hrat import HRat
 from qgr.hyper import (
@@ -19,6 +21,8 @@ from qgr.rings import RatFunc, SparsePoly
 from qgr.series import QSeries
 from qgr.verifier import (
     PhiSeries,
+    RecursivityEntry,
+    _check_entry,
     audit_uniqueness_hypotheses,
     build_phi,
     check_mpc,
@@ -498,3 +502,172 @@ def test_zero_pairing_passes():
     phi = build_phi(Fd, Fd, eta, al, n, Nz, D)
     assert not phi.payload.coeffs and phi.n_pairs == 6
     assert check_mpc(phi) == (True, [])
+
+
+# -- the residue-by-residue recursivity check against the summed-pole one --
+
+
+def _summed_pole_check_entry(evals, pair, key, terms, diverge_note: str = "") -> RecursivityEntry:
+    """Subtract the pole terms c * F_lower(w) / (h - w), listed as
+    (c, lower pair, lower q-key, w), from the `key` coefficient of
+    evals[pair], summed per w into one subtraction, and test that after
+    cancellation every remaining root of the denominator is 0."""
+    residues: dict = {}
+    for c, lower_pair, lower_key, w in terms:
+        lower = evals.get(lower_pair)
+        if lower is None:
+            raise KeyError(f"missing evaluation at {lower_pair}")
+        try:
+            val = HRat.convert(lower.get(lower_key)).at(w)
+        except ZeroDivisionError:
+            note = f"evaluation of F{lower_pair} at h={w} diverges{diverge_note}"
+            return RecursivityEntry(pair, key, None, False, note)
+        residues[w] = residues.get(w, 0) + c * val
+    poles = HRat.poly(())
+    for w, s in residues.items():
+        poles = poles + HRat.pole(w, s)
+    R = (HRat.convert(evals[pair].get(key)) - poles).cancel()
+    ok = set(R.roots) <= {(0, 1)}
+    note = "" if ok else f"remainder has non-monomial denominator {R.to_ratfunc().den.to_string()}"
+    return RecursivityEntry(pair, key, R, ok, note)
+
+
+def _same_as_summed_poles(evals, pair, key, terms, diverge_note: str = "") -> RecursivityEntry:
+    """_check_entry, asserted to give the summed-pole oracle's verdict, note
+    and, on a failing entry, printed remainder."""
+    got = _check_entry(evals, pair, key, terms, diverge_note)
+    want = _summed_pole_check_entry(evals, pair, key, terms, diverge_note)
+    assert (got.ok, got.note) == (want.ok, want.note), (pair, key)
+    if want.ok or want.remainder is None:
+        assert got.remainder is None, (pair, key)
+    else:
+        assert got.remainder.to_string() == want.remainder.to_string(), (pair, key)
+    return got
+
+
+@pytest.fixture
+def against_summed_poles(monkeypatch):
+    """Route every _check_entry call of the checkers through the oracle
+    comparison; the list collects the entries compared."""
+    seen = []
+
+    def both(*args):
+        seen.append(_same_as_summed_poles(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(verifier, "_check_entry", both)
+    return seen
+
+
+@pytest.mark.parametrize("n, a", [(3, ()), (3, (1, 1, 1)), (4, (2,))])
+def test_residue_check_matches_summed_poles_on_evaluations(against_summed_poles, n, a):
+    a, D = CISpec(a), 3
+    al = default_generic_alpha(n)
+    for kind in ("dot", "ddot"):
+        coeff = lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, al, a)
+        assert check_recursive(y_evals(kind, n, a, al, D), coeff, al, D, n).all_pass, kind
+        # a sign flip at (1, 2) fails there, and the notes and remainders agree
+        bad = y_evals(kind, n, a, al, D)
+        bad[(1, 2)] = y_series_evaluated(kind, n, a, al, 1, 2, D, (2, 1))
+        assert not check_recursive(bad, coeff, al, D, n).all_pass, kind
+    assert not all(e.ok for e in against_summed_poles)
+    assert len(against_summed_poles) == 4 * len(all_pairs(n)) * (D + 1)
+
+
+def test_residue_check_matches_summed_poles_on_the_ladder(against_summed_poles):
+    n, a = 4, CISpec((2,))
+    spec = AMatrixSpec(n=n, rows=a.rows, alpha1=default_generic_alpha(n),
+                       alpha2=tuple(Fraction(11**m) for m in range(1, n + 1)))
+    for kind in ("dot", "ddot"):
+        evals = {(i1, i2): a_series_evaluated(kind, spec, i1, i2, 2)
+                 for i1 in range(1, n + 1) for i2 in range(1, n + 1)}
+        coeff = lambda s, i1, i2, k, d, _k=kind: scr_coeff(_k, s, i1, i2, k, d, spec)
+        assert check_recursive_2q(evals, coeff, spec.alpha1, spec.alpha2, 2, n).all_pass, kind
+        # the recursion of the other kind fails somewhere
+        other = "ddot" if kind == "dot" else "dot"
+        wrong = lambda s, i1, i2, k, d: scr_coeff(other, s, i1, i2, k, d, spec)
+        assert not check_recursive_2q(evals, wrong, spec.alpha1, spec.alpha2, 2, n).all_pass, kind
+    assert any(not e.ok and e.note for e in against_summed_poles)
+
+
+def _entry(F, terms, lowers=None, note=""):
+    """The two checks of the coefficient F of pair (1, 2) at q^1 against
+    `terms`, given as (c, w, lower value); each lower value is the q^0
+    coefficient of its own pair (2, k)."""
+    lowers = lowers or {}
+    evals = {(1, 2): QSeries(1, 1, {(1,): F})}
+    rows = []
+    for k, (c, w, v) in enumerate(terms, start=3):
+        evals[(2, k)] = QSeries(1, 1, {(0,): v})
+        rows.append((Fraction(c), (2, k), (0,), Fraction(w)))
+    return _same_as_summed_poles(evals, (1, 2), (1,), rows, note)
+
+
+W, W2 = Fraction(7, 2), Fraction(-5, 3)
+
+
+def test_residue_check_matches_summed_poles_on_built_values():
+    pole, h = HRat.pole, HRat.poly((0, 1))
+    # a double pole at a recursion point, with the matching simple term
+    assert not _entry(pole(W) * pole(W), [(1, W, one)]).ok
+    assert not _entry(pole(W) * pole(W) + pole(W), [(1, W, one)]).ok
+    # residues summed per point: 3 = 1 + 2, but one term short fails
+    F = pole(W, 3) + pole(W2, Fraction(1, 2))
+    assert _entry(F, [(1, W, one), (2, W, one), (1, W2, Fraction(1, 2))]).ok
+    assert not _entry(F, [(1, W, one), (1, W2, Fraction(1, 2))]).ok
+    assert not _entry(F, [(1, W, one), (2, W, one)]).ok
+    # a lower value that is itself a rational function, with a negative
+    # value at w: 1/(h - 5) at 7/2 is -2/3
+    assert _entry(pole(W, Fraction(-4, 3)), [(2, W, pole(Fraction(5)))]).ok
+    assert not _entry(pole(W, Fraction(4, 3)), [(2, W, pole(Fraction(5)))]).ok
+    # a pole term where F has none
+    assert not _entry(pole(W), [(1, W, one), (1, W2, one)]).ok
+    assert not _entry(one, [(1, W2, h + 1)]).ok
+    # terms that cancel at a point ask for no pole there
+    assert _entry(pole(W), [(1, W, one), (1, W2, one), (-1, W2, one)]).ok
+    # F stored with an uncancelled factor (h - r)/(h - r): no pole at r
+    lin = HRat.poly((-W2, 1))
+    F = lin * pole(W2) * pole(W)
+    assert F.roots == {W2.as_integer_ratio(): 1, W.as_integer_ratio(): 1}
+    assert _entry(F, [(1, W, one)]).ok
+    assert not _entry(F, [(1, W, one), (1, W2, one)]).ok
+    # ... and (h - r)/(h - r)^2, a simple pole stored as a double one
+    F = lin * pole(W2) * pole(W2)
+    assert F.roots == {W2.as_integer_ratio(): 2}
+    assert _entry(F, [(1, W2, one)]).ok
+    assert not _entry(F, [(2, W2, one)]).ok
+    # a pole at h = 0 is allowed, of any order, and so is a term there
+    assert _entry(pole(Fraction(0)) ** 2 + pole(W), [(1, W, one)]).ok
+    assert _entry(pole(Fraction(0)) + pole(W), [(1, W, one), (5, 0, one)]).ok
+    # F = 0
+    zero = HRat.poly(())
+    assert _entry(zero, []).ok
+    assert _entry(zero, [(0, W, one)]).ok
+    assert not _entry(zero, [(1, W, one)]).ok
+    # a lower evaluation that diverges at its point keeps its note
+    e = _entry(pole(W), [(1, W, one), (1, W2, pole(W2))], note=" (below)")
+    assert not e.ok and e.remainder is None
+    assert e.note == f"evaluation of F(2, 4) at h={W2} diverges (below)"
+
+
+def test_residue_check_matches_summed_poles_on_random_values():
+    # sums of simple and double poles at a few points, against terms that
+    # match them, miss one, or add one
+    rng = random.Random(29)
+    points = [W, W2, Fraction(2), Fraction(-1, 4), Fraction(0)]
+    verdicts = set()
+    for _ in range(300):
+        F, terms = HRat.poly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]), []
+        for w in rng.sample(points, rng.randint(0, 4)):
+            res = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            F = F + HRat.pole(w, res)
+            if rng.random() < 0.2:
+                F = F + HRat.pole(w) * HRat.pole(w)
+            c = Fraction(rng.randint(1, 3))
+            lower = HRat.pole(Fraction(11)) * (res / c * (w - 11))
+            if rng.random() < 0.9:
+                terms.append((c, w, lower))
+        if rng.random() < 0.2:
+            terms.append((1, rng.choice(points), one))
+        verdicts.add(_entry(F, terms).ok)
+    assert verdicts == {True, False}

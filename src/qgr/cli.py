@@ -237,10 +237,11 @@ def _y_evals(kind, n, a, al, D, pairs, mutate=None):
 def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
     results = []
+    espec = AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=al)
     for kind in ("dot", "ddot"):
         evals = _y_evals(kind, n, a, al, D, fixed_points(n), mutate=cfg.mutate if kind == "dot" else None)
         rep = check_recursive(
-            evals, lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, al, a), al, D, n
+            evals, lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, espec), al, D, n
         )
         results.append({
             "check": f"recursivity-{kind}",

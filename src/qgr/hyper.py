@@ -6,8 +6,13 @@ coefficient tables.
 
 A ladder series keeps one numerator per q-key over the product of its two
 ladder denominator chains; the RatFunc coefficient is formed when it is
-read.  A two-variable series builds each numerator once per tuple of row
-degrees and lets every key with that tuple share it, and the bar
+read.  Its building blocks are shared per process by every series that
+needs them: each row product prod_l (a1 x1 + a2 x2 + l h), one linear
+factor more than the one before it, each chain, and a chain's cofactors,
+each one factor more than the last.  They are pure functions of ints,
+tuples and None in bounded caches with no setting, and their values are
+immutable, so sharing changes no result.  A two-variable series lets
+every key with one tuple of row degrees share one numerator, and the bar
 transform multiplies each shared numerator once per degree.  Summands are
 combined before any division by (x1 - x2), so coefficients are genuine
 rational functions regular on x1 = x2.
@@ -93,38 +98,44 @@ def _c3(v) -> SparsePoly:
     return SparsePoly.const(V3, v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenChain:
-    """Ladder denominator products for one slot: B[d] = prod_{l<=d} factor_l."""
+    """Ladder denominator products for one slot: B[d] = prod_{l<=d} factor_l.
+    `build` is cached, so chains are shared and hold tuples."""
 
     xname: str
-    factors: list[SparsePoly]
-    products: list[SparsePoly]
+    factors: tuple[SparsePoly, ...]
+    products: tuple[SparsePoly, ...]
     xtrunc: int | None = None
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def build(cls, n: int, alphas, xname: str, D: int, xtrunc: int | None = None) -> "DenChain":
-        factors = [den_factor(n, alphas, l, xname, xtrunc) for l in range(1, D + 1)]
+        factors = tuple(den_factor(n, alphas, l, xname, xtrunc) for l in range(1, D + 1))
         products = [_c3(1)]
         for f in factors:
             products.append(products[-1].mul_trunc(f, xtrunc))
-        return cls(xname, factors, products, xtrunc)
+        return cls(xname, factors, tuple(products), xtrunc)
+
+    @functools.cached_property
+    def _cofactors(self) -> dict:
+        """(a, b) -> prod_{a < l <= b} factor_l, formed as factor_(a+1) times (a+1, b)."""
+        out = {}
+        for b, p in enumerate(self.products):
+            out[(b, b)], out[(0, b)] = self.products[0], p
+            for a in range(b - 1, 0, -1):
+                out[(a, b)] = self.factors[a].mul_trunc(out[(a + 1, b)], self.xtrunc)
+        return out
 
     def cofactor(self, d_from: int, d_to: int) -> SparsePoly:
-        out = _c3(1)
-        for l in range(d_from + 1, d_to + 1):
-            out = out.mul_trunc(self.factors[l - 1], self.xtrunc)
-        return out
+        return self._cofactors[(d_from, d_to)]
 
 
 def den_factor(n: int, alphas, l: int, xname: str, xtrunc: int | None = None) -> SparsePoly:
     """prod_j (x - alpha_j + l h) - prod_j (x - alpha_j); (x+lh)^n - x^n at alpha=0."""
-    x = _xvar(xname)
-    h = _xvar("h")
-    p1 = _c3(1)
-    p2 = _c3(1)
-    for j in range(n):
-        aj = Fraction(0) if alphas is None else Fraction(alphas[j])
+    x, h = _xvar(xname), _xvar("h")
+    p1 = p2 = _c3(1)
+    for aj in alphas or (0,) * n:
         p1 = p1.mul_trunc(x - _c3(aj) + h * l, xtrunc)
         p2 = p2.mul_trunc(x - _c3(aj), xtrunc)
     return p1 - p2
@@ -138,15 +149,24 @@ def _num_l_range(kind: str, m: int) -> range:
     raise ValueError(f"kind must be 'dot' or 'ddot', got {kind!r}")
 
 
+@functools.lru_cache(maxsize=256)
+def _row_product(kind: str, a1: int, a2: int, m: int, xtrunc: int | None) -> SparsePoly:
+    """prod_l (a1 x1 + a2 x2 + l h), l over the kind's range for m: the
+    product for m - 1 times one more linear factor."""
+    ls = _num_l_range(kind, m)
+    if not ls:
+        return _c3(1)
+    f = _xvar("x1") * a1 + _xvar("x2") * a2 + _xvar("h") * ls[-1]
+    return _row_product(kind, a1, a2, m - 1, xtrunc).mul_trunc(f, xtrunc)
+
+
 def amatrix_numerator(kind: str, rows, d1: int, d2: int, xtrunc: int | None = None) -> SparsePoly:
-    """prod_r prod_l (a_{r;1} x1 + a_{r;2} x2 + l h) with the kind's l-range."""
+    """prod_r prod_l (a_{r;1} x1 + a_{r;2} x2 + l h) with the kind's l-range;
+    row products are read in ascending order, so a miss recurses once."""
     out = _c3(1)
-    h = _xvar("h")
     for (a1, a2) in rows:
-        m = a1 * d1 + a2 * d2
-        base = _xvar("x1") * a1 + _xvar("x2") * a2
-        for l in _num_l_range(kind, m):
-            out = out.mul_trunc(base + h * l, xtrunc)
+        ascending = [_row_product(kind, a1, a2, m, xtrunc) for m in range(a1 * d1 + a2 * d2 + 1)]
+        out = out.mul_trunc(ascending[-1], xtrunc)
     return out
 
 
@@ -214,13 +234,8 @@ def build_A(kind: str, spec: AMatrixSpec, D: int, xtrunc: int | None = None) -> 
 def build_K(kind: str, n: int, a: CISpec, alphas, D: int, xtrunc: int | None = None) -> HyperSeries:
     """Specialized series: equal row weights and one common weight family."""
     a.validate(n)
-    spec = AMatrixSpec(
-        n=n,
-        rows=a.rows,
-        alpha1=tuple(alphas) if alphas is not None else None,
-        alpha2=tuple(alphas) if alphas is not None else None,
-    )
-    return build_A(kind, spec, D, xtrunc)
+    al = None if alphas is None else tuple(alphas)
+    return build_A(kind, AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=al), D, xtrunc)
 
 
 def bar_assemble(F: HyperSeries) -> HyperSeries:
@@ -561,7 +576,8 @@ def a_series_evaluated(kind: str, spec: AMatrixSpec, i1: int, i2: int, D: int,
 
 def k_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: int,
                        mutate: tuple[int, int] | None = None) -> QSeries:
-    return a_series_evaluated(kind, _equal_rows(tuple(alphas), a.rows), i, j, D, mutate)
+    al = tuple(alphas)
+    return a_series_evaluated(kind, AMatrixSpec(n=len(al), rows=a.rows, alpha1=al, alpha2=al), i, j, D, mutate)
 
 
 def bar_evaluated(K2q: QSeries, diff: Fraction) -> QSeries:
@@ -582,10 +598,9 @@ def y_series_evaluated(kind: str, n: int, a: CISpec, alphas, i: int, j: int, D: 
 # ---------------------------------------------------------------------------
 
 
-def scr_coeff(kind: str, slot: int, i1: int, i2: int, k: int, d: int, spec: AMatrixSpec) -> Fraction:
-    """Two-variable ladder recursion coefficient for the given slot.  On
-    the int weights of `spec.int_alphas` every factor is an int over d L,
-    so the products run on ints and one Fraction is built."""
+def _scr_ints(kind: str, slot: int, i1: int, i2: int, k: int, d: int, spec: AMatrixSpec) -> tuple[int, int]:
+    """scr_coeff as an int pair: on the int weights of `spec.int_alphas`
+    every factor is an int over d L, so the products run on ints."""
     L, a1, a2 = spec.int_alphas
     al_s, i_s = (a1, i1) if slot == 1 else (a2, i2)
     if k == i_s:
@@ -605,21 +620,20 @@ def scr_coeff(kind: str, slot: int, i1: int, i2: int, k: int, d: int, spec: AMat
         raise ZeroDivisionError("recursion-coefficient denominator vanishes (non-generic alpha)")
     # d n - 1 denominator factors against d sum_r a_(r;slot) numerator factors
     e = d * (spec.n - sum(row[slot - 1] for row in spec.rows)) - 1
-    return Fraction(num * (d * L) ** max(e, 0), den * (d * L) ** max(-e, 0))
+    return num * (d * L) ** max(e, 0), den * (d * L) ** max(-e, 0)
 
 
-@functools.lru_cache(maxsize=16)
-def _equal_rows(alphas: tuple, rows: tuple) -> AMatrixSpec:
-    return AMatrixSpec(n=len(alphas), rows=rows, alpha1=alphas, alpha2=alphas)
+def scr_coeff(kind: str, slot: int, i1: int, i2: int, k: int, d: int, spec: AMatrixSpec) -> Fraction:
+    """Two-variable ladder recursion coefficient for the given slot."""
+    return Fraction(*_scr_ints(kind, slot, i1, i2, k, d, spec))
 
 
-def c_coeff(kind: str, slot: int, i: int, j: int, k: int, d: int, alphas, a: CISpec) -> Fraction:
-    """Single-q recursion coefficients of the bar-transformed series.
-
-    slot 2: the pole family moving j -> k; slot 1: moving i -> k.  The
-    ladder coefficient is `scr_coeff` with equal rows and one weight family.
-    """
-    spec = _equal_rows(tuple(alphas), a.rows)
+def c_coeff(kind: str, slot: int, i: int, j: int, k: int, d: int, spec: AMatrixSpec) -> Fraction:
+    """Single-q recursion coefficients of the bar-transformed series, for
+    `spec` with equal rows and one weight family.  slot 2: the pole family
+    moving j -> k; slot 1: moving i -> k.  The ladder coefficient is
+    `scr_coeff`, kept in ints up to one Fraction."""
     al = spec.int_alphas[1]
     factor = al[i - 1] - al[k - 1] if slot == 2 else al[k - 1] - al[j - 1]
-    return Fraction((-1) ** d * factor, al[i - 1] - al[j - 1]) * scr_coeff(kind, slot, i, j, k, d, spec)
+    num, den = _scr_ints(kind, slot, i, j, k, d, spec)
+    return Fraction((-1) ** d * factor * num, (al[i - 1] - al[j - 1]) * den)

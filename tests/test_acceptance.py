@@ -131,11 +131,12 @@ def test_criterion_3_recursivity():
         al = default_generic_alpha(n)
         genericity_check(al, 3)
         ci = CISpec(tuple(a))
+        espec = AMatrixSpec(n=n, rows=ci.rows, alpha1=al, alpha2=al)
         for kind in ("dot", "ddot"):
             evals = _y_evals(kind, n, ci, al, 3)
             rep = check_recursive(
                 evals,
-                lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, al, ci),
+                lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, espec),
                 al, 3, n,
             )
             ok = ok and rep.all_pass
@@ -218,6 +219,7 @@ def test_criterion_6_theorem2_structure():
         ci = CISpec(tuple(a))
         al = default_generic_alpha(n)
         genericity_check(al, 2)
+        espec = AMatrixSpec(n=n, rows=ci.rows, alpha1=al, alpha2=al)
         pipes = {kind: build_pipeline(kind, n, ci, al, 2) for kind in ("dot", "ddot")}
         Yd = _y_evals("dot", n, ci, al, 2)
         eta = lambda i, j: ci.product * (al[i - 1] + al[j - 1]) ** ci.ell
@@ -232,7 +234,7 @@ def test_criterion_6_theorem2_structure():
                 evals = {p: ygam[kind][p][lam] for p in _pairs(n)}
                 rep = check_recursive(
                     evals,
-                    lambda s, i, j, kk, d, _k=kind: c_coeff(_k, s, i, j, kk, d, al, ci),
+                    lambda s, i, j, kk, d, _k=kind: c_coeff(_k, s, i, j, kk, d, espec),
                     al, 2, n,
                 )
                 ok = ok and rep.all_pass

@@ -3,18 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from qgr.cohomology import default_generic_alpha
+from qgr.cohomology import default_generic_alpha, genericity_check
 from qgr.hyper import (
     AMatrixSpec,
     CISpec,
     DenChain,
     HyperSeries,
+    _num_l_range,
+    _row_product,
     amatrix_numerator,
     bar_assemble,
     build_A,
     build_K,
     build_Y_closed,
     c_coeff,
+    den_factor,
     k_series_evaluated,
     normalization_I,
     scr_coeff,
@@ -22,7 +25,7 @@ from qgr.hyper import (
 )
 from qgr.operators import build_pipeline
 from qgr.rings import RatFunc, SparsePoly
-from qgr.series import QSeries
+from qgr.series import QSeries, _graded_keys
 
 V3 = ("x1", "x2", "h")
 x1 = SparsePoly.variable(V3, "x1")
@@ -192,7 +195,7 @@ def test_normalization_I_against_x_series_oracle():
 
 def test_recursion_coeff_hand_value():
     al = default_generic_alpha(3)
-    got = c_coeff("dot", 2, 1, 2, 3, 1, al, CISpec(()))
+    got = c_coeff("dot", 2, 1, 2, 3, 1, _diagonal_spec(al, CISpec(())))
     expect = Fraction(1) / ((al[0] - al[1]) * (al[2] - al[1]))
     assert got == expect
 
@@ -209,11 +212,11 @@ def test_c_over_frak_ratio():
         spec = _diagonal_spec(al, a)
         for d in (1, 2):
             for (i, j, k) in ((1, 2, 3), (2, 4, 1), (3, 1, 4)):
-                c = c_coeff("dot", 2, i, j, k, d, al, a)
+                c = c_coeff("dot", 2, i, j, k, d, spec)
                 f = scr_coeff("dot", 2, i, j, k, d, spec)
                 ratio = Fraction(-1) ** d * (al[i - 1] - al[k - 1]) / (al[i - 1] - al[j - 1])
                 assert c == ratio * f
-                c1 = c_coeff("ddot", 1, i, j, k, d, al, a)
+                c1 = c_coeff("ddot", 1, i, j, k, d, spec)
                 f1 = scr_coeff("ddot", 1, i, j, k, d, spec)
                 ratio1 = Fraction(-1) ** d * (al[k - 1] - al[j - 1]) / (al[i - 1] - al[j - 1])
                 assert c1 == ratio1 * f1
@@ -401,3 +404,194 @@ def test_split_group_matches_per_key_route():
         split = dataclasses.replace(K, num_parts=nums)
         _assert_same_parts(bar_assemble(split), _ref_bar_assemble(split))
         _assert_same_parts(bar_assemble(split), bar_assemble(K))
+
+
+# ---------------------------------------------------------------------------
+# differential test: the products shared per process against the per-call
+# builds they replace (verbatim copies of those builds)
+# ---------------------------------------------------------------------------
+
+
+def _ref_den_factor(n, alphas, l, xname, xtrunc=None):
+    x = SparsePoly.variable(V3, xname)
+    p1 = one
+    p2 = one
+    for j in range(n):
+        aj = Fraction(0) if alphas is None else Fraction(alphas[j])
+        p1 = p1.mul_trunc(x - SparsePoly.const(V3, aj) + h * l, xtrunc)
+        p2 = p2.mul_trunc(x - SparsePoly.const(V3, aj), xtrunc)
+    return p1 - p2
+
+
+def _ref_numerator(kind, rows, d1, d2, xtrunc=None):
+    """Every linear factor multiplied in from the first, per call."""
+    out = one
+    for (a1, a2) in rows:
+        m = a1 * d1 + a2 * d2
+        base = x1 * a1 + x2 * a2
+        for l in _num_l_range(kind, m):
+            out = out.mul_trunc(base + h * l, xtrunc)
+    return out
+
+
+def _ref_chain(n, alphas, xname, D, xtrunc=None):
+    """(factors, products) of a chain built per call."""
+    factors = [_ref_den_factor(n, alphas, l, xname, xtrunc) for l in range(1, D + 1)]
+    products = [one]
+    for f in factors:
+        products.append(products[-1].mul_trunc(f, xtrunc))
+    return factors, products
+
+
+def _ref_cofactor(factors, d_from, d_to, xtrunc):
+    out = one
+    for l in range(d_from + 1, d_to + 1):
+        out = out.mul_trunc(factors[l - 1], xtrunc)
+    return out
+
+
+def _assert_chain_matches(chain, n, alphas, xname, D, xtrunc):
+    factors, products = _ref_chain(n, alphas, xname, D, xtrunc)
+    assert (chain.xname, chain.xtrunc) == (xname, xtrunc)
+    assert chain.factors == tuple(factors) and chain.products == tuple(products)
+    for d_to in range(D + 1):
+        for d_from in range(d_to + 1):
+            assert chain.cofactor(d_from, d_to) == _ref_cofactor(factors, d_from, d_to, xtrunc), (d_from, d_to)
+
+
+@pytest.mark.parametrize("n, a, D, generic", [(5, (2, 3), 4, False), (3, (1, 1, 1), 3, False), (4, (2,), 3, True)])
+@pytest.mark.parametrize("xtrunc", [None, 5])
+def test_shared_products_match_per_call_builds(n, a, D, generic, xtrunc):
+    al = default_generic_alpha(n) if generic else None
+    rows = CISpec(a).rows
+    for kind in ("dot", "ddot"):
+        for ak in set(a):
+            for m in range(ak * D + 1):
+                want = one
+                for l in _num_l_range(kind, m):
+                    want = want.mul_trunc(x1 * ak + x2 * ak + h * l, xtrunc)
+                assert _row_product(kind, ak, ak, m, xtrunc) == want, (kind, ak, m)
+        for d1, d2 in _graded_keys(2, D):
+            assert amatrix_numerator(kind, rows, d1, d2, xtrunc) == _ref_numerator(kind, rows, d1, d2, xtrunc)
+        K = build_K(kind, n, CISpec(a), al, D, xtrunc)
+        for key, num in K.num_parts.items():
+            assert num == _ref_numerator(kind, rows, *key, xtrunc), key
+        for chain, xname in zip(K.den_chains, ("x1", "x2")):
+            assert chain is DenChain.build(n, al, xname, D, xtrunc)
+            _assert_chain_matches(chain, n, al, xname, D, xtrunc)
+
+
+@pytest.mark.parametrize("xtrunc", [None, 5])
+def test_shared_products_on_unequal_rows(xtrunc):
+    rows = ((2, 1),)
+    for kind in ("dot", "ddot"):
+        A = build_A(kind, AMatrixSpec(n=3, rows=rows), 3, xtrunc)
+        for (d1, d2), num in A.num_parts.items():
+            assert num == _ref_numerator(kind, rows, d1, d2, xtrunc), (d1, d2)
+        for chain, xname in zip(A.den_chains, ("x1", "x2")):
+            _assert_chain_matches(chain, 3, None, xname, 3, xtrunc)
+
+
+# ---------------------------------------------------------------------------
+# sharing and immutability of the per-process products
+# ---------------------------------------------------------------------------
+
+
+def _clear_shared_products():
+    for cached in (_row_product, DenChain.build):
+        cached.cache_clear()
+
+
+def test_dual_run_forms_each_product_once(monkeypatch, capsys):
+    import qgr.hyper
+    from qgr.cli import run
+
+    _clear_shared_products()
+    factors = []
+
+    def counted(*args):
+        factors.append(args)
+        return den_factor(*args)
+
+    monkeypatch.setattr(qgr.hyper, "den_factor", counted)
+    assert run(["series", "--kind", "dot-dual", "--n", "5", "--a", "2,3", "--qdeg", "4"]) == 0
+    capsys.readouterr()
+    # two chains of four factors, each factor formed once
+    assert sorted(factors) == sorted((5, None, l, x, None) for l in range(1, 5) for x in ("x1", "x2"))
+    assert DenChain.build.cache_info().misses == 2
+    # row products (dot, a, a, m) for m <= 4 a, each formed once
+    info = _row_product.cache_info()
+    assert info.misses == info.currsize == 9 + 13
+
+
+def test_shared_products_are_unchanged_by_reuse(monkeypatch, capsys):
+    import qgr.hyper
+    from qgr.cli import run
+
+    _clear_shared_products()
+    formed = []
+
+    def recorded(f):
+        def wrapper(*args):
+            out = f(*args)
+            formed.append(out)
+            return out
+        return wrapper
+
+    build = recorded(DenChain.build)
+    monkeypatch.setattr(qgr.hyper, "_row_product", recorded(_row_product))
+    monkeypatch.setattr(qgr.hyper, "amatrix_numerator", recorded(amatrix_numerator))
+    monkeypatch.setattr(DenChain, "build", classmethod(lambda cls, *args: build(*args)))
+    argvs = [
+        ["series", "--kind", "dot-dual", "--n", "4", "--a", "4", "--qdeg", "3"],
+        ["series", "--kind", "z-normalized", "--n", "4", "--a", "4", "--qdeg", "3"],
+        ["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "2", "--alpha", "generic"],
+    ]
+    outs = []
+    for _ in range(2):
+        for argv in argvs:
+            assert run(argv) == 0, argv
+        outs.append(capsys.readouterr().out)
+        if len(outs) == 1:
+            polys = [p for p in formed if isinstance(p, SparsePoly)]
+            for chain in (c for c in formed if isinstance(c, DenChain)):
+                polys += [*chain.factors, *chain.products, *chain._cofactors.values()]
+            snapshot = [(p, dict(p.terms)) for p in polys]
+    assert outs[0] == outs[1]
+    assert snapshot and all(p.terms == terms for p, terms in snapshot)
+
+
+# ---------------------------------------------------------------------------
+# recursion coefficients in ints against the Fraction route they replace
+# ---------------------------------------------------------------------------
+
+
+def _ref_c_coeff(kind, slot, i, j, k, d, alphas, a):
+    spec = AMatrixSpec(n=len(alphas), rows=a.rows, alpha1=tuple(alphas), alpha2=tuple(alphas))
+    al = spec.int_alphas[1]
+    factor = al[i - 1] - al[k - 1] if slot == 2 else al[k - 1] - al[j - 1]
+    return Fraction((-1) ** d * factor, al[i - 1] - al[j - 1]) * scr_coeff(kind, slot, i, j, k, d, spec)
+
+
+@pytest.mark.parametrize("al, a", [
+    (default_generic_alpha(4), (2,)),
+    (default_generic_alpha(3), (1, 1, 1)),
+    ((Fraction(1, 2), Fraction(5, 3), Fraction(7)), (1,)),
+    ((Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(7)), (2,)),
+])
+def test_c_coeff_matches_fraction_route(al, a):
+    genericity_check(al, 3)
+    a = CISpec(a)
+    n = len(al)
+    spec = AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=al)
+    for kind in ("dot", "ddot"):
+        for slot in (1, 2):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for k in range(1, n + 1):
+                        if i == j or k == (i if slot == 1 else j):
+                            continue
+                        for d in (1, 2, 3):
+                            got = c_coeff(kind, slot, i, j, k, d, spec)
+                            want = _ref_c_coeff(kind, slot, i, j, k, d, al, a)
+                            assert type(got) is Fraction and got == want, (kind, slot, i, j, k, d)

@@ -38,6 +38,11 @@ def all_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
+def equal_rows_spec(al, a):
+    """The spec c_coeff reads: equal rows and one weight family."""
+    return AMatrixSpec(n=len(al), rows=a.rows, alpha1=tuple(al), alpha2=tuple(al))
+
+
 def y_evals(kind, n, a, al, D):
     return {(i, j): y_series_evaluated(kind, n, a, al, i, j, D) for (i, j) in all_pairs(n)}
 
@@ -46,7 +51,8 @@ def test_recursive_ydot_n3():
     n, a = 3, CISpec(())
     al = default_generic_alpha(n)
     evals = y_evals("dot", n, a, al, 2)
-    rep = check_recursive(evals, lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a), al, 2, n)
+    spec = equal_rows_spec(al, a)
+    rep = check_recursive(evals, lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec), al, 2, n)
     assert rep.all_pass
 
 
@@ -184,7 +190,8 @@ def test_audit_uniqueness():
     al = default_generic_alpha(n)
     Fd = y_evals("dot", n, a, al, 2)
     Fdd = y_evals("ddot", n, a, al, 2)
-    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a)
+    spec = equal_rows_spec(al, a)
+    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec)
     audit = audit_uniqueness_hypotheses(Fd, Fdd, coeff, lambda i, j: Fraction(1), al, n, 2)
     # ddot is C_ddot-recursive, not C_dot-recursive; hypotheses track that
     assert audit["recursive_F"] and audit["mpc"] and audit["q0_nonzero"]
@@ -205,7 +212,8 @@ def test_mutation_detected():
     evals = y_evals("dot", n, a, al, 2)
     bad = dict(evals)
     bad[(1, 2)] = y_series_evaluated("dot", n, a, al, 1, 2, 2, mutate=(1, 1))
-    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a)
+    spec = equal_rows_spec(al, a)
+    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec)
     rep = check_recursive(bad, coeff, al, 2, n)
     eta = lambda i, j: Fraction(1)
     mpc_ok, _ = check_mpc(build_phi(bad, bad, eta, al, n, 2, 2))
@@ -477,7 +485,8 @@ def test_audit_uniqueness_with_operator_weighted_series():
     Fd = y_evals("dot", n, a, al, 2)
     Dg = {p: y_gamma_evaluated(pipe, *p)[(1, 0)] for p in all_pairs(n)}
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
-    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, al, a)
+    spec = equal_rows_spec(al, a)
+    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec)
     audit = audit_uniqueness_hypotheses(Fd, Dg, coeff, eta, al, n, 2)
     assert audit["all"], audit["detail"]
 
@@ -563,8 +572,9 @@ def against_summed_poles(monkeypatch):
 def test_residue_check_matches_summed_poles_on_evaluations(against_summed_poles, n, a):
     a, D = CISpec(a), 3
     al = default_generic_alpha(n)
+    spec = equal_rows_spec(al, a)
     for kind in ("dot", "ddot"):
-        coeff = lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, al, a)
+        coeff = lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, spec)
         assert check_recursive(y_evals(kind, n, a, al, D), coeff, al, D, n).all_pass, kind
         # a sign flip at (1, 2) fails there, and the notes and remainders agree
         bad = y_evals(kind, n, a, al, D)

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -54,17 +55,8 @@ from .series import QSeries, laurent_expand_hbar
 from .verifier import build_phi, check_mpc, check_recursive, check_recursive_2q, residue_internal_check
 
 
-
 class UsageError(ValueError):
     pass
-
-
-# The series kinds and verify suites, and those that read the torus weights.
-_KINDS = ("dot-closed", "ddot-closed", "dot-bar", "ddot-bar", "dot-dual", "ddot-dual", "i-normalization",
-          "z-normalized", "zdd-normalized", "y-gamma", "ydd-gamma")
-_SUITES = ("recursivity", "mpc", "operator-norms", "fano-vanishing", "orthogonality", "residue-internal", "all")
-_ALPHA_KINDS = ("dot-bar", "ddot-bar")
-_ALPHA_SUITES = ("recursivity", "mpc", "fano-vanishing", "residue-internal", "all")
 
 
 @dataclass
@@ -88,10 +80,6 @@ class RunConfig:
     def ci(self) -> CISpec:
         return CISpec(self.a)
 
-    def resolve_alpha(self):
-        """The weights as given: None at zero weights."""
-        return None if self.alpha_mode == "zero" else self.fixed_point_alpha()
-
     def fixed_point_alpha(self) -> tuple:
         """Concrete weights for a fixed-point computation: the explicit
         list, else the generic default; both pass the genericity check."""
@@ -103,11 +91,6 @@ class RunConfig:
             al = default_generic_alpha(self.n)
         genericity_check(al, self.qdeg)
         return tuple(al)
-
-    def laurent_depth(self) -> int:
-        if self.depth is not None:
-            return self.depth
-        return self.n * self.qdeg + 2
 
 
 def _parse_a(text: str) -> tuple[int, ...]:
@@ -127,14 +110,9 @@ def _parse_alpha(text: str):
         raise UsageError(f"bad --alpha {text!r}: zero, generic or a comma list of rationals") from e
 
 
-def _frac_str(v) -> str:
-    v = Fraction(v)
-    return str(v)
-
-
 def _coeff_str(v) -> str:
     if isinstance(v, (int, Fraction)):
-        return _frac_str(v)
+        return str(Fraction(v))
     if isinstance(v, (RatFunc, SparsePoly)):
         return v.to_string()
     raise TypeError(f"unserializable value {type(v)}")
@@ -145,25 +123,16 @@ def _laurent_table(le) -> dict:
 
 
 def _series_entries(qs: QSeries) -> list:
-    out = []
-    for key, v in qs.terms():
-        out.append({"q": list(key), "coeff": _coeff_str(v)})
-    return out
-
-
-def _meta(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["a"] = list(cfg.a)
-    if cfg.alpha is not None:
-        d["alpha"] = [str(x) for x in cfg.alpha]
-    return d
+    return [{"q": list(key), "coeff": _coeff_str(v)} for key, v in qs.terms()]
 
 
 def _emit(cfg: RunConfig, payload, extra=None) -> dict:
-    doc = {"meta": _meta(cfg), "payload": payload}
-    if extra:
-        doc.update(extra)
-    return doc
+    """The document: the configuration as given, the payload, and any extra fields."""
+    meta = asdict(cfg)
+    meta["a"] = list(cfg.a)
+    if cfg.alpha is not None:
+        meta["alpha"] = [str(x) for x in cfg.alpha]
+    return {"meta": meta, "payload": payload, **(extra or {})}
 
 
 # ---------------------------------------------------------------------------
@@ -171,57 +140,93 @@ def _emit(cfg: RunConfig, payload, extra=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
+# Each series kind and verify suite is one row of _KIND_ROWS or _SUITE_ROWS
+# plus a runner; _make_config reads every flag rule and message from the
+# rows.  Rows hold only this module's runners, which reach the library by
+# global lookup, so a wrapper or patch on a module global sees every call.
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A series kind: its ladder, the flags it reads, and its runner
+    (cfg, base) -> (payload, extra document fields or None)."""
+    name: str
+    base: str  # dot | ddot
+    run: Callable
+    reads_alpha: bool = False
+    reads_kj: bool = False
+
+
+def _series_closed(cfg: RunConfig, base: str):
+    return _series_entries(build_Y_closed(base, cfg.n, cfg.ci(), cfg.qdeg).series()), None
+
+
+def _series_bar(cfg: RunConfig, base: str):
+    al = None if cfg.alpha_mode == "zero" else cfg.fixed_point_alpha()
+    Y = bar_assemble(build_K(base, cfg.n, cfg.ci(), al, cfg.qdeg))
+    return _series_entries(Y.series()), None
+
+
+def _series_dual(cfg: RunConfig, base: str):
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
-    kind = cfg.kind or "dot-closed"
-    code = 0
-    if kind in ("dot-closed", "ddot-closed"):
-        Y = build_Y_closed(kind.split("-")[0], n, a, D)
-        payload = _series_entries(Y.series())
-    elif kind in _ALPHA_KINDS:
-        al = cfg.resolve_alpha()
-        Y = bar_assemble(build_K(kind.split("-")[0], n, a, al, D))
-        payload = _series_entries(Y.series())
-    elif kind in ("dot-dual", "ddot-dual"):
-        base = kind.split("-")[0]
-        Ybar = bar_assemble(build_K(base, n, a, None, D)).series()
-        Yclosed = build_Y_closed(base, n, a, D).series()
-        equal = all(Ybar.get((d,)) == Yclosed.get((d,)) for d in range(D + 1))
-        payload = {
-            "closed": _series_entries(Yclosed),
-            "bar": _series_entries(Ybar),
-        }
-        if not equal:
-            code = 1
-        return _emit(cfg, payload, {"equal": equal}), code
-    elif kind == "i-normalization":
-        I = normalization_I("dot", n, a, D)
-        payload = _series_entries(I)
-    elif kind in ("z-normalized", "zdd-normalized"):
-        base = "dot" if kind.startswith("z-") else "ddot"
-        Y = build_Y_closed(base, n, a, D)
-        I = normalization_I(base, n, a, D)
-        Z = Y.series() * I.inverse_unit().map_values(lambda v: RatFunc.from_scalar(v, ("x1", "x2", "h")))
-        payload = _series_entries(Z)
-    else:  # y-gamma, ydd-gamma
-        if cfg.k is None or cfg.j is None:
-            raise UsageError("y-gamma needs --k and --j")
-        base = "dot" if kind == "y-gamma" else "ddot"
-        pipe = build_pipeline(base, n, a, None, D)
-        basis = partitions_of_degree(n, cfg.k)
-        if not 0 <= cfg.j < len(basis):
-            raise UsageError(f"--j out of range for degree {cfg.k}")
-        lam = basis[cfg.j]
-        ser = pipe.ygamma[lam]
-        payload = []
-        for key, v in ser.terms():
-            entry = {"q": list(key), "coeff": _coeff_str(v)}
-            cls = pipe.classes[lam][key[0]]
-            entry["class"] = {
-                f"{r},{jj}": _laurent_table(le) for (r, jj), le in sorted(cls.items())
-            }
-            payload.append(entry)
-    return _emit(cfg, payload), code
+    Ybar = bar_assemble(build_K(base, n, a, None, D)).series()
+    Yclosed = build_Y_closed(base, n, a, D).series()
+    equal = all(Ybar.get((d,)) == Yclosed.get((d,)) for d in range(D + 1))
+    return {"closed": _series_entries(Yclosed), "bar": _series_entries(Ybar)}, {"equal": equal}
+
+
+def _series_normalization(cfg: RunConfig, base: str):
+    return _series_entries(normalization_I(base, cfg.n, cfg.ci(), cfg.qdeg)), None
+
+
+def _series_normalized(cfg: RunConfig, base: str):
+    n, a, D = cfg.n, cfg.ci(), cfg.qdeg
+    Y = build_Y_closed(base, n, a, D)
+    I = normalization_I(base, n, a, D)
+    Z = Y.series() * I.inverse_unit().map_values(lambda v: RatFunc.from_scalar(v, ("x1", "x2", "h")))
+    return _series_entries(Z), None
+
+
+def _series_ygamma(cfg: RunConfig, base: str):
+    """The basis-weighted series of class j of degree k, each term with its
+    class; _make_config has checked k and j."""
+    pipe = build_pipeline(base, cfg.n, cfg.ci(), None, cfg.qdeg)
+    lam = partitions_of_degree(cfg.n, cfg.k)[cfg.j]
+    payload = []
+    for key, v in pipe.ygamma[lam].terms():
+        cls = pipe.classes[lam][key[0]]
+        payload.append({
+            "q": list(key),
+            "coeff": _coeff_str(v),
+            "class": {f"{r},{jj}": _laurent_table(le) for (r, jj), le in sorted(cls.items())},
+        })
+    return payload, None
+
+
+_KIND_ROWS = (
+    _Kind("dot-closed", "dot", _series_closed),
+    _Kind("ddot-closed", "ddot", _series_closed),
+    _Kind("dot-bar", "dot", _series_bar, reads_alpha=True),
+    _Kind("ddot-bar", "ddot", _series_bar, reads_alpha=True),
+    _Kind("dot-dual", "dot", _series_dual),
+    _Kind("ddot-dual", "ddot", _series_dual),
+    _Kind("i-normalization", "dot", _series_normalization),
+    _Kind("z-normalized", "dot", _series_normalized),
+    _Kind("zdd-normalized", "ddot", _series_normalized),
+    _Kind("y-gamma", "dot", _series_ygamma, reads_kj=True),
+    _Kind("ydd-gamma", "ddot", _series_ygamma, reads_kj=True),
+)
+
+
+def cmd_series(cfg: RunConfig) -> tuple[dict, int]:
+    [row] = _rows(cfg)
+    payload, extra = row.run(cfg, row.base)
+    return _emit(cfg, payload, extra), (0 if extra is None or extra["equal"] else 1)
+
+
+def _record(check: str, failures: list, ok: bool | None = None) -> dict:
+    """One verify result; unless `ok` is given, it passes when nothing failed."""
+    return {"check": check, "pass": not failures if ok is None else ok, "failures": failures}
 
 
 def _y_evals(kind, n, a, al, D, pairs, mutate=None):
@@ -234,7 +239,7 @@ def _y_evals(kind, n, a, al, D, pairs, mutate=None):
     }
 
 
-def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
+def _suite_recursivity(cfg: RunConfig, al, pipes) -> list[dict]:
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
     results = []
     espec = AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=al)
@@ -243,15 +248,11 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
         rep = check_recursive(
             evals, lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, espec), al, D, n
         )
-        results.append({
-            "check": f"recursivity-{kind}",
-            "pass": rep.all_pass,
-            "failures": [
-                {"pair": list(e.pair), "q": list(e.degree), "note": e.note,
-                 "remainder": e.remainder.to_string() if e.remainder is not None else ""}
-                for e in rep.failures()
-            ],
-        })
+        results.append(_record(f"recursivity-{kind}", [
+            {"pair": list(e.pair), "q": list(e.degree), "note": e.note,
+             "remainder": e.remainder.to_string() if e.remainder is not None else ""}
+            for e in rep.failures()
+        ], rep.all_pass))
     # two-variable mode on the ladder series with independent weight families
     spec = AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=tuple(Fraction(11**m) for m in range(1, n + 1)))
     D2 = min(D, 2)
@@ -266,38 +267,25 @@ def _suite_recursivity(cfg: RunConfig, al) -> list[dict]:
             lambda s, i1, i2, k, d, _k=kind: scr_coeff(_k, s, i1, i2, k, d, spec),
             spec.alpha1, spec.alpha2, D2, n,
         )
-        results.append({
-            "check": f"recursivity-2q-{kind}",
-            "pass": rep2.all_pass,
-            "failures": [
-                {"pair": list(e.pair), "q": list(e.degree), "note": e.note}
-                for e in rep2.failures()
-            ],
-        })
+        failures = [{"pair": list(e.pair), "q": list(e.degree), "note": e.note} for e in rep2.failures()]
+        results.append(_record(f"recursivity-2q-{kind}", failures, rep2.all_pass))
     return results
 
 
-def _suite_mpc(cfg: RunConfig, al) -> list[dict]:
+def _suite_mpc(cfg: RunConfig, al, pipes) -> list[dict]:
     n, a, D, Nz = cfg.n, cfg.ci(), cfg.qdeg, cfg.zdeg
     pairs = [(i, j) for i, j in fixed_points(n) if i < j]  # the pairs build_phi reads
     Fd = _y_evals("dot", n, a, al, D, pairs, mutate=cfg.mutate)
     Fdd = _y_evals("ddot", n, a, al, D, pairs)
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
     results = []
-    ok, off = check_mpc(build_phi(Fd, Fd, eta, al, n, Nz, D))
-    results.append({
-        "check": "spc-dot", "pass": ok,
-        "failures": [{"zq": list(k), "coeff": v.to_string()} for k, v in off],
-    })
-    ok2, off2 = check_mpc(build_phi(Fd, Fdd, lambda i, j: Fraction(1), al, n, Nz, D))
-    results.append({
-        "check": "mpc-dot-ddot", "pass": ok2,
-        "failures": [{"zq": list(k), "coeff": v.to_string()} for k, v in off2],
-    })
+    for check, right, pair_eta in (("spc-dot", Fd, eta), ("mpc-dot-ddot", Fdd, lambda i, j: Fraction(1))):
+        ok, off = check_mpc(build_phi(Fd, right, pair_eta, al, n, Nz, D))
+        results.append(_record(check, [{"zq": list(k), "coeff": v.to_string()} for k, v in off], ok))
     return results
 
 
-def _suite_operator_norms(cfg: RunConfig, pipes: tuple) -> list[dict]:
+def _suite_operator_norms(cfg: RunConfig, al, pipes: tuple) -> list[dict]:
     n, D = cfg.n, cfg.qdeg
     results = []
     rows = (((1, 1),) if n == 3 else ((2, 1),))
@@ -305,43 +293,33 @@ def _suite_operator_norms(cfg: RunConfig, pipes: tuple) -> list[dict]:
         A = build_A(akind, AMatrixSpec(n=n, rows=rows), min(D, 2))
         for p in ((1, 0), (0, 1), (1, 1), (2, 0)):
             rep = audit_frakD_normalizations(A, p)
-            results.append({
-                "check": f"shift-operator-tables-{akind}-p{p}",
-                "pass": rep["ok"],
-                "failures": [
-                    {"q": list(o["q"]), "r": list(o["r"]), "s": o["s"], "got": _frac_str(o["got"])}
-                    for o in rep["offenders"][:5]
-                ],
-            })
+            failures = [
+                {"q": list(o["q"]), "r": list(o["r"]), "s": o["s"], "got": _coeff_str(o["got"])}
+                for o in rep["offenders"][:5]
+            ]
+            results.append(_record(f"shift-operator-tables-{akind}-p{p}", failures, rep["ok"]))
     for kind, pipe in zip(("dot", "ddot"), pipes):
         # build_pipeline raises on a failed certificate, so this one can only pass
-        results.append({"check": f"inverse-certificates-{kind}", "pass": all(pipe.J_certified.values()), "failures": []})
+        results.append(_record(f"inverse-certificates-{kind}", [], all(pipe.J_certified.values())))
         residual_failures = [{"k": k, "i": i} for (k, i), ok in pipe.eqtic_residual_zero.items() if not ok]
-        results.append({
-            "check": f"structure-residual-{kind}",
-            "pass": not residual_failures,
-            "failures": residual_failures,
-        })
+        results.append(_record(f"structure-residual-{kind}", residual_failures))
         t0_failures = [
             {"k": k, "i": i, "s": s, "j": j}
             for (k, i), table in pipe.structC.items()
             for (t, (s, j)), ser in table.items()
             if t == 0 and not ser == (QSeries.one(1, D) if (s, j) == (k, i) else QSeries(1, D))
         ]
-        results.append({
-            "check": f"structure-t0-delta-{kind}",
-            "pass": not t0_failures,
-            "failures": t0_failures,
-        })
+        results.append(_record(f"structure-t0-delta-{kind}", t0_failures))
     return results
 
 
-def _suite_fano(cfg: RunConfig, al) -> list[dict]:
+def _suite_fano(cfg: RunConfig, al, pipes) -> list[dict]:
+    """The h^0 and h^-1 terms of the bar series at q^1 .. q^qdeg, which
+    must vanish for |a| <= n - 2.  This is the degree count of ROADMAP H4:
+    the q^d coefficient is homogeneous of degree (|a| - n) d <= -2d in
+    (x, h, alpha), so the check can fail only on a series of wrong degree."""
     n, a, D = cfg.n, cfg.ci(), cfg.qdeg
-    if a.total > n - 2 or D < 1:  # the suite checks q^1 .. q^qdeg
-        raise UsageError("fano-vanishing needs |a| <= n - 2 and qdeg >= 1")
-    K = build_K("dot", n, a, al, D, xtrunc=2 * (n - 2) + 1)
-    Y = bar_assemble(K)
+    Y = bar_assemble(build_K("dot", n, a, al, D, xtrunc=2 * (n - 2) + 1))
     mx = 2 * (n - 2)
     failures = []
     for d in range(1, D + 1):
@@ -352,32 +330,27 @@ def _suite_fano(cfg: RunConfig, al) -> list[dict]:
                 got = parts[ex].get(e)
                 if got is not None:
                     failures.append({"q": d, "x": list(e), "h_exp": ex, "coeff": _coeff_str(got.const_value())})
-    return [{"check": "fano-vanishing", "pass": not failures, "failures": failures}]
+    return [_record("fano-vanishing", failures)]
 
 
-def _suite_orthogonality(pd, pdd) -> list[dict]:
-    rep = orthogonality_check(pd, pdd)
-    return [{
-        "check": "diagonal-orthogonality",
-        "pass": rep["ok"],
-        "failures": [{"q": f["q"], "entry": [list(f["entry"][0]), list(f["entry"][1])]} for f in rep["failures"]],
-    }]
+def _suite_orthogonality(cfg: RunConfig, al, pipes: tuple) -> list[dict]:
+    rep = orthogonality_check(*pipes)
+    failures = [{"q": f["q"], "entry": [list(f["entry"][0]), list(f["entry"][1])]} for f in rep["failures"]]
+    return [_record("diagonal-orthogonality", failures, rep["ok"])]
 
 
-def _suite_residue_internal(cfg: RunConfig, al) -> list[dict]:
+def _suite_residue_internal(cfg: RunConfig, al, pipes) -> list[dict]:
     n, a = cfg.n, cfg.ci()
     D = min(cfg.qdeg, 2)
     Nz = min(cfg.zdeg, 2)
     Y1 = bar_assemble(build_K("dot", n, a, al, D))
     Y2 = bar_assemble(build_K("ddot", n, a, al, D))
     eta_poly = SparsePoly.const(("x1", "x2"), 1)
-    rep = residue_internal_check(Y1, Y2, eta_poly, al, n, D, Nz, cfg.laurent_depth())
+    depth = cfg.n * cfg.qdeg + 2 if cfg.depth is None else cfg.depth
+    rep = residue_internal_check(Y1, Y2, eta_poly, al, n, D, Nz, depth)
     bad = [c for c in rep["checks"] if not (c["sum_zero"] and c["regular_at_0"] and c["residue_at_0"] == 0)]
-    return [{
-        "check": "residue-internal",
-        "pass": rep["ok"],
-        "failures": [{"var": c["var"], "z": c["z"], "q": c["q"], "h_exp": c["h_exp"]} for c in bad],
-    }]
+    failures = [{"var": c["var"], "z": c["z"], "q": c["q"], "h_exp": c["h_exp"]} for c in bad]
+    return [_record("residue-internal", failures, rep["ok"])]
 
 
 def _pipeline_pair(cfg: RunConfig) -> tuple:
@@ -385,23 +358,54 @@ def _pipeline_pair(cfg: RunConfig) -> tuple:
     return tuple(build_pipeline(kind, cfg.n, cfg.ci(), None, cfg.qdeg) for kind in ("dot", "ddot"))
 
 
+@dataclass(frozen=True)
+class _Suite:
+    """A verify suite: the flags it reads, whether it needs the zero-weight
+    pipeline pair, when it runs (`applies`, stated by `needs`), and its
+    runner (cfg, al, pipes) -> result records."""
+    name: str
+    run: Callable
+    reads_alpha: bool = False
+    reads_zdeg: bool = False
+    reads_mutate: bool = False
+    needs_pipes: bool = False
+    applies: Callable = lambda cfg: True
+    needs: str = ""
+
+
+# in the order in which `all` runs them
+_SUITE_ROWS = (
+    _Suite("recursivity", _suite_recursivity, reads_alpha=True, reads_mutate=True),
+    _Suite("mpc", _suite_mpc, reads_alpha=True, reads_zdeg=True, reads_mutate=True),
+    _Suite("operator-norms", _suite_operator_norms, needs_pipes=True),
+    # the suite checks q^1 .. q^qdeg, so at qdeg 0 it would check nothing
+    _Suite("fano-vanishing", _suite_fano, reads_alpha=True,
+           applies=lambda cfg: cfg.ci().total <= cfg.n - 2 and cfg.qdeg >= 1, needs="|a| <= n - 2 and qdeg >= 1"),
+    _Suite("orthogonality", _suite_orthogonality, needs_pipes=True),
+    _Suite("residue-internal", _suite_residue_internal, reads_alpha=True, reads_zdeg=True),
+)
+
+
+def _rows(cfg: RunConfig) -> list:
+    """The table rows a run reads: its series kind, or its suites (every row for `all`)."""
+    if cfg.command == "series":
+        return [r for r in _KIND_ROWS if r.name == (cfg.kind or "dot-closed")]
+    if cfg.command == "verify":
+        return [r for r in _SUITE_ROWS if (cfg.suite or "all") in (r.name, "all")]
+    return []
+
+
 def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    suite = cfg.suite or "all"
-    al = cfg.fixed_point_alpha() if suite in _ALPHA_SUITES else None
-    pipes = _pipeline_pair(cfg) if suite in ("operator-norms", "orthogonality", "all") else None
+    """`all` runs every row that applies; a suite named alone must apply."""
+    rows = _rows(cfg)
+    al = cfg.fixed_point_alpha() if any(r.reads_alpha for r in rows) else None
+    pipes = _pipeline_pair(cfg) if any(r.needs_pipes for r in rows) else None
     results = []
-    if suite in ("recursivity", "all"):
-        results.extend(_suite_recursivity(cfg, al))
-    if suite in ("mpc", "all"):
-        results.extend(_suite_mpc(cfg, al))
-    if suite in ("operator-norms", "all"):
-        results.extend(_suite_operator_norms(cfg, pipes))
-    if suite == "fano-vanishing" or (suite == "all" and cfg.ci().total <= cfg.n - 2 and cfg.qdeg >= 1):
-        results.extend(_suite_fano(cfg, al))
-    if suite in ("orthogonality", "all"):
-        results.extend(_suite_orthogonality(*pipes))
-    if suite in ("residue-internal", "all"):
-        results.extend(_suite_residue_internal(cfg, al))
+    for row in rows:
+        if row.applies(cfg):
+            results.extend(row.run(cfg, al, pipes))
+        elif cfg.suite == row.name:
+            raise UsageError(f"{row.name} needs {row.needs}")
     ok = all(r["pass"] for r in results)
     return _emit(cfg, results, {"pass": ok}), (0 if ok else 1)
 
@@ -411,27 +415,23 @@ def cmd_cohomology(cfg: RunConfig) -> tuple[dict, int]:
     parts = box_partitions(n)
     basis = [{"degree": sum(lam), "partition": list(lam), "poly": schur_poly(lam).to_string()} for lam in parts]
     pmat = [
-        [_frac_str(pairing({lam: 1}, {mu: 1}, n)) for mu in parts]
+        [_coeff_str(pairing({lam: 1}, {mu: 1}, n)) for mu in parts]
         for lam in parts
     ]
     diag = [
-        {"left": list(lam), "right": list(mu), "coeff": _frac_str(c)}
+        {"left": list(lam), "right": list(mu), "coeff": _coeff_str(c)}
         for (lam, mu), c in sorted(diagonal(n).items())
     ]
     payload = {"basis": basis, "pairing_matrix": pmat, "diagonal": diag}
     if cfg.equivariant:
         al = cfg.fixed_point_alpha()
-        table = []
-        for f in localization_data(al):
-            table.append({
-                "i": f.i, "j": f.j,
-                "phi": f.phi.to_string(),
-                "euler_tangent": _frac_str(f.euler_normal),
-                "det_euler": _frac_str(f.det_euler),
-            })
-        payload["fixed_points"] = table
+        payload["fixed_points"] = [
+            {"i": f.i, "j": f.j, "phi": f.phi.to_string(),
+             "euler_tangent": _coeff_str(f.euler_normal), "det_euler": _coeff_str(f.det_euler)}
+            for f in localization_data(al)
+        ]
         payload["equivariant_diagonal"] = [
-            {"left": list(lam), "right": list(mu), "coeff": _frac_str(g)}
+            {"left": list(lam), "right": list(mu), "coeff": _coeff_str(g)}
             for (lam, mu), g in sorted(equivariant_diagonal(al).items())
         ]
     return _emit(cfg, payload), 0
@@ -441,17 +441,15 @@ def cmd_double_j(cfg: RunConfig) -> tuple[dict, int]:
     pd, pdd = _pipeline_pair(cfg)
     table = assemble_double_J(pd, pdd)
     rep = orthogonality_check(pd, pdd, table)
-    payload = []
-    for d in sorted(table):
-        entries = []
-        for (lam, mu), ent in sorted(table[d].items()):
-            entries.append({
-                "left": list(lam), "right": list(mu),
-                "coeffs": {f"{e1},{e2}": _frac_str(v) for (e1, e2), v in sorted(ent.items())},
-            })
-        payload.append({"q": d, "tensor": entries})
-    code = 0 if rep["ok"] else 1
-    return _emit(cfg, payload, {"orthogonality": rep["ok"]}), code
+    payload = [
+        {"q": d, "tensor": [
+            {"left": list(lam), "right": list(mu),
+             "coeffs": {f"{e1},{e2}": _coeff_str(v) for (e1, e2), v in sorted(ent.items())}}
+            for (lam, mu), ent in sorted(table[d].items())
+        ]}
+        for d in sorted(table)
+    ]
+    return _emit(cfg, payload, {"orthogonality": rep["ok"]}), (0 if rep["ok"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +535,20 @@ def _read_config_file(path: str, command: str) -> dict:
     return out
 
 
+def _refuse_unread(rows, field: str, flag: str, tail: str = "") -> None:
+    """A usage error unless one of the run's rows reads the flag; the
+    message names, in table order, the kinds and suites that do."""
+    if any(getattr(r, field, False) for r in rows):
+        return
+    readers = []
+    for table, what, extra in ((_KIND_ROWS, "kinds", []), (_SUITE_ROWS, "suites", ["all"])):
+        names = [r.name for r in table if getattr(r, field, False)]
+        if names:
+            names += extra
+            readers.append(f"the {', '.join(names[:-1])} and {names[-1]} {what}")
+    raise UsageError(f"{flag} read only by {', '.join(readers)}{tail}")
+
+
 def _make_config(ns: argparse.Namespace) -> RunConfig:
     vals = _read_config_file(ns.config, ns.command) if ns.config else {}
     for name in _flags(ns.command):
@@ -564,26 +576,14 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
             raise UsageError(f"QGR_DEPTH must be an integer, got {env_depth!r}") from e
         if depth < 1:
             raise UsageError(f"QGR_DEPTH must be at least 1, got {depth}")
-    cfg = RunConfig(
-        command=ns.command,
-        n=vals.get("n", 3),
-        a=_parse_a(vals.get("a", "")),
-        qdeg=vals.get("qdeg", 3),
-        zdeg=vals.get("zdeg", 3),
-        depth=depth,
-        alpha_mode=alpha_mode,
-        alpha=alpha,
-        k=vals.get("k"),
-        j=vals.get("j"),
-        kind=vals.get("kind"),
-        suite=vals.get("suite"),
-        mutate=mutate,
-        equivariant=vals.get("equivariant", False),
-        output=vals.get("output"),
-    )
-    for what, name, known in (("series kind", cfg.kind, _KINDS), ("suite", cfg.suite, _SUITES)):
-        if name is not None and name not in known:
-            raise UsageError(f"unknown {what} {name!r}")
+    # every other flag is a RunConfig field of the same name and default
+    plain = {name: v for name, v in vals.items() if name not in ("a", "alpha", "mutate")}
+    cfg = RunConfig(ns.command, a=_parse_a(vals.get("a", "")), depth=depth,
+                    alpha_mode=alpha_mode, alpha=alpha, mutate=mutate, **plain)
+    rows = _rows(cfg)
+    if cfg.command in ("series", "verify") and not rows:
+        what, name = ("series kind", cfg.kind) if cfg.command == "series" else ("suite", cfg.suite)
+        raise UsageError(f"unknown {what} {name!r}")
     if cfg.n < 3:
         raise UsageError("need n >= 3")
     if cfg.qdeg < 0:
@@ -591,29 +591,29 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
     if cfg.zdeg < 0:
         raise UsageError("zdeg must be nonnegative")
     if cfg.mutate is not None:
-        if cfg.command != "verify" or (cfg.suite or "all") not in ("recursivity", "mpc", "all"):
-            raise UsageError("mutate is read only by the recursivity, mpc and all suites")
+        _refuse_unread(rows, "reads_mutate", "mutate is")
         d, d1 = cfg.mutate
         if not 0 <= d1 <= d <= cfg.qdeg:
             raise UsageError(f"mutate {d}:{d1} must satisfy 0 <= d1 <= d <= qdeg = {cfg.qdeg}")
-    if "zdeg" in vals and (cfg.command != "verify" or (cfg.suite or "all") not in ("mpc", "residue-internal", "all")):
-        raise UsageError("zdeg is read only by the mpc, residue-internal and all suites")
-    reads_alpha = {
-        "series": (cfg.kind or "dot-closed") in _ALPHA_KINDS,
-        "verify": (cfg.suite or "all") in _ALPHA_SUITES,
-        "cohomology": cfg.equivariant,
-    }.get(cfg.command, False)
-    if cfg.alpha_mode != "zero" and not reads_alpha:
-        raise UsageError("alpha is read only by the dot-bar and ddot-bar kinds, the recursivity, mpc, "
-                         "fano-vanishing, residue-internal and all suites, and cohomology --equivariant")
-    if (cfg.k is not None or cfg.j is not None) and cfg.kind not in ("y-gamma", "ydd-gamma"):
-        raise UsageError("k and j are read only by the y-gamma and ydd-gamma kinds")
+    if "zdeg" in vals:
+        _refuse_unread(rows, "reads_zdeg", "zdeg is")
+    if cfg.alpha_mode != "zero" and not cfg.equivariant:
+        _refuse_unread(rows, "reads_alpha", "alpha is", ", and cohomology --equivariant")
+    if cfg.k is not None or cfg.j is not None:
+        _refuse_unread(rows, "reads_kj", "k and j are")
     try:
         cfg.ci()
     except ValueError as e:
         raise UsageError(str(e)) from e
     if sum(cfg.a) > cfg.n:
         raise UsageError("|a| must not exceed n")
+    if any(getattr(r, "reads_kj", False) for r in rows):
+        if cfg.k is None or cfg.j is None:
+            raise UsageError("y-gamma needs --k and --j")
+        if not 0 <= cfg.k <= 2 * (cfg.n - 2):
+            raise UsageError(f"--k must be in 0..{2 * (cfg.n - 2)} for n = {cfg.n}, got {cfg.k}")
+        if not 0 <= cfg.j < len(partitions_of_degree(cfg.n, cfg.k)):
+            raise UsageError(f"--j out of range for degree {cfg.k}")
     return cfg
 
 
@@ -628,10 +628,8 @@ def run(argv=None) -> int:
             doc, code = cmd_verify(cfg)
         elif ns.command == "cohomology":
             doc, code = cmd_cohomology(cfg)
-        elif ns.command == "double-j":
+        else:  # double-j; argparse enforces the choices
             doc, code = cmd_double_j(cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {ns.command}")
     except (UsageError, GenericityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from qgr.cli import _coeff_str, _suite_orthogonality, run
+from qgr.cli import _KIND_ROWS, _SUITE_ROWS, RunConfig, _coeff_str, _suite_orthogonality, run
 from qgr.hyper import CISpec, build_Y_closed
 from qgr.operators import build_pipeline
 from qgr.series import LaurentExpansion, QSeries
@@ -339,7 +341,7 @@ def test_orthogonality_suite_names_failing_entries():
     pdd = build_pipeline("ddot", 3, CISpec((1,)), None, 2)
     cls = pd.classes[(1, 0)][1]
     cls[(0, 0)] = LaurentExpansion({-1: cls[(0, 0)].coeffs[-1] + 1}, None)
-    [rec] = _suite_orthogonality(pd, pdd)
+    [rec] = _suite_orthogonality(None, None, (pd, pdd))
     assert rec["check"] == "diagonal-orthogonality" and rec["pass"] is False
     assert rec["failures"] == [
         {"q": 1, "entry": [[0, 0], [1, 0]]},
@@ -470,3 +472,141 @@ def test_residue_internal_calls_each_residue_function_once_per_integrand(capsys,
     integrands = len(reports[0]["checks"])
     assert integrands > 0
     assert counts == {"residue_at": integrands, "pole_order_at": integrands, "residue_sum_check": integrands}
+
+
+def test_y_gamma_indices_are_checked_before_any_computation(capsys, monkeypatch):
+    # --k and --j are checked with the other flags, before the pipeline is built
+    import qgr.cli
+
+    calls = []
+    monkeypatch.setattr(qgr.cli, "build_pipeline", lambda *args: calls.append(args))
+    for argv, message in (
+        (["y-gamma", "--n", "8", "--a", "8", "--k", "99", "--j", "0", "--qdeg", "2"],
+         "--k must be in 0..12 for n = 8, got 99"),
+        (["ydd-gamma", "--n", "3", "--k", "-1", "--j", "0", "--qdeg", "1"], "--k must be in 0..2 for n = 3, got -1"),
+        (["y-gamma", "--n", "3", "--k", "1", "--j", "1", "--qdeg", "1"], "--j out of range for degree 1"),
+        (["ydd-gamma", "--n", "3", "--k", "2", "--qdeg", "1"], "y-gamma needs --k and --j"),
+    ):
+        assert run(["series", "--kind"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    assert calls == []
+
+
+# Each flag rule of the kind and suite tables: the flag as a run gives it,
+# and the message when the run does not read it.
+_FLAG_RULES = {
+    "reads_alpha": (["--alpha", "generic"], "alpha is read only by the dot-bar and ddot-bar kinds, the recursivity, "
+                    "mpc, fano-vanishing, residue-internal and all suites, and cohomology --equivariant"),
+    "reads_zdeg": (["--zdeg", "1"], "zdeg is read only by the mpc, residue-internal and all suites"),
+    "reads_mutate": (["--mutate", "1:1"], "mutate is read only by the recursivity, mpc and all suites"),
+    "reads_kj": (["--k", "1", "--j", "0"], "k and j are read only by the y-gamma and ydd-gamma kinds"),
+}
+_COMMAND_RULES = {"series": ("reads_alpha", "reads_zdeg", "reads_kj"),
+                  "verify": ("reads_alpha", "reads_zdeg", "reads_mutate")}
+_TABLE = [("series", row) for row in _KIND_ROWS] + [("verify", row) for row in _SUITE_ROWS]
+
+
+def _row_argv(command, row, a=""):
+    """A cheap run of one row (None: the `all` suite), with the --k/--j or --zdeg it reads."""
+    name = "all" if row is None else row.name
+    argv = [command, "--kind" if command == "series" else "--suite", name, "--n", "3", "--a", a, "--qdeg", "1"]
+    if getattr(row, "reads_kj", False):
+        argv += _FLAG_RULES["reads_kj"][0]
+    if command == "verify" and (row is None or row.reads_zdeg):
+        argv += _FLAG_RULES["reads_zdeg"][0]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def table_run():
+    """run() on an argv, once per argv in this module: (exit code, stdout, stderr)."""
+    seen = {}
+
+    def go(argv):
+        if tuple(argv) not in seen:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                seen[tuple(argv)] = (run(argv), out.getvalue(), err.getvalue())
+        return seen[tuple(argv)]
+
+    return go
+
+
+@pytest.mark.parametrize("command,row", _TABLE, ids=[row.name for _, row in _TABLE])
+def test_table_row_runs_and_its_flag_rules_hold(table_run, command, row):
+    def payload(argv):
+        code, out, err = table_run(argv)
+        assert code == 0 and err == "", argv
+        return json.loads(out)["payload"]
+
+    argv = _row_argv(command, row)
+    payload(argv)
+    for field in _COMMAND_RULES[command]:
+        flag, message = _FLAG_RULES[field]
+        code, out, err = table_run(argv + flag)
+        if getattr(row, field, False):
+            assert code in (0, 1) and err == "", (argv, flag)
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (argv, flag)
+    if command == "series":
+        return
+    # `all` runs the rows in table order, each as it runs alone, and skips
+    # fano-vanishing exactly when it does not apply: at |a| = 2 > n - 2
+    for a in ("1", "2"):
+        cfg = RunConfig("verify", n=3, a=(int(a),), qdeg=1)
+        assert row.applies(cfg) is not (row.name == "fano-vanishing" and a == "2")
+        whole = payload(_row_argv("verify", None, a))
+        at = _SUITE_ROWS.index(row)
+        earlier = sum((payload(_row_argv("verify", r, a)) for r in _SUITE_ROWS[:at] if r.applies(cfg)), [])
+        assert whole[:len(earlier)] == earlier
+        if row.applies(cfg):
+            mine = payload(_row_argv("verify", row, a))
+            assert mine and whole[len(earlier):len(earlier) + len(mine)] == mine
+        else:
+            later = sum((payload(_row_argv("verify", r, a)) for r in _SUITE_ROWS[at + 1:] if r.applies(cfg)), [])
+            assert whole[len(earlier):] == later
+            expected = (2, "", f"error: {row.name} needs |a| <= n - 2 and qdeg >= 1\n")
+            assert table_run(_row_argv("verify", row, a)) == expected
+
+
+def test_run_reaches_the_traced_functions_through_module_globals(capsys, monkeypatch):
+    # patched as the traced benchmark wraps them: every qgr module global
+    # that is the original.  A table or dict that held one of these
+    # function objects would call the original, and its count stays 0.
+    import sys
+
+    import qgr.cli
+    import qgr.operators
+    import qgr.series
+    import qgr.verifier
+
+    homes = {
+        qgr.cli: ("cmd_series", "cmd_verify", "cmd_double_j"),
+        qgr.verifier: ("check_recursive", "build_phi", "residue_internal_check"),
+        qgr.operators: ("audit_frakD_normalizations", "orthogonality_check"),
+        qgr.series: ("laurent_expand_hbar",),
+    }
+    modules = [m for key, m in sys.modules.items() if key == "qgr" or key.startswith("qgr.")]
+    counts = {}
+    for home, names in homes.items():
+        for name in names:
+            orig = getattr(home, name)
+            counts[name] = 0
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for module in modules:
+                for attr, val in list(vars(module).items()):
+                    if val is orig:
+                        monkeypatch.setattr(module, attr, counted)
+    for argv in (
+        ["series", "--kind", "dot-closed", "--n", "3", "--qdeg", "1"],
+        ["verify", "--suite", "all", "--n", "3", "--a", "", "--qdeg", "1", "--zdeg", "1"],
+        ["double-j", "--n", "3", "--a", "", "--qdeg", "1"],
+    ):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert all(counts.values()), counts

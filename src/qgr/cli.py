@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cohomology import (
@@ -50,7 +49,7 @@ from .operators import (
     build_pipeline,
     orthogonality_check,
 )
-from .rings import RatFunc, SparsePoly
+from .rings import RatFunc, SparsePoly, _Record
 from .series import QSeries, laurent_expand_hbar
 from .verifier import build_phi, check_mpc, check_recursive, check_recursive_2q, residue_internal_check
 
@@ -59,23 +58,15 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    command: str
-    n: int = 3
-    a: tuple[int, ...] = ()
-    qdeg: int = 3
-    zdeg: int = 3
-    depth: int | None = None
-    alpha_mode: str = "zero"  # zero | generic | explicit
-    alpha: tuple | None = None
-    k: int | None = None
-    j: int | None = None
-    kind: str | None = None
-    suite: str | None = None
-    mutate: tuple[int, int] | None = None
-    equivariant: bool = False
-    output: str | None = None
+    def __init__(self, command: str, n: int = 3, a: tuple[int, ...] = (), qdeg: int = 3, zdeg: int = 3,
+                 depth: int | None = None, alpha_mode: str = "zero", alpha: tuple | None = None,
+                 k: int | None = None, j: int | None = None, kind: str | None = None, suite: str | None = None,
+                 mutate: tuple[int, int] | None = None, equivariant: bool = False, output: str | None = None):
+        """Every argument is an attribute of the same name; alpha_mode is zero, generic or explicit."""
+        self.command, self.n, self.a, self.qdeg, self.zdeg, self.depth = command, n, a, qdeg, zdeg, depth
+        self.alpha_mode, self.alpha, self.k, self.j, self.kind = alpha_mode, alpha, k, j, kind
+        self.suite, self.mutate, self.equivariant, self.output = suite, mutate, equivariant, output
 
     def ci(self) -> CISpec:
         return CISpec(self.a)
@@ -128,7 +119,7 @@ def _series_entries(qs: QSeries) -> list:
 
 def _emit(cfg: RunConfig, payload, extra=None) -> dict:
     """The document: the configuration as given, the payload, and any extra fields."""
-    meta = asdict(cfg)
+    meta = dict(vars(cfg))
     meta["a"] = list(cfg.a)
     if cfg.alpha is not None:
         meta["alpha"] = [str(x) for x in cfg.alpha]
@@ -146,15 +137,13 @@ def _emit(cfg: RunConfig, payload, extra=None) -> dict:
 # global lookup, so a wrapper or patch on a module global sees every call.
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """A series kind: its ladder, the flags it reads, and its runner
-    (cfg, base) -> (payload, extra document fields or None)."""
-    name: str
-    base: str  # dot | ddot
-    run: Callable
-    reads_alpha: bool = False
-    reads_kj: bool = False
+class _Kind(_Record):
+    """A series kind: its ladder (dot or ddot), the flags it reads, and its
+    runner (cfg, base) -> (payload, extra document fields or None)."""
+    _fields = ("name", "base", "run", "reads_alpha", "reads_kj")
+
+    def __init__(self, name: str, base: str, run: Callable, reads_alpha: bool = False, reads_kj: bool = False):
+        self.name, self.base, self.run, self.reads_alpha, self.reads_kj = name, base, run, reads_alpha, reads_kj
 
 
 def _series_closed(cfg: RunConfig, base: str):
@@ -358,19 +347,17 @@ def _pipeline_pair(cfg: RunConfig) -> tuple:
     return tuple(build_pipeline(kind, cfg.n, cfg.ci(), None, cfg.qdeg) for kind in ("dot", "ddot"))
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(_Record):
     """A verify suite: the flags it reads, whether it needs the zero-weight
     pipeline pair, when it runs (`applies`, stated by `needs`), and its
     runner (cfg, al, pipes) -> result records."""
-    name: str
-    run: Callable
-    reads_alpha: bool = False
-    reads_zdeg: bool = False
-    reads_mutate: bool = False
-    needs_pipes: bool = False
-    applies: Callable = lambda cfg: True
-    needs: str = ""
+    _fields = ("name", "run", "reads_alpha", "reads_zdeg", "reads_mutate", "needs_pipes", "applies", "needs")
+
+    def __init__(self, name: str, run: Callable, reads_alpha: bool = False, reads_zdeg: bool = False,
+                 reads_mutate: bool = False, needs_pipes: bool = False, applies: Callable = lambda cfg: True,
+                 needs: str = ""):
+        self.name, self.run, self.reads_alpha, self.reads_zdeg = name, run, reads_alpha, reads_zdeg
+        self.reads_mutate, self.needs_pipes, self.applies, self.needs = reads_mutate, needs_pipes, applies, needs
 
 
 # in the order in which `all` runs them
@@ -609,7 +596,7 @@ def _make_config(ns: argparse.Namespace) -> RunConfig:
         raise UsageError("|a| must not exceed n")
     if any(getattr(r, "reads_kj", False) for r in rows):
         if cfg.k is None or cfg.j is None:
-            raise UsageError("y-gamma needs --k and --j")
+            raise UsageError(f"{cfg.kind} needs --k and --j")
         if not 0 <= cfg.k <= 2 * (cfg.n - 2):
             raise UsageError(f"--k must be in 0..{2 * (cfg.n - 2)} for n = {cfg.n}, got {cfg.k}")
         if not 0 <= cfg.j < len(partitions_of_degree(cfg.n, cfg.k)):

@@ -14,11 +14,10 @@ lam^c = (n-2-lam2, n-2-lam1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .rings import SparsePoly, order_vars
+from .rings import SparsePoly, _Record, order_vars
 from .series import _vzero
 
 XV = ("x1", "x2")
@@ -200,13 +199,11 @@ def fixed_points(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    i: int
-    j: int
-    phi: SparsePoly
-    euler_normal: Fraction
-    det_euler: Fraction
+class FixedPointData(_Record):
+    _fields = ("i", "j", "phi", "euler_normal", "det_euler")
+
+    def __init__(self, i: int, j: int, phi: SparsePoly, euler_normal: Fraction, det_euler: Fraction):
+        self.i, self.j, self.phi, self.euler_normal, self.det_euler = i, j, phi, euler_normal, det_euler
 
 
 def euler_tangent(alphas, i: int, j: int) -> Fraction:

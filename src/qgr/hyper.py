@@ -25,27 +25,26 @@ with entries polynomial in h.  The operator pipeline runs on that form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
 from .hrat import HRat
-from .rings import RatFunc, SparsePoly, _univariate_terms
+from .rings import RatFunc, SparsePoly, _Record, _univariate_terms
 from .series import QSeries, _graded_keys, _Triangle, _triangle
 
 V3 = ("x1", "x2", "h")
 
 
-@dataclass(frozen=True)
-class CISpec:
+class CISpec(_Record):
     """Complete-intersection multidegree (a_1, ..., a_ell)."""
 
-    a: tuple[int, ...]
+    _fields = ("a",)
 
-    def __post_init__(self):
-        if any(ak < 1 for ak in self.a):
+    def __init__(self, a: tuple[int, ...]):
+        if any(ak < 1 for ak in a):
             raise ValueError("all a_k must be positive")
+        self.a = a
 
     @property
     def ell(self) -> int:
@@ -69,14 +68,15 @@ class CISpec:
             raise ValueError(f"|a| = {self.total} exceeds n = {n}")
 
 
-@dataclass(frozen=True)
-class AMatrixSpec:
+class AMatrixSpec(_Record):
     """Two-slot data: rows (a_{r;1}, a_{r;2}) and one weight family per slot."""
 
-    n: int
-    rows: tuple[tuple[int, int], ...] = ()
-    alpha1: tuple[Fraction, ...] | None = None  # None = all zero
-    alpha2: tuple[Fraction, ...] | None = None
+    _fields = ("n", "rows", "alpha1", "alpha2")
+
+    def __init__(self, n: int, rows: tuple[tuple[int, int], ...] = (),
+                 alpha1: tuple[Fraction, ...] | None = None, alpha2: tuple[Fraction, ...] | None = None):
+        self.n, self.rows = n, rows
+        self.alpha1, self.alpha2 = alpha1, alpha2  # None = all zero
 
     def alpha(self, slot: int) -> tuple[Fraction, ...]:
         al = self.alpha1 if slot == 1 else self.alpha2
@@ -98,15 +98,15 @@ def _c3(v) -> SparsePoly:
     return SparsePoly.const(V3, v)
 
 
-@dataclass(frozen=True)
-class DenChain:
+class DenChain(_Record):
     """Ladder denominator products for one slot: B[d] = prod_{l<=d} factor_l.
     `build` is cached, so chains are shared and hold tuples."""
 
-    xname: str
-    factors: tuple[SparsePoly, ...]
-    products: tuple[SparsePoly, ...]
-    xtrunc: int | None = None
+    _fields = ("xname", "factors", "products", "xtrunc")
+
+    def __init__(self, xname: str, factors: tuple[SparsePoly, ...], products: tuple[SparsePoly, ...],
+                 xtrunc: int | None = None):
+        self.xname, self.factors, self.products, self.xtrunc = xname, factors, products, xtrunc
 
     @classmethod
     @functools.lru_cache(maxsize=32)
@@ -170,17 +170,16 @@ def amatrix_numerator(kind: str, rows, d1: int, d2: int, xtrunc: int | None = No
     return out
 
 
-@dataclass
-class HyperSeries:
+class HyperSeries(_Record):
     """A ladder series in one or two q variables: q-key -> numerator over
     the ladder products of its denominator chains.  A one-q key (d,) sits
     over B[d] of both chains, a two-q key (d1, d2) over B[d1] B[d2]."""
 
-    n: int
-    D: int
-    den_chains: tuple[DenChain, DenChain]
-    num_parts: dict
-    xtrunc: int | None = None
+    _fields = ("n", "D", "den_chains", "num_parts", "xtrunc")
+
+    def __init__(self, n: int, D: int, den_chains: tuple[DenChain, DenChain], num_parts: dict,
+                 xtrunc: int | None = None):
+        self.n, self.D, self.den_chains, self.num_parts, self.xtrunc = n, D, den_chains, num_parts, xtrunc
 
     @property
     def q_arity(self) -> int:
@@ -354,8 +353,7 @@ def _cleared(vals: list) -> tuple[int, list]:
     return s, vals if s == 1 else [v * s for v in vals]
 
 
-@dataclass
-class LadderImage:
+class LadderImage(_Record):
     """A ladder series over the x-triangle `tri`, laid out as a HyperSeries:
     q-key -> numerator image over the ladder products of the chains (a
     one-q key (d,) over B[d] of both, a two-q key (d1, d2) over
@@ -366,15 +364,13 @@ class LadderImage:
     over B[m] B[m], (e, m) -> num_e cof(0, e1, m) cof(1, e2, m), and the
     x-adic inverses of the denominators, formed when first read."""
 
-    n: int
-    D: int
-    tri: _Triangle
-    xtrunc: int
-    h: object
-    num_parts: dict
-    cofactors: dict
-    lifted: dict
-    inverses: dict = field(default_factory=dict)
+    _fields = ("n", "D", "tri", "xtrunc", "h", "num_parts", "cofactors", "lifted", "inverses")
+
+    def __init__(self, n: int, D: int, tri: _Triangle, xtrunc: int, h, num_parts: dict, cofactors: dict,
+                 lifted: dict, inverses: dict | None = None):
+        self.n, self.D, self.tri, self.xtrunc, self.h = n, D, tri, xtrunc, h
+        self.num_parts, self.cofactors, self.lifted = num_parts, cofactors, lifted
+        self.inverses = {} if inverses is None else inverses
 
     @classmethod
     def ladder(cls, kind: str, n: int, a: CISpec, D: int, xtrunc: int, alphas=None) -> "LadderImage":
@@ -440,7 +436,8 @@ class LadderImage:
             Q = Q if self.h == 1 else [self.h * v for v in Q]
             sign = -1 if m % 2 else 1
             nums[(m,)] = _Image(degs.pop() if degs else 0, [sign * (u + v) for u, v in zip(N0, Q)])
-        return replace(self, num_parts=nums, xtrunc=self.xtrunc - 1)
+        return LadderImage(self.n, self.D, tri, self.xtrunc - 1, self.h, nums, self.cofactors, self.lifted,
+                           self.inverses)
 
     def degree(self, key) -> int:
         """The structural degree of the coefficient at `key`: numerator

@@ -46,7 +46,6 @@ Diagonal orthogonality is the double-series numerator at (h1, h2) =
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -335,7 +334,6 @@ def _schur_classes(out: dict, key, xc: dict, n: int, expand) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GammaPipeline:
     """Everything derived from one ladder series: the operator family, the
     inverses of the degree-k endomorphisms, the expansion tables, structure
@@ -343,19 +341,16 @@ class GammaPipeline:
     The series themselves, `barD`, `calD` and `ygamma`, are formed when
     read; `bars` holds the ladder images they restore."""
 
-    kind: str
-    n: int
-    a: CISpec
-    alphas: tuple | None
-    D: int
-    family: dict = field(default_factory=dict)  # p -> {t: U[p][t]}, see frakD_family_normalized
-    bars: dict = field(default_factory=dict)  # lam -> the bar series, a LadderImage (1q)
-    Jinv: dict = field(default_factory=dict)  # k -> inverse of the degree-k endomorphism matrix
-    J_certified: dict = field(default_factory=dict)
-    opexp: dict = field(default_factory=dict)  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
-    structC: dict = field(default_factory=dict)  # (k, i) -> {(t,(s,j)) -> scalar QSeries}
-    eqtic_residual_zero: dict = field(default_factory=dict)
-    classes: dict = field(default_factory=dict)  # lam -> {d -> {(r,j) -> Laurent}}
+    def __init__(self, kind: str, n: int, a: CISpec, alphas: tuple | None, D: int):
+        self.kind, self.n, self.a, self.alphas, self.D = kind, n, a, alphas, D
+        self.family = {}  # p -> {t: U[p][t]}, see frakD_family_normalized
+        self.bars = {}  # lam -> the bar series, a LadderImage (1q)
+        self.Jinv = {}  # k -> inverse of the degree-k endomorphism matrix
+        self.J_certified = {}
+        self.opexp = {}  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
+        self.structC = {}  # (k, i) -> {(t,(s,j)) -> scalar QSeries}
+        self.eqtic_residual_zero = {}
+        self.classes = {}  # lam -> {d -> {(r,j) -> Laurent}}
 
     @property
     def kmax(self) -> int:

@@ -19,22 +19,22 @@ extracts the coefficient lists once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rings import RatFunc, _deflate, _divmod_linear, _exact, _pseudo_rem, univariate_coeffs
+from .rings import RatFunc, _Record, _deflate, _divmod_linear, _exact, _pseudo_rem, univariate_coeffs
 from .series import _expand_parts
 
 INFINITY = "inf"
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    pole_location: object  # Fraction or INFINITY
-    order: int
-    residue: Fraction
+class ResidueReport(_Record):
+    _fields = ("pole_location", "order", "residue")
+
+    def __init__(self, pole_location, order: int, residue: Fraction):
+        self.pole_location = pole_location  # Fraction or INFINITY
+        self.order, self.residue = order, residue
 
 
 class NonSplitDenominatorError(ValueError):

@@ -65,6 +65,25 @@ def _descending(exp: tuple[int, ...]):
     return -deg, tuple(-p for p in rev), exp
 
 
+class _Record:
+    """A value of the attributes named in `_fields` (never a cached_property):
+    equal, with equal hashes, to one of its type with equal fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+
 class SparsePoly:
     """Sparse multivariate polynomial over Q: each coefficient an int when
     integral, else a Fraction."""

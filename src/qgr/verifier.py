@@ -12,7 +12,6 @@ of each fixed point comes from cohomology.euler_tangent.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, prod
 
@@ -25,18 +24,15 @@ from .series import QSeries, _vzero, laurent_expand_hbar
 _XI = Fraction(1, 3)  # the generic point at which residue_internal_check holds one x-variable
 
 
-@dataclass
 class RecursivityEntry:
-    pair: tuple
-    degree: tuple
-    remainder: HRat | None  # cancelled, of a failing entry; None if it passed or a lower evaluation diverged
-    ok: bool
-    note: str = ""
+    def __init__(self, pair: tuple, degree: tuple, remainder: HRat | None, ok: bool, note: str = ""):
+        # remainder: cancelled, of a failing entry; None if it passed or a lower evaluation diverged
+        self.pair, self.degree, self.remainder, self.ok, self.note = pair, degree, remainder, ok, note
 
 
-@dataclass
 class RecursivityReport:
-    entries: list[RecursivityEntry] = field(default_factory=list)
+    def __init__(self):
+        self.entries: list[RecursivityEntry] = []
 
     @property
     def all_pass(self) -> bool:
@@ -170,10 +166,10 @@ def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> Recur
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PhiSeries:
-    payload: QSeries  # keys (q-degree, z-degree); HRat values
-    n_pairs: int  # the fixed-point pairs summed; a zero pairing still counts
+    def __init__(self, payload: QSeries, n_pairs: int):
+        self.payload = payload  # keys (q-degree, z-degree); HRat values
+        self.n_pairs = n_pairs  # the fixed-point pairs summed; a zero pairing still counts
 
 
 def build_phi(F_evals, Fp_evals, eta_fn, alphas, n: int, Nz: int, D: int) -> PhiSeries:

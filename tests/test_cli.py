@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -7,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qgr.cli import _KIND_ROWS, _SUITE_ROWS, RunConfig, _coeff_str, _suite_orthogonality, run
-from qgr.hyper import CISpec, build_Y_closed
+from qgr.hyper import CISpec, HyperSeries, build_Y_closed
 from qgr.operators import build_pipeline
 from qgr.series import LaurentExpansion, QSeries
 
@@ -55,7 +54,7 @@ def test_series_dual_unequal_is_a_failure(capsys, monkeypatch):
         Y = build_Y_closed(*args)
         nums = dict(Y.num_parts)
         nums[(1,)] = -nums[(1,)]
-        return dataclasses.replace(Y, num_parts=nums)
+        return HyperSeries(Y.n, Y.D, Y.den_chains, nums, Y.xtrunc)
 
     monkeypatch.setattr(qgr.cli, "build_Y_closed", flipped)
     code, doc = run_json(capsys, ["series", "--kind", "dot-dual", "--n", "3", "--a", "3", "--qdeg", "2"])
@@ -485,7 +484,7 @@ def test_y_gamma_indices_are_checked_before_any_computation(capsys, monkeypatch)
          "--k must be in 0..12 for n = 8, got 99"),
         (["ydd-gamma", "--n", "3", "--k", "-1", "--j", "0", "--qdeg", "1"], "--k must be in 0..2 for n = 3, got -1"),
         (["y-gamma", "--n", "3", "--k", "1", "--j", "1", "--qdeg", "1"], "--j out of range for degree 1"),
-        (["ydd-gamma", "--n", "3", "--k", "2", "--qdeg", "1"], "y-gamma needs --k and --j"),
+        (["ydd-gamma", "--n", "3", "--k", "2", "--qdeg", "1"], "ydd-gamma needs --k and --j"),
     ):
         assert run(["series", "--kind"] + argv) == 2, argv
         captured = capsys.readouterr()

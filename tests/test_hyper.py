@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -145,7 +144,7 @@ def test_bar_and_closed_routes_are_one_series(n, a):
         assert Ybar == Yclosed, kind
         nums = dict(Yclosed.num_parts)
         nums[(1,)] = -nums[(1,)]
-        flipped = dataclasses.replace(Yclosed, num_parts=nums)
+        flipped = HyperSeries(Yclosed.n, Yclosed.D, Yclosed.den_chains, nums, Yclosed.xtrunc)
         assert Ybar != flipped, kind
         assert Ybar.coeff((1,)) != flipped.coeff((1,)), kind
 
@@ -364,7 +363,7 @@ def test_bar_of_operator_combos_matches_per_key_route():
             cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
             term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
             combo[d] = combo[d] + term if d in combo else term
-        F = dataclasses.replace(K, num_parts=combo)
+        F = HyperSeries(K.n, K.D, K.den_chains, combo, K.xtrunc)
         _assert_same_parts(bar_assemble(F), _ref_bar_assemble(F))
         _assert_same_parts(pipe.barD[lam], _ref_bar_assemble(F))
 
@@ -401,7 +400,7 @@ def test_split_group_matches_per_key_route():
         K = build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 3, xtrunc)
         nums = dict(K.num_parts)
         nums[(2, 1)] = SparsePoly(V3, nums[(2, 1)].terms)
-        split = dataclasses.replace(K, num_parts=nums)
+        split = HyperSeries(K.n, K.D, K.den_chains, nums, K.xtrunc)
         _assert_same_parts(bar_assemble(split), _ref_bar_assemble(split))
         _assert_same_parts(bar_assemble(split), bar_assemble(K))
 

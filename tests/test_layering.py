@@ -1,9 +1,12 @@
 """Import layering: the arithmetic substrate (rings, series), the
 fixed-point value type (hrat) and the cohomology and fixed-point data
 (cohomology) sit below the verifier side of the package and must not
-import from it."""
+import from it.  And importing the CLI pays for no module that only
+generated code needs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,14 @@ def test_layering_guard_sees_every_import_form(tmp_path):
 def test_lower_layers_do_not_import_verifier_side(name):
     assert (SRC / f"{name}.py").is_file()
     assert not _imported_modules(SRC / f"{name}.py") & UPPER
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call and benchmark job imports qgr afresh, and dataclasses
+    # brings inspect, ast, dis and tokenize; -S keeps site hooks out
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qgr.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

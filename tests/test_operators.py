@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import operator
 from fractions import Fraction
@@ -45,7 +44,7 @@ def build_barD(lam, K):
         d: v.mul_trunc(schur_poly(lam).substitute({"x1": x1 + h * d[0], "x2": x2 + h * d[1]}), K.xtrunc)
         for d, v in K.num_parts.items()
     }
-    return bar_assemble(dataclasses.replace(K, num_parts=nums))
+    return bar_assemble(HyperSeries(K.n, K.D, K.den_chains, nums, K.xtrunc))
 
 
 def test_frakD_eigen_action():
@@ -81,7 +80,7 @@ def test_frakD_normalization_audit_q0_delta_can_fail():
     # build_A always has F_(0,0) = 1; doubling it breaks both deltas at
     # q^0, and only at the operator's own index
     A = build_A("dot", AMatrixSpec(n=3), 2)
-    F = dataclasses.replace(A, num_parts={**A.num_parts, (0, 0): 2 * A.num_parts[(0, 0)]})
+    F = HyperSeries(A.n, A.D, A.den_chains, {**A.num_parts, (0, 0): 2 * A.num_parts[(0, 0)]}, A.xtrunc)
     for p in ((1, 0), (0, 1), (1, 1), (2, 0)):
         assert audit_frakD_normalizations(A, p)["ok"]
         ptot = p[0] + p[1]

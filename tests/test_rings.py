@@ -2,7 +2,6 @@ import bisect
 import heapq
 import math
 import operator
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -259,7 +258,7 @@ def test_divide_exact_matches_scan_on_random_pairs(a, d):
 def test_divide_exact_matches_scan_on_pipeline_inputs(monkeypatch, capsys):
     from qgr import cli, series
     from qgr.cohomology import default_generic_alpha
-    from qgr.hyper import CISpec, bar_assemble, build_K, build_Y_closed
+    from qgr.hyper import CISpec, HyperSeries, bar_assemble, build_K, build_Y_closed
 
     calls = []
     divide = SparsePoly.divide_exact
@@ -277,7 +276,7 @@ def test_divide_exact_matches_scan_on_pipeline_inputs(monkeypatch, capsys):
     nums = dict(K.num_parts)
     nums[(2, 0)] = -nums[(2, 0)]
     with pytest.raises(ValueError, match="asymmetric"):
-        bar_assemble(replace(K, num_parts=nums))
+        bar_assemble(HyperSeries(K.n, K.D, K.den_chains, nums, K.xtrunc))
     build_Y_closed("ddot", 4, CISpec((1,)), 2)
     cli.run(["verify", "--suite", "residue-internal", "--n", "3", "--a", "1", "--qdeg", "1", "--zdeg", "1"])
     cli.run(["series", "--kind", "y-gamma", "--n", "3", "--a", "1", "--qdeg", "1", "--k", "1", "--j", "0"])

@@ -273,17 +273,22 @@ def _mat_solve(M, B):
     return [row[n:] for row in A]
 
 
-def equivariant_diagonal(alphas) -> dict[tuple[Partition, Partition], Fraction]:
-    """The tensor g restricting to delta_{p,p'} e(T)|_p on fixed-point pairs.
-
-    With M[p][lam] = s_lam|_p over the fixed points p_ij, i < j (one per
-    box partition), g = M^-1 diag(e(T)|_p) M^-T, read off one inverse.
-    """
+def restriction_inverse(alphas) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
+    """(pairs, Minv): the fixed points p_ij, i < j, one per box partition,
+    and the inverse of M[p][lam] = s_lam|_p, rows as in box_partitions(n):
+    a class has Schur coordinates Minv times its restrictions to pairs.  A
+    singular M raises GenericityError."""
     n = len(alphas)
-    parts = box_partitions(n)
     pairs = [(i, j) for i, j in fixed_points(n) if i < j]
-    M = [[restrict_fixed_point(schur_poly(lam), alphas, i, j) for lam in parts] for i, j in pairs]
-    Minv = _mat_solve(M, [[Fraction(int(a == b)) for b in range(len(pairs))] for a in range(len(pairs))])
+    M = [[restrict_fixed_point(schur_poly(lam), alphas, i, j) for lam in box_partitions(n)] for i, j in pairs]
+    return pairs, _mat_solve(M, [[Fraction(int(a == b)) for b in range(len(pairs))] for a in range(len(pairs))])
+
+
+def equivariant_diagonal(alphas) -> dict[tuple[Partition, Partition], Fraction]:
+    """The tensor g restricting to delta_{p,p'} e(T)|_p on fixed-point pairs:
+    g = M^-1 diag(e(T)|_p) M^-T, with M of `restriction_inverse`."""
+    parts = box_partitions(len(alphas))
+    pairs, Minv = restriction_inverse(alphas)
     euler = [euler_tangent(alphas, i, j) for i, j in pairs]
     out = {}
     for a, lam in enumerate(parts):

@@ -17,20 +17,20 @@ transform multiplies each shared numerator once per degree.  Summands are
 combined before any division by (x1 - x2), so coefficients are genuine
 rational functions regular on x1 = x2.
 
-A ladder series can also be held on the flat lists of `series._Triangle`
-as a `LadderImage`: at zero weights its h = 1 image, and at other weights
-with entries polynomial in h.  The operator pipeline runs on that form.
+A zero-weight ladder series can also be held on the flat lists of
+`series._Triangle` as a `LadderImage`, its h = 1 image.  The operator
+pipeline runs on that form at zero weights; at other weights it reads
+the same image's family and evaluates the series at the fixed points.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm, prod
-from typing import NamedTuple
+from math import comb, lcm, prod
 
 from .hrat import HRat
-from .rings import RatFunc, SparsePoly, _Record, _univariate_terms
+from .rings import RatFunc, SparsePoly, _Record
 from .series import QSeries, _graded_keys, _Triangle, _triangle
 
 V3 = ("x1", "x2", "h")
@@ -299,27 +299,29 @@ def bar_assemble(F: HyperSeries) -> HyperSeries:
 
 
 # ---------------------------------------------------------------------------
-# ladder series over the x-triangle
+# zero-weight ladder series over the x-triangle
 #
-# A ladder polynomial is a flat list of polynomials in h over the
-# x-triangle `_triangle(2, xtrunc)`, so products run on `_Triangle.mul_into`.
-# At zero weights every ladder numerator and factor is homogeneous in
+# A ladder polynomial is a flat list over the x-triangle
+# `_triangle(2, xtrunc)`, so products run on `_Triangle.mul_into`.  At
+# zero weights every ladder numerator and factor is homogeneous in
 # (x1, x2, h), and so is every product, operator weight and bar term made
 # from them: the h = 1 value at x^e restores the term x^e h^(deg - |e|)
 # once the degree is kept, so the list holds ints while values are integral.
 # ---------------------------------------------------------------------------
 
 
-class _Image(NamedTuple):
-    """vals[i]: the coefficient of x^keys[i] over an x-triangle, at zero
-    weights its h = 1 value; `deg` is the degree at zero weights."""
+class _Image(_Record):
+    """vals[i]: the h = 1 value of the coefficient of x^keys[i] over an
+    x-triangle, of the homogeneous degree `deg`."""
 
-    deg: int
-    vals: list
+    _fields = ("deg", "vals")
+
+    def __init__(self, deg: int, vals: list):
+        self.deg, self.vals = deg, vals
 
 
-def _linear(tri: _Triangle, c0, c1: int, c2: int) -> _Image:
-    """c0 + c1 x1 + c2 x2, c0 a multiple of h."""
+def _linear(tri: _Triangle, c0: int, c1: int, c2: int) -> _Image:
+    """c0 h + c1 x1 + c2 x2."""
     vals = [0] * tri.size
     vals[0], vals[tri.index[(1, 0)]], vals[tri.index[(0, 1)]] = c0, c1, c2
     return _Image(1, vals)
@@ -347,53 +349,39 @@ def _div_x1_minus_x2(vals: list, D: int) -> list:
     return out
 
 
-def _cleared(vals: list) -> tuple[int, list]:
-    """(s, s vals), s the common denominator of the polynomial entries."""
-    s = lcm(*(v.content_denominator() for v in vals if isinstance(v, SparsePoly)))
-    return s, vals if s == 1 else [v * s for v in vals]
-
-
 class LadderImage(_Record):
-    """A ladder series over the x-triangle `tri`, laid out as a HyperSeries:
-    q-key -> numerator image over the ladder products of the chains (a
-    one-q key (d,) over B[d] of both, a two-q key (d1, d2) over
-    B[d1] B[d2]), x-truncated at `xtrunc`.  `h` is h in the entries: the
-    int 1 at zero weights (h = 1 images), the polynomial h otherwise.  The
+    """The h = 1 image of a zero-weight ladder series over the x-triangle
+    `tri`, laid out as a HyperSeries: q-key -> numerator image over the
+    ladder products of the chains (a one-q key (d,) over B[d] of both, a
+    two-q key (d1, d2) over B[d1] B[d2]), x-truncated at `xtrunc`.  The
     series of one ladder share its tables: the cofactors (slot, d, m) ->
     prod_{d < l <= m} factor_l of the slot, the two-q numerators lifted
     over B[m] B[m], (e, m) -> num_e cof(0, e1, m) cof(1, e2, m), and the
-    x-adic inverses of the denominators, formed when first read."""
+    x-adic inverses of the denominators, filled in when first read."""
 
-    _fields = ("n", "D", "tri", "xtrunc", "h", "num_parts", "cofactors", "lifted", "inverses")
+    _fields = ("n", "D", "tri", "xtrunc", "num_parts", "cofactors", "lifted", "inverses")
 
-    def __init__(self, n: int, D: int, tri: _Triangle, xtrunc: int, h, num_parts: dict, cofactors: dict,
+    def __init__(self, n: int, D: int, tri: _Triangle, xtrunc: int, num_parts: dict, cofactors: dict,
                  lifted: dict, inverses: dict | None = None):
-        self.n, self.D, self.tri, self.xtrunc, self.h = n, D, tri, xtrunc, h
+        self.n, self.D, self.tri, self.xtrunc = n, D, tri, xtrunc
         self.num_parts, self.cofactors, self.lifted = num_parts, cofactors, lifted
         self.inverses = {} if inverses is None else inverses
 
     @classmethod
-    def ladder(cls, kind: str, n: int, a: CISpec, D: int, xtrunc: int, alphas=None) -> "LadderImage":
-        """The image of build_K(kind, n, a, alphas, D, xtrunc): the factor
-        l of a slot is P[l] - P[0], P[l] = prod_j (x - alpha_j + l h), and
-        every key of degree d shares the numerator
-        prod_k prod_l (a_k x1 + a_k x2 + l h), l over the kind's range for
-        a_k d."""
+    def ladder(cls, kind: str, n: int, a: CISpec, D: int, xtrunc: int) -> "LadderImage":
+        """The image of build_K(kind, n, a, None, D, xtrunc): the factor l
+        of a slot is (x + l h)^n - x^n, and every key of degree d shares the
+        numerator prod_k prod_l (a_k x1 + a_k x2 + l h), l over the kind's
+        range for a_k d."""
         a.validate(n)
         tri = _triangle(2, xtrunc)
-        h = 1 if alphas is None else SparsePoly.variable(("h",), "h")
         one = _Image(0, tri.one())
-        P = []  # coefficient lists in x
-        for l in range(D + 1):
-            P.append([1])
-            for aj in alphas or (0,) * n:
-                P[l] = [(l * h - aj) * u + v for u, v in zip(P[l] + [0], [0] + P[l])]
         cof = {}
         for slot in (0, 1):
             factors = [_Image(n, [0] * tri.size) for _ in range(D + 1)]
             for l in range(1, D + 1):
                 for k in range(min(n - 1, xtrunc) + 1):
-                    factors[l].vals[tri.index[(k, 0) if slot == 0 else (0, k)]] = P[l][k] - P[0][k]
+                    factors[l].vals[tri.index[(k, 0) if slot == 0 else (0, k)]] = comb(n, k) * l ** (n - k)
             for d in range(D + 1):
                 cof[(slot, d, d)] = one
                 for m in range(d + 1, D + 1):
@@ -403,12 +391,12 @@ class LadderImage(_Record):
             num = one
             for ak in a.a:
                 for l in _num_l_range(kind, ak * d):
-                    num = _times(tri, num, _linear(tri, l * h, ak, ak))
+                    num = _times(tri, num, _linear(tri, l, ak, ak))
             by_degree.append(num)
         nums = {key: by_degree[sum(key)] for key in _graded_keys(2, D)}
         lifted = {(e, m): _times(tri, _times(tri, num, cof[(0, e[0], m)]), cof[(1, e[1], m)])
                   for e, num in nums.items() for m in range(sum(e), D + 1)}
-        return cls(n, D, tri, xtrunc, h, nums, cof, lifted)
+        return cls(n, D, tri, xtrunc, nums, cof, lifted)
 
     def bar(self, weights: dict, level: int) -> "LadderImage":
         """The bar transform of the two-q series sum_(e, d) num_e w_(e,d)
@@ -433,46 +421,32 @@ class LadderImage(_Record):
             if len(degs) > 1:
                 raise ArithmeticError(f"bar terms of q^{m} differ in degree: {sorted(degs)}")
             Q = _div_x1_minus_x2(N1, tri.D)
-            Q = Q if self.h == 1 else [self.h * v for v in Q]
             sign = -1 if m % 2 else 1
             nums[(m,)] = _Image(degs.pop() if degs else 0, [sign * (u + v) for u, v in zip(N0, Q)])
-        return LadderImage(self.n, self.D, tri, self.xtrunc - 1, self.h, nums, self.cofactors, self.lifted,
-                           self.inverses)
+        return LadderImage(self.n, self.D, tri, self.xtrunc - 1, nums, self.cofactors, self.lifted, self.inverses)
 
     def degree(self, key) -> int:
         """The structural degree of the coefficient at `key`: numerator
         degree less denominator degree, read without expanding."""
         return self.num_parts[key].deg - self.cofactors[(0, 0, key[0])].deg - self.cofactors[(1, 0, key[-1])].deg
 
-    def x_expansion(self, key, order: int) -> tuple[int, list, object]:
-        """(deg, X, g): the coefficient at `key` is X / g to total x-degree
-        `order`, X over the slots of `_triangle(2, order)`; at zero weights
-        X / g is the h = 1 value, and x^e comes with h^(deg - |e|), deg
-        the structural degree."""
+    def x_expansion(self, key, order: int) -> tuple[int, list, int]:
+        """(deg, X, g): the h = 1 value of the coefficient at `key` is X / g
+        to total x-degree `order`, X over the slots of `_triangle(2, order)`;
+        x^e comes with h^(deg - |e|), deg the structural degree."""
         b1, b2 = self.cofactors[(0, 0, key[0])], self.cofactors[(1, 0, key[-1])]
         tk = _triangle(2, order)
         at = (key[0], key[-1], order)
         if at not in self.inverses:
-            s, den = _cleared(self.tri.mul(b1.vals, b2.vals)[:tk.size])
-            N, g = tk.inverse(den)
-            self.inverses[at] = N, g if s == 1 else g * Fraction(1, s)
+            self.inverses[at] = tk.inverse(self.tri.mul(b1.vals, b2.vals)[:tk.size])
         N, g = self.inverses[at]
-        num = self.num_parts[key]
-        vals = num.vals[:tk.size]
-        if self.h != 1:  # polynomial entries: clear them too
-            s, vals = _cleared(vals)
-            g = g * s
-        return self.degree(key), tk.mul(vals, N), g
+        return self.degree(key), tk.mul(self.num_parts[key].vals[:tk.size], N), g
 
     def restore(self, den_chains) -> HyperSeries:
         """The HyperSeries this is the image of, over its trivariate chains:
-        the h-terms of the entry at x^e, times h^(deg - |e|) at zero
-        weights, where the entry is an h = 1 value."""
-        lift = 1 if self.h == 1 else 0
+        the entry v at x^e restores the term v x^e h^(deg - |e|)."""
         return HyperSeries(n=self.n, D=self.D, den_chains=den_chains, xtrunc=self.xtrunc, num_parts={
-            key: SparsePoly(V3, {(e1, e2, k + lift * (num.deg - e1 - e2)): c
-                                 for (e1, e2), v in zip(self.tri.keys, num.vals)
-                                 for k, c in _univariate_terms(v, "h").items()})
+            key: SparsePoly(V3, {(e1, e2, num.deg - e1 - e2): v for (e1, e2), v in zip(self.tri.keys, num.vals)})
             for key, num in self.num_parts.items()})
 
 

@@ -17,26 +17,22 @@ pipelines run in int arithmetic; QSeries of Fraction are formed only for
 the tables other code reads: the family, the J inverses, the expansion
 tables and the structure coefficients.
 
-The class map is: expand in x about 0, Schur-reduce each graded piece into
-the box basis, then Laurent-expand the coefficients in h^-1; the degree-k
-bracket is the h^0 coefficient of its degree-k components.  The map is
-linear, and the normalized operator series and the basis-weighted series
-are Q[[q]]-combinations, with h-power weights, of the bar-transformed
+The class map takes a series to the Laurent expansions in h^-1 of its
+Schur coordinates in the box basis; the degree-k bracket is the h^0
+coefficient of its degree-k components.  The map is linear, and the
+normalized operator series and the basis-weighted series are
+Q[[q]]-combinations, with h-power weights, of the bar-transformed
 operator series.  So it runs once per bar series, and every later table
 is the same linear combination of those class tables.
 
-A pipeline holds the ladder series as a `hyper.LadderImage`: one flat
-list per q-key over the x-triangle of total degree <= kmax + 1.  The
-family, the bar transform and the class map run on these lists with the
-`_Triangle` tables, at every weight.  The class map multiplies each bar
-numerator by one x-adic inverse of its denominator, Schur-reduces, and
-h-expands each component (`_h_expand`).  At zero weights every ladder
-numerator and factor, operator weight and bar term is homogeneous in
-(x1, x2, h), so an entry is the int h = 1 value of a term whose degree
-restores h^(deg - |e|) at x^e: the inverse has a nonzero integer constant
-term and each component is one exact term c h^(deg - r).  At other weights
-an entry is a polynomial in h, and so is the denominator of the inverse.
-`barD`, `calD` and `ygamma` restore the trivariate series when read.
+The family is read off the zero-weight ladder series at every weight
+(see `build_pipeline`), held as a `hyper.LadderImage` of h = 1 values
+over the x-triangle of total degree <= kmax + 1.  At zero weights the bar
+transform and the class map run on these lists: a bar numerator times one
+x-adic inverse of its denominator, Schur-reduced, gives each component as
+one exact term c h^(deg - r), and `barD`, `calD` and `ygamma` restore the
+trivariate series when read.  At other weights the classes come by
+localization, from the bar series evaluated at the fixed points.
 
 Diagonal orthogonality is the double-series numerator at (h1, h2) =
 (h, -h): `orthogonality_check` reads it off the table of
@@ -58,6 +54,7 @@ from .cohomology import (
     euler_tangent,
     fixed_points,
     partitions_of_degree,
+    restriction_inverse,
     schur_poly,
 )
 from .hrat import HRat
@@ -75,16 +72,11 @@ def _shift_weights(t: tuple[int, int], d: tuple[int, int]) -> tuple:
                  if (w := comb(t[0], a1) * comb(t[1], a2) * d[0] ** (t[0] - a1) * d[1] ** (t[1] - a2)))
 
 
-def _h_expand(v, depth: int, g=1, top: int | None = None) -> LaurentExpansion:
-    """v/g at h = infinity to `depth`: the exact term (v/g) h^top when v/g
-    is the h = 1 value of a homogeneous term, else from the coefficients of
-    v and g, ints or polynomials in h (v may be a RatFunc of h, g = 1);
-    exact when g is a monomial.  No step forms a polynomial product."""
-    if top is not None:
-        return LaurentExpansion({top: Fraction(v, g)}, None)
-    if isinstance(v, RatFunc):
-        v, g = v.num, v.den
-    return _expand_parts(_univariate_terms(v, "h"), _univariate_terms(g, "h"), depth)
+def _h_expand(v, depth: int) -> LaurentExpansion:
+    """v at h = infinity to `depth`, v a RatFunc of h or an HRat, from the
+    coefficients of its numerator and denominator; exact when the
+    denominator is a monomial.  No step forms a polynomial product."""
+    return _expand_parts(_univariate_terms(v.num, "h"), _univariate_terms(v.den, "h"), depth)
 
 
 def audit_frakD_normalizations(F: HyperSeries, p: tuple[int, int]) -> dict:
@@ -178,22 +170,18 @@ def frakD_family_normalized(K: LadderImage, pmax: int) -> dict:
     tri = _triangle(2, K.D)
     xkeys = _triangle(2, pmax).keys
     # kappa[d][s]: the x^s h^{-|s|} coefficient of K_d, for the d with one.
-    # At zero weights x^s comes with h^(deg - |s|), so only K_d of degree 0
-    # has one (every d when |a| = n, only d = 0 else), its h = 1 value; the
-    # degree is structural, so the other keys are not expanded
+    # x^s comes with h^(deg - |s|), so only K_d of degree 0 has one (every
+    # d when |a| = n, only d = 0 else), its h = 1 value; the degree is
+    # structural, so the other keys are not expanded
     kappa = {}
     for key in K.num_parts:
-        if K.h == 1 and K.degree(key):
+        if K.degree(key):
             continue
         _, X, g = K.x_expansion(key, pmax)
-        if K.h != 1:
-            kd = {s: c for s, v in zip(xkeys, X) if v and (c := _h_expand(v, sum(s) + 1, g).coeffs.get(-sum(s)))}
-        else:
-            kd = {s: Fraction(v, g) for s, v in zip(xkeys, X) if v}
-        if kd:
+        if kd := {s: Fraction(v, g) for s, v in zip(xkeys, X) if v}:
             kappa[key] = kd
     # the tables hold den times their series, den a common denominator of
-    # kappa: integers at zero weights; `entry` divides den back out
+    # kappa, so they hold integers; `entry` divides den back out
     den = lcm(*(v.denominator for kd in kappa.values() for v in kd.values()))
     scaled = [(tri.index[key], {s: _exact(v * den) for s, v in kd.items()}) for key, kd in kappa.items()]
 
@@ -295,38 +283,30 @@ def build_barD_normalized(lam, K: LadderImage, fam: dict) -> LadderImage:
     targets d with |d| = m, a term w_a x^a carrying h^(level - |a|)."""
     level = lam[0] + lam[1]
     tri = K.tri
-    hpow = None if K.h == 1 else [K.h ** k for k in range(level + 1)]
     sums: dict = {}
     for e, d, w in _row_weights(_schur_row(lam, fam), level, K.D):
         W0, W1 = sums.setdefault((e, d[0] + d[1]), ([0] * tri.size, [0] * tri.size))
         for a, v in w.items():
-            v = v * hpow[level - a[0] - a[1]] if hpow else v
             W0[tri.index[a]] += v
             W1[tri.index[a]] += (d[0] - d[1]) * v
     return K.bar(sums, level)
 
 
-def class_extract(F: LadderImage, n: int, kmax: int, depth: int) -> dict:
-    """The class map on a one-q ladder image: x-expand every coefficient,
-    Schur-reduce each graded piece into the box basis, and h-expand each
-    component to `depth`.  At zero weights a coefficient homogeneous of
-    degree deg has x-degree-r part c(x) h^(deg-r), so each expansion is
-    that one exact term.  Returns (r, jindex) -> QSeries of expansions."""
+def class_extract(F: LadderImage, n: int, kmax: int) -> dict:
+    """The class map on a one-q ladder image: x-expand every coefficient
+    and Schur-reduce each graded piece into the box basis.  A coefficient
+    homogeneous of degree deg has x-degree-r part c(x) h^(deg-r), so each
+    component is that one exact term.  Returns (r, jindex) -> QSeries of
+    expansions."""
     out: dict = {}
     keys = _triangle(2, kmax).keys
     for key in F.num_parts:
         deg, X, g = F.x_expansion(key, kmax)
-        _schur_classes(out, key, {e: v for e, v in zip(keys, X) if v}, n,
-                       lambda v, r: _h_expand(v, depth, g, deg - r if F.h == 1 else None))
+        for lam, v in box_schur({e: v for e, v in zip(keys, X) if v}, n).items():
+            r = lam[0] + lam[1]
+            out.setdefault((r, partitions_of_degree(n, r).index(lam)), {})[key] = LaurentExpansion(
+                {deg - r: Fraction(v, g)}, None)
     return {rj: QSeries(1, F.D, comp) for rj, comp in sorted(out.items())}
-
-
-def _schur_classes(out: dict, key, xc: dict, n: int, expand) -> None:
-    """out[(r, j)][key] = expand(v, r) for the box Schur components v of
-    the x-expansion xc."""
-    for lam, v in box_schur(xc, n).items():
-        r = lam[0] + lam[1]
-        out.setdefault((r, partitions_of_degree(n, r).index(lam)), {})[key] = expand(v, r)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +315,17 @@ def _schur_classes(out: dict, key, xc: dict, n: int, expand) -> None:
 
 
 class GammaPipeline:
-    """Everything derived from one ladder series: the operator family, the
-    inverses of the degree-k endomorphisms, the expansion tables, structure
-    coefficients, and the classes of the assembled basis-weighted series.
-    The series themselves, `barD`, `calD` and `ygamma`, are formed when
-    read; `bars` holds the ladder images they restore."""
+    """Everything derived from one ladder series, filled in by
+    `build_pipeline`: the operator family, the inverses of the degree-k
+    endomorphisms, the expansion tables, structure coefficients, and the
+    classes of the assembled basis-weighted series.  The series, `barD`,
+    `calD` and `ygamma`, are formed when read, from the ladder images in
+    `bars`, at zero weights only; `y_gamma_evaluated` evaluates them."""
 
     def __init__(self, kind: str, n: int, a: CISpec, alphas: tuple | None, D: int):
         self.kind, self.n, self.a, self.alphas, self.D = kind, n, a, alphas, D
         self.family = {}  # p -> {t: U[p][t]}, see frakD_family_normalized
-        self.bars = {}  # lam -> the bar series, a LadderImage (1q)
+        self.bars = {}  # lam -> the bar series, a LadderImage (1q); zero weights only
         self.Jinv = {}  # k -> inverse of the degree-k endomorphism matrix
         self.J_certified = {}
         self.opexp = {}  # (k, i) -> {(s,(r,j)) -> scalar QSeries}
@@ -364,7 +345,10 @@ class GammaPipeline:
     def barD(self) -> dict:
         """lam -> the bar series as a HyperSeries (1q), over the trivariate
         ladder chains of the two slots, as build_K has them."""
-        chains = tuple(DenChain.build(self.n, self.alphas, x, self.D, self.kmax + 1) for x in ("x1", "x2"))
+        if self.alphas is not None:
+            raise ValueError("barD, calD and ygamma are formed at zero weights only; "
+                             "y_gamma_evaluated gives the series at each fixed point")
+        chains = tuple(DenChain.build(self.n, None, x, self.D, self.kmax + 1) for x in ("x1", "x2"))
         return {lam: bar.restore(chains) for lam, bar in self.bars.items()}
 
     @functools.cached_property
@@ -392,18 +376,29 @@ def _basis(n: int, kmax: int):
 
 def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipeline:
     """Run the whole operator pipeline for one series, on the normalized
-    shift-operator family."""
+    shift-operator family.
+
+    The family is read off the zero-weight ladder image at every weight.
+    That is exact: it reads the x^s h^-|s| coefficient of each K_d, and as
+    the x^s coefficient is homogeneous of degree (|a| - n) d - |s| in
+    (h, alpha), that term has alpha-degree (|a| - n) d: with |a| <= n,
+    which CISpec.validate enforces, it is the weight-free term or zero.
+    The class map is linear, so it runs once per bar series: on the bar
+    images at zero weights, where every fixed point coincides, and by
+    localization at weights, where `pipe.bars` stays empty."""
     pipe = GammaPipeline(kind=kind, n=n, a=a,
                          alphas=tuple(alphas) if alphas is not None else None, D=D)
     kmax = pipe.kmax
-    K = LadderImage.ladder(kind, n, a, D, kmax + 1, pipe.alphas)
+    K = LadderImage.ladder(kind, n, a, D, kmax + 1)
     parts = box_partitions(n)
     pipe.family = frakD_family_normalized(K, kmax)
-    for lam in parts:
-        pipe.bars[lam] = build_barD_normalized(lam, K, pipe.family)
-    # the class map is linear, so it runs once per bar series; kmax extra
-    # orders cover the h^(k-t-s) weights of the assembly
-    bar_cls = {lam: class_extract(pipe.bars[lam], n, kmax, pipe.depth + kmax) for lam in parts}
+    if pipe.alphas is None:
+        for lam in parts:
+            pipe.bars[lam] = build_barD_normalized(lam, K, pipe.family)
+        bar_cls = {lam: class_extract(pipe.bars[lam], n, kmax) for lam in parts}
+    else:
+        # kmax extra orders cover the h^(k-t-s) weights of the assembly
+        bar_cls = _localized_classes(pipe, pipe.depth + kmax)
     comps = [(r, j) for r, j, _ in _basis(n, kmax)]
     zero = QSeries(1, D)
     tri = _triangle(1, D)
@@ -458,6 +453,26 @@ def build_pipeline(kind: str, n: int, a: CISpec, alphas, D: int) -> GammaPipelin
             for (d,), le in y_cls[rj][lam].coeffs.items():
                 pipe.classes[lam][d][rj] = LaurentExpansion(le.coeffs, None if le.depth is None else pipe.depth)
     return pipe
+
+
+def _localized_classes(pipe: GammaPipeline, depth: int) -> dict:
+    """The class map at weights, lam -> (r, j) -> QSeries of h-expansions:
+    the bar series evaluated at the points p_ij, i < j, each value expanded
+    at h = infinity to `depth` (per point, so no value grows), combined by
+    the constant inverse restriction matrix, so exactly to `depth`."""
+    pairs, Minv = restriction_inverse(pipe.alphas)
+    at = [{lam: {key: _h_expand(v, depth) for key, v in ser.coeffs.items()}
+           for lam, ser in _bars_evaluated(pipe, *p).items()} for p in pairs]
+    out = {}
+    for lam in box_partitions(pipe.n):
+        out[lam] = {}
+        for (r, j, _), row in zip(_basis(pipe.n, pipe.kmax), Minv):
+            comp: dict = {}
+            for c, ev in zip(row, at):
+                for key, le in ev[lam].items():
+                    comp[key] = comp[key] + le * c if key in comp else le * c
+            out[lam][(r, j)] = QSeries(1, pipe.D, comp)
+    return out
 
 
 def _normalized(pipe: GammaPipeline, bar: dict) -> dict:
@@ -549,16 +564,14 @@ def assemble_Y_gamma(pipe: GammaPipeline, calD: dict, k: int, jidx: int, h) -> Q
 # ---------------------------------------------------------------------------
 
 
-def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
-    """Every basis-weighted series evaluated at the fixed point (i, j):
-    partition -> QSeries with values rational in h.
+def _bars_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
+    """Every bar series evaluated at the fixed point (i, j): partition ->
+    QSeries of HRat.
 
     The operator weights are exact at the point: the bare operator t acts
     on the q^(d1,d2) coefficient as (alpha_i + d1 h)^t1 (alpha_j + d2 h)^t2,
-    and `pipe.family` combines the bare operators as in `pipe.ygamma`.
+    and `pipe.family` combines the bare operators as in the bar images.
     """
-    if pipe.alphas is None:
-        raise ValueError("fixed-point evaluation needs concrete weights")
     xi, xj = pipe.alphas[i - 1], pipe.alphas[j - 1]
     K = k_series_evaluated(pipe.kind, pipe.n, pipe.a, pipe.alphas, i, j, pipe.D)
     barD = {}
@@ -572,7 +585,15 @@ def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
             term = K.get(e) * HRat.poly(at_point)
             combo[d] = combo[d] + term if d in combo else term
         barD[lam] = bar_evaluated(QSeries(2, pipe.D, combo), xi - xj)
-    return _assembled(pipe, _normalized(pipe, barD), HRat.poly((0, 1)))
+    return barD
+
+
+def y_gamma_evaluated(pipe: GammaPipeline, i: int, j: int) -> dict:
+    """Every basis-weighted series evaluated at the fixed point (i, j):
+    partition -> QSeries with values rational in h."""
+    if pipe.alphas is None:
+        raise ValueError("fixed-point evaluation needs concrete weights")
+    return _assembled(pipe, _normalized(pipe, _bars_evaluated(pipe, i, j)), HRat.poly((0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ extracts the coefficient lists once.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .rings import RatFunc, _Record, _deflate, _divmod_linear, _exact, _pseudo_rem, univariate_coeffs
 from .series import _expand_parts

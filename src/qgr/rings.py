@@ -27,8 +27,8 @@ import bisect
 import heapq
 import math
 import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
 

@@ -17,8 +17,8 @@ and `operators._h_expand`), in x at x = 0 (`x_coefficients`,
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from .rings import RatFunc, SparsePoly, _exact
 

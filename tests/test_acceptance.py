@@ -221,15 +221,18 @@ def test_criterion_6_theorem2_structure():
         genericity_check(al, 2)
         espec = AMatrixSpec(n=n, rows=ci.rows, alpha1=al, alpha2=al)
         pipes = {kind: build_pipeline(kind, n, ci, al, 2) for kind in ("dot", "ddot")}
+        zero = {kind: build_pipeline(kind, n, ci, None, 2) for kind in ("dot", "ddot")}
         Yd = _y_evals("dot", n, ci, al, 2)
         eta = lambda i, j: ci.product * (al[i - 1] + al[j - 1]) ** ci.ell
         ygam = {kind: {p: y_gamma_evaluated(pipes[kind], *p) for p in _pairs(n)} for kind in pipes}
         for lam in box_partitions(n):
             for kind in ("dot", "ddot"):
-                pipe = pipes[kind]
-                # q^0 coefficient is exactly the basis class
-                q0 = pipe.ygamma[lam].get((0,))
-                ok = ok and q0 == RatFunc(schur_poly(lam).embed(V3))
+                # q^0 coefficient is exactly the basis class: at zero weights
+                # as a trivariate series, at weights restricted to every point
+                ok = ok and zero[kind].ygamma[lam].get((0,)) == RatFunc(schur_poly(lam).embed(V3))
+                for i, j in _pairs(n):
+                    at = {"x1": al[i - 1], "x2": al[j - 1]}
+                    ok = ok and ygam[kind][(i, j)][lam].get((0,)) == schur_poly(lam).eval_all(at)
                 # recursivity with the unchanged coefficient tables
                 evals = {p: ygam[kind][p][lam] for p in _pairs(n)}
                 rep = check_recursive(

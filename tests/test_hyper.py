@@ -345,27 +345,29 @@ def test_shared_numerators_match_per_key_route(n, a, D, generic):
 
 def test_bar_of_operator_combos_matches_per_key_route():
     # the trivariate bar transform of the six operator combinations of a
-    # generic pipeline, built here: every key has its own numerator, so no
-    # group is shared.  Both routes also match the pipeline's bars, which
-    # it transforms on the ladder image.
+    # pipeline's family, built here: every key has its own numerator, so no
+    # group is shared.  At zero weights both routes also match the
+    # pipeline's bars, which it transforms on the ladder image.
     from qgr import operators
     from qgr.cohomology import box_partitions
 
     n, a, D = 4, CISpec((2,)), 2
-    pipe = build_pipeline("dot", n, a, default_generic_alpha(n), D)
-    K = build_K("dot", n, a, default_generic_alpha(n), D, xtrunc=pipe.kmax + 1)
-    c1, c2 = K.den_chains
-    for lam in box_partitions(n):
-        level = lam[0] + lam[1]
-        combo = {}
-        for e, d, w in operators._row_weights(operators._schur_row(lam, pipe.family), level, D):
-            w = SparsePoly(V3, {(a1, a2, level - a1 - a2): v for (a1, a2), v in w.items()})
-            cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
-            term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
-            combo[d] = combo[d] + term if d in combo else term
-        F = HyperSeries(K.n, K.D, K.den_chains, combo, K.xtrunc)
-        _assert_same_parts(bar_assemble(F), _ref_bar_assemble(F))
-        _assert_same_parts(pipe.barD[lam], _ref_bar_assemble(F))
+    for al in (default_generic_alpha(n), None):
+        pipe = build_pipeline("dot", n, a, al, D)
+        K = build_K("dot", n, a, al, D, xtrunc=pipe.kmax + 1)
+        c1, c2 = K.den_chains
+        for lam in box_partitions(n):
+            level = lam[0] + lam[1]
+            combo = {}
+            for e, d, w in operators._row_weights(operators._schur_row(lam, pipe.family), level, D):
+                w = SparsePoly(V3, {(a1, a2, level - a1 - a2): v for (a1, a2), v in w.items()})
+                cof = c1.cofactor(e[0], d[0]) * c2.cofactor(e[1], d[1])
+                term = K.num_parts[e].mul_trunc(w, K.xtrunc).mul_trunc(cof, K.xtrunc)
+                combo[d] = combo[d] + term if d in combo else term
+            F = HyperSeries(K.n, K.D, K.den_chains, combo, K.xtrunc)
+            _assert_same_parts(bar_assemble(F), _ref_bar_assemble(F))
+            if al is None:
+                _assert_same_parts(pipe.barD[lam], _ref_bar_assemble(F))
 
 
 def test_build_A_builds_each_numerator_once(monkeypatch):

@@ -49,9 +49,10 @@ def test_lower_layers_do_not_import_verifier_side(name):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every CLI call and benchmark job imports qgr afresh, and dataclasses
-    # brings inspect, ast, dis and tokenize; -S keeps site hooks out
+    # brings inspect, ast, dis and tokenize; typing is needed by no
+    # annotation, as none is evaluated; -S keeps site hooks out
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import qgr.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -6,13 +6,16 @@ import pytest
 
 from qgr import operators
 from qgr.cohomology import (
+    GenericityError,
     box_partitions,
     default_generic_alpha,
     diagonal,
+    fixed_points,
     graded_to_schur,
     partitions_of_degree,
     schur_poly,
 )
+from qgr.hrat import HRat
 from qgr.hyper import AMatrixSpec, CISpec, HyperSeries, LadderImage, bar_assemble, build_A, build_K
 from qgr.operators import (
     _normalized,
@@ -184,13 +187,15 @@ def _ref_audit(F, p):
 def test_family_and_audit_match_reference_route():
     # the bare operators act on one expansion of each coefficient; the
     # route that expands each operator's numerator products must agree
-    # entry for entry, Calabi-Yau rows (U != I) and generic weights included
+    # entry for entry, Calabi-Yau rows (U != I) included.  The reference at
+    # generic weights equals the zero-weight image's family, the one every
+    # pipeline uses
     cases = [(n, a, None) for n, a in [(3, ()), (3, (1,)), (3, (1, 1, 1)), (3, (3,)), (4, (2,)), (4, (4,))]]
     cases += [(4, (2,), default_generic_alpha(4)), (3, (1, 1, 1), default_generic_alpha(3))]
     for kind in ("dot", "ddot"):
         for n, a, al in cases:
             K = build_K(kind, n, CISpec(a), al, 2, xtrunc=2 * (n - 2) + 1)
-            image = LadderImage.ladder(kind, n, CISpec(a), 2, 2 * (n - 2) + 1, al)
+            image = LadderImage.ladder(kind, n, CISpec(a), 2, 2 * (n - 2) + 1)
             assert frakD_family_normalized(image, 2 * (n - 2)) == _ref_family(K, 2 * (n - 2)), (kind, n, a, al)
     failing = 0
     for kind in ("dot", "ddot"):
@@ -210,7 +215,7 @@ def test_barD_normalized_against_bare():
     # where every weight row fits in n
     for n, a, trivial in [(3, (), True), (3, (1,), True), (4, (2,), True),
                           (3, (1, 1, 1), False), (3, (3,), False)]:
-        K = LadderImage.ladder("dot", n, CISpec(a), 2, 2 * (n - 2) + 1, default_generic_alpha(n))
+        K = LadderImage.ladder("dot", n, CISpec(a), 2, 2 * (n - 2) + 1)
         fam = frakD_family_normalized(K, 2 * (n - 2))
         identity = {p: {p: QSeries.one(2, 2)} for p in fam}
         assert (fam == identity) is trivial, (n, a)
@@ -520,13 +525,11 @@ def test_equivariant_orthogonality_needs_equal_weights():
             equivariant_orthogonality_check(pd, pdd)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "equivariant_orthogonality_check fails at every positive q-degree on "
-    "Calabi-Yau configurations (|a| = n), with either operator family"))
-@pytest.mark.parametrize("a", [(1, 1, 1), (3,)])
-def test_equivariant_double_series_calabi_yau(a):
-    n = 3
-    rep = _equivariant_orthogonality(n, CISpec(a), default_generic_alpha(n), 1)
+@pytest.mark.parametrize("n,a,D", [(3, (1, 1, 1), 1), (3, (3,), 1), (4, (4,), 1), (3, (3,), 2)])
+def test_equivariant_double_series_calabi_yau(n, a, D):
+    # |a| = n: the classes keep the alpha-corrections of the Schur classes
+    # outside the box, which an x-expansion cut at the box drops
+    rep = _equivariant_orthogonality(n, CISpec(a), default_generic_alpha(n), D)
     assert rep["ok"], rep["failures"][:2]
 
 
@@ -636,7 +639,15 @@ _FRACTIONAL_ALPHA = (Fraction(1, 2), Fraction(5, 3), Fraction(7))
 
 @pytest.mark.parametrize("n,a,D", [(3, (), 3), (3, (3,), 3), (4, (2,), 2), (5, (5,), 2), (6, (3, 3), 2)])
 def test_h1_route_matches_trivariate_route(n, a, D, monkeypatch):
-    _check_image_route(n, a, D, None, monkeypatch)
+    _check_image_route(n, a, D, monkeypatch)
+
+
+def _ref_x_route_classes(pipe, depth):
+    """The class map at weights as the x-route: the trivariate bar series
+    of the pipeline's family, x-expanded and cut at the box."""
+    K = build_K(pipe.kind, pipe.n, pipe.a, pipe.alphas, pipe.D, xtrunc=pipe.kmax + 1)
+    return {lam: _ref_class_extract(_ref_build_barD_normalized(lam, K, pipe.family).series(), pipe.n, pipe.kmax, depth)
+            for lam in box_partitions(pipe.n)}
 
 
 @pytest.mark.parametrize("n,a,D,alphas", [
@@ -644,36 +655,106 @@ def test_h1_route_matches_trivariate_route(n, a, D, monkeypatch):
     (3, (1,), 2, "fractional"),
 ])
 def test_image_route_matches_trivariate_route_at_weights(n, a, D, alphas, monkeypatch):
+    # the pipeline at weights (the zero-weight image's family, classes by
+    # localization) against the trivariate pipeline at the same weights
+    # (family of the weighted series, classes by the x-route).  The two
+    # class maps agree at h >= 0; below, the x-route drops the
+    # alpha-corrections, which reach the tables only when |a| = n
     al = default_generic_alpha(n) if alphas == "generic" else _FRACTIONAL_ALPHA
-    _check_image_route(n, a, D, al, monkeypatch)
-
-
-def _check_image_route(n, a, D, al, monkeypatch):
-    # the pipeline on ladder images against the same pipeline with the
-    # trivariate family, bar transform and class map, at zero weights (h = 1
-    # images), generic and non-integral weights (entries polynomial in h):
-    # family, bar class tables, restored bar numerators and every table
-    # downstream
-    fractional = False
     for kind in ("dot", "ddot"):
         pipe = build_pipeline(kind, n, CISpec(a), al, D)
-        monkeypatch.setattr(LadderImage, "ladder",
-                            lambda kind, n, a, D, xtrunc, alphas=None: build_K(kind, n, a, alphas, D, xtrunc))
+        monkeypatch.setattr(LadderImage, "ladder", lambda kind, n, a, D, xtrunc: build_K(kind, n, a, al, D, xtrunc))
         monkeypatch.setattr(operators, "frakD_family_normalized", _ref_family)
-        monkeypatch.setattr(operators, "build_barD_normalized", _ref_build_barD_normalized)
-        monkeypatch.setattr(operators, "class_extract",
-                            lambda F, n, kmax, depth: _ref_class_extract(F.series(), n, kmax, depth))
+        monkeypatch.setattr(operators, "_localized_classes", _ref_x_route_classes)
         ref = build_pipeline(kind, n, CISpec(a), al, D)
         monkeypatch.undo()
+        assert pipe.bars == {} and (pipe.family, pipe.Jinv) == (ref.family, ref.Jinv), kind
+        if sum(a) < n:
+            assert (pipe.opexp, pipe.structC) == (ref.opexp, ref.structC), kind
+        for lam in box_partitions(n):
+            for d in range(D + 1):
+                got, want = pipe.classes[lam][d], ref.classes[lam][d]
+                for rj in got.keys() | want.keys():
+                    le, ref_le = got.get(rj, LaurentExpansion.zero()), want.get(rj, LaurentExpansion.zero())
+                    assert ({e: c for e, c in le.coeffs.items() if e >= 0}
+                            == {e: c for e, c in ref_le.coeffs.items() if e >= 0}), (kind, lam, d, rj)
+
+
+_H2_CASES = [
+    ("dot", 3, (), 2), ("dot", 3, (1,), 3), ("dot", 4, (2,), 2), ("dot", 3, (3,), 3), ("dot", 3, (1, 1, 1), 2),
+    ("dot", 4, (4,), 2), ("dot", 4, (2, 2), 2), ("dot", 5, (2,), 2), ("dot", 5, (5,), 1), ("dot", 4, (1, 3), 2),
+    ("ddot", 4, (2,), 2), ("ddot", 3, (3,), 2), ("ddot", 4, (4,), 2),
+]
+
+
+@pytest.mark.parametrize("kind,n,a,D", _H2_CASES)
+def test_family_is_weight_free(kind, n, a, D):
+    # the family reads the x^s h^-|s| coefficients of the ladder series,
+    # of alpha-degree (|a| - n) d: with |a| <= n the weight-free term or
+    # zero, so the zero-weight family, which the pipeline takes at every
+    # weight, is the family of the weighted series.  It is the bare one
+    # (the identity) exactly when |a| < n, so a pipeline using the bare
+    # operators at weights would fail here on |a| = n
+    pipe = build_pipeline(kind, n, CISpec(a), default_generic_alpha(n), D)
+    identity = {p: {p: QSeries.one(2, D)} for p in pipe.family}
+    for al in (pipe.alphas, (Fraction(1, 2), Fraction(5, 3), Fraction(7), Fraction(11), Fraction(13))[:n]):
+        ref = _ref_family(build_K(kind, n, CISpec(a), al, D, xtrunc=pipe.kmax + 1), pipe.kmax)
+        assert pipe.family == ref and (ref == identity) is (sum(a) < n), (kind, n, a, al)
+
+
+@pytest.mark.parametrize("n,a,D,alphas", [
+    (3, (1, 1, 1), 2, "generic"), (3, (3,), 2, "generic"), (4, (2,), 2, "generic"), (4, (4,), 1, "generic"),
+    (3, (1,), 2, "fractional"),
+])
+def test_classes_match_localization(n, a, D, alphas):
+    # the classes restrict at every ordered fixed point, i > j included
+    # (which the class map never reads), to the h-expansion of the series
+    # evaluated there
+    al = default_generic_alpha(n) if alphas == "generic" else _FRACTIONAL_ALPHA
+    for kind in ("dot", "ddot"):
+        pipe = build_pipeline(kind, n, CISpec(a), al, D)
+        for i, j in fixed_points(n):
+            at = {"x1": al[i - 1], "x2": al[j - 1]}
+            ev = y_gamma_evaluated(pipe, i, j)
+            for lam in box_partitions(n):
+                for d in range(D + 1):
+                    got = LaurentExpansion.zero()
+                    for (r, jidx), le in pipe.classes[lam][d].items():
+                        got = got + le * schur_poly(partitions_of_degree(n, r)[jidx]).eval_all(at)
+                    want = operators._h_expand(HRat.convert(ev[lam].get((d,))), pipe.depth)
+                    assert (LaurentExpansion(got.coeffs, pipe.depth)
+                            == LaurentExpansion(want.coeffs, pipe.depth)), (kind, (i, j), lam, d)
+
+
+def test_localization_needs_distinct_restrictions():
+    # alpha_1 = alpha_2: p_13 and p_23 restrict every class alike
+    with pytest.raises(GenericityError, match="singular"):
+        build_pipeline("dot", 3, CISpec(()), (Fraction(1), Fraction(1), Fraction(2)), 1)
+
+
+def _check_image_route(n, a, D, monkeypatch):
+    # the pipeline on h = 1 ladder images against the same pipeline with the
+    # trivariate family, bar transform and class map: family, bar class
+    # tables, restored bar numerators and every table downstream
+    fractional = False
+    for kind in ("dot", "ddot"):
+        pipe = build_pipeline(kind, n, CISpec(a), None, D)
+        monkeypatch.setattr(LadderImage, "ladder", lambda kind, n, a, D, xtrunc: build_K(kind, n, a, None, D, xtrunc))
+        monkeypatch.setattr(operators, "frakD_family_normalized", _ref_family)
+        monkeypatch.setattr(operators, "build_barD_normalized", _ref_build_barD_normalized)
+        # zero-weight components are exact terms, so no depth is read
+        monkeypatch.setattr(operators, "class_extract",
+                            lambda F, n, kmax: _ref_class_extract(F.series(), n, kmax, 1))
+        ref = build_pipeline(kind, n, CISpec(a), None, D)
+        monkeypatch.undo()
         assert all(isinstance(bar, LadderImage) for bar in pipe.bars.values())
-        ladder = LadderImage.ladder(kind, n, CISpec(a), D, pipe.kmax + 1, al)
-        K = build_K(kind, n, CISpec(a), al, D, xtrunc=pipe.kmax + 1)
+        ladder = LadderImage.ladder(kind, n, CISpec(a), D, pipe.kmax + 1)
+        K = build_K(kind, n, CISpec(a), None, D, xtrunc=pipe.kmax + 1)
         assert ladder.restore(K.den_chains).num_parts == K.num_parts, kind
         assert pipe.family == ref.family, kind
-        depth = pipe.depth + pipe.kmax
         for lam in box_partitions(n):
-            got = class_extract(pipe.bars[lam], n, pipe.kmax, depth)
-            want = _ref_class_extract(ref.bars[lam].series(), n, pipe.kmax, depth)
+            got = class_extract(pipe.bars[lam], n, pipe.kmax)
+            want = _ref_class_extract(ref.bars[lam].series(), n, pipe.kmax, 1)
             assert {rj: ser.coeffs for rj, ser in got.items()} == {rj: ser.coeffs for rj, ser in want.items()}
             bar = pipe.barD[lam]
             assert bar.num_parts == ref.bars[lam].num_parts and bar.xtrunc == ref.bars[lam].xtrunc, (kind, lam)
@@ -697,15 +778,15 @@ def _coefficient_classes(pipe, ser) -> dict:
 
 
 @pytest.mark.parametrize("n,a,alphas", [
-    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None),
-    (3, (1, 1, 1), "generic"), (3, (2,), "generic"), (5, (5,), None),
+    (3, (1,), None), (3, (1, 1, 1), None), (4, (2,), None), (3, (3,), None), (3, (2,), None), (5, (5,), None),
 ])
 def test_classes_match_coefficientwise_extraction(n, a, alphas):
     # the pipeline extracts classes from the bar series only and gets the
     # rest by linear algebra; extracting every coefficient of the formed
-    # RatFunc series must agree in keys, coefficients and depth
-    al = default_generic_alpha(n) if alphas else None
-    pipe = build_pipeline("dot", n, CISpec(a), al, 2)
+    # RatFunc series must agree in keys, coefficients and depth.  The
+    # series are formed at zero weights; test_classes_match_localization
+    # checks the classes at weights
+    pipe = build_pipeline("dot", n, CISpec(a), alphas, 2)
     for lam, ser in pipe.ygamma.items():
         want = _coefficient_classes(pipe, ser)
         for d in range(pipe.D + 1):
@@ -741,14 +822,21 @@ def test_named_pipeline_accessors():
     assert pipe.opexp[(1, 0)][(1, (1, 0))].get((0,)) == 1
     assert pipe.eqtic_residual_zero[(2, 0)]
     assert pipe.structC[(2, 0)][(0, (2, 0))].get((0,)) == 1
+    # at weights the series are read at the fixed points only
+    pipe = build_pipeline("dot", 3, CISpec((1,)), default_generic_alpha(3), 1)
+    for view in ("barD", "calD", "ygamma"):
+        with pytest.raises(ValueError, match="y_gamma_evaluated"):
+            getattr(pipe, view)
 
 
 def test_pipeline_shares_x_inverse(monkeypatch):
-    # Regression guard by count: the pipeline expands the bar series of
-    # every box class over the same few ladder denominators, so each
-    # (denominator, order) inverse must be computed once and then reused.
-    # Neither pipeline calls x_coefficients: both expand ladder images, and
-    # the bars of one ladder share its table of inverses.
+    # Regression guard by count: the zero-weight pipeline expands the bar
+    # series of every box class over the same few ladder denominators, so
+    # each (denominator, order) inverse must be computed once and then
+    # reused.  No pipeline calls x_coefficients: the family and the bars
+    # expand ladder images, and the bars of one ladder share its table of
+    # inverses.  At weights only the family expands: the ladder key of
+    # degree 0, and no bar.
     import qgr.operators
 
     seen, expansions = [], []
@@ -764,13 +852,15 @@ def test_pipeline_shares_x_inverse(monkeypatch):
 
     monkeypatch.setattr(qgr.operators, "x_coefficients", counted)
     monkeypatch.setattr(LadderImage, "x_expansion", counted_expansion)
-    build_pipeline("dot", 4, CISpec((2,)), None, 2)
-    expansions.clear()
-    pipe = build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
+    pipe = build_pipeline("dot", 4, CISpec((2,)), None, 2)
     assert seen == []
     [inverses] = {id(bar.inverses): bar.inverses for bar in pipe.bars.values()}.values()
     assert {e[0] for e in expansions} == {id(inverses)}
     assert len(inverses) == len(set(expansions)) < len(expansions), (len(inverses), len(expansions))
+    expansions.clear()
+    pipe = build_pipeline("dot", 4, CISpec((2,)), default_generic_alpha(4), 2)
+    assert seen == [] and pipe.bars == {}
+    assert [e[1:] for e in expansions] == [(0, 0, pipe.kmax)]
 
 
 def test_h_expansion_makes_no_polynomial_product(monkeypatch):

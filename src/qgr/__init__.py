@@ -42,11 +42,10 @@ from .operators import (
     orthogonality_check,
     y_gamma_evaluated,
 )
-from .residues import residue_at, residue_at_infinity, residue_sum_check
+from .residues import residue_at, residue_sum_check
 from .rings import RatFunc, SparsePoly
 from .series import LaurentExpansion, QSeries, laurent_expand_hbar
 from .verifier import (
-    audit_uniqueness_hypotheses,
     build_phi,
     check_mpc,
     check_recursive,

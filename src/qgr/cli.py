@@ -288,7 +288,6 @@ def _suite_operator_norms(cfg: RunConfig, al, pipes: tuple) -> list[dict]:
             ]
             results.append(_record(f"shift-operator-tables-{akind}-p{p}", failures, rep["ok"]))
     for kind, pipe in zip(("dot", "ddot"), pipes):
-        # build_pipeline raises on a failed certificate, so this one can only pass
         results.append(_record(f"inverse-certificates-{kind}", [], all(pipe.J_certified.values())))
         residual_failures = [{"k": k, "i": i} for (k, i), ok in pipe.eqtic_residual_zero.items() if not ok]
         results.append(_record(f"structure-residual-{kind}", residual_failures))

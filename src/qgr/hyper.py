@@ -357,9 +357,10 @@ class LadderImage(_Record):
     series of one ladder share its tables: the cofactors (slot, d, m) ->
     prod_{d < l <= m} factor_l of the slot, the two-q numerators lifted
     over B[m] B[m], (e, m) -> num_e cof(0, e1, m) cof(1, e2, m), and the
-    x-adic inverses of the denominators, filled in when first read."""
+    x-adic inverses of the denominators, filled in when first read (a
+    cache, so not a field)."""
 
-    _fields = ("n", "D", "tri", "xtrunc", "num_parts", "cofactors", "lifted", "inverses")
+    _fields = ("n", "D", "tri", "xtrunc", "num_parts", "cofactors", "lifted")
 
     def __init__(self, n: int, D: int, tri: _Triangle, xtrunc: int, num_parts: dict, cofactors: dict,
                  lifted: dict, inverses: dict | None = None):

@@ -104,11 +104,6 @@ def pole_order_at(f: RatFunc, z0, var: str = "z") -> int:
     return _pole_at(*_coeff_lists(f, var), Fraction(z0))[1]
 
 
-def residue_at_infinity(f: RatFunc, var: str = "z") -> Fraction:
-    """Minus the z^-1 coefficient of the expansion of f at z = infinity."""
-    return _at_infinity(*_coeff_lists(f, var))
-
-
 def residue_sum_check(
     f: RatFunc, candidate_poles: Sequence, var: str = "z"
 ) -> tuple[bool, list[ResidueReport]]:

@@ -1,7 +1,7 @@
-"""Machine checks of the two characterizing properties: pole recursivity
-(one- and two-variable q) and polynomiality of the weighted fixed-point
-pairing, plus the uniqueness-hypothesis audit and the internal residue
-mechanics behind the polynomiality argument.
+"""Machine checks of the three hypotheses of the uniqueness lemma: pole
+recursivity (one- and two-variable q) with a nonzero q^0 term, and
+polynomiality of the weighted fixed-point pairing, plus the internal
+residue mechanics behind the polynomiality argument.
 
 All checks run at concrete generic torus weights, on series supplied as
 fixed-point evaluations (maps (i, j) -> truncated q-series whose values
@@ -26,7 +26,7 @@ _XI = Fraction(1, 3)  # the generic point at which residue_internal_check holds 
 
 class RecursivityEntry:
     def __init__(self, pair: tuple, degree: tuple, remainder: HRat | None, ok: bool, note: str = ""):
-        # remainder: cancelled, of a failing entry; None if it passed or a lower evaluation diverged
+        # remainder: cancelled, of a failing entry; None if it passed, a lower evaluation diverged or q^0 vanished
         self.pair, self.degree, self.remainder, self.ok, self.note = pair, degree, remainder, ok, note
 
 
@@ -98,12 +98,27 @@ def _check_entry(evals, pair, key, terms, diverge_note: str = "") -> Recursivity
     return RecursivityEntry(pair, key, R, False, note)
 
 
+def _walk(evals, entries) -> RecursivityReport:
+    """The report of the recursivity entries (pair, q-key, pole terms,
+    divergence note), in their order: each is tested by `_check_entry`,
+    except that a pair's q^0 entry fails when that coefficient vanishes,
+    the third hypothesis of the uniqueness lemma."""
+    report = RecursivityReport()
+    for pair, key, terms, diverge_note in entries:
+        if not any(key) and _vzero(evals[pair].get(key)):
+            report.entries.append(RecursivityEntry(pair, key, None, False, "q^0 coefficient vanishes"))
+        else:
+            report.entries.append(_check_entry(evals, pair, key, terms, diverge_note))
+    return report
+
+
 def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityReport:
     """Single-q recursivity: for each ordered pair (i, j) and degree d*,
     every nonzero pole of the q^d* coefficient is simple and sits at a
     recursion point w = (alpha_k - alpha_j)/d or (alpha_k - alpha_i)/d,
     with residue the prescribed sum of c * (lower evaluation at w), and
-    every such sum that is nonzero has its pole (`_check_entry`).
+    every such sum that is nonzero has its pole (`_check_entry`); the q^0
+    coefficient is nonzero (`_walk`).
 
     evals: (i, j) -> QSeries in one q with HRat values.
     coeff_fn(slot, i, j, k, d) -> Fraction; slot 2 moves j -> k, slot 1
@@ -111,54 +126,40 @@ def check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityRepor
     """
     al = [Fraction(v) for v in alphas]
     coeff = functools.cache(coeff_fn)  # each (slot, i, j, k, d) once per check
-    report = RecursivityReport()
-    for (i, j) in sorted(evals):
-        for dstar in range(D + 1):
-            terms = []
-            for d in range(1, dstar + 1):
-                for k in range(1, n + 1):
-                    if k not in (i, j):
-                        terms.append((coeff(2, i, j, k, d), (i, k), (dstar - d,),
-                                      Fraction(al[k - 1] - al[j - 1], d)))
-                        terms.append((coeff(1, i, j, k, d), (k, j), (dstar - d,),
-                                      Fraction(al[k - 1] - al[i - 1], d)))
-            report.entries.append(_check_entry(
-                evals, (i, j), (dstar,), terms, f" (recursivity violated below degree {dstar})",
-            ))
-    return report
+    return _walk(evals, (
+        ((i, j), (dstar,), [
+            term
+            for d in range(1, dstar + 1) for k in range(1, n + 1) if k not in (i, j)
+            for term in ((coeff(2, i, j, k, d), (i, k), (dstar - d,), Fraction(al[k - 1] - al[j - 1], d)),
+                         (coeff(1, i, j, k, d), (k, j), (dstar - d,), Fraction(al[k - 1] - al[i - 1], d)))
+        ], f" (recursivity violated below degree {dstar})")
+        for (i, j) in sorted(evals) for dstar in range(D + 1)
+    ))
 
 
 def check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> RecursivityReport:
-    """Two-variable recursivity, the same residue test per entry
-    (`_check_entry`): slot 2 poles, at (alpha2_k - alpha2_i2)/d, pair with
-    q2 powers, slot 1 poles, at (alpha1_k - alpha1_i1)/d, with q1 powers;
-    the moving index may hit the anchored one.
+    """Two-variable recursivity, the same entry walk (`_walk`): slot 2
+    poles, at (alpha2_k - alpha2_i2)/d, pair with q2 powers, slot 1 poles,
+    at (alpha1_k - alpha1_i1)/d, with q1 powers; the moving index may hit
+    the anchored one.
 
-    evals: (i1, i2) -> QSeries in (q1, q2); defined for i1 != i2.
+    evals: (i1, i2) -> QSeries in (q1, q2); defined for i1 != i2, where
+    equal-index evaluations only feed the pole terms.
     coeff_fn(slot, i1, i2, k, d) -> Fraction with slot in {1, 2}.
     """
     a1 = [Fraction(v) for v in alpha1]
     a2 = [Fraction(v) for v in alpha2]
     coeff = functools.cache(coeff_fn)  # each (slot, i1, i2, k, d) once per check
-    report = RecursivityReport()
-    for (i1, i2) in sorted(evals):
-        if i1 == i2:
-            continue  # equal-index evaluations only feed the pole terms
-        for D1 in range(D + 1):
-            for D2 in range(D + 1 - D1):
-                terms = []
-                for d in range(1, D2 + 1):
-                    for k in range(1, n + 1):
-                        if k != i2:
-                            terms.append((coeff(2, i1, i2, k, d), (i1, k), (D1, D2 - d),
-                                          Fraction(a2[k - 1] - a2[i2 - 1], d)))
-                for d in range(1, D1 + 1):
-                    for k in range(1, n + 1):
-                        if k != i1:
-                            terms.append((coeff(1, i1, i2, k, d), (k, i2), (D1 - d, D2),
-                                          Fraction(a1[k - 1] - a1[i1 - 1], d)))
-                report.entries.append(_check_entry(evals, (i1, i2), (D1, D2), terms))
-    return report
+    return _walk(evals, (
+        ((i1, i2), (D1, D2), [
+            (coeff(2, i1, i2, k, d), (i1, k), (D1, D2 - d), Fraction(a2[k - 1] - a2[i2 - 1], d))
+            for d in range(1, D2 + 1) for k in range(1, n + 1) if k != i2
+        ] + [
+            (coeff(1, i1, i2, k, d), (k, i2), (D1 - d, D2), Fraction(a1[k - 1] - a1[i1 - 1], d))
+            for d in range(1, D1 + 1) for k in range(1, n + 1) if k != i1
+        ], "")
+        for (i1, i2) in sorted(evals) if i1 != i2 for D1 in range(D + 1) for D2 in range(D + 1 - D1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -229,36 +230,6 @@ def check_mpc(phi: PhiSeries):
         if v.roots:
             offenders.append((key, v.to_ratfunc()))
     return phi.n_pairs > 0 and not offenders, offenders
-
-
-def audit_uniqueness_hypotheses(F_evals, Fp_evals, coeff_fn, eta_fn, alphas,
-                                n: int, D: int, Nz: int = 2) -> dict:
-    """The three hypothesis groups of the uniqueness principle:
-    both series recursive, the pair eta-MPC, and the q^0 coefficient of the
-    first series nonvanishing at every fixed point."""
-    rep_F = check_recursive(F_evals, coeff_fn, alphas, D, n)
-    rep_Fp = check_recursive(Fp_evals, coeff_fn, alphas, D, n)
-    phi = build_phi(F_evals, Fp_evals, eta_fn, alphas, n, Nz, D)
-    mpc_ok, offenders = check_mpc(phi)
-    q0_ok = True
-    q0_detail = []
-    for (i, j), F in sorted(F_evals.items()):
-        if _vzero(F.get((0,) * F.q_arity)):
-            q0_ok = False
-            q0_detail.append((i, j))
-    return {
-        "recursive_F": rep_F.all_pass,
-        "recursive_Fp": rep_Fp.all_pass,
-        "mpc": mpc_ok,
-        "q0_nonzero": q0_ok,
-        "all": rep_F.all_pass and rep_Fp.all_pass and mpc_ok and q0_ok,
-        "detail": {
-            "F_failures": rep_F.failures(),
-            "Fp_failures": rep_Fp.failures(),
-            "mpc_offenders": offenders,
-            "q0_vanishing_pairs": q0_detail,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,24 @@ def test_structure_residual_catches_perturbed_solution(capsys, monkeypatch):
     assert {c for c, r in by_check.items() if not r["pass"]} == {"structure-residual-dot", "structure-residual-ddot"}
 
 
+def test_inverse_certificate_can_fail(capsys, monkeypatch):
+    import qgr.operators
+
+    inverse = qgr.operators.neumann_inverse
+
+    def q_added_at_0_0(M, D, arity=1):
+        inv = inverse(M, D, arity)
+        inv[0][0] = inv[0][0] + QSeries(arity, D, {(1,): Fraction(1)})
+        return inv
+
+    monkeypatch.setattr(qgr.operators, "neumann_inverse", q_added_at_0_0)
+    code, doc = run_json(capsys, ["verify", "--suite", "operator-norms", "--n", "3", "--a", "1", "--qdeg", "2"])
+    assert code == 1
+    by_check = {r["check"]: r for r in doc["payload"]}
+    for kind in ("dot", "ddot"):
+        assert by_check[f"inverse-certificates-{kind}"]["pass"] is False
+
+
 def test_orthogonality_suite_names_failing_entries():
     # a perturbed class of the dot pipeline fails the suite at the entries
     # the library check names (see test_orthogonality_names_failing_entries)

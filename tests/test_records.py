@@ -51,3 +51,14 @@ def test_records_compare_by_declared_fields(capsys):
     assert len(fields) == 15
     assert run(["cohomology", "--n", "3"]) == 0
     assert sorted(json.loads(capsys.readouterr().out)["meta"]) == sorted(fields)
+
+
+def test_ladder_image_equality_ignores_its_inverse_cache():
+    # the x-adic inverse table is a cache, filled on first read: not a field
+    from qgr.hyper import LadderImage
+
+    K, other = (LadderImage.ladder("dot", 3, CISpec((1,)), 2, 3) for _ in range(2))
+    assert K is not other and K == other
+    K.x_expansion((1, 1), 2)
+    assert K.inverses and not other.inverses
+    assert K == other and other == K

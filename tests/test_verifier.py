@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import factorial
@@ -22,8 +23,8 @@ from qgr.series import QSeries
 from qgr.verifier import (
     PhiSeries,
     RecursivityEntry,
+    RecursivityReport,
     _check_entry,
-    audit_uniqueness_hypotheses,
     build_phi,
     check_mpc,
     check_recursive,
@@ -185,24 +186,27 @@ def test_eta_vanishing_rejected():
         build_phi(ones, ones, lambda i, j: al[i - 1] + al[j - 1], al, n, 1, 0)
 
 
-def test_audit_uniqueness():
+def test_uniqueness_hypotheses():
+    # the three hypotheses of the uniqueness lemma: both series recursive
+    # (a nonzero q^0 term included) and their pairing polynomial
     n, a = 3, CISpec(())
     al = default_generic_alpha(n)
     Fd = y_evals("dot", n, a, al, 2)
     Fdd = y_evals("ddot", n, a, al, 2)
     spec = equal_rows_spec(al, a)
-    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec)
-    audit = audit_uniqueness_hypotheses(Fd, Fdd, coeff, lambda i, j: Fraction(1), al, n, 2)
-    # ddot is C_ddot-recursive, not C_dot-recursive; hypotheses track that
-    assert audit["recursive_F"] and audit["mpc"] and audit["q0_nonzero"]
+    for kind, F in (("dot", Fd), ("ddot", Fdd)):
+        coeff = lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, spec)
+        assert check_recursive(F, coeff, al, 2, n).all_pass, kind
+    assert check_mpc(build_phi(Fd, Fdd, lambda i, j: Fraction(1), al, n, 2, 2))[0]
 
-    # constructed q0 failure
+    # constructed q0 failure: the q^0 entry of (1, 2) alone fails, and says why
     broken = dict(Fd)
-    z = QSeries(1, 2, {(1,): one})
-    broken[(1, 2)] = z
-    audit2 = audit_uniqueness_hypotheses(broken, Fdd, coeff, lambda i, j: Fraction(1), al, n, 1)
-    assert not audit2["q0_nonzero"]
-    assert (1, 2) in audit2["detail"]["q0_vanishing_pairs"]
+    broken[(1, 2)] = QSeries(1, 2, {(1,): one})
+    coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec)
+    fails = check_recursive(broken, coeff, al, 1, n).failures()
+    assert [(e.pair, e.degree, e.note) for e in fails if e.degree == (0,)] == [
+        ((1, 2), (0,), "q^0 coefficient vanishes")
+    ]
 
 
 def test_mutation_detected():
@@ -473,9 +477,9 @@ def test_phi_payload_stays_in_box():
         assert (Dq, Nz) in keys  # the far corner of the box is filled
 
 
-def test_audit_uniqueness_with_operator_weighted_series():
+def test_uniqueness_hypotheses_with_operator_weighted_series():
     # the pair (plain series, basis-weighted series) satisfies all three
-    # hypothesis groups of the uniqueness principle
+    # hypotheses of the uniqueness lemma
     from qgr.hyper import c_coeff
     from qgr.operators import build_pipeline, y_gamma_evaluated
 
@@ -487,8 +491,11 @@ def test_audit_uniqueness_with_operator_weighted_series():
     eta = lambda i, j: a.product * (al[i - 1] + al[j - 1]) ** a.ell
     spec = equal_rows_spec(al, a)
     coeff = lambda s, i, j, k, d: c_coeff("dot", s, i, j, k, d, spec)
-    audit = audit_uniqueness_hypotheses(Fd, Dg, coeff, eta, al, n, 2)
-    assert audit["all"], audit["detail"]
+    for F in (Fd, Dg):
+        rep = check_recursive(F, coeff, al, 2, n)
+        assert rep.all_pass, [(e.pair, e.degree, e.note) for e in rep.failures()]
+    ok, offenders = check_mpc(build_phi(Fd, Dg, eta, al, n, 2, 2))
+    assert ok, offenders
 
 
 def test_checks_that_checked_nothing_fail():
@@ -681,3 +688,113 @@ def test_residue_check_matches_summed_poles_on_random_values():
             terms.append((1, rng.choice(points), one))
         verdicts.add(_entry(F, terms).ok)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the shared entry walk against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_check_recursive(evals, coeff_fn, alphas, D: int, n: int) -> RecursivityReport:
+    """The previous check_recursive, verbatim: no q^0 test."""
+    al = [Fraction(v) for v in alphas]
+    coeff = functools.cache(coeff_fn)  # each (slot, i, j, k, d) once per check
+    report = RecursivityReport()
+    for (i, j) in sorted(evals):
+        for dstar in range(D + 1):
+            terms = []
+            for d in range(1, dstar + 1):
+                for k in range(1, n + 1):
+                    if k not in (i, j):
+                        terms.append((coeff(2, i, j, k, d), (i, k), (dstar - d,),
+                                      Fraction(al[k - 1] - al[j - 1], d)))
+                        terms.append((coeff(1, i, j, k, d), (k, j), (dstar - d,),
+                                      Fraction(al[k - 1] - al[i - 1], d)))
+            report.entries.append(_check_entry(
+                evals, (i, j), (dstar,), terms, f" (recursivity violated below degree {dstar})",
+            ))
+    return report
+
+
+def _oracle_check_recursive_2q(evals, coeff_fn, alpha1, alpha2, D: int, n: int) -> RecursivityReport:
+    """The previous check_recursive_2q, verbatim: no q^0 test."""
+    a1 = [Fraction(v) for v in alpha1]
+    a2 = [Fraction(v) for v in alpha2]
+    coeff = functools.cache(coeff_fn)  # each (slot, i1, i2, k, d) once per check
+    report = RecursivityReport()
+    for (i1, i2) in sorted(evals):
+        if i1 == i2:
+            continue  # equal-index evaluations only feed the pole terms
+        for D1 in range(D + 1):
+            for D2 in range(D + 1 - D1):
+                terms = []
+                for d in range(1, D2 + 1):
+                    for k in range(1, n + 1):
+                        if k != i2:
+                            terms.append((coeff(2, i1, i2, k, d), (i1, k), (D1, D2 - d),
+                                          Fraction(a2[k - 1] - a2[i2 - 1], d)))
+                for d in range(1, D1 + 1):
+                    for k in range(1, n + 1):
+                        if k != i1:
+                            terms.append((coeff(1, i1, i2, k, d), (k, i2), (D1 - d, D2),
+                                          Fraction(a1[k - 1] - a1[i1 - 1], d)))
+                report.entries.append(_check_entry(evals, (i1, i2), (D1, D2), terms))
+    return report
+
+
+def _rows(report):
+    return [(e.pair, e.degree, e.ok, e.note, e.remainder.to_string() if e.remainder is not None else "")
+            for e in report.entries]
+
+
+def _walk_matches_oracle(check, oracle, evals, *args):
+    """The new and the previous report of `evals` are equal entry by
+    entry; the q^0 entries of series without a q^0 term are left out of the
+    comparison and returned, with the failures the oracle also gives."""
+    got, want = _rows(check(evals, *args)), _rows(oracle(evals, *args))
+    assert len(got) == len(want)
+    q0 = [g for g, w in zip(got, want) if g != w]
+    assert all(not any(g[1]) and evals[g[0]].get(g[1]) == 0 for g in q0), q0
+    return q0, sum(not w[2] for w in want)
+
+
+@pytest.mark.parametrize("n, a", [(3, ()), (3, (1, 1, 1)), (4, (2,))])
+def test_walk_matches_previous_loops(n, a):
+    a, D = CISpec(a), 3
+    al = default_generic_alpha(n)
+    spec = equal_rows_spec(al, a)
+    failed = 0
+    for kind in ("dot", "ddot"):
+        coeff = lambda s, i, j, k, d, _k=kind: c_coeff(_k, s, i, j, k, d, spec)
+        evals = y_evals(kind, n, a, al, D)
+        for mutate in [None] + [(d, d1) for d in range(3) for d1 in range(d + 1)]:
+            bad = dict(evals)
+            bad[(1, 2)] = y_series_evaluated(kind, n, a, al, 1, 2, D, mutate)
+            q0, fails = _walk_matches_oracle(check_recursive, _oracle_check_recursive, bad, coeff, al, D, n)
+            assert not q0 and (mutate is None) == (fails == 0), (kind, mutate)
+            failed += fails
+        # no q^0 term at (1, 2): only that entry differs
+        bad = dict(evals)
+        bad[(1, 2)] = QSeries(1, D, {k: v for k, v in evals[(1, 2)].coeffs.items() if k != (0,)})
+        q0, _ = _walk_matches_oracle(check_recursive, _oracle_check_recursive, bad, coeff, al, D, n)
+        assert q0 == [((1, 2), (0,), False, "q^0 coefficient vanishes", "")], kind
+    assert failed
+
+    # the two-q ladder evaluations of the recursivity suite, under their own
+    # recursion and the other kind's
+    spec2 = AMatrixSpec(n=n, rows=a.rows, alpha1=al, alpha2=tuple(Fraction(11**m) for m in range(1, n + 1)))
+    failed = 0
+    for kind in ("dot", "ddot"):
+        evals = {(i1, i2): a_series_evaluated(kind, spec2, i1, i2, 2)
+                 for i1 in range(1, n + 1) for i2 in range(1, n + 1)}
+        for rec in ("dot", "ddot"):
+            coeff = lambda s, i1, i2, k, d, _r=rec: scr_coeff(_r, s, i1, i2, k, d, spec2)
+            args = (coeff, spec2.alpha1, spec2.alpha2, 2, n)
+            q0, fails = _walk_matches_oracle(check_recursive_2q, _oracle_check_recursive_2q, evals, *args)
+            assert not q0
+            failed += fails
+            bad = dict(evals)
+            bad[(1, 2)] = QSeries(2, 2, {k: v for k, v in evals[(1, 2)].coeffs.items() if k != (0, 0)})
+            q0, _ = _walk_matches_oracle(check_recursive_2q, _oracle_check_recursive_2q, bad, *args)
+            assert q0 == [((1, 2), (0, 0), False, "q^0 coefficient vanishes", "")], (kind, rec)
+    assert failed or not a.rows

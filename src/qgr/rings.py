@@ -4,7 +4,9 @@ normalized rational functions.
 A polynomial is a mapping from exponent tuples to rational coefficients;
 zero coefficients are never stored.  A coefficient is held as an int while
 it is integral and as a Fraction otherwise (`_exact`), so products and
-sums of polynomials with integral coefficients run in int arithmetic.
+sums of polynomials with integral coefficients run in int arithmetic, and
+a large product of two homogeneous int polynomials is one big-int
+multiplication (Kronecker substitution, `_mul_homogeneous`).
 The monomial order is graded lexicographic for the variable order
 
     x1 < x2 < h < z < (auxiliary names, alphabetically)
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Mapping
@@ -394,23 +397,14 @@ class SparsePoly:
     def to_string(self) -> str:
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
-        parts = []
-        for e, c in items:
-            mono = "*".join(
-                f"{self.vars[i]}^{p}" if p > 1 else self.vars[i] for i, p in enumerate(e) if p
-            )
+        vs, terms, parts = self.vars, self.terms, []
+        for e in sorted(terms, key=monomial_key, reverse=True):
+            c = terms[e]
+            mono = "*".join([f"{vs[i]}^{p}" if p > 1 else vs[i] for i, p in enumerate(e) if p])
             mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
+            body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+            parts.append(("+" if c > 0 else "-") + body)
+        parts[0] = parts[0].removeprefix("+")
         return "".join(parts)
 
     def __repr__(self):
@@ -428,19 +422,26 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
     """Product of two term dicts over `vars`, without the terms whose degree
     in x1, x2 (positions `xidx`) exceeds `max_xdeg`; None keeps every term.
 
-    Exponent tuples are packed into ints (Kronecker substitution): the
+    A one-term factor only shifts exponents, so no two of its products
+    collide and that case needs no packing.  An untruncated product of at
+    least 256 term pairs whose operands are each homogeneous with int
+    coefficients (every zero-weight ladder numerator, cofactor and chain
+    product) is one big-int multiplication, `_mul_homogeneous`, unless its
+    box of output exponents is too sparse for that to pay.  Every other
+    product (a Fraction coefficient, a truncated product, a non-homogeneous
+    operand: all weighted inputs) runs a loop over the term pairs.
+
+    The loop packs exponent tuples into ints (Kronecker substitution): the
     exponent of vars[i] fills the bit field [i*width, (i+1)*width).  `width`
     is the bit length of the largest per-variable exponent sum the product
     can reach plus one spare bit, so every exponent sum fits its field.
     With no negative exponent (checked: packing would silently corrupt one)
     no carry or borrow crosses a field, adding packed keys adds exponent
-    tuples, and each output key is unpacked once.  For a
-    truncated product the longer operand is sorted by x-degree, and each row
-    of the shorter one stops at the first term over the bound, found by
-    bisection.  A one-term factor only shifts exponents, so no two of its
-    products collide and that case needs no packing.  Int coefficients
-    multiply and add as ints; a sum or product involving a Fraction may come
-    out integral and goes through `_exact`.
+    tuples, and each output key is unpacked once.  For a truncated product
+    the longer operand is sorted by x-degree, and each row of the shorter
+    one stops at the first term over the bound, found by bisection.  Int
+    coefficients multiply and add as ints; a sum or product involving a
+    Fraction may come out integral and goes through `_exact`.
     """
     if not ta or not tb:
         return SparsePoly.zero(vars)
@@ -457,6 +458,10 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
             if max_xdeg is None or sum([e[i] for i in xidx]) <= max_xdeg:
                 out[e] = _exact(ca * cb)
         return SparsePoly(vars, out, _clean=True)
+    if max_xdeg is None and len(ta) * len(tb) >= 256:
+        out = _mul_homogeneous(vars, ta, tb, cols_a, cols_b)
+        if out is not None:
+            return out
     top = max(map(operator.add, map(max, cols_a), map(max, cols_b)), default=0)
     width = top.bit_length() + 1
     shifts = range(0, width * len(vars), width)
@@ -485,6 +490,51 @@ def _mul_terms(vars, ta, tb, max_xdeg, xidx) -> SparsePoly:
     mask = (1 << width) - 1
     clean = {tuple([k >> s & mask for s in shifts]): _exact(v) for k, v in out.items() if v}
     return SparsePoly(vars, clean, _clean=True)
+
+
+def _mul_homogeneous(vars, ta, tb, cols_a, cols_b) -> SparsePoly | None:
+    """Product of the term dicts ta, tb (ta no longer than tb, exponent
+    columns `cols_a`, `cols_b`) as one big-int product, or None unless both
+    are homogeneous with int coefficients and the box of output exponents
+    has at most a quarter as many slots as there are term pairs.
+
+    Kronecker substitution: the last variable is dropped, since homogeneity
+    restores its exponent, and the others index a mixed-radix slot with
+    radix `max_a + max_b + 1` each, so no exponent sum carries.  A slot is
+    `wb` whole bytes, two bits more than an output coefficient needs: it
+    sums at most len(ta) products, each below 2**bits.  An operand is its
+    positive slots minus its negative ones, built from bytes.  Adding `half`
+    to every slot of the product leaves each slot `c + half` with no borrow
+    between slots, so a slot reads back as `u - half` and `half` is zero.
+    """
+    if any(len({sum(e) for e in t}) > 1 or any(type(c) is not int for c in t.values()) for t in (ta, tb)):
+        return None
+    radices = [p + q + 1 for p, q in zip(map(max, cols_a[:-1]), map(max, cols_b[:-1]))]
+    slots = math.prod(radices)
+    if 4 * slots > len(ta) * len(tb):
+        return None
+    strides = [math.prod(radices[:i]) for i in range(len(radices))]
+    bits = max(map(abs, ta.values())).bit_length() + max(map(abs, tb.values())).bit_length()
+    wb = (bits + len(ta).bit_length() + 9) // 8
+
+    def packed(t):
+        pos, neg = bytearray(slots * wb), bytearray(slots * wb)
+        for e, c in t.items():
+            i = sum(map(operator.mul, e, strides)) * wb
+            if c > 0:
+                pos[i : i + wb] = c.to_bytes(wb, "little")
+            else:
+                neg[i : i + wb] = (-c).to_bytes(wb, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * wb - 1)
+    zero = half.to_bytes(wb, "little")
+    raw = (packed(ta) * packed(tb) + int.from_bytes(zero * slots, "little")).to_bytes(slots * wb, "little")
+    deg = sum(next(iter(ta))) + sum(next(iter(tb)))
+    kept = itertools.product(*map(range, reversed(radices)))
+    chunks = [raw[i : i + wb] for i in range(0, slots * wb, wb)]
+    out = {e[::-1] + (deg - sum(e),): int.from_bytes(c, "little") - half for e, c in zip(kept, chunks) if c != zero}
+    return SparsePoly(vars, out, _clean=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import bisect
 import heapq
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -345,8 +346,22 @@ def test_mul_matches_tuple_kernel(a, b):
         assert _same_product(a.mul_trunc(b, max_xdeg), _tuple_product(a, b, max_xdeg)), max_xdeg
 
 
+def _record_big_int_route(monkeypatch):
+    """Wrap rings._mul_homogeneous; the returned list holds each of its results
+    (None where it declined and the term-pair loop ran)."""
+    results = []
+    route = rings._mul_homogeneous
+
+    def recording(*args):
+        results.append(route(*args))
+        return results[-1]
+
+    monkeypatch.setattr(rings, "_mul_homogeneous", recording)
+    return results
+
+
 def test_mul_matches_tuple_kernel_on_pipeline_inputs(monkeypatch, capsys):
-    from qgr import cli, rings, series
+    from qgr import cli, series
     from qgr.cohomology import default_generic_alpha
     from qgr.hyper import CISpec, bar_assemble, build_K, build_Y_closed
 
@@ -359,15 +374,92 @@ def test_mul_matches_tuple_kernel_on_pipeline_inputs(monkeypatch, capsys):
         return got
 
     monkeypatch.setattr(rings, "_mul_terms", recording)
+    big_int = _record_big_int_route(monkeypatch)
     series._x_inverse.cache_clear()
     bar_assemble(build_K("dot", 4, CISpec((2,)), default_generic_alpha(4), 2))
     build_Y_closed("ddot", 4, CISpec((1,)), 2)
+    build_Y_closed("dot", 5, CISpec((2, 3)), 4)
     cli.run(["verify", "--suite", "fano-vanishing", "--n", "3", "--a", "1", "--qdeg", "2"])
     capsys.readouterr()
     assert any(m is None for *_, m, _, _ in calls) and any(m is not None for *_, m, _, _ in calls)
     assert max(len(ta) * len(tb) for _, ta, tb, *_ in calls) > 500
+    assert any(r is not None for r in big_int) and None in big_int
     for vars, ta, tb, max_xdeg, xidx, got in calls:
         assert _same_product(got, _mul_by_tuples(vars, ta, tb, max_xdeg, xidx)), (vars, max_xdeg)
+
+
+_scaled_coeffs = st.builds(
+    lambda sign, base, k: sign * (base + k),
+    st.sampled_from((1, -1)), st.sampled_from((0, 2**64, 2**200)), st.integers(1, 9),
+)
+
+
+@st.composite
+def _homogeneous_terms(draw, vs, used, deg, cap=None):
+    """Int terms over `vs` of degree `deg` in the variables `used` (positions),
+    with the exponent of vs[0] at most `cap`: every such monomial but at most
+    three, each coefficient small, beyond 2**64 or beyond 2**200."""
+    monos = [
+        e for e in itertools.product(*(range(deg + 1) if i in used else (0,) for i in range(len(vs))))
+        if sum(e) == deg and (cap is None or e[0] <= cap)
+    ]
+    dropped = draw(st.sets(st.sampled_from(monos), max_size=3))
+    return {e: draw(_scaled_coeffs) for e in monos if e not in dropped}
+
+
+@st.composite
+def _homogeneous_pairs(draw):
+    """Two homogeneous int operands whose product takes the big-int route:
+    three variables at degrees 8..10 and 6..8; two variables at degrees 20..25;
+    or three variables where vs[0] is used by the first operand alone (to
+    degree 1), and the second has degree 16..20 in the other two."""
+    mode = draw(st.sampled_from(("dense", "two", "one-sided")))
+    nvars = 2 if mode == "two" else 3
+    vs = order_vars(draw(st.lists(st.sampled_from(_NAMES), unique=True, min_size=nvars, max_size=nvars)))
+    every = range(nvars)
+
+    def terms(used, lo, hi, cap=None):
+        return draw(_homogeneous_terms(vs, used, draw(st.integers(lo, hi)), cap))
+
+    if mode == "dense":
+        return vs, terms(every, 8, 10), terms(every, 6, 8)
+    if mode == "two":
+        return vs, terms(every, 20, 25), terms(every, 20, 25)
+    return vs, terms(every, 16, 20, cap=1), terms((1, 2), 16, 20)
+
+
+def test_big_int_route_matches_tuple_kernel(monkeypatch):
+    """Homogeneous int products above the size threshold go through one big-int
+    multiplication and agree with the tuple kernel; truncated, Fraction and
+    non-homogeneous products of the same operands run the term-pair loop."""
+    big_int = _record_big_int_route(monkeypatch)
+    seen = {"cancelled": 0, "wide": 0, "negative": 0}
+
+    @settings(max_examples=120, deadline=None)
+    @given(_homogeneous_pairs())
+    # (sum of x1^i x2^(20-i)) times its alternating form: every coefficient of
+    # odd degree in x1 cancels
+    @example((("x1", "x2"), {(i, 20 - i): 1 for i in range(21)}, {(i, 20 - i): (-1) ** i for i in range(21)}))
+    def check(pair):
+        vs, ta, tb = pair
+        del big_int[:]
+        got = rings._mul_terms(vs, ta, tb, None, ())
+        assert len(big_int) == 1 and big_int[0] is got
+        assert _same_product(got, _mul_by_tuples(vs, ta, tb, None, ()))
+        xidx = tuple(i for i, v in enumerate(vs) if v in ("x1", "x2"))
+        assert _same_product(rings._mul_terms(vs, ta, tb, 3, xidx), _mul_by_tuples(vs, ta, tb, 3, xidx))
+        assert len(big_int) == 1
+        e = next(iter(ta))
+        for other in ({**ta, e: Fraction(1, 2)}, {**ta, (e[0] + 1,) + e[1:]: 1}):
+            assert _same_product(rings._mul_terms(vs, other, tb, None, ()), _mul_by_tuples(vs, other, tb, None, ()))
+            assert big_int[-1] is None
+        sums = {tuple(map(operator.add, ea, eb)) for ea in ta for eb in tb}
+        seen["cancelled"] += len(got.terms) < len(sums)
+        seen["wide"] += max(map(abs, got.terms.values())) > 2**400
+        seen["negative"] += min(got.terms.values()) < 0
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_mul_large_exponents_stay_exact():

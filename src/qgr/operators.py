@@ -457,7 +457,9 @@ def _localized_classes(pipe: GammaPipeline, depth: int) -> dict:
     """The class map at weights, lam -> (r, j) -> QSeries of h-expansions:
     the bar series evaluated at the points p_ij, i < j, each value expanded
     at h = infinity to `depth` (per point, so no value grows), combined by
-    the constant inverse restriction matrix, so exactly to `depth`."""
+    the constant inverse restriction matrix, so exactly to `depth`.  Each
+    q-key sums plain coefficient dicts and is wrapped once, at the least
+    depth of its expansions (None if all are exact)."""
     pairs, Minv = restriction_inverse(pipe.alphas)
     at = [{lam: {key: _h_expand(v, depth) for key, v in ser.coeffs.items()}
            for lam, ser in _bars_evaluated(pipe, *p).items()} for p in pairs]
@@ -465,11 +467,17 @@ def _localized_classes(pipe: GammaPipeline, depth: int) -> dict:
     for lam in box_partitions(pipe.n):
         out[lam] = {}
         for (r, j, _), row in zip(_basis(pipe.n, pipe.kmax), Minv):
-            comp: dict = {}
+            sums: dict = {}
+            depths: dict = {}
             for c, ev in zip(row, at):
                 for key, le in ev[lam].items():
-                    comp[key] = comp[key] + le * c if key in comp else le * c
-            out[lam][(r, j)] = QSeries(1, pipe.D, comp)
+                    acc = sums.setdefault(key, {})
+                    for e, v in le.coeffs.items():
+                        acc[e] = acc.get(e, 0) + v * c
+                    if le.depth is not None:
+                        depths[key] = min(depths.get(key, le.depth), le.depth)
+            out[lam][(r, j)] = QSeries(1, pipe.D, {key: LaurentExpansion(acc, depths.get(key))
+                                                   for key, acc in sums.items()})
     return out
 
 
@@ -634,6 +642,15 @@ def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPip
     every positive q-degree, g being the equivariant diagonal at the
     pipelines' weights, which must be given and equal.  Exact HRat
     arithmetic.
+
+    The sum is taken as sum_lam Y_lam|_{p1} Z_lam(p2), with
+    Z_lam(p2) = sum_mu g_{lam,mu} Y''_mu|_{p2}(-h) contracted once per
+    point.  Every class is symmetric in x1, x2, so its value at (i, j) is
+    the one at (j, i): when every evaluation of both kinds passes that
+    test (exact HRat equality), the sum at (p1, p2) is the one at their
+    unordered points, and each unordered pair is summed once.  Otherwise
+    every ordered pair is.  Failures are listed by ordered pair in either
+    case.
     """
     al = pipe_dot.alphas
     if al is None or pipe_ddot.alphas != al:
@@ -643,22 +660,25 @@ def equivariant_orthogonality_check(pipe_dot: GammaPipeline, pipe_ddot: GammaPip
     pairs = fixed_points(pipe_dot.n)
     ev1 = {p: y_gamma_evaluated(pipe_dot, *p) for p in pairs}
     ev2 = {p: y_gamma_evaluated(pipe_ddot, *p) for p in pairs}
-    failures = []
-    for p1 in pairs:
-        for p2 in pairs:
+    mirror = all(ev[(i, j)] == ev[(j, i)] for ev in (ev1, ev2) for i, j in pairs if i < j)
+    point = (lambda p: (min(p), max(p))) if mirror else (lambda p: p)
+    points = [p for p in pairs if point(p) == p]
+    z2 = {}
+    for p in points:
+        z = z2[p] = {}
+        for (lam, mu), g in tensor.items():
+            term = ev2[p][mu].map_values(lambda v: HRat.convert(v).flip_h() * g)
+            z[lam] = z[lam] + term if lam in z else term
+    failed = set()
+    for p1 in points:
+        for p2 in points:
+            total = sum((ev1[p1][lam] * z for lam, z in z2[p2].items()), QSeries(1, D))
             for d in range(D + 1):
-                acc = None
-                for (lam, mu), g in tensor.items():
-                    for d1 in range(d + 1):
-                        v1 = HRat.convert(ev1[p1][lam].get((d1,)))
-                        v2 = HRat.convert(ev2[p2][mu].get((d - d1,)))
-                        term = g * v1 * v2.flip_h()
-                        acc = term if acc is None else acc + term
-                want = Fraction(0)
-                if d == 0 and set(p1) == set(p2):
-                    want = euler_tangent(al, *p1)
-                if not acc == want:
-                    failures.append({"pairs": (p1, p2), "q": d})
+                want = euler_tangent(al, *p1) if d == 0 and set(p1) == set(p2) else Fraction(0)
+                if not total.get((d,)) == want:
+                    failed.add((p1, p2, d))
+    failures = [{"pairs": (p1, p2), "q": d} for p1 in pairs for p2 in pairs for d in range(D + 1)
+                if (point(p1), point(p2), d) in failed]
     return {"ok": not failures, "failures": failures}
 
 

@@ -295,16 +295,27 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
     these scalars are folded into the denominator; the front factor and the
     denominator are then cleared of denominators by one more int.  So each
     checked function is the same rational function, of int polynomials.
-    Returns a report dict; "ok" is the conjunction of all checks.
+    Returns a report dict; "ok" is the conjunction of all checks, those
+    with x2 kept first, then those with x1 kept.
     A weight equal to xi raises GenericityError: the held variable's
     factor (xi - a_k) would vanish.
+
+    Mirroring: the factors other than eta, Y1 and Y2 are symmetric in
+    x1, x2.  When eta and every Y1, Y2 coefficient equal their x1 <-> x2
+    swaps (exact polynomial and RatFunc equality), the x1-kept functions
+    are the x2-kept ones with x2 renamed x1, so their pole orders,
+    residues and sums are the same numbers: only the x2-kept pass runs,
+    and its records are repeated with "var" set to "x1".  Any asymmetric
+    input, a fault say, runs both passes.
     """
     if _XI in alphas:
         raise GenericityError(f"weight {_XI} is the point at which residue-internal holds one x-variable")
     lo = 1 - depth - Nz  # the lowest product exponent that any check reads
+    coeffs = [[Y.coeff((d,)) for d in range(D + 1)] for Y in (Y1, Y2)]
+    mirror = eta_poly.is_symmetric_x() and all(c == c.swap_x() for cs in coeffs for c in cs)
     checks = []
-    for var_kept, var_fixed in (("x2", "x1"), ("x1", "x2")):
-        subs = [[Y.coeff((d,)).substitute({var_fixed: _XI}) for d in range(D + 1)] for Y in (Y1, Y2)]
+    for var_kept, var_fixed in (("x2", "x1"),) if mirror else (("x2", "x1"), ("x1", "x2")):
+        subs = [[c.substitute({var_fixed: _XI}) for c in cs] for cs in coeffs]
         tops = [max((c.num.degree_in("h") - c.den.degree_in("h") for c in cs if not c.is_zero()), default=0)
                 for cs in subs]
         (e1, L1), (e2, L2) = (
@@ -359,5 +370,7 @@ def residue_internal_check(Y1: "object", Y2: "object", eta_poly: SparsePoly,
                     "regular_at_0": reg0, "residue_at_0": res0,
                     "sum_zero": ok_sum,
                 })
+    if mirror:
+        checks += [dict(c, var="x1") for c in checks]
     ok = all(c["regular_at_0"] and c["residue_at_0"] == 0 and c["sum_zero"] for c in checks)
     return {"ok": ok, "checks": checks}

@@ -497,10 +497,43 @@ def test_double_J_q0_is_diagonal():
         assert got0.get(key, {}).get((0, 0), Fraction(0)) == w
 
 
+def _ordered_orthogonality(pipe_dot, pipe_ddot):
+    """The previous equivariant_orthogonality_check, verbatim but for the
+    module reference to y_gamma_evaluated: the full tensor contraction at
+    every ordered fixed-point pair; the oracle for the unordered route."""
+    from qgr.cohomology import equivariant_diagonal, euler_tangent
+
+    al = pipe_dot.alphas
+    tensor = equivariant_diagonal(al)
+    D = min(pipe_dot.D, pipe_ddot.D)
+    pairs = fixed_points(pipe_dot.n)
+    ev1 = {p: operators.y_gamma_evaluated(pipe_dot, *p) for p in pairs}
+    ev2 = {p: operators.y_gamma_evaluated(pipe_ddot, *p) for p in pairs}
+    failures = []
+    for p1 in pairs:
+        for p2 in pairs:
+            for d in range(D + 1):
+                acc = None
+                for (lam, mu), g in tensor.items():
+                    for d1 in range(d + 1):
+                        v1 = HRat.convert(ev1[p1][lam].get((d1,)))
+                        v2 = HRat.convert(ev2[p2][mu].get((d - d1,)))
+                        term = g * v1 * v2.flip_h()
+                        acc = term if acc is None else acc + term
+                want = Fraction(0)
+                if d == 0 and set(p1) == set(p2):
+                    want = euler_tangent(al, *p1)
+                if not acc == want:
+                    failures.append({"pairs": (p1, p2), "q": d})
+    return {"ok": not failures, "failures": failures}
+
+
 def _equivariant_orthogonality(n, a, al, D):
     pd = build_pipeline("dot", n, a, al, D)
     pdd = build_pipeline("ddot", n, a, al, D)
-    return equivariant_orthogonality_check(pd, pdd)
+    rep = equivariant_orthogonality_check(pd, pdd)
+    assert rep == _ordered_orthogonality(pd, pdd)
+    return rep
 
 
 def test_equivariant_double_series_two_seeds():
@@ -531,6 +564,76 @@ def test_equivariant_double_series_calabi_yau(n, a, D):
     # outside the box, which an x-expansion cut at the box drops
     rep = _equivariant_orthogonality(n, CISpec(a), default_generic_alpha(n), D)
     assert rep["ok"], rep["failures"][:2]
+
+
+def test_equivariant_orthogonality_mutants_match_ordered_route(monkeypatch):
+    # the q^1 coefficient of the dot series of the class 1 raised by 1: at
+    # both (1, 2) and (2, 1) the evaluations stay symmetric and each
+    # unordered pair is summed once; at (1, 2) alone they do not, and each
+    # ordered pair is.  The number of q^0 diagonal targets, one per summed
+    # pair of the same point (3 unordered, 6 x 2 ordered), tells the routes
+    # apart
+    n, D = 3, 1
+    al = default_generic_alpha(n)
+    pd = build_pipeline("dot", n, CISpec((1,)), al, D)
+    pdd = build_pipeline("ddot", n, CISpec((1,)), al, D)
+    evaluated = operators.y_gamma_evaluated
+    targets = []
+    euler = operators.euler_tangent
+    for points, summed in (([(1, 2), (2, 1)], 3), ([(1, 2)], 12)):
+        def perturbed(pipe, i, j):
+            ev = evaluated(pipe, i, j)
+            if pipe.kind == "dot" and (i, j) in points:
+                ev = dict(ev)
+                ev[(0, 0)] = ev[(0, 0)] + QSeries(1, D, {(1,): HRat.poly((1,))})
+            return ev
+
+        with monkeypatch.context() as m:
+            m.setattr(operators, "y_gamma_evaluated", perturbed)
+            m.setattr(operators, "euler_tangent", lambda *args: targets.append(args) or euler(*args))
+            rep = equivariant_orthogonality_check(pd, pdd)
+            assert len(targets) == summed
+            targets.clear()
+            assert rep == _ordered_orthogonality(pd, pdd)
+        assert not rep["ok"]
+        assert rep["failures"] == [{"pairs": (p1, p2), "q": 1} for p1 in points for p2 in fixed_points(n)]
+
+
+def _entrywise_localized_classes(pipe, depth):
+    """The previous operators._localized_classes: every product le * c and
+    every running sum a LaurentExpansion; the oracle for the summed
+    coefficient dicts."""
+    from qgr.cohomology import restriction_inverse
+
+    pairs, Minv = restriction_inverse(pipe.alphas)
+    at = [{lam: {key: operators._h_expand(v, depth) for key, v in ser.coeffs.items()}
+           for lam, ser in operators._bars_evaluated(pipe, *p).items()} for p in pairs]
+    out = {}
+    for lam in box_partitions(pipe.n):
+        out[lam] = {}
+        for (r, j, _), row in zip(operators._basis(pipe.n, pipe.kmax), Minv):
+            comp: dict = {}
+            for c, ev in zip(row, at):
+                for key, le in ev[lam].items():
+                    comp[key] = comp[key] + le * c if key in comp else le * c
+            out[lam][(r, j)] = QSeries(1, pipe.D, comp)
+    return out
+
+
+@pytest.mark.parametrize("n,a,D", [(5, (2,), 2), (4, (4,), 1)])
+def test_localized_classes_match_entrywise_sums(n, a, D, monkeypatch):
+    al = default_generic_alpha(n)
+    for kind in ("dot", "ddot"):
+        pipe = build_pipeline(kind, n, CISpec(a), al, D)
+        depth = pipe.depth + pipe.kmax
+        # each expansion equal with its depth (LaurentExpansion equality)
+        got, want = ({lam: {rj: ser.coeffs for rj, ser in comps.items()} for lam, comps in route(pipe, depth).items()}
+                     for route in (operators._localized_classes, _entrywise_localized_classes))
+        assert got == want, kind
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_localized_classes", _entrywise_localized_classes)
+            ref = build_pipeline(kind, n, CISpec(a), al, D)
+        assert (pipe.classes, pipe.Jinv, pipe.structC) == (ref.classes, ref.Jinv, ref.structC), kind
 
 
 def test_y_gamma_evaluated_matches_trivariate():

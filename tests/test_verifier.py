@@ -373,9 +373,129 @@ def test_residue_internal_expands_each_coefficient_not_the_integrand(monkeypatch
     monkeypatch.setattr(series, "laurent_expand_hbar", counting_expand)
     monkeypatch.setattr(verifier, "laurent_expand_hbar", counting_expand)
     assert residue_internal_check(Y1, Y2, eta, al, 3, D, 2, 7)["ok"]
-    # no integrand sums; one expansion per substituted coefficient:
-    # 2 kept variables x 2 series x (D + 1) q-degrees
-    assert calls == ["expand"] * (2 * 2 * (D + 1))
+    # no integrand sums; one expansion per substituted coefficient of the
+    # one pass that symmetric inputs run: 2 series x (D + 1) q-degrees
+    assert calls == ["expand"] * (2 * (D + 1))
+
+
+def _two_pass_residue_internal(Y1, Y2, eta_poly, alphas, n, D, Nz, depth):
+    """The previous residue_internal_check, verbatim: both passes, the
+    x1-held one and the x2-held one, computed whatever the symmetry of
+    the inputs; the oracle for the mirrored second pass."""
+    from math import lcm
+
+    from qgr.residues import pole_order_at, residue_at, residue_sum_check
+    from qgr.verifier import _XI, _expand_at_infinity
+
+    lo = 1 - depth - Nz  # the lowest product exponent that any check reads
+    checks = []
+    for var_kept, var_fixed in (("x2", "x1"), ("x1", "x2")):
+        subs = [[Y.coeff((d,)).substitute({var_fixed: _XI}) for d in range(D + 1)] for Y in (Y1, Y2)]
+        tops = [max((c.num.degree_in("h") - c.den.degree_in("h") for c in cs if not c.is_zero()), default=0)
+                for cs in subs]
+        (e1, L1), (e2, L2) = (
+            _expand_at_infinity(cs, depth + Nz + tops[1 - s]) for s, cs in enumerate(subs)
+        )
+        # each side over one int: its h-coefficients times the lcm c of their content denominators
+        c1, c2 = (lcm(*(P.content_denominator() for ex in es for P in ex.values())) for es in (e1, e2))
+        e1 = [{e: P * c1 for e, P in ex.items()} for ex in e1]
+        e2 = [{e: P * (-c2 if e % 2 else c2) for e, P in ex.items()} for ex in e2]  # h -> -h
+        V = L1.vars
+        conv = {}
+        for d1 in range(D + 1):
+            for d2 in range(D + 1 - d1):
+                acc: dict[int, SparsePoly] = {}
+                for a, P1 in e1[d1].items():
+                    for b, P2 in e2[d2].items():
+                        if a + b >= lo:
+                            t = P1 * P2
+                            acc[a + b] = t if a + b not in acc else acc[a + b] + t
+                conv[(d1, d2)] = acc
+        x = SparsePoly.variable(V, var_kept)
+        xi = SparsePoly.const(V, _XI)
+        # int polynomials: lin_pows[p] = xi_den^Nz Nz! lin^p/p!, lin = x + xi; below, w scales it by Nz! d1^p2/p2!
+        lin = x * _XI.denominator + SparsePoly.const(V, _XI.numerator)
+        lin_pows = [lin**p * (factorial(Nz) * _XI.denominator ** (Nz - p) // factorial(p)) for p in range(Nz + 1)]
+        front = eta_poly.substitute({var_fixed: _XI}) * (xi - x) * (x - xi)
+        pole_den = L1 * L2 * (c1 * c2 * factorial(Nz) ** 2 * _XI.denominator**Nz)
+        for ak in alphas:
+            pole_den = pole_den * (x - SparsePoly.const(V, ak)) * (_XI - ak)
+        # one int clears both of denominators
+        k = lcm(front.content_denominator(), pole_den.content_denominator())
+        front, pole_den = front * k, pole_den * k
+        for (dz, qd) in [(p, d) for d in range(D + 1) for p in range(Nz + 1)]:
+            # z-contributions: e^{(x1+x2)z} and the q -> q e^{hz} shift in Y1
+            total: dict[int, SparsePoly] = {}
+            for d1 in range(qd + 1):
+                for p2 in range(dz + 1 if d1 else 1):
+                    w = lin_pows[dz - p2] * (d1**p2 * factorial(Nz) // factorial(p2))
+                    for e, P in conv[(d1, qd - d1)].items():
+                        if e + p2 >= 1 - depth:
+                            t = P * w
+                            total[e + p2] = t if e + p2 not in total else total[e + p2] + t
+            for hexp in sorted(total, reverse=True):
+                f = RatFunc(total[hexp] * front, pole_den)
+                if f.is_const():
+                    continue
+                reg0 = pole_order_at(f, Fraction(0), var_kept) == 0
+                res0 = residue_at(f, Fraction(0), var_kept)
+                ok_sum, _ = residue_sum_check(f, list(alphas) + [Fraction(0)], var_kept)
+                checks.append({
+                    "var": var_kept, "z": dz, "q": qd, "h_exp": hexp,
+                    "regular_at_0": reg0, "residue_at_0": res0,
+                    "sum_zero": ok_sum,
+                })
+    ok = all(c["regular_at_0"] and c["residue_at_0"] == 0 and c["sum_zero"] for c in checks)
+    return {"ok": ok, "checks": checks}
+
+
+def _expansions(monkeypatch, *args):
+    """(report, number of laurent_expand_hbar calls) of residue_internal_check."""
+    calls = []
+    expand = verifier.laurent_expand_hbar
+
+    def counting_expand(*a, **kw):
+        calls.append(1)
+        return expand(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "laurent_expand_hbar", counting_expand)
+        rep = residue_internal_check(*args)
+    return rep, len(calls)
+
+
+@pytest.mark.parametrize("depth", [4, 7, 11])
+@pytest.mark.parametrize("n, a, D, Nz", [
+    (3, (1,), 2, 2), (3, (), 1, 1), (3, (2,), 1, 1), (4, (2,), 1, 1), (3, (1, 1, 1), 1, 1),
+])
+def test_residue_internal_mirrors_symmetric_inputs(n, a, D, Nz, depth, monkeypatch):
+    # symmetric ladder series and eta: one pass, 2 series x (D + 1)
+    # expansions, and the report of both passes
+    Y1, Y2, eta, al = _residue_inputs(n, a, D)
+    new, expansions = _expansions(monkeypatch, Y1, Y2, eta, al, n, D, Nz, depth)
+    assert expansions == 2 * (D + 1)
+    assert new == _two_pass_residue_internal(Y1, Y2, eta, al, n, D, Nz, depth)
+
+
+def test_residue_internal_runs_both_passes_on_asymmetric_inputs(monkeypatch):
+    n, D, Nz, depth = 3, 2, 2, 7
+    Y1, Y2, eta, al = _residue_inputs(n, (1,), D)
+    XV, V3 = ("x1", "x2"), ("x1", "x2", "h")
+    x1, x2 = SparsePoly.variable(XV, "x1"), SparsePoly.variable(XV, "x2")
+    off_eta = x1 * Fraction(2, 5) + x2 * x2 * Fraction(3, 7) + SparsePoly.const(XV, Fraction(1, 2))
+    pole = _MutatedQ1(Y1, lambda c: RatFunc(c.num, c.den * SparsePoly.variable(V3, "x1")))
+    tilted = _MutatedQ1(Y2, lambda c: c * (SparsePoly.variable(V3, "x2") + 1))
+    scaled = _MutatedQ1(Y1, lambda c: c * 2)
+    for ys, e, passes in (((pole, Y2), eta, 2), ((Y1, Y2), off_eta, 2), ((Y1, tilted), eta, 2),
+                          ((scaled, Y2), eta, 1)):
+        new, expansions = _expansions(monkeypatch, *ys, e, al, n, D, Nz, depth)
+        assert expansions == passes * 2 * (D + 1)
+        assert new == _two_pass_residue_internal(*ys, e, al, n, D, Nz, depth)
+    # the x1-pole mutant fails in the x1-held pass only, which mirroring
+    # would have read off the x2-held one
+    new = residue_internal_check(pole, Y2, eta, al, n, D, Nz, depth)
+    assert not new["ok"]
+    assert {c["var"] for c in new["checks"] if not c["regular_at_0"]} == {"x1"}
 
 
 def _zmul(A, B, Dq, Nz):
